@@ -1,10 +1,11 @@
 """Symmetric orbit sums with parameter on the n-torus.
 
 The central object is ``q_poly``: the parameter-deformed orbit sum attached
-to a partition, computed by symmetrizing a product kernel over the signed
-permutations and then stripping the universal binomial denominator by exact
-division.  ``p_poly`` renormalizes by the stabilizer counting series so the
-leading orbit coefficient is 1.
+to a partition.  It is computed in alternating form: a product kernel of n^2
+binomials is summed over the signed permutations with the sign det(w), and
+the sum is divided once, exactly, by the Weyl denominator
+prod over positive roots a of (1 - x^(-a)).  ``p_poly`` renormalizes by the
+stabilizer counting series so the leading orbit coefficient is 1.
 
 Two specializations of the (short, long) parameters occur throughout, tied
 to the residue side being odd- or even-dimensional; ``spec_params`` fixes
@@ -24,6 +25,7 @@ from .scalars import QFraction, QLaurent
 from .torus import Binomial, FactoredRational, TorusPoly, binomial_div_exact
 from .weyl import (
     enumerate_group,
+    length,
     long_positive_roots,
     poincare_poly,
     positive_roots,
@@ -76,31 +78,33 @@ def c_function(n: int, t_short: QLaurent, t_long: QLaurent) -> FactoredRational:
 
 @lru_cache(maxsize=None)
 def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLaurent) -> TorusPoly:
-    # kernel cleared of denominators:
-    #   T = x^(-lam) * prod(1 - t_a x^a) * prod(1 - x^(-a))   over positive roots a
-    # Summing the exponent-relabeled copies of T over the whole group gives
-    #   N = q_poly * prod over ALL roots b of (1 - x^b),
-    # so 2 n^2 exact binomial divisions finish the job.
-    T = TorusPoly.monomial(n, tuple(-v for v in lam))
+    # Alternating form.  With rho = (n, ..., 1), half the sum of the positive
+    # roots, and N = n^2 positive roots,
+    #   prod over positive roots a of (1 - x^a) = (-1)^N x^rho * A,
+    # where w(A) = det(w) A.  Clearing that denominator from the orbit sum of
+    # x^(-lam) * prod(1 - t_a x^a) / (1 - x^a) gives
+    #   q_poly = (-1)^N x^(-rho) * sum_w det(w) w(K) / prod_{a>0} (1 - x^(-a)),
+    #   K = x^(-lam-rho) * prod_{a>0} (1 - t_a x^a),
+    # so n^2 exact binomial divisions finish the job.
+    rho = tuple(range(n, 0, -1))
+    K = TorusPoly.monomial(n, tuple(-v - r for v, r in zip(lam, rho)))
     for a in short_positive_roots(n):
-        T = T * Binomial(t_short, a).as_poly()
+        K = K * Binomial(t_short, a).as_poly()
     for a in long_positive_roots(n):
-        T = T * Binomial(t_long, a).as_poly()
-    for a in positive_roots(n):
-        T = T * Binomial(1, tuple(-v for v in a)).as_poly()
+        K = K * Binomial(t_long, a).as_poly()
 
+    terms = list(K.terms())
+    neg_terms = [(e, -c) for e, c in terms]
     acc: dict[Tuple[int, ...], QFraction] = {}
-    terms = list(T.terms())
     for g in enumerate_group(n):
-        for e, c in terms:
-            e2 = g.act_vector(e)
+        # the sign is det(g) = (-1)^length(g) times the overall (-1)^N
+        for e, c in neg_terms if (n * n + length(g)) % 2 else terms:
+            e2 = tuple(v - r for v, r in zip(g.act_vector(e), rho))
             s = acc.get(e2)
             acc[e2] = c if s is None else s + c
-    N = TorusPoly(n, acc)
 
-    out = N
+    out = TorusPoly(n, acc)
     for a in positive_roots(n):
-        out = binomial_div_exact(out, 1, a)
         out = binomial_div_exact(out, 1, tuple(-v for v in a))
     return out
 

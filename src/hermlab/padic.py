@@ -103,7 +103,10 @@ def _sqrt_mod_p(t: int, p: int) -> int:
 class LocalField:
     """An odd prime p together with the quadratic extension by sqrt(eps),
     eps being the smallest non-residue mod p (deterministic, so runs are
-    reproducible)."""
+    reproducible).
+
+    eps is a unit, so this is the unramified quadratic extension: p stays a
+    uniformizer and the residue field grows from F_p to F_{p^2}."""
 
     __slots__ = ("p", "eps")
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -16,8 +18,16 @@ from hermlab.hall_littlewood import (
     whole_group_value,
 )
 from hermlab.scalars import QFraction, QLaurent
-from hermlab.torus import TorusPoly
-from hermlab.weyl import enumerate_group, orbit, poincare_poly, stabilizer
+from hermlab.torus import Binomial, TorusPoly, binomial_div_exact
+from hermlab.weyl import (
+    enumerate_group,
+    long_positive_roots,
+    orbit,
+    poincare_poly,
+    positive_roots,
+    short_positive_roots,
+    stabilizer,
+)
 
 Q = QLaurent.gen()
 
@@ -106,13 +116,20 @@ def test_degeneracy_at_unit_parameters():
 
 def test_symmetrized_kernel_matches_qpoly_at_points():
     # q_poly equals the sum over the group of x^lam * kernel evaluated at
-    # the transformed point (rational x, q symbolic)
+    # the transformed point (rational x, q symbolic); this uses neither
+    # polynomial expansion of q_poly
     rng = random.Random(23)
-    n = 2
+    cases = [
+        (2, (1, 0)),
+        (2, (1, 1)),
+        (2, (2, 1)),
+        (3, (1, 0, 0)),
+        (3, (1, 1, 0)),
+    ]
     ts, tl = spec_params("odd")
-    ker = c_function(n, ts, tl)
-    for lam in [(1, 0), (1, 1), (2, 1)]:
-        f = q_poly(2, "odd", lam)
+    for n, lam in cases:
+        ker = c_function(n, ts, tl)
+        f = q_poly(n, "odd", lam)
         for _ in range(3):
             xs = [Fraction(rng.randrange(2, 40), rng.randrange(2, 40)) for _ in range(n)]
             if len({abs(x) for x in xs}) < n or any(x == 1 for x in xs):
@@ -128,6 +145,71 @@ def test_symmetrized_kernel_matches_qpoly_at_points():
                     mono = mono * QFraction(QLaurent.const(Fraction(x)))**a
                 total = total + mono * ker.eval_exact(gx)
             assert total == f.eval_exact(xs)
+
+
+def full_kernel_q_poly(n, lam, t_short, t_long):
+    """Reference construction of q_poly: relabel the kernel cleared of both
+    halves of the Weyl denominator,
+
+        T = x^(-lam) * prod(1 - t_a x^a) * prod(1 - x^(-a))   over positive roots a,
+
+    over the whole group; the sum is q_poly * prod over ALL roots b of
+    (1 - x^b), which 2 n^2 exact binomial divisions strip."""
+    T = TorusPoly.monomial(n, tuple(-v for v in lam))
+    for a in short_positive_roots(n):
+        T = T * Binomial(t_short, a).as_poly()
+    for a in long_positive_roots(n):
+        T = T * Binomial(t_long, a).as_poly()
+    for a in positive_roots(n):
+        T = T * Binomial(1, tuple(-v for v in a)).as_poly()
+
+    acc = {}
+    terms = list(T.terms())
+    for g in enumerate_group(n):
+        for e, c in terms:
+            e2 = g.act_vector(e)
+            s = acc.get(e2)
+            acc[e2] = c if s is None else s + c
+
+    out = TorusPoly(n, acc)
+    for a in positive_roots(n):
+        out = binomial_div_exact(out, 1, a)
+        out = binomial_div_exact(out, 1, tuple(-v for v in a))
+    return out
+
+
+def test_qpoly_matches_full_kernel_reference():
+    one = QLaurent.const(1)
+    params = [spec_params("odd"), spec_params("even"), (one, one)]
+    for n in (1, 2):
+        for lam in partitions_with(3, n):
+            lam = check_partition(lam, n)
+            for ts, tl in params:
+                got = q_poly(n, None, lam, t_short=ts, t_long=tl)
+                ref = full_kernel_q_poly(n, lam, ts, tl)
+                assert got == ref
+                assert str(got) == str(ref)
+                assert got.to_json_dict() == ref.to_json_dict()
+
+
+# sha256 of json.dumps(q_poly(3, parity, lam).to_json_dict(), sort_keys=True),
+# recorded from the full-kernel construction (3-6 s a build at n = 3)
+QPOLY_N3_SHA256 = {
+    ("odd", (0, 0, 0)): "2bbeed184fe3be115c3bcece5673755bd52f2f55d939985a8db58d9555ee986f",
+    ("odd", (1, 0, 0)): "ae3ef596c4cd803aa3ef60adfe40a45ef35020cad9dfc3b426336df8beee2fcd",
+    ("odd", (1, 1, 0)): "e840de539c4fd622f44d65a4c3ce66e6f76c267b9fb7dde4fbab9e7738e307a5",
+    ("odd", (2, 1, 0)): "2025e6cc773ef14ecbc5a5ce65c97ce4712663ebf9ec6f82f8537c14a186add8",
+    ("even", (0, 0, 0)): "214f88964b2c37bf19bddf148e3bb94f95f2991141c499995a0e90edef6d2b0c",
+    ("even", (1, 0, 0)): "85dd701cd31d51c3e39976ea45fe35bcbf1aaacfcbc937aafcf1e926dd020247",
+    ("even", (1, 1, 0)): "78ea433c13780c2ed5cfe8f9516260b2ddb5979a8ec5e78506f7768aab4d08db",
+    ("even", (2, 1, 0)): "0589dd45d121262f4b2de092ebe2f9417f30ae274d65b7b8495bc756bce16dd6",
+}
+
+
+def test_qpoly_n3_pinned():
+    for (parity, lam), digest in QPOLY_N3_SHA256.items():
+        text = json.dumps(q_poly(3, parity, lam).to_json_dict(), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_qpoly_cached():
