@@ -4,7 +4,8 @@ Three layers, each immutable and hashable where meaningful:
 
 * :class:`GaussianRational` -- numbers a + b*I with rational a, b.
 * :class:`QLaurent` -- Laurent polynomials in the parameter ``q`` with
-  GaussianRational coefficients.
+  Gaussian-rational coefficients, stored as Gaussian-integer numerators
+  over one shared denominator.
 * :class:`QFraction` -- formal quotients of two QLaurent values.  Equality
   is decided by cross-multiplication; no multivariate gcd is ever taken.
 
@@ -15,7 +16,8 @@ enters until numeric quadrature explicitly asks for it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from math import gcd
+from typing import Mapping, Union
 
 Rat = Union[int, Fraction]
 
@@ -190,12 +192,50 @@ def _as_gaussian(x) -> GaussianRational:
     raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
 
 
+def _gaussian_ints(x) -> tuple[int, int, int]:
+    """``(re, im, d)`` with ``x = (re + im*I) / d``, ``d > 0``, in lowest terms."""
+    x = _as_gaussian(x)
+    dr, di = x.re.denominator, x.im.denominator
+    d = dr * di // gcd(dr, di)
+    return x.re.numerator * (d // dr), x.im.numerator * (d // di), d
+
+
+_set = object.__setattr__
+
+
+def _ql(c: dict[int, tuple[int, int]], d: int) -> "QLaurent":
+    """Wrap nonzero numerators ``c`` over ``d > 0``, cancelling common factors."""
+    if d != 1:
+        if c:
+            g = d
+            for re, im in c.values():
+                g = gcd(g, re, im)
+                if g == 1:
+                    break
+            if g != 1:
+                c = {e: (re // g, im // g) for e, (re, im) in c.items()}
+                d //= g
+        else:
+            d = 1
+    out = object.__new__(QLaurent)
+    _set(out, "_c", c)
+    _set(out, "_d", d)
+    _set(out, "_hash", None)
+    return out
+
+
 class QLaurent:
     """A Laurent polynomial in the single parameter ``q``.
 
-    Stored as a finitely supported map from integer exponent to nonzero
-    :class:`GaussianRational` coefficient.  Immutable and hashable so values
-    such as specialization parameters can key memo tables.
+    Stored as integers over one shared denominator: ``_c`` maps each
+    exponent to the ``(re, im)`` pair of its Gaussian-integer numerator, and
+    the coefficient there is ``(re + im*I) / _d``.  Zero numerators are never
+    stored, ``_d > 0``, and ``_d`` is coprime to the numerators taken
+    together, so equal values have equal fields.  All ring arithmetic and
+    exact division run on Python ints; coefficients come out as
+    :class:`GaussianRational` at the boundary (``items``, ``coeff``,
+    ``eval``, ``str``).  Immutable and hashable so values such as
+    specialization parameters can key memo tables.
 
     >>> q = QLaurent.gen()
     >>> w2 = (1 + q**-1) * (1 - q**-2)      # (1+q^-1)(1-q^-2)
@@ -203,19 +243,25 @@ class QLaurent:
     GaussianRational(32/27, 0)
     >>> (q - 1) * (q + 1) == q**2 - 1
     True
+    >>> f = (q + Fraction(1, 2)) * QLaurent.const(GaussianRational(0, 2))
+    >>> f._c, f._d
+    ({1: (0, 2), 0: (0, 1)}, 1)
     """
 
-    __slots__ = ("_c", "_hash")
+    __slots__ = ("_c", "_d", "_hash")
 
     def __init__(self, coeffs: Mapping[int, GaussianRational] | None = None):
-        clean = {}
+        parts = []
+        d = 1
         if coeffs:
             for e, c in coeffs.items():
-                c = _as_gaussian(c)
-                if not c.is_zero():
-                    clean[int(e)] = c
-        object.__setattr__(self, "_c", clean)
-        object.__setattr__(self, "_hash", None)
+                re, im, dc = _gaussian_ints(c)
+                if re or im:
+                    parts.append((int(e), re, im, dc))
+                    d = d * dc // gcd(d, dc)
+        _set(self, "_c", {e: (re * (d // dc), im * (d // dc)) for e, re, im, dc in parts})
+        _set(self, "_d", d)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QLaurent is immutable")
@@ -223,32 +269,38 @@ class QLaurent:
     # -- constructors ---------------------------------------------------
     @staticmethod
     def const(x) -> "QLaurent":
-        return QLaurent({0: _as_gaussian(x)})
+        re, im, d = _gaussian_ints(x)
+        return _ql({0: (re, im)} if re or im else {}, d)
 
     @staticmethod
     def term(coef, exp: int) -> "QLaurent":
-        return QLaurent({exp: _as_gaussian(coef)})
+        return QLaurent({exp: coef})
 
     @staticmethod
     def gen() -> "QLaurent":
         """The generator ``q``."""
-        return QLaurent({1: GR_ONE})
+        return _ql({1: (1, 0)}, 1)
 
     # -- basic queries ----------------------------------------------------
-    def items(self):
-        return self._c.items()
+    def _gr(self, re: int, im: int) -> GaussianRational:
+        d = self._d
+        return GaussianRational(Fraction(re, d), Fraction(im, d))
+
+    def items(self) -> list[tuple[int, GaussianRational]]:
+        return [(e, self._gr(re, im)) for e, (re, im) in self._c.items()]
 
     def sorted_items(self):
-        return sorted(self._c.items())
+        return sorted(self.items())
 
     def is_zero(self) -> bool:
         return not self._c
 
     def is_one(self) -> bool:
-        return self._c == {0: GR_ONE}
+        return self._d == 1 and self._c == {0: (1, 0)}
 
     def coeff(self, e: int) -> GaussianRational:
-        return self._c.get(e, GR_ZERO)
+        t = self._c.get(e)
+        return GR_ZERO if t is None else self._gr(*t)
 
     def min_exp(self) -> int:
         return min(self._c)
@@ -268,19 +320,33 @@ class QLaurent:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            s = c.get(e, GR_ZERO) + v
-            if s.is_zero():
-                c.pop(e, None)
+        d1, d2 = self._d, o._d
+        g = gcd(d1, d2)
+        s1, s2 = d2 // g, d1 // g
+        if s1 == 1:
+            c = dict(self._c)
+        else:
+            c = {e: (re * s1, im * s1) for e, (re, im) in self._c.items()}
+        for e, (re, im) in o._c.items():
+            if s2 != 1:
+                re *= s2
+                im *= s2
+            t = c.get(e)
+            if t is None:
+                c[e] = (re, im)
             else:
-                c[e] = s
-        return QLaurent(c)
+                re += t[0]
+                im += t[1]
+                if re or im:
+                    c[e] = (re, im)
+                else:
+                    del c[e]
+        return _ql(c, d1 * s1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QLaurent({e: -v for e, v in self._c.items()})
+        return _ql({e: (-re, -im) for e, (re, im) in self._c.items()}, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -298,16 +364,22 @@ class QLaurent:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c: dict[int, GaussianRational] = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
+        c: dict[int, tuple[int, int]] = {}
+        get = c.get
+        for e1, (r1, i1) in self._c.items():
+            for e2, (r2, i2) in o._c.items():
                 e = e1 + e2
-                s = c.get(e, GR_ZERO) + v1 * v2
-                if s.is_zero():
-                    c.pop(e, None)
-                else:
-                    c[e] = s
-        return QLaurent(c)
+                re = r1 * r2 - i1 * i2
+                im = r1 * i2 + i1 * r2
+                t = get(e)
+                if t is not None:
+                    re += t[0]
+                    im += t[1]
+                    if not (re or im):
+                        del c[e]
+                        continue
+                c[e] = (re, im)
+        return _ql(c, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -317,8 +389,8 @@ class QLaurent:
         if k < 0:
             if len(self._c) != 1:
                 raise InexactDivision("negative power of a non-monomial QLaurent")
-            (e, v), = self._c.items()
-            return QLaurent({e * k: v ** k})
+            (e, v), = self.items()
+            return QLaurent({e * k: v**k})
         out = QL_ONE
         base = self
         while k:
@@ -330,43 +402,82 @@ class QLaurent:
 
     def shift(self, k: int) -> "QLaurent":
         """Multiply by q**k."""
-        return QLaurent({e + k: v for e, v in self._c.items()})
+        return _ql({e + k: v for e, v in self._c.items()}, self._d)
 
     def stretch(self, k: int) -> "QLaurent":
         """Reinterpret q as the k-th power of a finer base: q -> r^k."""
         if k <= 0:
             raise ValueError("stretch factor must be positive")
-        return QLaurent({e * k: v for e, v in self._c.items()})
+        return _ql({e * k: v for e, v in self._c.items()}, self._d)
 
     def divexact(self, other: "QLaurent") -> "QLaurent":
         """Exact division; raises :class:`InexactDivision` on a remainder.
 
+        Long division of the numerators from the top exponent down.  Each
+        step divides by the divisor's Gaussian-integer lead ``L``: when ``L``
+        is a unit that is multiplication by its conjugate; otherwise the
+        remainder is first scaled by ``|L|^2`` so that the step stays in
+        integers, and the quotient terms carry the matching power of
+        ``|L|^2`` in their denominator.
+
         >>> q = QLaurent.gen()
         >>> ((1 - q**2).divexact(1 - q)) == 1 + q
         True
+        >>> g = 1 + GaussianRational(2, 1) * q    # lead 2+I, not a unit
+        >>> (g * (Fraction(1, 3) * q - 1)).divexact(g)
+        QLaurent({1: GaussianRational(1/3, 0), 0: GaussianRational(-1, 0)})
         """
         o = self._coerce(other)
         if o is None or o.is_zero():
             raise ZeroDivisionError("division by zero QLaurent")
-        if self.is_zero():
+        if not self._c:
             return QL_ZERO
-        rem = self
-        lead_e = o.max_exp()
-        lead_c = o.coeff(lead_e)
-        quot: dict[int, GaussianRational] = {}
-        while not rem.is_zero():
-            e = rem.max_exp() - lead_e
-            c = rem.coeff(rem.max_exp()) / lead_c
-            if rem.max_exp() - rem.min_exp() < o.max_exp() - o.min_exp() and not (
-                rem.max_exp() == rem.min_exp() and o.max_exp() == o.min_exp()
-            ):
-                # degree span shorter than the divisor's: cannot terminate
+        oc = o._c
+        top_o = max(oc)
+        span = top_o - min(oc)
+        lr, li = oc[top_o]
+        norm = lr * lr + li * li
+        tail = [(e - top_o, re, im) for e, (re, im) in oc.items() if e != top_o]
+        lo = min(self._c)
+        size = max(self._c) - lo + 1
+        rr = [0] * size
+        ri = [0] * size
+        for e, (re, im) in self._c.items():
+            rr[e - lo] = re
+            ri[e - lo] = im
+        quot = []  # (exponent, re, im, number of norm scalings so far)
+        scalings = 0
+        low, top = 0, size - 1
+        while True:
+            while top >= low and not (rr[top] or ri[top]):
+                top -= 1
+            if top < low:
+                break
+            while not (rr[low] or ri[low]):
+                low += 1
+            if top - low < span:
                 raise InexactDivision("nonzero remainder in QLaurent division")
-            quot[e] = c
-            rem = rem - o.shift(e) * QLaurent.const(c)
-            if not rem.is_zero() and rem.max_exp() - lead_e >= e:
-                raise InexactDivision("nonzero remainder in QLaurent division")
-        return QLaurent(quot)
+            a, b = rr[top], ri[top]
+            if norm != 1:
+                scalings += 1
+                for j in range(low, top):
+                    rr[j] *= norm
+                    ri[j] *= norm
+            tr = a * lr + b * li  # (a + b*I) * conj(L)
+            ti = b * lr - a * li
+            quot.append((top + lo - top_o, tr, ti, scalings))
+            rr[top] = ri[top] = 0
+            for off, mr, mi in tail:
+                j = top + off
+                rr[j] -= tr * mr - ti * mi
+                ri[j] -= tr * mi + ti * mr
+            top -= 1
+        dm = o._d
+        c = {}
+        for e, tr, ti, k in quot:
+            f = dm * norm ** (scalings - k)
+            c[e] = (tr * f, ti * f)
+        return _ql(c, self._d * norm**scalings)
 
     # -- evaluation ---------------------------------------------------------
     def eval(self, q0) -> GaussianRational:
@@ -375,35 +486,38 @@ class QLaurent:
         if q0.is_zero():
             raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
         total = GR_ZERO
-        for e, v in self._c.items():
+        for e, v in self.items():
             total = total + v * q0**e
         return total
 
     def eval_float(self, q0: float) -> complex:
-        return sum(complex(v) * q0**e for e, v in self._c.items())
+        d = self._d
+        return sum(
+            (complex(re / d) + 1j * (im / d)) * q0**e for e, (re, im) in self._c.items()
+        )
 
     # -- misc ----------------------------------------------------------------
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._c == o._c
+        return self._d == o._d and self._c == o._c
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash(tuple(sorted(self._c.items())))
-            object.__setattr__(self, "_hash", h)
+            h = hash((self._d, tuple(sorted(self._c.items()))))
+            _set(self, "_hash", h)
         return h
 
     def __repr__(self):
-        return f"QLaurent({self._c!r})"
+        return f"QLaurent({dict(self.items())!r})"
 
     def __str__(self):
         if not self._c:
             return "0"
         parts = []
-        for e, v in sorted(self._c.items(), reverse=True):
+        for e, v in sorted(self.items(), reverse=True):
             if e == 0:
                 mono = ""
             elif e == 1:
@@ -591,22 +705,3 @@ class QFraction:
 QF_ZERO = QFraction(0)
 QF_ONE = QFraction(1)
 
-
-def qfrac_eq(a: QFraction, b: QFraction) -> bool:
-    """Cross-multiplication equality of two formal fractions."""
-    if not isinstance(a, QFraction) or not isinstance(b, QFraction):
-        raise TypeError("qfrac_eq expects two QFraction values")
-    return a == b
-
-
-def qlaurent_eval(f: QLaurent, q0) -> GaussianRational:
-    """Exact substitution q <- q0 into a Laurent polynomial (q0 != 0)."""
-    return f.eval(q0)
-
-
-def product(factors: Iterable) -> QLaurent:
-    """Product of an iterable of QLaurent values (empty product = 1)."""
-    out = QL_ONE
-    for f in factors:
-        out = out * f
-    return out

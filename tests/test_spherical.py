@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hermlab.hall_littlewood import spec_params, whole_group_value
-from hermlab.scalars import GaussianRational, QFraction, QLaurent, qfrac_eq
+from hermlab.scalars import GaussianRational, QFraction, QLaurent
 from hermlab.spherical import (
     PhasedScalar,
     SpaceConfig,
@@ -160,9 +160,7 @@ def test_base_point_value_is_one():
 def test_identity_value_constant_matches_closed_form():
     for n in (1, 2, 3):
         for parity in ("odd", "even"):
-            assert qfrac_eq(
-                identity_value_constant(n, parity), identity_value_closed_form(n, parity)
-            )
+            assert identity_value_constant(n, parity) == identity_value_closed_form(n, parity)
     # frozen numeric spot value: odd n=1 at q=3 gives (1-1/9)/(1+1/27) = 6/7
     c = identity_value_constant(1, "odd").eval(Fraction(3))
     assert c == GaussianRational(Fraction(6, 7))
@@ -189,8 +187,8 @@ def test_rank1_closed_forms_agree_with_explicit():
             if x == 1:
                 continue
             ex = om.eval_exact([x]).as_qfraction()
-            assert qfrac_eq(ex, omega_rank1_z_form(ell, QFraction(QLaurent.const(x))))
-            assert qfrac_eq(ex, omega_rank1_s_form(ell, rank1_substitution(x)))
+            assert ex == omega_rank1_z_form(ell, QFraction(QLaurent.const(x)))
+            assert ex == omega_rank1_s_form(ell, rank1_substitution(x))
 
 
 def test_rank1_sign_variant_rejected_for_odd_index():
@@ -198,10 +196,10 @@ def test_rank1_sign_variant_rejected_for_odd_index():
     u = rank1_substitution(x)
     for ell in (1, 3):
         ex = omega_explicit(1, "odd", (ell,)).eval_exact([x]).as_qfraction()
-        assert not qfrac_eq(ex, omega_rank1_s_form_printed_variant(ell, u))
+        assert ex != omega_rank1_s_form_printed_variant(ell, u)
     for ell in (0, 2):
         ex = omega_explicit(1, "odd", (ell,)).eval_exact([x]).as_qfraction()
-        assert qfrac_eq(ex, omega_rank1_s_form_printed_variant(ell, u))
+        assert ex == omega_rank1_s_form_printed_variant(ell, u)
 
 
 def test_rank1_closed_form_at_real_s_points():
