@@ -491,9 +491,11 @@ class QLaurent:
         return total
 
     def eval_float(self, q0: float) -> complex:
+        """Float value at q0, summed in ascending exponent order so that
+        equal polynomials give equal bits whatever arithmetic built them."""
         d = self._d
         return sum(
-            (complex(re / d) + 1j * (im / d)) * q0**e for e, (re, im) in self._c.items()
+            (complex(re / d) + 1j * (im / d)) * q0**e for e, (re, im) in sorted(self._c.items())
         )
 
     # -- misc ----------------------------------------------------------------

@@ -352,4 +352,14 @@ def test_str_serialize_and_eval_match_reference():
         assert f.serialize() == {str(e): str(v) for e, v in sorted(rf._c.items())}
         for q0 in (Fraction(3), Fraction(-2, 7), GaussianRational(Fraction(1, 2), -1)):
             assert f.eval(q0) == rf.eval(q0)
-        assert f.eval_float(3.0) == rf.eval_float(3.0)
+        assert f.eval_float(3.0) == pytest.approx(rf.eval_float(3.0), rel=1e-12, abs=1e-12)
+
+
+def test_eval_float_independent_of_construction_order():
+    up = {0: 1, -1: 1, -2: 2}
+    down = dict(reversed(up.items()))
+    # summed in dict order, 1 + q^-1 + 2q^-2 at q = 3 differs in the last bit
+    assert RefQLaurent(up).eval_float(3.0) != RefQLaurent(down).eval_float(3.0)
+    assert QLaurent(up) == QLaurent(down)
+    assert QLaurent(up).eval_float(3.0) == QLaurent(down).eval_float(3.0)
+    assert QLaurent(up).eval_float(3.0) == RefQLaurent(down).eval_float(3.0)
