@@ -54,6 +54,10 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
+# `verify --n 4` did not finish within a minute (its exact checks sum over
+# 384 signed permutations), so larger n exits EXIT_RESOURCE up front.
+VERIFY_MAX_N = 3
+
 
 def _parse_partition(text: str) -> tuple[int, ...]:
     text = text.strip()
@@ -243,6 +247,12 @@ def _cmd_verify(args) -> int:
         env = os.environ.get("HERMLAB_WORKERS")
         workers = int(env) if env else (os.cpu_count() or 1)
     cfg = RunConfig(**merged)
+    if cfg.n < 1:
+        sys.stderr.write(f"--n must be at least 1, got {cfg.n}\n")
+        return EXIT_USAGE
+    if cfg.n > VERIFY_MAX_N:
+        sys.stderr.write(f"resource: verify supports --n up to {VERIFY_MAX_N}, got {cfg.n}\n")
+        return EXIT_RESOURCE
     if args.checks == "all":
         ids = list(CHECKS)
     else:

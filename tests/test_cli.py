@@ -121,6 +121,14 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("n, code", [(0, 2), (-1, 2), (4, 3), (7, 3)])
+def test_verify_n_out_of_range(tmp_path, capsys, n, code):
+    assert invoke(capsys, "verify", "identity-value", "--n", str(n)) == (code, "")
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text(f"n = {n}\n")
+    assert invoke(capsys, "verify", "all", "--config", str(cfg)) == (code, "")
+
+
 def test_sph_omega_closed_form(capsys):
     code, out = invoke(capsys, "sph", "omega", "--ell", "1", "--s", "1")
     assert code == 0
