@@ -22,7 +22,7 @@ from functools import lru_cache
 from typing import Sequence, Tuple
 
 from .scalars import QFraction, QLaurent
-from .torus import Binomial, FactoredRational, TorusPoly, binomial_div_exact
+from .torus import Binomial, TorusPoly, binomial_div_exact
 from .weyl import (
     enumerate_group,
     length,
@@ -56,24 +56,6 @@ def check_partition(lam: Sequence[int], n: int) -> Tuple[int, ...]:
     if len(lam) > n and any(a != 0 for a in lam[n:]):
         raise ValueError(f"partition {lam} has more than {n} nonzero parts")
     return (lam + (0,) * n)[:n]
-
-
-def c_function(n: int, t_short: QLaurent, t_long: QLaurent) -> FactoredRational:
-    """The one-term kernel whose group symmetrization gives the orbit sums:
-
-        prod over positive roots a of (1 - t_a x^(-a)) / (1 - x^(-a)).
-    """
-    num = []
-    den = []
-    for a in short_positive_roots(n):
-        neg = tuple(-v for v in a)
-        num.append(Binomial(t_short, neg))
-        den.append(Binomial(1, neg))
-    for a in long_positive_roots(n):
-        neg = tuple(-v for v in a)
-        num.append(Binomial(t_long, neg))
-        den.append(Binomial(1, neg))
-    return FactoredRational(1, num, den)
 
 
 @lru_cache(maxsize=None)

@@ -1,10 +1,12 @@
 """Finite-precision laboratory over a p-adic field with a quadratic extension.
 
 Two number models coexist.  Exact elements of Q(sqrt(eps)) are carried as
-pairs of rationals and power membership tests and orbit classification, where
-no precision management is wanted.  A residue model mod p^m carries the
-constructive algorithms: those must solve norm equations N(b) = t, which have
-solutions in every residue ring but usually none in Q(sqrt(eps)).
+two int numerators over one int denominator and power membership tests and
+orbit classification, where no precision management is wanted.  A residue
+model mod p^m carries the constructive algorithms: those must solve norm
+equations N(b) = t, which have solutions in every residue ring but usually
+none in Q(sqrt(eps)).  The Haar sampler and the cell counts run on stacks of
+3x3 residue matrices held in integer arrays.
 
 Matrices remember a global power of p pulled out of all entries ("shift"), so
 entry arithmetic stays integral even for matrices like diag(p^l, 1, p^-l).
@@ -54,12 +56,6 @@ def _vp_int(x: int, p: int) -> int:
         x //= p
         v += 1
     return v
-
-
-def _vp_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("the zero fraction has no finite valuation")
-    return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)
 
 
 def _is_prime(p: int) -> bool:
@@ -133,21 +129,53 @@ class LocalField:
 
 class ExactLocal:
     """a + b*sqrt(eps) with rational a, b.  Valuations are exact; conjugation
-    flips the sign of b; the norm a^2 - eps*b^2 lands in the base field."""
+    flips the sign of b; the norm a^2 - eps*b^2 lands in the base field.
 
-    __slots__ = ("field", "a", "b")
+    Stored as two int numerators over one positive int denominator, in lowest
+    terms (the gcd of all three is 1), so equal values have equal fields and
+    the arithmetic runs on ints; a and b are read back as Fractions."""
+
+    __slots__ = ("field", "_a", "_b", "_d")
 
     def __init__(self, field: LocalField, a, b=0):
         self.field = field
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        if type(a) is int and type(b) is int:
+            self._a, self._b, self._d = a, b, 1
+            return
+        a, b = Fraction(a), Fraction(b)
+        d = math.lcm(a.denominator, b.denominator)
+        self._a = a.numerator * (d // a.denominator)
+        self._b = b.numerator * (d // b.denominator)
+        self._d = d
+
+    @classmethod
+    def _make(cls, field, a: int, b: int, d: int):
+        """(a + b*sqrt(eps)) / d for ints a, b and a nonzero int d."""
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        e = object.__new__(cls)
+        e.field, e._a, e._b, e._d = field, a, b, d
+        return e
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def _coerce(self, other):
         if isinstance(other, ExactLocal):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise ValueError("mixed fields")
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
+            return ExactLocal._make(self.field, other, 0, 1)
+        if isinstance(other, Fraction):
             return ExactLocal(self.field, other)
         return None
 
@@ -155,18 +183,23 @@ class ExactLocal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactLocal(self.field, self.a + o.a, self.b + o.b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return ExactLocal._make(self.field, self._a + o._a, self._b + o._b, d1)
+        return ExactLocal._make(
+            self.field, self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactLocal(self.field, -self.a, -self.b)
+        return ExactLocal._make(self.field, -self._a, -self._b, self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return ExactLocal(self.field, self.a - o.a, self.b - o.b)
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -175,27 +208,27 @@ class ExactLocal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        e = self.field.eps
-        return ExactLocal(
-            self.field, self.a * o.a + e * self.b * o.b, self.a * o.b + self.b * o.a
+        a, b, c, d = self._a, self._b, o._a, o._b
+        return ExactLocal._make(
+            self.field, a * c + self.field.eps * b * d, a * d + b * c, self._d * o._d
         )
 
     __rmul__ = __mul__
 
     def conj(self):
-        return ExactLocal(self.field, self.a, -self.b)
+        return ExactLocal._make(self.field, self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
-        return self.a * self.a - self.field.eps * self.b * self.b
+        return Fraction(self._a * self._a - self.field.eps * self._b * self._b, self._d**2)
 
     def trace(self) -> Fraction:
-        return 2 * self.a
+        return Fraction(2 * self._a, self._d)
 
     def inverse(self):
-        n = self.norm()
+        n = self._a * self._a - self.field.eps * self._b * self._b
         if n == 0:
             raise ZeroDivisionError("inverting zero")
-        return ExactLocal(self.field, self.a / n, -self.b / n)
+        return ExactLocal._make(self.field, self._a * self._d, -self._b * self._d, n)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -209,29 +242,31 @@ class ExactLocal:
 
     def valuation(self) -> float:
         """min of the component valuations; +inf for zero (unramified basis)."""
-        if self.a == 0 and self.b == 0:
+        a, b, p = self._a, self._b, self.field.p
+        if a == 0 and b == 0:
             return math.inf
-        vs = []
-        if self.a != 0:
-            vs.append(_vp_fraction(self.a, self.field.p))
-        if self.b != 0:
-            vs.append(_vp_fraction(self.b, self.field.p))
-        return min(vs)
+        if a == 0:
+            v = _vp_int(b, p)
+        elif b == 0:
+            v = _vp_int(a, p)
+        else:
+            v = min(_vp_int(a, p), _vp_int(b, p))
+        return v - _vp_int(self._d, p)
 
     def is_zero(self):
-        return self.a == 0 and self.b == 0
+        return self._a == 0 and self._b == 0
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.a == o.a and self.b == o.b
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         return hash((ExactLocal, self.field.p, self.a, self.b))
 
     def __repr__(self):
-        if self.b == 0:
+        if self._b == 0:
             return str(self.a)
         return f"{self.a}+{self.b}*sqrt({self.field.eps})"
 
@@ -428,15 +463,10 @@ def _entry_from(field, model, prec, value):
     if isinstance(value, ResidueElem):
         return value
     if isinstance(value, ExactLocal):
-        if value.a.denominator % field.p == 0 or value.b.denominator % field.p == 0:
+        if value._d % field.p == 0:
             raise InexactDivision("entry has negative valuation; use a matrix shift")
-        mod = field.p**prec
-        return ResidueElem(
-            field,
-            prec,
-            value.a.numerator * pow(value.a.denominator, -1, mod),
-            value.b.numerator * pow(value.b.denominator, -1, mod),
-        )
+        dinv = pow(value._d, -1, field.p**prec)
+        return ResidueElem(field, prec, value._a * dinv, value._b * dinv)
     z = ResidueElem(field, prec, 0)
     return z._coerce(value if isinstance(value, (int, Fraction)) else Fraction(value))
 
@@ -490,32 +520,28 @@ class LocalMatrix:
     def __matmul__(self, other):
         if self.model != other.model or self.field != other.field:
             raise ValueError("incompatible matrices")
+        if self.model == "exact":
+            return self._exact_matmul(other)
         n = self.size
-        exact = self.model == "exact"
-        zero = ExactLocal(self.field, 0) if exact else None
         rows = []
         for i in range(n):
             left = self.rows[i]
             row = []
             for j in range(n):
-                # skipping vanishing terms is free in the exact model; in the
-                # residue model a term that is zero at precision m still caps
-                # the certified digits of the sum at m
+                # a term that is zero at precision m contributes nothing but
+                # still caps the certified digits of the sum at m
                 acc = None
                 cap = None
                 for t in range(n):
                     a = left[t]
                     b = other.rows[t][j]
                     if a.is_zero() or b.is_zero():
-                        if not exact:
-                            mp = min(a.m, b.m)
-                            cap = mp if cap is None else min(cap, mp)
+                        mp = min(a.m, b.m)
+                        cap = mp if cap is None else min(cap, mp)
                         continue
                     term = a * b
                     acc = term if acc is None else acc + term
-                if exact:
-                    row.append(zero if acc is None else acc)
-                elif acc is None:
+                if acc is None:
                     row.append(ResidueElem(self.field, cap, 0))
                 elif cap is not None and cap < acc.m:
                     row.append(acc.reduce(cap))
@@ -523,6 +549,35 @@ class LocalMatrix:
                     row.append(acc)
             rows.append(row)
         return LocalMatrix(self.field, self.model, rows, self.shift + other.shift)
+
+    def _exact_matmul(self, other):
+        # both factors over one common denominator each: the product is an
+        # integer matrix product, reduced to lowest terms entry by entry
+        field, eps = self.field, self.field.eps
+
+        def numerators(rows):
+            den = math.lcm(*(e._d for row in rows for e in row))
+            return den, [
+                [(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows
+            ]
+
+        dx, x = numerators(self.rows)
+        dy, y = numerators(other.rows)
+        cols = list(zip(*y))
+        make = ExactLocal._make
+        rows = [
+            [
+                make(
+                    field,
+                    sum(a * c + eps * b * d for (a, b), (c, d) in zip(row, col)),
+                    sum(a * d + b * c for (a, b), (c, d) in zip(row, col)),
+                    dx * dy,
+                )
+                for col in cols
+            ]
+            for row in x
+        ]
+        return LocalMatrix(field, "exact", rows, self.shift + other.shift)
 
     def star(self):
         n = self.size
@@ -607,12 +662,9 @@ class LocalMatrix:
                 if not e.is_zero():
                     worst = min(worst, int(e.valuation()))
         s = -worst
-        scale = Fraction(self.field.p) ** s
+        scale = self.field.p**s
         vals = [
-            [
-                ExactLocal(self.field, e.a * scale, e.b * scale)
-                for e in row
-            ]
+            [ExactLocal._make(self.field, e._a * scale, e._b * scale, e._d) for e in row]
             for row in self.rows
         ]
         return LocalMatrix.from_values(
@@ -660,8 +712,7 @@ class LocalMatrix:
 
 def _shift_down(e):
     if isinstance(e, ExactLocal):
-        p = e.field.p
-        return ExactLocal(e.field, e.a / p, e.b / p)
+        return ExactLocal._make(e.field, e._a, e._b, e._d * e.field.p)
     return e.div_pi_power(1) if not e.is_zero() else ResidueElem(e.field, e.m - 1, 0)
 
 
@@ -1068,63 +1119,90 @@ def classify_g_orbit(x: LocalMatrix) -> int:
 
 # -- Haar sampling of the rank-one maximal compact -----------------------------------
 
-# Pair arithmetic: an element a + b*sqrt(eps) of the residue ring mod `mod` is
-# the pair (a, b) of ints reduced mod `mod`, and a matrix is a tuple of rows of
-# pairs.  The Haar sampler (mod p^prec) and the cell counts (mod p) compute on
-# pairs and never build ResidueElem objects for intermediate values.
+# The residue kernel: a stack of 3x3 matrices over the residue ring mod `mod`
+# is a pair (re, im) of integer arrays of shape (..., 3, 3) holding the entries
+# re + im*sqrt(eps) reduced mod `mod`.  The Haar sampler (mod p^prec) and the
+# cell counts (mod p) form their products and check them unitary on stacks.
+
+_J3 = np.eye(3, dtype=np.int64)[::-1]
+_HAAR_BATCH = 256
 
 
-def _pmul(x, y, eps, mod):
-    return ((x[0] * y[0] + eps * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod)
+def _stack_dtype(eps: int, mod: int):
+    """int64 while a sum of three products of reduced entries stays exact,
+    3 (1 + eps) mod^2 < 2^63; object arrays of Python ints above that."""
+    return np.int64 if 3 * (1 + eps) * mod * mod < 2**63 else object
 
 
-def _pconj(z, mod):
-    return (z[0], -z[1] % mod)
+def _stack_matmul(x, y, eps: int, mod: int):
+    """The products of two stacks mod `mod`, matrix by matrix."""
+    xr, xi = x
+    yr, yi = y
+    return (xr @ yr + eps * (xi @ yi)) % mod, (xr @ yi + xi @ yr) % mod
 
 
-def _pneg(z, mod):
-    return (-z[0] % mod, -z[1] % mod)
+def _assert_unitary_stack(g, eps: int, mod: int):
+    """assert_unitary for every matrix of a stack: g* j g = j mod `mod`."""
+    gr, gi = g
+    tr, ti = np.swapaxes(gr, -1, -2), np.swapaxes(gi, -1, -2)
+    hr, hi = gr[..., ::-1, :], gi[..., ::-1, :]  # j g
+    re = (tr @ hr - eps * (ti @ hi)) % mod
+    im = (tr @ hi - ti @ hr) % mod
+    if (re != _J3).any() or (im != 0).any():
+        raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
 
-def _pnorm(z, eps, mod) -> int:
-    return (z[0] * z[0] - eps * z[1] * z[1]) % mod
+def _stack(rows):
+    """A stack from 3x3 nested rows of (re, im) entries, each an array over
+    the stack."""
+    first = rows[0][0][0]
+    out = np.zeros((2,) + first.shape + (3, 3), dtype=first.dtype)
+    for r, row in enumerate(rows):
+        for c, e in enumerate(row):
+            out[0, ..., r, c] = e[0]
+            out[1, ..., r, c] = e[1]
+    return out[0], out[1]
 
 
-def _punit_inverse(z, eps, mod):
-    ninv = pow(_pnorm(z, eps, mod), -1, mod)
-    return (z[0] * ninv % mod, -z[1] * ninv % mod)
+def _diag_units(alpha, w, eps: int, mod: int):
+    """conj(alpha)^-1 and u = w / conj(w), the units on the diagonal factor;
+    for a unit z, conj(z)^-1 = z / N(z)."""
+    ainv = pow((alpha[0] ** 2 - eps * alpha[1] ** 2) % mod, -1, mod)
+    winv = pow((w[0] ** 2 - eps * w[1] ** 2) % mod, -1, mod)
+    return (
+        (alpha[0] * ainv % mod, alpha[1] * ainv % mod),
+        ((w[0] ** 2 + eps * w[1] ** 2) * winv % mod, 2 * w[0] * w[1] * winv % mod),
+    )
 
 
-def _pmatmul(x, y, eps, mod):
-    cols = tuple(zip(*y))
-    out = []
-    for row in x:
-        r = []
-        for col in cols:
-            re = im = 0
-            for (a, b), (c, d) in zip(row, col):
-                re += a * c + eps * b * d
-                im += a * d + b * c
-            r.append((re % mod, im % mod))
-        out.append(tuple(r))
-    return tuple(out)
+def _haar_products(params, eps: int, mod: int):
+    """The group elements of a parameter table, one per row, checked unitary.
 
+    A row holds alpha, u, conj(alpha)^-1, d (pairs), f0, b (a pair), c0 and
+    the cell flag.  With f = (-N(d)/2, f0) and c = (-N(b)/2, c0), the big
+    cell is diag(alpha, u, conj(alpha)^-1) [[1, -d*, f], [0, 1, d], [0, 0, 1]]
+    [[0, 0, 1], [0, 1, -b*], [1, b, c]] and the small cell is the diagonal
+    times [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f], [0, 1, -d*], [0, 0, 1]].
+    """
+    a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big = params.T
+    half = -pow(2, -1, mod) % mod
+    zero = np.zeros_like(a0)
+    o, i = (zero, zero), (zero + 1, zero)
+    d, b = (d0, d1), (b0, b1)
+    dn, bn = (-d0 % mod, d1), (-b0 % mod, b1)  # -conj(d), -conj(b)
+    f = ((d0 * d0 - eps * d1 * d1) % mod * half % mod, f0)
+    c = ((b0 * b0 - eps * b1 * b1) % mod * half % mod, c0)
+    diag = _stack([[(a0, a1), o, o], [o, (u0, u1), o], [o, o, (i0, i1)]])
+    cell = big.astype(bool)[:, None, None]
 
-def _assert_unitary_pairs(g, eps, mod):
-    """assert_unitary on a pair matrix: g* j g = j mod `mod`, entry by entry."""
-    n = len(g)
-    cols = tuple(zip(*g))
-    for i, left in enumerate(cols):
-        for j, right in enumerate(cols):
-            # (g* j g)[i][j] = sum_k conj(g[k][i]) g[n-1-k][j]
-            re = im = 0
-            for (a, b), (c, d) in zip(left, reversed(right)):
-                re += a * c - eps * b * d
-                im += a * d - b * c
-            if re % mod != (1 if i + j == n - 1 else 0) or im % mod:
-                raise AssertionError(
-                    "constructed element is not unitary for the antidiagonal form"
-                )
+    def by_cell(big_rows, small_rows):
+        return [np.where(cell, x, y) for x, y in zip(_stack(big_rows), _stack(small_rows))]
+
+    middle = by_cell([[i, dn, f], [o, i, d], [o, o, i]], [[i, o, o], [b, i, o], [c, bn, i]])
+    last = by_cell([[o, o, i], [o, i, bn], [i, b, c]], [[i, d, f], [o, i, dn], [o, o, i]])
+    g = _stack_matmul(_stack_matmul(diag, middle, eps, mod), last, eps, mod)
+    _assert_unitary_stack(g, eps, mod)
+    return g
 
 
 def _rand_pair(rng, mod):
@@ -1138,28 +1216,12 @@ def _rand_pair_unit(rng, p, mod):
             return z
 
 
-def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
-    """One draw from the integral unitary 3x3 group.
-
-    The group splits into the big cell (lower-left corner a unit) and its
-    complement, with volumes 1 : q^-3; each part carries an explicit
-    parametrization that we sample coordinate-uniformly.  That the parameter
-    measure is Haar on each part is validated downstream against the closed
-    form of the spherical integral, not assumed locally.
-
-    The product is formed and checked unitary in pair arithmetic mod p^prec;
-    only the nine entries of the result become ResidueElem objects.
-    """
-    if prec < 2:
-        raise PrecisionError("sampling needs at least two digits", required=2)
-    rng = random.Random(seed)
-    p, eps = field.p, field.eps
+def _haar_draw(rng, p: int, eps: int, prec: int):
+    """The parameter row of one draw (see _haar_products), from rng in the
+    fixed order alpha, w, d, f0, cell, b, c0."""
     mod = p**prec
-    half = -pow(2, -1, mod) % mod
-
     alpha = _rand_pair_unit(rng, p, mod)
     w = _rand_pair_unit(rng, p, mod)
-    u = _pmul(w, _punit_inverse(_pconj(w, mod), eps, mod), eps, mod)
     d = _rand_pair(rng, mod)
     f0 = rng.randrange(mod)
     big_cell = rng.randrange(p**3 + 1) < p**3
@@ -1170,28 +1232,44 @@ def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
         b0, b1 = _rand_pair(rng, p ** (prec - 1))
         b = (p * b0, p * b1)
         c0 = p * rng.randrange(p ** (prec - 1))
-    c = (_pnorm(b, eps, mod) * half % mod, c0)
-    f = (_pnorm(d, eps, mod) * half % mod, f0)
+    ainv, u = _diag_units(alpha, w, eps, mod)
+    return (*alpha, *u, *ainv, *d, f0, *b, c0, big_cell)
 
-    one, zero = (1, 0), (0, 0)
-    diag = (
-        (alpha, zero, zero),
-        (zero, u, zero),
-        (zero, zero, _punit_inverse(_pconj(alpha, mod), eps, mod)),
+
+def _haar_sample(field: LocalField, prec: int, seeds):
+    """A stack of Haar draws mod p^prec, one per seed of random.Random."""
+    if prec < 2:
+        raise PrecisionError("sampling needs at least two digits", required=2)
+    p, eps = field.p, field.eps
+    mod = p**prec
+    params = np.array(
+        [_haar_draw(random.Random(s), p, eps, prec) for s in seeds],
+        dtype=_stack_dtype(eps, mod),
     )
-    if big_cell:
-        upper = ((one, _pneg(_pconj(d, mod), mod), f), (zero, one, d), (zero, zero, one))
-        hook = ((zero, zero, one), (zero, one, _pneg(_pconj(b, mod), mod)), (one, b, c))
-        g = _pmatmul(_pmatmul(diag, upper, eps, mod), hook, eps, mod)
-    else:
-        lower = ((one, zero, zero), (b, one, zero), (c, _pneg(_pconj(b, mod), mod), one))
-        upper = ((one, d, f), (zero, one, _pneg(_pconj(d, mod), mod)), (zero, zero, one))
-        g = _pmatmul(_pmatmul(diag, lower, eps, mod), upper, eps, mod)
-    _assert_unitary_pairs(g, eps, mod)
+    return _haar_products(params, eps, mod)
+
+
+def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
+    """One draw from the integral unitary 3x3 group.
+
+    The group splits into the big cell (lower-left corner a unit) and its
+    complement, with volumes 1 : q^-3; each part carries an explicit
+    parametrization that we sample coordinate-uniformly.  That the parameter
+    measure is Haar on each part is validated downstream against the closed
+    form of the spherical integral, not assumed locally.
+
+    The product is formed and checked unitary by the residue kernel, as a
+    stack of one; only the nine entries of the result become ResidueElem
+    objects.
+    """
+    re, im = _haar_sample(field, prec, [seed])
     return LocalMatrix(
         field,
         "residue",
-        [[ResidueElem(field, prec, a, b) for a, b in row] for row in g],
+        [
+            [ResidueElem(field, prec, a, b) for a, b in zip(ra, rb)]
+            for ra, rb in zip(re[0].tolist(), im[0].tolist())
+        ],
     )
 
 
@@ -1204,43 +1282,31 @@ def k1_cell_counts(p: int):
     eps = smallest_nonresidue(p)
     pairs = [(x, y) for x in range(p) for y in range(p)]
     units = pairs[1:]
-    half = -pow(2, -1, p) % p
-    norm_one = sorted(
-        set(_pmul(w, _punit_inverse(_pconj(w, p), eps, p), eps, p) for w in units)
-    )
-    zero, one = (0, 0), (1, 0)
-
-    # the unipotent factors depend on (d, f0) and (b, c0) only
-    uppers = []  # (big-cell upper, small-cell upper); small cell: b, c0 divisible by p
-    for d in pairs:
-        f_re = _pnorm(d, eps, p) * half % p
-        dbar = _pneg(_pconj(d, p), p)
-        for f0 in range(p):
-            f = (f_re, f0)
-            uppers.append(
-                (
-                    ((one, dbar, f), (zero, one, d), (zero, zero, one)),
-                    ((one, d, f), (zero, one, dbar), (zero, zero, one)),
-                )
-            )
-    hooks = []
-    for b in pairs:
-        c_re = _pnorm(b, eps, p) * half % p
-        bbar = _pneg(_pconj(b, p), p)
-        for c0 in range(p):
-            hooks.append(((zero, zero, one), (zero, one, bbar), (one, b, (c_re, c0))))
-
-    big, small = set(), set()
+    diags = set()
     for alpha in units:
-        ainv = _punit_inverse(_pconj(alpha, p), eps, p)
-        for u in norm_one:
-            diag = ((alpha, zero, zero), (zero, u, zero), (zero, zero, ainv))
-            for upper, upper2 in uppers:
-                du = _pmatmul(diag, upper, eps, p)
-                small.add(_pmatmul(diag, upper2, eps, p))
-                for hook in hooks:
-                    big.add(_pmatmul(du, hook, eps, p))
-    return len(big), len(small), len(big | small)
+        for w in units:
+            ainv, u = _diag_units(alpha, w, eps, p)
+            diags.add((*alpha, *u, *ainv))
+    diags = np.array(sorted(diags), dtype=np.int64)
+    triples = np.array([(*z, t) for z in pairs for t in range(p)], dtype=np.int64)
+    weights = p ** np.arange(18, dtype=np.int64)  # p^18 < 2^63 for p <= 11
+
+    def keys(bc, big_cell):
+        # every combination of a diagonal, (d, f0) and (b, c0), one diagonal
+        # at a time to keep the arrays small; in the small cell b and c0 are
+        # divisible by p, so mod p they are zero
+        j, k = np.indices((len(triples), len(bc))).reshape(2, -1)
+        rest = np.concatenate([triples[j], bc[k], np.full((len(j), 1), big_cell)], axis=1)
+        out = []
+        for diag in diags:
+            params = np.concatenate([np.broadcast_to(diag, (len(rest), 6)), rest], axis=1)
+            re, im = _haar_products(params, eps, p)
+            out.append(np.concatenate([re.reshape(-1, 9), im.reshape(-1, 9)], axis=1) @ weights)
+        return np.unique(np.concatenate(out))
+
+    big = keys(triples, 1)
+    small = keys(np.zeros((1, 3), dtype=np.int64), 0)
+    return len(big), len(small), len(np.union1d(big, small))
 
 
 # -- the defining integral, by Monte-Carlo -------------------------------------------
@@ -1251,11 +1317,19 @@ _MC_HISTOGRAMS: dict = {}
 
 def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
     """Histogram of the corner-minor valuations over Haar draws; shared by all
-    exponents s so repeated estimates reuse the samples."""
+    exponents s so repeated estimates reuse the samples.
+
+    Draw i comes from random.Random(f"{seed}:{ell}:{i}"); a draw whose
+    valuation is not certified at precision prec is replaced by the next one,
+    at most max(10, samples // 100) times.
+    """
     key = (p, ell, samples, prec, seed)
     if key in _MC_HISTOGRAMS:
         return _MC_HISTOGRAMS[key]
     field = LocalField(p)
+    mod = p**prec
+    # w = N(g20) p^(2 ell) + N(g21) p^ell + N(g22) mod p^prec
+    weights = (pow(p, 2 * ell, mod), pow(p, ell, mod))
     hist: dict[int, int] = {}
     saturated = 0
     produced = 0
@@ -1267,24 +1341,22 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
                 f"saturation rate exceeded 1% at precision {prec}",
                 required=prec + 4,
             )
-        g = sample_k1_haar(field, prec, f"{seed}:{ell}:{i}")
-        i += 1
-        w = (
-            g.rows[2][0].norm() * p ** (2 * ell)
-            + g.rows[2][1].norm() * p**ell
-            + g.rows[2][2].norm()
-        )
-        try:
-            v_raw = w.val()
-        except PrecisionError:
-            saturated += 1
-            continue
-        if v_raw > prec - 2:
-            saturated += 1
-            continue
-        v = v_raw - ell
-        hist[v] = hist.get(v, 0) + 1
-        produced += 1
+        # a batch never holds more draws than are still wanted, so it stops
+        # where drawing one at a time would
+        size = min(_HAAR_BATCH, samples - produced, budget - i)
+        re, im = _haar_sample(field, prec, [f"{seed}:{ell}:{j}" for j in range(i, i + size)])
+        i += size
+        norms = (re[:, 2, :] ** 2 - field.eps * im[:, 2, :] ** 2) % mod
+        w = (norms[:, 0] * weights[0] + norms[:, 1] * weights[1] + norms[:, 2]) % mod
+        # valuations from prec - 1 up (zero included) are not certified
+        w = w[w % p ** (prec - 1) != 0]
+        saturated += size - len(w)
+        v = np.zeros(len(w), dtype=np.int64)
+        for k in range(1, prec - 1):
+            v += w % p**k == 0
+        for val in v.tolist():
+            hist[val - ell] = hist.get(val - ell, 0) + 1
+        produced += len(w)
     if saturated > samples / 100:
         raise PrecisionError(
             f"saturation rate {saturated}/{samples} above 1%", required=prec + 4
@@ -1313,6 +1385,10 @@ def monte_carlo_omega1(ell: int, s: float, samples: int, prec: int, seed, p: int
     """
     if s < 0:
         raise ValueError("the exponent must be nonnegative")
+    if samples < 1:
+        raise ValueError("at least one sample is needed")
+    if ell < 0:
+        raise ValueError("the orbit index must be nonnegative")
     hist, saturated = _mc_valuation_histogram(p, ell, samples, prec, seed)
     q = float(p)
     total = sum(hist.values())

@@ -282,10 +282,6 @@ class TorusPoly:
         }
 
 
-def weyl_act(sigma: SignedPerm, f: TorusPoly) -> TorusPoly:
-    return f.weyl(sigma)
-
-
 def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:
     """Exact quotient f / (1 - coef * x^alpha); raises InexactDivision otherwise.
 

@@ -113,16 +113,6 @@ def coordinate_flip(n: int) -> SignedPerm:
     return SignedPerm(tuple(range(n)), (1,) * (n - 1) + (-1,))
 
 
-def simple_reflections(n: int) -> list[SignedPerm]:
-    gens = []
-    for i in range(n - 1):
-        perm = list(range(n))
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-        gens.append(SignedPerm(tuple(perm), (1,) * n))
-    gens.append(coordinate_flip(n))
-    return gens
-
-
 # -- roots ------------------------------------------------------------------
 
 def short_positive_roots(n: int) -> list[Vec]:
@@ -151,11 +141,6 @@ def long_positive_roots(n: int) -> list[Vec]:
 
 def positive_roots(n: int) -> list[Vec]:
     return short_positive_roots(n) + long_positive_roots(n)
-
-
-def all_roots(n: int) -> list[Vec]:
-    pos = positive_roots(n)
-    return pos + [tuple(-c for c in r) for r in pos]
 
 
 def is_positive_vec(v: Sequence[int]) -> bool:

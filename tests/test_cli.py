@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -186,6 +187,52 @@ def test_mc_omega_agreement(capsys):
     )
     assert code == 0
     assert "agreement: pass" in out
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--samples", "0", "at least one sample is needed"),
+        ("--samples", "-5", "at least one sample is needed"),
+        ("--ell", "-1", "the orbit index must be nonnegative"),
+    ],
+)
+def test_mc_omega_rejects_bad_input(capsys, flag, value, message):
+    base = {"--ell": "1", "--s": "1", "--samples": "200"}
+    ref_args = dict(base, **{"--s": "-1"})
+    code_ref = run(["padic", "mc-omega", *(x for kv in ref_args.items() for x in kv)])
+    ref = capsys.readouterr()
+    assert code_ref == 1
+    assert ref.err == "error: the exponent must be nonnegative\n" and ref.out == ""
+    args = dict(base, **{flag: value})
+    code = run(["padic", "mc-omega", *(x for kv in args.items() for x in kv)])
+    got = capsys.readouterr()
+    assert code == code_ref
+    assert got.err == f"error: {message}\n" and got.out == ""
+
+
+PADIC_CHECKS = (
+    "norm-volume,cartan-membership,defining-integral-mc,orbit-classification,"
+    "k1-cell-counts,diagonalization-roundtrip"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        (("--n", "1"), "19e13810f14f8e239d84403b6aa5e988960a3723f70f1fec8186c60dcd41f617"),
+        (
+            ("--n", "2", "--format", "json"),
+            "6ecac9d26568e8a24fc3c20b197408eafeef543b55284e059e7b491343eaa73d",
+        ),
+    ],
+)
+def test_padic_report_bytes_pinned(capsys, extra, digest):
+    # recorded from the Fraction-based ExactLocal and the pair-level sampler;
+    # the six checks run integer code and fixed-order float sums only
+    code, out = invoke(capsys, "verify", PADIC_CHECKS, *extra, "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_console_script_end_to_end():

@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from hermlab.hall_littlewood import (
-    c_function,
     check_partition,
     p_poly,
     q_poly,
@@ -18,7 +17,7 @@ from hermlab.hall_littlewood import (
     whole_group_value,
 )
 from hermlab.scalars import QFraction, QLaurent
-from hermlab.torus import Binomial, TorusPoly, binomial_div_exact
+from hermlab.torus import Binomial, FactoredRational, TorusPoly, binomial_div_exact
 from hermlab.weyl import (
     enumerate_group,
     long_positive_roots,
@@ -112,6 +111,24 @@ def test_degeneracy_at_unit_parameters():
         for e in orbit(lam, n):
             expect = expect + TorusPoly.monomial(n, e, k)
         assert f == expect
+
+
+def c_function(n, t_short, t_long):
+    """The one-term kernel whose group symmetrization gives the orbit sums:
+
+        prod over positive roots a of (1 - t_a x^(-a)) / (1 - x^(-a)).
+    """
+    num = []
+    den = []
+    for a in short_positive_roots(n):
+        neg = tuple(-v for v in a)
+        num.append(Binomial(t_short, neg))
+        den.append(Binomial(1, neg))
+    for a in long_positive_roots(n):
+        neg = tuple(-v for v in a)
+        num.append(Binomial(t_long, neg))
+        den.append(Binomial(1, neg))
+    return FactoredRational(1, num, den)
 
 
 def test_symmetrized_kernel_matches_qpoly_at_points():

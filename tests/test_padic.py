@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hermlab.padic import (
@@ -13,8 +14,10 @@ from hermlab.padic import (
     PrecisionError,
     ResidueElem,
     ResourceLimit,
-    _assert_unitary_pairs,
+    _assert_unitary_stack,
+    _haar_sample,
     _mc_valuation_histogram,
+    _stack_dtype,
     assert_unitary,
     classify_g_orbit,
     classify_k_orbit,
@@ -39,6 +42,200 @@ from hermlab.spherical import omega_rank1_s_form
 
 F3 = LocalField(3)
 F5 = LocalField(5)
+
+
+# -- the Fraction-pair ExactLocal, kept as the reference ----------------------------
+
+
+def _vp_fraction(x, p):
+    v, num, den = 0, x.numerator, x.denominator
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
+
+
+class RefExactLocal:
+    """a + b*sqrt(eps) with a, b stored as Fractions, as ExactLocal was."""
+
+    __slots__ = ("field", "a", "b")
+
+    def __init__(self, field, a, b=0):
+        self.field = field
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    def _coerce(self, other):
+        if isinstance(other, RefExactLocal):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return RefExactLocal(self.field, other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return RefExactLocal(self.field, self.a + o.a, self.b + o.b)
+
+    def __neg__(self):
+        return RefExactLocal(self.field, -self.a, -self.b)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return RefExactLocal(self.field, self.a - o.a, self.b - o.b)
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        e = self.field.eps
+        return RefExactLocal(
+            self.field, self.a * o.a + e * self.b * o.b, self.a * o.b + self.b * o.a
+        )
+
+    def conj(self):
+        return RefExactLocal(self.field, self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - self.field.eps * self.b * self.b
+
+    def trace(self):
+        return 2 * self.a
+
+    def inverse(self):
+        n = self.norm()
+        if n == 0:
+            raise ZeroDivisionError("inverting zero")
+        return RefExactLocal(self.field, self.a / n, -self.b / n)
+
+    def __truediv__(self, other):
+        return self * self._coerce(other).inverse()
+
+    def valuation(self):
+        if self.a == 0 and self.b == 0:
+            return math.inf
+        vs = []
+        if self.a != 0:
+            vs.append(_vp_fraction(self.a, self.field.p))
+        if self.b != 0:
+            vs.append(_vp_fraction(self.b, self.field.p))
+        return min(vs)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self.a == o.a and self.b == o.b
+
+    def __hash__(self):
+        # the key ExactLocal hashed before its integer storage
+        return hash((ExactLocal, self.field.p, self.a, self.b))
+
+    def __repr__(self):
+        if self.b == 0:
+            return str(self.a)
+        return f"{self.a}+{self.b}*sqrt({self.field.eps})"
+
+
+def ref_to_residue(rows, field, prec):
+    """(shift, [[(a, b)]]) of the residue matrix p^-shift * rows, as
+    LocalMatrix.to_residue formed it from Fraction entries."""
+    p = field.p
+    vals = [e.valuation() for row in rows for e in row]
+    s = -min([0] + [int(v) for v in vals if v != math.inf])
+    mod = p**prec
+    scale = Fraction(p) ** s
+
+    def res(x):
+        x = x * scale
+        return x.numerator * pow(x.denominator, -1, mod) % mod
+
+    return s, [[(res(e.a), res(e.b)) for e in row] for row in rows]
+
+
+def _rand_fraction(rng):
+    num = rng.choice([0, 0, 1, -1]) if rng.random() < 0.2 else rng.randrange(-60, 61)
+    den = rng.choice([1, 1, 2, 3, 5, 7, 9, 27, 4, 15, 81])
+    return Fraction(num * rng.choice([1, 3, 9, 5]), den)
+
+
+def _pair_of_models(field, rng):
+    a, b = _rand_fraction(rng), _rand_fraction(rng)
+    return ExactLocal(field, a, b), RefExactLocal(field, a, b)
+
+
+def _same(x, ref):
+    return (
+        x.a == ref.a
+        and x.b == ref.b
+        and type(x.a) is Fraction
+        and repr(x) == repr(ref)
+        and hash(x) == hash(ref)
+    )
+
+
+def test_exact_local_matches_reference():
+    rng = random.Random(2024)
+    for field in (F3, F5):
+        for _ in range(400):
+            x, rx = _pair_of_models(field, rng)
+            y, ry = _pair_of_models(field, rng)
+            n = rng.randrange(-5, 6)
+            fr = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
+            assert _same(x, rx)
+            assert _same(x + y, rx + ry) and _same(x - y, rx - ry)
+            assert _same(x * y, rx * ry) and _same(-x, -rx) and _same(x.conj(), rx.conj())
+            assert _same(x + n, rx + n) and _same(x * fr, rx * fr) and _same(n + x, rx + n)
+            assert _same(n - x, -rx + n) and _same(fr * x, rx * fr)
+            assert x.norm() == rx.norm() and x.trace() == rx.trace()
+            assert x.valuation() == rx.valuation()
+            assert (x == y) == (rx == ry) and (x == x.a) == (rx == rx.a)
+            assert x == ExactLocal(field, rx.a, rx.b)
+            if rx.norm() == 0:
+                with pytest.raises(ZeroDivisionError):
+                    x.inverse()
+                continue
+            assert _same(x.inverse(), rx.inverse())
+            assert _same(y / x, ry / rx) and _same(n / x, RefExactLocal(field, n) / rx)
+
+
+def test_exact_local_equal_values_hash_equal():
+    # equal values built along different roads agree in every field
+    x = ExactLocal(F3, Fraction(2, 6), Fraction(-4, 12))
+    y = ExactLocal(F3, 1, 2) * ExactLocal(F3, Fraction(1, 3)) - ExactLocal(F3, 0, 1)
+    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "1/3+-1/3*sqrt(2)"
+    assert hash(ExactLocal(F3, 5)) == hash((ExactLocal, 3, Fraction(5), Fraction(0)))
+    assert ExactLocal(F3, 5) == 5 and ExactLocal(F3, Fraction(5, 2)) == Fraction(5, 2)
+
+
+def test_exact_matrices_match_reference():
+    rng = random.Random(77)
+    for field in (F3, F5):
+        for size in (1, 3, 5):
+            for _ in range(15):
+                vals = [
+                    [[(_rand_fraction(rng), _rand_fraction(rng)) for _ in range(size)]
+                     for _ in range(size)]
+                    for _ in range(2)
+                ]
+                x, y = (
+                    LocalMatrix(field, "exact", [[ExactLocal(field, *v) for v in row] for row in m])
+                    for m in vals
+                )
+                rx, ry = (
+                    [[RefExactLocal(field, *v) for v in row] for row in m] for m in vals
+                )
+                prod = x @ y
+                ref = [
+                    [sum((rx[i][t] * ry[t][j] for t in range(size)), RefExactLocal(field, 0))
+                     for j in range(size)]
+                    for i in range(size)
+                ]
+                for got, want in zip(prod.rows, ref):
+                    assert all(_same(e, re) for e, re in zip(got, want))
+                for prec in (4, 9):
+                    shift, digits = ref_to_residue(ref, field, prec)
+                    r = prod.to_residue(prec)
+                    assert r.shift == shift and r.precision == prec
+                    assert [[(e.a, e.b) for e in row] for row in r.rows] == digits
 
 
 # -- scalar models ----------------------------------------------------------------
@@ -164,6 +361,15 @@ def test_matrix_shift_normalization():
     assert r.shift == 2
     assert r == x.to_residue(10)  # equality sees through different shifts
     assert x.det() == ExactLocal(F3, 1)
+
+
+def test_exact_matrix_normalization():
+    x = LocalMatrix.from_values(F3, "exact", [[3, Fraction(9, 2)], [0, ExactLocal(F3, 6, 3)]], 2)
+    y = x.normalized()
+    assert y.shift == 1
+    assert y.rows == ((ExactLocal(F3, 1), ExactLocal(F3, Fraction(3, 2))),
+                      (ExactLocal(F3, 0), ExactLocal(F3, 2, 1)))
+    assert y == x
 
 
 def test_matmul_precision_cap():
@@ -313,18 +519,206 @@ def test_mc_histogram_stream_pinned():
 
 def test_pair_unitarity_check_rejects_corruption():
     mod = 3**6
-    g = sample_k1_haar(F3, 6, seed=3)
-    pairs = [[(e.a, e.b) for e in row] for row in g.rows]
-    _assert_unitary_pairs(pairs, F3.eps, mod)
+    g = _haar_sample(F3, 6, [3])
+    _assert_unitary_stack(g, F3.eps, mod)
     for i in range(3):
         for j in range(3):
             for part in (0, 1):
-                bad = [list(row) for row in pairs]
-                z = list(bad[i][j])
-                z[part] = (z[part] + 1) % mod
-                bad[i][j] = tuple(z)
+                bad = [a.copy() for a in g]
+                bad[part][0, i, j] = (bad[part][0, i, j] + 1) % mod
                 with pytest.raises(AssertionError):
-                    _assert_unitary_pairs(bad, F3.eps, mod)
+                    _assert_unitary_stack(bad, F3.eps, mod)
+
+
+def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch():
+    mod = 3**6
+    g = _haar_sample(F3, 6, range(40))
+    _assert_unitary_stack(g, F3.eps, mod)
+    for k, (i, j, part) in enumerate([(0, 0, 0), (2, 1, 1), (1, 2, 0)]):
+        bad = [a.copy() for a in g]
+        bad[part][17 + k, i, j] = (bad[part][17 + k, i, j] + 1) % mod
+        with pytest.raises(AssertionError):
+            _assert_unitary_stack(bad, F3.eps, mod)
+
+
+# The pair-level sampler and Monte-Carlo loop, one draw at a time, kept as the
+# reference for the batched residue kernel.
+
+
+def _ref_pmul(x, y, eps, mod):
+    return ((x[0] * y[0] + eps * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod)
+
+
+def _ref_pconj(z, mod):
+    return (z[0], -z[1] % mod)
+
+
+def _ref_pneg(z, mod):
+    return (-z[0] % mod, -z[1] % mod)
+
+
+def _ref_pnorm(z, eps, mod):
+    return (z[0] * z[0] - eps * z[1] * z[1]) % mod
+
+
+def _ref_punit_inverse(z, eps, mod):
+    ninv = pow(_ref_pnorm(z, eps, mod), -1, mod)
+    return (z[0] * ninv % mod, -z[1] * ninv % mod)
+
+
+def _ref_pmatmul(x, y, eps, mod):
+    cols = tuple(zip(*y))
+    out = []
+    for row in x:
+        r = []
+        for col in cols:
+            re = im = 0
+            for (a, b), (c, d) in zip(row, col):
+                re += a * c + eps * b * d
+                im += a * d + b * c
+            r.append((re % mod, im % mod))
+        out.append(tuple(r))
+    return tuple(out)
+
+
+def _ref_rand_pair(rng, mod):
+    return (rng.randrange(mod), rng.randrange(mod))
+
+
+def _ref_rand_pair_unit(rng, p, mod):
+    while True:
+        z = _ref_rand_pair(rng, mod)
+        if z[0] % p or z[1] % p:
+            return z
+
+
+def ref_sample_pairs(field, prec, seed):
+    """(pair matrix, big_cell) of one draw, one pair product at a time."""
+    if prec < 2:
+        raise PrecisionError("sampling needs at least two digits", required=2)
+    rng = random.Random(seed)
+    p, eps = field.p, field.eps
+    mod = p**prec
+    half = -pow(2, -1, mod) % mod
+    alpha = _ref_rand_pair_unit(rng, p, mod)
+    w = _ref_rand_pair_unit(rng, p, mod)
+    u = _ref_pmul(w, _ref_punit_inverse(_ref_pconj(w, mod), eps, mod), eps, mod)
+    d = _ref_rand_pair(rng, mod)
+    f0 = rng.randrange(mod)
+    big_cell = rng.randrange(p**3 + 1) < p**3
+    if big_cell:
+        b = _ref_rand_pair(rng, mod)
+        c0 = rng.randrange(mod)
+    else:
+        b0, b1 = _ref_rand_pair(rng, p ** (prec - 1))
+        b = (p * b0, p * b1)
+        c0 = p * rng.randrange(p ** (prec - 1))
+    c = (_ref_pnorm(b, eps, mod) * half % mod, c0)
+    f = (_ref_pnorm(d, eps, mod) * half % mod, f0)
+    one, zero = (1, 0), (0, 0)
+    diag = (
+        (alpha, zero, zero),
+        (zero, u, zero),
+        (zero, zero, _ref_punit_inverse(_ref_pconj(alpha, mod), eps, mod)),
+    )
+    dbar, bbar = _ref_pneg(_ref_pconj(d, mod), mod), _ref_pneg(_ref_pconj(b, mod), mod)
+    if big_cell:
+        upper = ((one, dbar, f), (zero, one, d), (zero, zero, one))
+        hook = ((zero, zero, one), (zero, one, bbar), (one, b, c))
+        g = _ref_pmatmul(_ref_pmatmul(diag, upper, eps, mod), hook, eps, mod)
+    else:
+        lower = ((one, zero, zero), (b, one, zero), (c, bbar, one))
+        upper = ((one, d, f), (zero, one, dbar), (zero, zero, one))
+        g = _ref_pmatmul(_ref_pmatmul(diag, lower, eps, mod), upper, eps, mod)
+    return [list(row) for row in g], big_cell
+
+
+def ref_mc_valuation_histogram(p, ell, samples, prec, seed):
+    field = LocalField(p)
+    hist, saturated, produced, i = {}, 0, 0, 0
+    budget = samples + max(10, samples // 100)
+    while produced < samples:
+        if i >= budget:
+            raise PrecisionError(
+                f"saturation rate exceeded 1% at precision {prec}", required=prec + 4
+            )
+        g, _ = ref_sample_pairs(field, prec, f"{seed}:{ell}:{i}")
+        i += 1
+        bottom = [ResidueElem(field, prec, a, b) for a, b in g[2]]
+        w = bottom[0].norm() * p ** (2 * ell) + bottom[1].norm() * p**ell + bottom[2].norm()
+        try:
+            v_raw = w.val()
+        except PrecisionError:
+            saturated += 1
+            continue
+        if v_raw > prec - 2:
+            saturated += 1
+            continue
+        hist[v_raw - ell] = hist.get(v_raw - ell, 0) + 1
+        produced += 1
+    if saturated > samples / 100:
+        raise PrecisionError(f"saturation rate {saturated}/{samples} above 1%", required=prec + 4)
+    return hist, saturated
+
+
+def _outcome(fn, *args):
+    """The result with its dict order, or the PrecisionError's text and hint."""
+    try:
+        hist, saturated = fn(*args)
+    except PrecisionError as e:
+        return ("raised", str(e), e.required)
+    return (list(hist.items()), saturated)
+
+
+def test_sampler_matches_pair_reference():
+    for prec in (2, 6, 8, 30):
+        small = 0
+        for seed in range(200):
+            want, big_cell = ref_sample_pairs(F3, prec, f"ref:{seed}")
+            small += not big_cell
+            g = sample_k1_haar(F3, prec, f"ref:{seed}")
+            assert [[(e.a, e.b) for e in row] for row in g.rows] == want
+        assert small >= 3
+
+
+def test_kernel_dtype_switches_at_the_overflow_bound():
+    # 3 (1 + eps) mod^2 < 2^63 holds at p = 3 up to prec 18
+    assert _stack_dtype(F3.eps, 3**18) is np.int64
+    assert _stack_dtype(F3.eps, 3**19) is object
+    re, im = _haar_sample(F3, 30, ["wide"])
+    assert re.dtype == object and im.dtype == object
+
+
+def test_mc_histogram_matches_reference_at_batch_boundaries():
+    # at prec 6, ell 0 about one draw in 300 is replaced; seed "edge:282"
+    # replaces draws 253 and 260, next to the 256-draw batch boundary
+    for samples in (1, 255, 256, 257, 300):
+        args = (3, 0, samples, 6, "edge:282")
+        assert _outcome(_mc_valuation_histogram, *args) == _outcome(
+            ref_mc_valuation_histogram, *args
+        )
+    assert _mc_valuation_histogram(3, 0, 256, 6, "edge:282")[1] == 1
+    assert _mc_valuation_histogram(3, 0, 300, 6, "edge:282")[1] == 2
+
+
+def test_mc_histogram_matches_reference_when_the_budget_runs_out():
+    # the first two run out of replacement draws, the last two finish above 1%
+    for args, budget in [
+        ((3, 0, 200, 2, 0), True),
+        ((3, 0, 50, 3, 1), True),
+        ((3, 2, 200, 2, 0), False),
+        ((3, 0, 300, 4, 1), False),
+    ]:
+        got = _outcome(_mc_valuation_histogram, *args)
+        assert got == _outcome(ref_mc_valuation_histogram, *args)
+        assert got[0] == "raised" and ("exceeded" in got[1]) == budget
+
+
+def test_mc_histogram_matches_reference_past_int64():
+    args = (3, 12, 300, 30, 0)
+    assert _outcome(_mc_valuation_histogram, *args) == _outcome(
+        ref_mc_valuation_histogram, *args
+    )
 
 
 # -- the defining integral ----------------------------------------------------------

@@ -32,14 +32,19 @@ from hermlab.spherical import (
 )
 from hermlab.weyl import (
     SignedPerm,
-    all_roots,
     coordinate_flip,
     enumerate_group,
     long_positive_roots,
+    positive_roots,
     short_positive_roots,
 )
 
 Q = QLaurent.gen()
+
+
+def all_roots(n):
+    pos = positive_roots(n)
+    return pos + [tuple(-c for c in r) for r in pos]
 
 
 def test_phased_scalar_algebra():

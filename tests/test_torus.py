@@ -13,7 +13,6 @@ from hermlab.torus import (
     binomial_div_exact,
     eval_exact,
     eval_unit_torus,
-    weyl_act,
 )
 from hermlab.weyl import SignedPerm, enumerate_group
 
@@ -52,7 +51,7 @@ def test_weyl_act_is_action():
     )
     for a in enumerate_group(n):
         for b in enumerate_group(n):
-            assert weyl_act(a, weyl_act(b, f)) == weyl_act(a * b, f)
+            assert f.weyl(b).weyl(a) == f.weyl(a * b)
 
 
 def test_symmetric_detection():

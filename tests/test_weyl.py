@@ -15,7 +15,6 @@ from hermlab.weyl import (
     poincare_poly,
     positive_roots,
     short_positive_roots,
-    simple_reflections,
     stabilizer,
 )
 
@@ -58,6 +57,17 @@ def test_action_permutes_all_roots():
     allr = set(positive_roots(n)) | {tuple(-c for c in r) for r in positive_roots(n)}
     for g in enumerate_group(n):
         assert {g.act_vector(r) for r in allr} == allr
+
+
+def simple_reflections(n):
+    """The n - 1 adjacent transpositions and the last-coordinate sign flip."""
+    gens = []
+    for i in range(n - 1):
+        perm = list(range(n))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        gens.append(SignedPerm(tuple(perm), (1,) * n))
+    gens.append(coordinate_flip(n))
+    return gens
 
 
 # Coxeter length from the root system must agree with the word metric:
