@@ -14,22 +14,26 @@ exact layers.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .hall_littlewood import (
+    PARITIES,
     check_partition,
     p_poly,
+    q_poly,
     spec_params,
     w_lambda_value,
     w_poly,
     w_tilde,
     whole_group_value,
 )
-from .scalars import QFraction, QLaurent
+from .scalars import GaussianRational, QFraction, QLaurent
 from .spherical import (
     PhasedScalar,
     SpaceConfig,
@@ -248,65 +252,104 @@ def check_inversion(
     return {"matrix": mat, "max_error": err}
 
 
+# The fixed rational point of the basis selection (its first n coordinates)
+_RANK_POINT = tuple(Fraction(a, b) for a, b in ((2, 1), (5, 3), (7, 2), (11, 5), (13, 4), (17, 7)))
+
+
+def _flip_rows(polys: Sequence[TorusPoly], xs: Sequence[Fraction], q0: Fraction) -> list[list]:
+    """Exact values of each polynomial at q = q0 on the 2^n sign flips of xs
+    (the half-period shifts of the point)."""
+    flips = [
+        [s * x for s, x in zip(signs, xs)]
+        for signs in itertools.product((1, -1), repeat=len(xs))
+    ]
+    return [[f.eval_exact(x).eval(q0) for x in flips] for f in polys]
+
+
+def _rank_det(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int, GaussianRational]:
+    """Rank over Q(i) by fraction-free (Bareiss) elimination, and the
+    determinant of a square matrix (zero when singular)."""
+    m = [list(r) for r in rows]
+    width = len(m[0]) if m else 0
+    rank, prev, flipped = 0, GaussianRational(1), False
+    for col in range(width):
+        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            flipped = not flipped
+        top = m[rank]
+        for r in range(rank + 1, len(m)):
+            row = m[r]
+            m[r] = [(row[c] * top[col] - row[col] * top[c]) / prev for c in range(width)]
+        prev = top[col]
+        rank += 1
+    if rank < len(m) or rank < width:
+        return rank, GaussianRational(0)
+    return rank, -prev if flipped else prev
+
+
+@lru_cache(maxsize=None)
+def _basis_partitions(n: int) -> tuple[tuple[int, ...], ...]:
+    q0 = Fraction(3)
+    rows: dict[str, list] = {parity: [] for parity in PARITIES}
+    sel: list[tuple[int, ...]] = []
+    for max_part in range(2 * n + 4):
+        candidates = [
+            lam
+            for lam in itertools.product(range(max_part, -1, -1), repeat=n)
+            if all(lam[i] >= lam[i + 1] for i in range(n - 1)) and lam[0] == max_part
+        ]
+        candidates.sort(key=lambda t: (sum(t), t))
+        for lam in candidates:
+            # every exponent of q_poly(lam) has coordinate sum of the parity
+            # of |lam|, so one weight-parity class spans at most 2^(n-1)
+            # dimensions on the sign flips: a full class needs no test
+            if sum(1 for mu in sel if (sum(mu) - sum(lam)) % 2 == 0) == 2 ** (n - 1):
+                continue
+            new = {}
+            for parity in PARITIES:
+                new[parity] = rows[parity] + _flip_rows([q_poly(n, parity, lam)], _RANK_POINT[:n], q0)
+                if _rank_det(new[parity])[0] == len(sel):
+                    break
+            else:
+                rows = new
+                sel.append(lam)
+                if len(sel) == 2**n:
+                    return tuple(sel)
+    raise RuntimeError("basis completion failed")  # pragma: no cover - guard
+
+
 def basis_partitions(n: int) -> list[tuple[int, ...]]:
     """The 2^n partitions used for the evaluation-rank certificate.
 
-    Seeded with the 0/1 partitions, then completed — scanning partitions
-    graded by largest part, then weight, then lexicographically — while
-    never letting either weight-parity class exceed 2^(n-1).
+    Partitions are scanned graded by largest part, then weight, then
+    lexicographically; one is kept only if it raises the exact rank, over
+    Q(i) at q = 3, of the orbit-sum values at a fixed rational point and
+    its 2^n sign flips, in both parity cases.
 
     >>> basis_partitions(2)
     [(0, 0), (1, 0), (1, 1), (2, 1)]
     """
-    target = 2**n
-    cap = 2 ** (n - 1)
-    sel: list[tuple[int, ...]] = []
-    count = {0: 0, 1: 0}
-    for k in range(n + 1):
-        lam = (1,) * k + (0,) * (n - k)
-        sel.append(lam)
-        count[k % 2] += 1
-    for max_part in range(2, 2 * n + 4):
-        if len(sel) == target:
-            break
-        candidates = [
-            lam
-            for lam in itertools.product(range(max_part, -1, -1), repeat=n)
-            if all(lam[i] >= lam[i + 1] for i in range(n - 1)) and max(lam) == max_part
-        ]
-        candidates.sort(key=lambda t: (sum(t), t))
-        for lam in candidates:
-            if lam in sel or count[sum(lam) % 2] >= cap:
-                continue
-            sel.append(lam)
-            count[sum(lam) % 2] += 1
-            if len(sel) == target:
-                break
-    if len(sel) != target:  # pragma: no cover - guard
-        raise RuntimeError("basis completion failed")
-    return sel
+    return list(_basis_partitions(n))
 
 
 def basis_rank_check(
     n: int, parity: str, q0: Fraction, seed: int = 0, trials: int = 5, tol: float = 1e-6
 ) -> dict:
-    """Evaluate the 2^n kernels at one random point and its half-period
-    shifts; the square matrix must be nonsingular.  Degenerate sample points
-    are resampled (with the attempt recorded)."""
+    """Evaluate the 2^n kernels exactly at random rational points and their
+    sign flips; each square matrix must be nonsingular over Q(i).  The
+    kernels are nonzero multiples of the orbit sums, which are evaluated
+    instead.  A point whose |det| is at most ``tol`` counts as degenerate
+    and is resampled (with the attempt recorded)."""
     rng = random.Random(seed)
-    lams = basis_partitions(n)
-    kernels = [psi(n, parity, lam) for lam in lams]
-    masks = list(np.ndindex(*(2,) * n))
+    polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
     dets = []
     for _ in range(trials):
         for attempt in range(8):
-            thetas = [rng.uniform(0, 2 * np.pi) for _ in range(n)]
-            M = np.zeros((2**n, 2**n), dtype=complex)
-            for j, ker in enumerate(kernels):
-                for k, mask in enumerate(masks):
-                    shifted = [t + np.pi * m for t, m in zip(thetas, mask)]
-                    M[j, k] = ker.eval_unit(float(q0), shifted)
-            d = abs(np.linalg.det(M))
+            xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
+            d = math.sqrt(_rank_det(_flip_rows(polys, xs, q0))[1].abs2())
             if d > tol:
                 dets.append(d)
                 break

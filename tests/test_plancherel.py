@@ -148,10 +148,10 @@ def test_basis_partitions_frozen():
         (1, 0, 0),
         (1, 1, 0),
         (1, 1, 1),
-        (2, 0, 0),
         (2, 1, 0),
         (2, 1, 1),
         (2, 2, 1),
+        (3, 2, 1),
     ]
 
 
@@ -164,7 +164,7 @@ def test_basis_partitions_parity_balance():
 
 
 def test_basis_rank():
-    for n in (1, 2):
+    for n in (1, 2, 3):
         for parity in ("odd", "even"):
             r = basis_rank_check(n, parity, Fraction(3), seed=4, trials=3)
             assert r["ok"]
