@@ -34,13 +34,12 @@ from .padic import (
     x_lambda,
 )
 from .plancherel import (
-    basis_partitions,
     basis_rank_check,
     check_inversion,
     check_plancherel,
     gram_matrix,
 )
-from .report import CHECKS, RunConfig, run_checks
+from .report import CHECKS, RunConfig, _partitions, run_checks
 from .scalars import InexactDivision, QFraction, QLaurent
 from .spherical import (
     check_functional_equation,
@@ -320,16 +319,7 @@ def _cmd_sph_parity_sign(args) -> int:
 
 
 def _partitions_to_weight(n: int, weight: int) -> list[tuple[int, ...]]:
-    out = []
-    for lam in basis_partitions(n):
-        if sum(lam) <= weight and lam not in out:
-            out.append(lam)
-    from .report import _partitions
-
-    for lam in _partitions(n, weight):
-        if lam not in out:
-            out.append(lam)
-    return sorted(out, key=lambda t: (sum(t), t))
+    return sorted(_partitions(n, weight), key=lambda t: (sum(t), t))
 
 
 def _cmd_plancherel(args) -> int:
