@@ -6,9 +6,9 @@ The measure is the absolutely continuous one with density
         prod over positive roots a of |1 - x^a|^2 / |1 - t_a x^a|^2
 
 against the normalized Haar measure of the n-torus (m' is the half-size of
-the space).  Everything in this module is numerical -- uniform grids and
-numpy -- while the expected values it is checked against come from the
-exact layers.
+the space).  Pairings of W-invariant Laurent polynomials against it are
+exact constant terms (``pairing_matrix``); the uniform grid remains for the
+float check of the density itself (``total_mass``).
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ from .hall_littlewood import (
     spec_params,
     w_lambda_value,
     w_poly,
-    w_tilde,
     whole_group_value,
 )
-from .scalars import GaussianRational, QFraction, QLaurent
+from .scalars import QF_ZERO, GaussianRational, QFraction, QLaurent
 from .spherical import (
     PhasedScalar,
     SpaceConfig,
@@ -42,7 +41,7 @@ from .spherical import (
     psi,
 )
 from .torus import FactoredRational, TorusPoly
-from .weyl import long_positive_roots, positive_roots, short_positive_roots
+from .weyl import long_positive_roots, short_positive_roots
 
 
 class QuadratureGrid:
@@ -67,28 +66,6 @@ class QuadratureGrid:
         for e, c in f.terms():
             out += c.eval_float(q0) * np.exp(1j * (self.thetas @ np.array(e)))
         return out
-
-    def factored_values(self, fr: FactoredRational, q0: float) -> np.ndarray:
-        out = np.full(len(self.thetas), complex(fr.front.eval_float(q0)))
-        for b in fr.num:
-            out *= 1 - b.coef.eval_float(q0) * np.exp(1j * (self.thetas @ np.array(b.alpha)))
-        for b in fr.den:
-            out /= 1 - b.coef.eval_float(q0) * np.exp(1j * (self.thetas @ np.array(b.alpha)))
-        return out
-
-    def spherical_values(
-        self, sv: SphericalValue, q0: float, shift: Sequence[float] | None = None
-    ) -> np.ndarray:
-        thetas = self.thetas if shift is None else self.thetas + np.asarray(shift)
-        num = np.zeros(len(thetas), dtype=complex)
-        for e, c in sv.numerator.terms():
-            num += c.eval_float(q0) * np.exp(1j * (thetas @ np.array(e)))
-        den = np.full(len(thetas), complex(sv.boundary.front.eval_float(q0)))
-        for b in sv.boundary.num:
-            den *= 1 - b.coef.eval_float(q0) * np.exp(1j * (thetas @ np.array(b.alpha)))
-        for b in sv.boundary.den:
-            den /= 1 - b.coef.eval_float(q0) * np.exp(1j * (thetas @ np.array(b.alpha)))
-        return sv.prefactor.eval_float(q0) * num / den
 
 
 def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
@@ -146,17 +123,6 @@ def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
     return float(np.mean(measure_values(grid, parity, q0)))
 
 
-def inner_product(
-    grid: QuadratureGrid,
-    fvals: np.ndarray,
-    gvals: np.ndarray,
-    dens: np.ndarray,
-    conjugate: bool = True,
-) -> complex:
-    g = np.conj(gvals) if conjugate else gvals
-    return complex(np.mean(fvals * g * dens))
-
-
 def expected_gram_diagonal(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
     """W_0 / W_lam at the parity specialization, exactly."""
     lam = check_partition(lam, n)
@@ -165,19 +131,90 @@ def expected_gram_diagonal(lam: Sequence[int], n: int, parity: str, q0: Fraction
     return num / den
 
 
-def gram_matrix(
-    lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction, N: int = 64
-) -> np.ndarray:
-    """Pairwise inner products of the normalized orbit sums."""
-    grid = QuadratureGrid(n, N)
-    dens = measure_values(grid, parity, q0)
-    vals = [grid.poly_values(p_poly(n, parity, lam), float(q0)) for lam in lams]
-    m = len(lams)
-    out = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            out[i, j] = inner_product(grid, vals[i], vals[j], dens)
+def _height(e: Sequence[int]) -> int:
+    """<rho, e> with rho = (n, ..., 1); positive on every positive root."""
+    return sum((len(e) - i) * v for i, v in enumerate(e))
+
+
+@lru_cache(maxsize=None)
+def _delta_plus(n: int, parity: str, height: int) -> TorusPoly:
+    """prod over positive roots a of (1 - x^a) / (1 - t_a x^a)
+        = prod (1 + sum_{k >= 1} (t_a^k - t_a^(k-1)) x^(ka)),
+    expanded through the given height; its terms above it are dropped."""
+    ts, tl = spec_params(parity)
+    out = TorusPoly.const(n, 1)
+    for t, roots in ((ts, short_positive_roots(n)), (tl, long_positive_roots(n))):
+        for a in roots:
+            series = {(0,) * n: 1}
+            for k in range(1, height // _height(a) + 1):
+                series[tuple(k * v for v in a)] = t**k - t ** (k - 1)
+            out = out * TorusPoly(n, series)
+            out = TorusPoly(n, {e: c for e, c in out.terms() if _height(e) <= height})
     return out
+
+
+def _split(v) -> tuple[PhasedScalar, TorusPoly]:
+    if isinstance(v, TorusPoly):
+        return PhasedScalar.one(), v
+    if v.boundary.num or v.boundary.den:
+        raise ValueError("the exact pairing needs a trivial boundary factor")
+    return v.prefactor / v.boundary.front, v.numerator
+
+
+def pairing_matrix(fs: Sequence, gs: Sequence, parity: str, conjugate: bool = True) -> list:
+    """Exact pairings <f, g> against the density of total mass 1: the
+    integral of f * conj(g), or of f * g when not ``conjugate``.  Entries
+    are PhasedScalar values, symbolic in q.
+
+    Each f and g is a W-invariant TorusPoly, or a SphericalValue with a
+    trivial boundary factor.  For W-invariant h, Macdonald's constant-term
+    identity (Affine Hecke Algebras and Orthogonal Polynomials, ch. 5)
+    gives the integral of h as CT[h * Delta+], Delta+ the series above; it
+    lives in the positive cone, so it is cut at the height of h's support.
+    Since -1 lies in W, conj(g) on the torus is g with conjugated
+    coefficients.
+
+    >>> m = pairing_matrix([TorusPoly.const(1, 1)], [q_poly(1, "odd", (1,))], "odd")
+    >>> m[0][0].is_zero()
+    True
+    """
+    left = [_split(f) for f in fs]
+    right = [_split(g) for g in gs]
+    if not left or not right:
+        return [[] for _ in left]
+    if conjugate:
+        right = [(c.conjugate(), g.map_coeffs(QFraction.conjugate_coeffs)) for c, g in right]
+    products = [[f * g for _, g in right] for _, f in left]
+    height = max((-_height(e) for row in products for h in row for e in h.support()), default=0)
+    delta = _delta_plus(left[0][1].n, parity, max(height, 0))
+    return [
+        [
+            cf * cg * sum((c * delta.coeff([-v for v in e]) for e, c in h.terms()), QF_ZERO)
+            for (cg, _), h in zip(right, row)
+        ]
+        for (cf, _), row in zip(left, products)
+    ]
+
+
+def _at(mat: list, q0: Fraction) -> list:
+    """Exact values at q0; an entry with an odd power of sqrt(q) raises ValueError."""
+    return [[v.as_qfraction().eval(Fraction(q0)) for v in row] for row in mat]
+
+
+def pairing_misses(mat: list, diagonal: Sequence) -> list:
+    """(i, j, got, want) for each entry off the given diagonal and zero elsewhere."""
+    return [
+        (i, j, got, want)
+        for i, row in enumerate(mat)
+        for j, got in enumerate(row)
+        if got != (want := diagonal[i] if i == j else 0)
+    ]
+
+
+def gram_matrix(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> list:
+    """Exact pairwise inner products of the normalized orbit sums at q0."""
+    polys = [p_poly(n, parity, lam) for lam in lams]
+    return _at(pairing_matrix(polys, polys, parity), q0)
 
 
 def volume(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
@@ -209,47 +246,22 @@ def transform_ch(lam: Sequence[int], n: int, parity: str) -> SphericalValue:
     return SphericalValue(n, parity, lam, pre, p_poly(n, parity, lam), FactoredRational(1))
 
 
-def check_plancherel(
-    lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction, N: int = 64
-) -> dict:
-    """Pairings of transforms against the expected diagonal orbit masses.
-
-    Returns the worst absolute deviation over all pairs, plus the matrix.
-    """
-    grid = QuadratureGrid(n, N)
-    dens = measure_values(grid, parity, q0)
-    vals = [grid.spherical_values(transform_ch(lam, n, parity), float(q0)) for lam in lams]
-    m = len(lams)
-    mat = np.zeros((m, m), dtype=complex)
-    err = 0.0
-    for i in range(m):
-        for j in range(m):
-            got = inner_product(grid, vals[i], vals[j], dens)
-            mat[i, j] = got
-            want = float(volume(lams[i], n, parity, q0)) if i == j else 0.0
-            err = max(err, abs(got - want))
-    return {"matrix": mat, "max_error": err}
+def check_plancherel(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> dict:
+    """Exact pairings of transforms at q0, against the orbit masses on the
+    diagonal and zero off it: the matrix and its misses."""
+    vals = [transform_ch(lam, n, parity) for lam in lams]
+    mat = _at(pairing_matrix(vals, vals, parity), q0)
+    masses = [volume(lam, n, parity, q0) for lam in lams]
+    return {"matrix": mat, "misses": pairing_misses(mat, masses)}
 
 
-def check_inversion(
-    lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction, N: int = 64
-) -> dict:
-    """Unconjugated pairing of each transform against each plain kernel;
-    the result must be the identity matrix."""
-    grid = QuadratureGrid(n, N)
-    dens = measure_values(grid, parity, q0)
-    fvals = [grid.spherical_values(transform_ch(lam, n, parity), float(q0)) for lam in lams]
-    pvals = [grid.spherical_values(psi(n, parity, lam), float(q0)) for lam in lams]
-    m = len(lams)
-    mat = np.zeros((m, m), dtype=complex)
-    err = 0.0
-    for i in range(m):
-        for j in range(m):
-            got = inner_product(grid, fvals[i], pvals[j], dens, conjugate=False)
-            mat[i, j] = got
-            want = 1.0 if i == j else 0.0
-            err = max(err, abs(got - want))
-    return {"matrix": mat, "max_error": err}
+def check_inversion(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> dict:
+    """Unconjugated exact pairing of each transform against each plain
+    kernel at q0; the result must be the identity matrix."""
+    fs = [transform_ch(lam, n, parity) for lam in lams]
+    ks = [psi(n, parity, lam) for lam in lams]
+    mat = _at(pairing_matrix(fs, ks, parity, conjugate=False), q0)
+    return {"matrix": mat, "misses": pairing_misses(mat, [1] * len(lams))}
 
 
 # The fixed rational point of the basis selection (its first n coordinates)
@@ -310,7 +322,8 @@ def _basis_partitions(n: int) -> tuple[tuple[int, ...], ...]:
                 continue
             new = {}
             for parity in PARITIES:
-                new[parity] = rows[parity] + _flip_rows([q_poly(n, parity, lam)], _RANK_POINT[:n], q0)
+                row = _flip_rows([q_poly(n, parity, lam)], _RANK_POINT[:n], q0)
+                new[parity] = rows[parity] + row
                 if _rank_det(new[parity])[0] == len(sel):
                     break
             else:

@@ -47,6 +47,7 @@ from .plancherel import (
     check_plancherel,
     expected_gram_diagonal,
     gram_matrix,
+    pairing_misses,
     total_mass,
     volume,
 )
@@ -92,13 +93,6 @@ class CheckResult:
     passed: bool
     detail: str
     data: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # quadrature checks hand over numpy scalars; reports must be plain JSON
-        self.passed = bool(self.passed)
-        self.data = {
-            k: (float(v) if hasattr(v, "dtype") else v) for k, v in self.data.items()
-        }
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -416,73 +410,60 @@ def check_measure_total_mass(cfg: RunConfig) -> CheckResult:
     )
 
 
-def check_gram_orthogonality(cfg: RunConfig) -> CheckResult:
+def _pairing_check(check_id: str, cfg: RunConfig, misses_of, passed: str) -> CheckResult:
     lams = _partitions(cfg.n, 2)
-    worst = 0.0
     for parity in PARITIES:
-        g = gram_matrix(lams, cfg.n, parity, cfg.q0, cfg.grid_n)
-        for i, li in enumerate(lams):
-            for j in range(len(lams)):
-                want = float(expected_gram_diagonal(li, cfg.n, parity, cfg.q0)) if i == j else 0.0
-                worst = max(worst, abs(g[i, j] - want))
-    ok = worst < cfg.tol
-    return CheckResult(
+        for i, j, got, want in misses_of(lams, parity)[:1]:
+            detail = f"pairing of {lams[i]} with {lams[j]} is {got}, not {want} ({parity} case)"
+            return CheckResult(check_id, False, detail)
+    return CheckResult(check_id, True, passed.format(k=len(lams)))
+
+
+def check_gram_orthogonality(cfg: RunConfig) -> CheckResult:
+    def misses(lams, parity):
+        diag = [expected_gram_diagonal(lam, cfg.n, parity, cfg.q0) for lam in lams]
+        return pairing_misses(gram_matrix(lams, cfg.n, parity, cfg.q0), diag)
+
+    return _pairing_check(
         "gram-orthogonality",
-        ok,
-        f"worst pairing error {worst:.3e} over {len(lams)} orbit sums, both cases (tol {cfg.tol:.1e})",
-        {"worst": worst},
+        cfg,
+        misses,
+        "pairings of {k} orbit sums equal W_0/W_lam on the diagonal and 0 off it, exactly, both cases",
     )
 
 
 def check_plancherel_diagonal(cfg: RunConfig) -> CheckResult:
-    lams = _partitions(cfg.n, 2)
-    worst = 0.0
-    for parity in PARITIES:
-        out = check_plancherel(lams, cfg.n, parity, cfg.q0, cfg.grid_n)
-        worst = max(worst, out["max_error"])
-    ok = worst < cfg.tol
-    return CheckResult(
+    return _pairing_check(
         "plancherel-diagonal",
-        ok,
-        f"transform pairings within {worst:.3e} of the diagonal orbit masses (tol {cfg.tol:.1e})",
-        {"worst": worst},
+        cfg,
+        lambda lams, parity: check_plancherel(lams, cfg.n, parity, cfg.q0)["misses"],
+        "transform pairings equal the orbit masses on the diagonal and 0 off it, exactly",
     )
 
 
 def check_inversion_identity(cfg: RunConfig) -> CheckResult:
-    lams = _partitions(cfg.n, 2)
-    worst = 0.0
-    for parity in PARITIES:
-        out = check_inversion(lams, cfg.n, parity, cfg.q0, cfg.grid_n)
-        worst = max(worst, out["max_error"])
-    ok = worst < cfg.tol
-    return CheckResult(
+    return _pairing_check(
         "inversion",
-        ok,
-        f"inverse transform recovers the indicators within {worst:.3e} (tol {cfg.tol:.1e})",
-        {"worst": worst},
+        cfg,
+        lambda lams, parity: check_inversion(lams, cfg.n, parity, cfg.q0)["misses"],
+        "inverse transform recovers the indicators exactly",
     )
 
 
 def check_volume_prefactor_power(cfg: RunConfig) -> CheckResult:
     n, q0 = cfg.n, cfg.q0
     lam = (1,) + (0,) * (n - 1)
-    lams = [lam]
-    out = check_plancherel(lams, n, "odd", q0, cfg.grid_n)
-    measured = out["matrix"][0, 0].real
-    adopted = float(volume(lam, n, "odd", q0))
+    measured = check_plancherel([lam], n, "odd", q0)["matrix"][0][0]
+    adopted = volume(lam, n, "odd", q0)
     z0 = SpaceConfig(n, "odd").z0
     expo = -sum((Fraction(l) * pt[0] for l, pt in zip(lam, z0)), Fraction(0))
-    alt = float(q0) ** int(expo) * float(expected_gram_diagonal(lam, n, "odd", q0))
-    err_adopted = abs(measured - adopted)
-    err_alt = abs(measured - alt)
-    ok = err_adopted < cfg.tol and err_alt > 100 * cfg.tol
+    alt = q0 ** int(expo) * expected_gram_diagonal(lam, n, "odd", q0)
     return CheckResult(
         "volume-prefactor-power",
-        ok,
+        measured == adopted and measured != alt,
         "finding: the orbit mass carries the doubled base-point power "
-        f"(adopted off by {err_adopted:.3e}; undoubled alternative off by {err_alt:.3e})",
-        {"adopted": adopted, "alternative": alt, "measured": measured},
+        f"(measured {measured}, adopted {adopted}, undoubled alternative {alt})",
+        {"adopted": str(adopted), "alternative": str(alt), "measured": str(measured)},
     )
 
 

@@ -112,6 +112,10 @@ class PhasedScalar:
     def __neg__(self):
         return PhasedScalar(self.i_power, self.half_q, -self.scalar)
 
+    def conjugate(self) -> "PhasedScalar":
+        """Complex conjugate for real q > 0."""
+        return PhasedScalar(-self.i_power, self.half_q, self.scalar.conjugate_coeffs())
+
     def folded(self) -> tuple[int, QFraction]:
         """(half-power parity, everything else folded into one QFraction)."""
         s = self.scalar * GaussianRational.i_power(self.i_power)

@@ -236,20 +236,11 @@ def test_criterion_09_measure_and_gram():
         for parity in PARITIES:
             for q0 in (Fraction(3), Fraction(5)):
                 assert abs(total_mass(n, parity, q0, 64) - 1.0) < 1e-8
-                g64 = gram_matrix(lams, n, parity, q0, 64)
+                g = gram_matrix(lams, n, parity, q0)
                 for i, li in enumerate(lams):
                     for j in range(len(lams)):
-                        want = (
-                            float(expected_gram_diagonal(li, n, parity, q0))
-                            if i == j
-                            else 0.0
-                        )
-                        assert abs(g64[i, j] - want) < 1e-8, (n, parity, q0, li, j)
-            # a doubled grid must agree to quadrature accuracy
-            q0 = Fraction(3)
-            g128 = gram_matrix(lams, n, parity, q0, 128)
-            g64 = gram_matrix(lams, n, parity, q0, 64)
-            assert abs(g128 - g64).max() < 1e-10
+                        want = expected_gram_diagonal(li, n, parity, q0) if i == j else 0
+                        assert g[i][j] == want, (n, parity, q0, li, j)
     assert time.perf_counter() - t0 < 120
 
 
@@ -259,8 +250,8 @@ def test_criterion_10_plancherel_and_inversion():
     for n in (1, 2):
         lams = partitions_up_to_weight(n, 3)
         for parity in PARITIES:
-            assert check_plancherel(lams, n, parity, q0, 64)["max_error"] < 1e-8
-            assert check_inversion(lams, n, parity, q0, 64)["max_error"] < 1e-8
+            assert check_plancherel(lams, n, parity, q0)["misses"] == []
+            assert check_inversion(lams, n, parity, q0)["misses"] == []
     assert volume((1,), 1, "odd", q0) == q0**2 - 1 == 8
     assert volume((1,), 1, "even", q0) == 4
     report = run_checks(["volume-prefactor-power"], RunConfig(n=1, q0=q0))

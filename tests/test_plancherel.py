@@ -12,18 +12,17 @@ from hermlab.plancherel import (
     check_plancherel,
     expected_gram_diagonal,
     gram_matrix,
-    inner_product,
     measure_constant,
     measure_density_point,
-    measure_values,
+    pairing_matrix,
     total_mass,
     transform_ch,
     volume,
 )
 from hermlab.scalars import QFraction
-from hermlab.spherical import SphericalValue, phase_power, psi
-from hermlab.torus import FactoredRational
-from hermlab.hall_littlewood import p_poly
+from hermlab.spherical import SphericalValue, omega_explicit, phase_power, psi
+from hermlab.torus import FactoredRational, TorusPoly
+from hermlab.hall_littlewood import p_poly, q_poly, w_lambda_value, whole_group_value
 
 
 def test_measure_density_frozen_point():
@@ -52,12 +51,11 @@ def test_total_mass_refines():
 
 def test_gram_orthogonality_rank1():
     lams = [(0,), (1,), (2,), (3,)]
-    g = gram_matrix(lams, 1, "odd", Fraction(3), N=64)
-    offdiag = g - np.diag(g.diagonal())
-    assert abs(offdiag).max() < 1e-10
+    g = gram_matrix(lams, 1, "odd", Fraction(3))
     for i, lam in enumerate(lams):
-        want = float(expected_gram_diagonal(lam, 1, "odd", Fraction(3)))
-        assert abs(g[i, i] - want) < 1e-10
+        for j in range(len(lams)):
+            want = expected_gram_diagonal(lam, 1, "odd", Fraction(3)) if i == j else 0
+            assert g[i][j] == want
     # frozen: <P_1, P_1> = 8/9 at q0 = 3
     assert expected_gram_diagonal((1,), 1, "odd", Fraction(3)) == Fraction(8, 9)
 
@@ -65,12 +63,33 @@ def test_gram_orthogonality_rank1():
 def test_gram_orthogonality_rank2_both_parities():
     lams = [(0, 0), (1, 0), (1, 1), (2, 0)]
     for parity in ("odd", "even"):
-        g = gram_matrix(lams, 2, parity, Fraction(3), N=64)
-        offdiag = g - np.diag(g.diagonal())
-        assert abs(offdiag).max() < 1e-8
+        g = gram_matrix(lams, 2, parity, Fraction(3))
         for i, lam in enumerate(lams):
-            want = float(expected_gram_diagonal(lam, 2, parity, Fraction(3)))
-            assert abs(g[i, i] - want) < 1e-8
+            for j in range(len(lams)):
+                want = expected_gram_diagonal(lam, 2, parity, Fraction(3)) if i == j else 0
+                assert g[i][j] == want
+
+
+def test_orbit_sums_orthogonal_as_identity_in_q():
+    # <q_lam, q_mu> = delta * W_0 * W_lam for every q, not only at q0
+    for n in (1, 2):
+        lams = [(0,) * n, (1,) + (0,) * (n - 1), (2,) + (0,) * (n - 1)]
+        for parity in ("odd", "even"):
+            polys = [q_poly(n, parity, lam) for lam in lams]
+            m = pairing_matrix(polys, polys, parity)
+            for i, lam in enumerate(lams):
+                for j in range(len(lams)):
+                    got = m[i][j].as_qfraction()
+                    if i == j:
+                        w0 = whole_group_value(n, parity)
+                        assert got == QFraction(w0 * w_lambda_value(lam, n, parity))
+                    else:
+                        assert got.is_zero()
+
+
+def test_pairing_refuses_a_boundary_factor():
+    with pytest.raises(ValueError):
+        pairing_matrix([omega_explicit(1, "odd", (1,))], [psi(1, "odd", (1,))], "odd")
 
 
 def test_volume_frozen_values():
@@ -99,30 +118,29 @@ def test_transform_structure():
 
 def test_plancherel_pairing_rank1():
     lams = [(0,), (1,), (2,), (3,)]
-    r = check_plancherel(lams, 1, "odd", Fraction(3), N=64)
-    assert r["max_error"] < 1e-8
-    d = np.real(r["matrix"].diagonal())
-    assert abs(d[0] - 1) < 1e-8 and abs(d[1] - 8) < 1e-8
+    r = check_plancherel(lams, 1, "odd", Fraction(3))
+    assert r["misses"] == []
+    assert r["matrix"][0][0] == 1 and r["matrix"][1][1] == 8
 
 
 def test_plancherel_pairing_rank2():
     lams = [(0, 0), (1, 0), (1, 1)]
     for parity in ("odd", "even"):
-        r = check_plancherel(lams, 2, parity, Fraction(3), N=64)
-        assert r["max_error"] < 1e-8
+        r = check_plancherel(lams, 2, parity, Fraction(3))
+        assert r["misses"] == []
 
 
 def test_inversion_rank1_both_parities():
     lams = [(0,), (1,), (2,)]
     for parity in ("odd", "even"):
-        r = check_inversion(lams, 1, parity, Fraction(3), N=64)
-        assert r["max_error"] < 1e-10
+        r = check_inversion(lams, 1, parity, Fraction(3))
+        assert r["misses"] == []
 
 
 def test_inversion_rank2():
     lams = [(0, 0), (1, 0), (1, 1), (2, 1)]
-    r = check_inversion(lams, 2, "odd", Fraction(3), N=32)
-    assert r["max_error"] < 1e-8
+    r = check_inversion(lams, 2, "odd", Fraction(3))
+    assert r["misses"] == []
 
 
 # negative control: using the non-inverted base-point power in the transform
@@ -132,12 +150,8 @@ def test_inversion_phase_orientation_matters():
     wrong = SphericalValue(
         1, "odd", lam, phase_power(lam, 1, "odd"), p_poly(1, "odd", lam), FactoredRational(1)
     )
-    grid = QuadratureGrid(1, 64)
-    dens = measure_values(grid, "odd", Fraction(3))
-    fv = grid.spherical_values(wrong, 3.0)
-    pv = grid.spherical_values(psi(1, "odd", lam), 3.0)
-    got = inner_product(grid, fv, pv, dens, conjugate=False)
-    assert abs(got - (-1.0 / 9.0)) < 1e-10
+    got = pairing_matrix([wrong], [psi(1, "odd", lam)], "odd", conjugate=False)[0][0]
+    assert got.as_qfraction().eval(Fraction(3)) == Fraction(-1, 9)
 
 
 def test_basis_partitions_frozen():
@@ -176,3 +190,5 @@ def test_grid_integrates_exactly():
     grid = QuadratureGrid(1, 16)
     vals = np.exp(1j * grid.thetas[:, 0] * 3)
     assert abs(np.mean(vals)) < 1e-14
+    f = TorusPoly.monomial(1, (3,), 5) + TorusPoly.monomial(1, (-2,)) + 2
+    assert abs(np.mean(grid.poly_values(f, 3.0)) - 2) < 1e-14
