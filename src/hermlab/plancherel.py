@@ -83,39 +83,35 @@ def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
     )
 
 
-def measure_values(grid: QuadratureGrid, parity: str, q0: Fraction) -> np.ndarray:
-    """Density values on the grid (a real positive array)."""
-    n = grid.n
+def _density(thetas: np.ndarray, parity: str, q0: Fraction) -> np.ndarray:
+    """Density values at the rows of an (m, n) array of angles."""
+    n = thetas.shape[1]
     qf = float(q0)
     ts, tl = spec_params(parity)
     ts_v = ts.eval_float(qf)
     tl_v = tl.eval_float(qf)
-    out = np.full(len(grid.thetas), float(measure_constant(n, parity, q0)))
+    out = np.full(len(thetas), float(measure_constant(n, parity, q0)))
     for a in short_positive_roots(n):
-        w = np.exp(1j * (grid.thetas @ np.array(a)))
+        w = np.exp(1j * (thetas @ np.array(a)))
         out *= (np.abs(1 - w) ** 2) / (np.abs(1 - ts_v * w) ** 2)
     for a in long_positive_roots(n):
-        w = np.exp(1j * (grid.thetas @ np.array(a)))
+        w = np.exp(1j * (thetas @ np.array(a)))
         out *= (np.abs(1 - w) ** 2) / (np.abs(1 - tl_v * w) ** 2)
     return out
 
 
+def measure_values(grid: QuadratureGrid, parity: str, q0: Fraction) -> np.ndarray:
+    """Density values on the grid (a real positive array)."""
+    return _density(grid.thetas, parity, q0)
+
+
 def measure_density_point(n: int, parity: str, q0: Fraction, thetas: Sequence[float]) -> float:
-    """Density at one point (scalar convenience wrapper).
+    """Density at one point.
 
     >>> round(measure_density_point(1, "odd", Fraction(3), [np.pi / 2]), 10)
     2.25
     """
-    ts, tl = spec_params(parity)
-    val = float(measure_constant(n, parity, q0))
-    qf = float(q0)
-    for a in short_positive_roots(n):
-        w = np.exp(1j * sum(c * t for c, t in zip(a, thetas)))
-        val *= abs(1 - w) ** 2 / abs(1 - ts.eval_float(qf) * w) ** 2
-    for a in long_positive_roots(n):
-        w = np.exp(1j * sum(c * t for c, t in zip(a, thetas)))
-        val *= abs(1 - w) ** 2 / abs(1 - tl.eval_float(qf) * w) ** 2
-    return float(val)
+    return float(_density(np.array([thetas], dtype=float).reshape(1, n), parity, q0)[0])
 
 
 def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
