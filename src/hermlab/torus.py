@@ -328,14 +328,6 @@ def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:
     return TorusPoly(f.n, quot)
 
 
-def eval_unit_torus(f: TorusPoly, q0: float, thetas: Sequence[float]) -> complex:
-    return f.eval_unit_torus(q0, thetas)
-
-
-def eval_exact(f: TorusPoly, xs: Sequence) -> QFraction:
-    return f.eval_exact(xs)
-
-
 class Binomial:
     """The factor 1 - coef * x^alpha, kept unexpanded."""
 
