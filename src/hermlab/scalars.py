@@ -485,10 +485,23 @@ class QLaurent:
         q0 = _as_gaussian(q0)
         if q0.is_zero():
             raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
-        total = GR_ZERO
-        for e, v in self.items():
-            total = total + v * q0**e
-        return total
+        if q0.im or not self._c:
+            total = GR_ZERO
+            for e, v in self.items():
+                total = total + v * q0**e
+            return total
+        # q0 = a/b rational: sum the integer numerators scaled by
+        # a^(e-lo) b^(hi-e), then apply a^lo / (b^hi d) once
+        a, b = q0.re.numerator, q0.re.denominator
+        lo, hi = min(self._c), max(self._c)
+        re = im = 0
+        for e, (r, i) in self._c.items():
+            w = a ** (e - lo) * b ** (hi - e)
+            re += r * w
+            im += i * w
+        num = a ** max(lo, 0) * b ** max(-hi, 0)
+        den = a ** max(-lo, 0) * b ** max(hi, 0) * self._d
+        return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
 
     def eval_float(self, q0: float) -> complex:
         """Float value at q0, summed in ascending exponent order so that

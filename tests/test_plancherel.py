@@ -15,6 +15,7 @@ from hermlab.plancherel import (
     measure_constant,
     measure_density_point,
     pairing_matrix,
+    pairing_misses,
     total_mass,
     transform_ch,
     volume,
@@ -85,6 +86,14 @@ def test_orbit_sums_orthogonal_as_identity_in_q():
                         assert got == QFraction(w0 * w_lambda_value(lam, n, parity))
                     else:
                         assert got.is_zero()
+
+
+def test_pairing_misses_reads_both_diagonal_and_off_diagonal():
+    mat = [[1, Fraction(1, 3)], [0, 2]]
+    assert pairing_misses(mat, [1, 3]) == [(0, 1, Fraction(1, 3), 0), (1, 1, 2, 3)]
+    # a repeated orbit sum is not orthogonal to itself
+    g = gram_matrix([(1,), (1,)], 1, "odd", Fraction(3))
+    assert [(i, j) for i, j, _, _ in pairing_misses(g, [Fraction(8, 9)] * 2)] == [(0, 1), (1, 0)]
 
 
 def test_pairing_refuses_a_boundary_factor():

@@ -350,7 +350,9 @@ def test_str_serialize_and_eval_match_reference():
         f, rf = f * g, rf * rg
         assert str(f) == str(QLaurent(rf._c))
         assert f.serialize() == {str(e): str(v) for e, v in sorted(rf._c.items())}
-        for q0 in (Fraction(3), Fraction(-2, 7), GaussianRational(Fraction(1, 2), -1)):
+        for q0 in (
+            Fraction(3), Fraction(-2, 7), Fraction(5, 3), GaussianRational(Fraction(1, 2), -1)
+        ):
             assert f.eval(q0) == rf.eval(q0)
         assert f.eval_float(3.0) == pytest.approx(rf.eval_float(3.0), rel=1e-12, abs=1e-12)
 
