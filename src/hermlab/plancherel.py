@@ -351,12 +351,12 @@ def basis_rank_check(
     sign flips; each square matrix must be nonsingular over Q(i).  The
     kernels are nonzero multiples of the orbit sums, which are evaluated
     instead.  A point whose |det| is at most ``tol`` counts as degenerate
-    and is resampled (with the attempt recorded)."""
+    and is resampled, up to eight times per trial."""
     rng = random.Random(seed)
     polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
     dets = []
     for _ in range(trials):
-        for attempt in range(8):
+        for _ in range(8):
             xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
             d = math.sqrt(_rank_det(_flip_rows(polys, xs, q0))[1].abs2())
             if d > tol:
