@@ -387,11 +387,6 @@ class SphericalValue:
         val = self.numerator.eval_exact(xs) / self.boundary.eval_exact(xs)
         return self.prefactor * val
 
-    def eval_unit(self, q0: float, thetas: Sequence[float]) -> complex:
-        num = self.numerator.eval_unit_torus(q0, thetas)
-        bnd = self.boundary.eval_unit(q0, thetas)
-        return self.prefactor.eval_float(q0) * num / bnd
-
     def eval_at_base_point(self) -> PhasedScalar:
         """Exact value at the distinguished point (everything in r = sqrt q)."""
         z0 = SpaceConfig(self.n, self.parity).z0

@@ -9,7 +9,6 @@ which underpins every orbit-sum normalization downstream.
 
 from __future__ import annotations
 
-import cmath
 import heapq
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
@@ -225,15 +224,6 @@ class TorusPoly:
             total = total + m
         return total
 
-    def eval_unit_torus(self, q0: float, thetas: Sequence[float]) -> complex:
-        """Numeric value at x_j = exp(i theta_j) with the parameter at q0."""
-        if len(thetas) != self.n:
-            raise ValueError("wrong number of angles")
-        total = 0j
-        for e, c in self._t.items():
-            total += c.eval_float(q0) * cmath.exp(1j * _dot(e, thetas))
-        return total
-
     # -- presentation ---------------------------------------------------------------
     def _var(self, i: int) -> str:
         return "x" if self.n == 1 else f"x{i + 1}"
@@ -351,9 +341,6 @@ class Binomial:
                 m = m * _as_qfraction(x) ** k
         return QF_ONE - self.coef * m
 
-    def eval_unit(self, q0: float, thetas: Sequence[float]) -> complex:
-        return 1 - self.coef.eval_float(q0) * cmath.exp(1j * _dot(self.alpha, thetas))
-
     def map_coef(self, fn) -> "Binomial":
         return Binomial(fn(self.coef), self.alpha)
 
@@ -398,14 +385,6 @@ class FactoredRational:
         for b in self.den:
             top = top / b.eval_exact(xs)
         return top
-
-    def eval_unit(self, q0: float, thetas: Sequence[float]) -> complex:
-        val = complex(self.front.eval_float(q0))
-        for b in self.num:
-            val *= b.eval_unit(q0, thetas)
-        for b in self.den:
-            val /= b.eval_unit(q0, thetas)
-        return val
 
     def map_coefs(self, fn) -> "FactoredRational":
         return FactoredRational(
