@@ -83,26 +83,18 @@ def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
     )
 
 
-def _density(thetas: np.ndarray, parity: str, q0: Fraction) -> np.ndarray:
-    """Density values at the rows of an (m, n) array of angles."""
-    n = thetas.shape[1]
-    qf = float(q0)
+def _root_factor(w, t: float):
+    """One positive root's factor |1 - w|^2 / |1 - t w|^2 at w = x^a."""
+    return np.abs(1 - w) ** 2 / np.abs(1 - t * w) ** 2
+
+
+def _root_params(n: int, parity: str, q0: Fraction) -> list[tuple[tuple[int, ...], float]]:
+    """(a, t_a) for each positive root a, with t_a at q0 as a float."""
     ts, tl = spec_params(parity)
-    ts_v = ts.eval_float(qf)
-    tl_v = tl.eval_float(qf)
-    out = np.full(len(thetas), float(measure_constant(n, parity, q0)))
-    for a in short_positive_roots(n):
-        w = np.exp(1j * (thetas @ np.array(a)))
-        out *= (np.abs(1 - w) ** 2) / (np.abs(1 - ts_v * w) ** 2)
-    for a in long_positive_roots(n):
-        w = np.exp(1j * (thetas @ np.array(a)))
-        out *= (np.abs(1 - w) ** 2) / (np.abs(1 - tl_v * w) ** 2)
-    return out
-
-
-def measure_values(grid: QuadratureGrid, parity: str, q0: Fraction) -> np.ndarray:
-    """Density values on the grid (a real positive array)."""
-    return _density(grid.thetas, parity, q0)
+    qf = float(q0)
+    return [(a, ts.eval_float(qf)) for a in short_positive_roots(n)] + [
+        (a, tl.eval_float(qf)) for a in long_positive_roots(n)
+    ]
 
 
 def measure_density_point(n: int, parity: str, q0: Fraction, thetas: Sequence[float]) -> float:
@@ -111,12 +103,33 @@ def measure_density_point(n: int, parity: str, q0: Fraction, thetas: Sequence[fl
     >>> round(measure_density_point(1, "odd", Fraction(3), [np.pi / 2]), 10)
     2.25
     """
-    return float(_density(np.array([thetas], dtype=float).reshape(1, n), parity, q0)[0])
+    theta = np.array(thetas, dtype=float).reshape(n)
+    out = float(measure_constant(n, parity, q0))
+    for a, t in _root_params(n, parity, q0):
+        out *= _root_factor(np.exp(1j * (theta @ np.array(a))), t)
+    return float(out)
 
 
 def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
-    grid = QuadratureGrid(n, N)
-    return float(np.mean(measure_values(grid, parity, q0)))
+    """Mean of the density over the uniform grid theta = 2 pi k / N, k in Z_N^n.
+
+    On the grid a root's phase a.theta is 2 pi ((a.k) mod N) / N, so its
+    factor takes N values and depends only on the coordinates in the
+    root's support.  The mean is the contraction of one table per root,
+    over those coordinates, divided by N^n.
+    """
+    if N < 2:
+        raise ValueError("need at least two nodes per circle")
+    w = np.exp(2j * np.pi * np.arange(N) / N)
+    tables, subscripts = [], []
+    for a, t in _root_params(n, parity, q0):
+        support = [i for i, v in enumerate(a) if v]
+        phase = np.tensordot([a[i] for i in support], np.indices((N,) * len(support)), axes=1)
+        tables.append(_root_factor(w, t)[phase % N])
+        subscripts.append("".join(chr(ord("a") + i) for i in support))
+    # numpy's own loop, without BLAS: the sum does not depend on threads
+    total = np.einsum(",".join(subscripts) + "->", *tables, optimize=False)
+    return float(measure_constant(n, parity, q0)) * float(total) / N**n
 
 
 def expected_gram_diagonal(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
@@ -136,16 +149,19 @@ def _height(e: Sequence[int]) -> int:
 def _delta_plus(n: int, parity: str, height: int) -> TorusPoly:
     """prod over positive roots a of (1 - x^a) / (1 - t_a x^a)
         = prod (1 + sum_{k >= 1} (t_a^k - t_a^(k-1)) x^(ka)),
-    expanded through the given height; its terms above it are dropped."""
+    expanded through the given height.  Every exponent in the product has
+    height >= 0, so x^(ka) multiplies only the part of height <= height - k<rho, a>."""
     ts, tl = spec_params(parity)
     out = TorusPoly.const(n, 1)
     for t, roots in ((ts, short_positive_roots(n)), (tl, long_positive_roots(n))):
         for a in roots:
-            series = {(0,) * n: 1}
-            for k in range(1, height // _height(a) + 1):
-                series[tuple(k * v for v in a)] = t**k - t ** (k - 1)
-            out = out * TorusPoly(n, series)
-            out = TorusPoly(n, {e: c for e, c in out.terms() if _height(e) <= height})
+            ha = _height(a)
+            heights = {e: _height(e) for e in out.support()}
+            step = out
+            for k in range(1, height // ha + 1):
+                low = TorusPoly(n, {e: c for e, c in out.terms() if heights[e] <= height - k * ha})
+                step = step + TorusPoly.monomial(n, [k * v for v in a], t**k - t ** (k - 1)) * low
+            out = step
     return out
 
 

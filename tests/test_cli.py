@@ -74,6 +74,14 @@ def test_math_fail_exit_code(capsys):
     assert out.startswith("FAIL  measure-total-mass")
 
 
+@pytest.mark.parametrize("grid_n", ["1", "0", "-3"])
+def test_measure_total_mass_refuses_small_grid(capsys, grid_n):
+    code = run(["verify", "measure-total-mass", "--n", "2", "--grid-N", grid_n, "--workers", "1"])
+    got = capsys.readouterr()
+    assert code == 1
+    assert got.err == "error: need at least two nodes per circle\n" and got.out == ""
+
+
 def test_report_breaks_down_by_format(capsys):
     args = ["verify", "measure-total-mass", "--n", "1", "--workers", "1"]
     _, text = invoke(capsys, *args, "--format", "text")
@@ -99,6 +107,16 @@ def test_workers_do_not_change_bytes(capsys):
     _, seq = invoke(capsys, *base, "--workers", "1")
     _, par = invoke(capsys, *base, "--workers", "3")
     assert seq == par
+
+
+def test_measure_total_mass_bytes_stable_n3(capsys):
+    # the factored grid sum runs in numpy's own loop, never a threaded BLAS
+    args = ["verify", "measure-total-mass,height-phase", "--n", "3", "--format", "json"]
+    _, first = invoke(capsys, *args)
+    _, second = invoke(capsys, *args)
+    _, seq = invoke(capsys, *args, "--workers", "1")
+    _, par = invoke(capsys, *args, "--workers", "2")
+    assert first == second == seq == par
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -6,6 +6,8 @@ import pytest
 
 from hermlab.plancherel import (
     QuadratureGrid,
+    _delta_plus,
+    _height,
     basis_partitions,
     basis_rank_check,
     check_inversion,
@@ -23,7 +25,42 @@ from hermlab.plancherel import (
 from hermlab.scalars import QFraction
 from hermlab.spherical import SphericalValue, omega_explicit, phase_power, psi
 from hermlab.torus import FactoredRational, TorusPoly
-from hermlab.hall_littlewood import p_poly, q_poly, w_lambda_value, whole_group_value
+from hermlab.hall_littlewood import (
+    p_poly,
+    q_poly,
+    spec_params,
+    w_lambda_value,
+    whole_group_value,
+)
+from hermlab.weyl import long_positive_roots, short_positive_roots
+
+
+def ref_total_mass(n, parity, q0, N):
+    """The density's mean over all N^n grid angles, one complex exponential
+    per root and node: the full-grid kernel ``total_mass`` replaced."""
+    thetas = QuadratureGrid(n, N).thetas
+    ts, tl = spec_params(parity)
+    out = np.full(len(thetas), float(measure_constant(n, parity, q0)))
+    for t, roots in ((ts, short_positive_roots(n)), (tl, long_positive_roots(n))):
+        t = t.eval_float(float(q0))
+        for a in roots:
+            w = np.exp(1j * (thetas @ np.array(a)))
+            out *= (np.abs(1 - w) ** 2) / (np.abs(1 - t * w) ** 2)
+    return float(np.mean(out))
+
+
+def ref_delta_plus(n, parity, height):
+    """Delta+ from the full product of the root series, cut afterwards."""
+    ts, tl = spec_params(parity)
+    out = TorusPoly.const(n, 1)
+    for t, roots in ((ts, short_positive_roots(n)), (tl, long_positive_roots(n))):
+        for a in roots:
+            series = {(0,) * n: 1}
+            for k in range(1, height // _height(a) + 1):
+                series[tuple(k * v for v in a)] = t**k - t ** (k - 1)
+            out = out * TorusPoly(n, series)
+            out = TorusPoly(n, {e: c for e, c in out.terms() if _height(e) <= height})
+    return out
 
 
 def test_measure_density_frozen_point():
@@ -42,6 +79,31 @@ def test_total_mass_is_one():
         for parity in ("odd", "even"):
             assert abs(total_mass(1, parity, q0, N=64) - 1) < 1e-10
             assert abs(total_mass(2, parity, q0, N=48) - 1) < 1e-8
+
+
+def full_grid_gap(n, parity, q0, N):
+    return abs(total_mass(n, parity, q0, N) - ref_total_mass(n, parity, q0, N))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_total_mass_matches_full_grid(n):
+    for parity in ("odd", "even"):
+        for q0 in (Fraction(3), Fraction(5), Fraction(7, 2)):
+            for N in (2, 3, 5, 8, 16):
+                assert full_grid_gap(n, parity, q0, N) <= 1e-13
+
+
+def test_total_mass_matches_full_grid_n3_default():
+    for parity in ("odd", "even"):
+        assert full_grid_gap(3, parity, Fraction(3), 64) <= 1e-13
+
+
+def test_total_mass_matches_full_grid_n4():
+    # below N = 9 some root factor vanishes at every node of a rank-4 grid,
+    # so N = 9 and 12 are the cases where the mean is not ~0
+    for parity in ("odd", "even"):
+        for N in (3, 8, 9, 12):
+            assert full_grid_gap(4, parity, Fraction(3), N) <= 1e-13
 
 
 def test_total_mass_refines():
@@ -99,6 +161,13 @@ def test_pairing_misses_reads_both_diagonal_and_off_diagonal():
 def test_pairing_refuses_a_boundary_factor():
     with pytest.raises(ValueError):
         pairing_matrix([omega_explicit(1, "odd", (1,))], [psi(1, "odd", (1,))], "odd")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_delta_plus_equals_full_product_cut(n):
+    for parity in ("odd", "even"):
+        for height in range(13):
+            assert _delta_plus(n, parity, height) == ref_delta_plus(n, parity, height)
 
 
 def test_volume_frozen_values():
