@@ -37,7 +37,7 @@ from hermlab.weyl import long_positive_roots, short_positive_roots
 
 def ref_total_mass(n, parity, q0, N):
     """The density's mean over all N^n grid angles, one complex exponential
-    per root and node: the full-grid kernel ``total_mass`` replaced."""
+    per root and node: the unfactored reference for ``total_mass``."""
     thetas = QuadratureGrid(n, N).thetas
     ts, tl = spec_params(parity)
     out = np.full(len(thetas), float(measure_constant(n, parity, q0)))
