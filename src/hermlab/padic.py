@@ -22,27 +22,9 @@ import math
 import random
 from fractions import Fraction
 
-import numpy as np
-
-from .scalars import InexactDivision
+from .scalars import InexactDivision, PrecisionError, ResourceLimit
 
 ENUMERATION_BOUND = 4_000_000
-
-
-class PrecisionError(ArithmeticError):
-    """A valuation or division cannot be certified at the working precision.
-
-    When a better bound is known, it is carried in .required as a hint for the
-    caller (retry with at least that many digits).
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
-
-
-class ResourceLimit(RuntimeError):
-    pass
 
 
 # -- integer helpers -------------------------------------------------------------
@@ -832,6 +814,24 @@ def is_member_X(x: LocalMatrix) -> bool:
 # -- residue-ring counting ---------------------------------------------------------
 
 
+def _norm_hits(p: int, P: int, targets) -> int:
+    """The number of pairs (a, b) mod P with a^2 - eps b^2 in targets mod P.
+
+    From the histograms of a^2 and eps b^2 mod P: O(P) per target instead of
+    enumerating the P^2 pairs.
+    """
+    eps = smallest_nonresidue(p)
+    sq: dict[int, int] = {}
+    for a in range(P):
+        u = a * a % P
+        sq[u] = sq.get(u, 0) + 1
+    esq: dict[int, int] = {}
+    for u, c in sq.items():
+        v = eps * u % P
+        esq[v] = esq.get(v, 0) + c
+    return sum(c * esq.get((u - t) % P, 0) for t in targets for u, c in sq.items())
+
+
 def norm_count(p: int, xi: int, r: int) -> Fraction:
     """Proportion of x in the residue ring mod p^(r+1) whose norm misses the
     unit xi by valuation exactly r.
@@ -852,12 +852,9 @@ def norm_count(p: int, xi: int, r: int) -> Fraction:
         raise ResourceLimit(
             f"enumeration of p^{2 * (r + 1)} = {P * P} pairs exceeds the bound"
         )
-    eps = smallest_nonresidue(p)
-    a = np.arange(P, dtype=np.int64)
-    grid = (a[:, None] * a[:, None] - eps * a[None, :] * a[None, :] - xi) % P
+    # N(x) - xi has valuation exactly r mod p^(r+1) iff it is k p^r, 0 < k < p
     pr = p**r
-    hit = (grid % pr == 0) & ((grid // pr) % p != 0)
-    return Fraction(int(hit.sum()), P * P)
+    return Fraction(_norm_hits(p, P, [xi + k * pr for k in range(1, p)]), P * P)
 
 
 def norm_residual(p: int, xi: int, R: int) -> Fraction:
@@ -867,10 +864,7 @@ def norm_residual(p: int, xi: int, R: int) -> Fraction:
     P = p**R
     if P * P > ENUMERATION_BOUND:
         raise ResourceLimit("residual enumeration exceeds the bound")
-    eps = smallest_nonresidue(p)
-    a = np.arange(P, dtype=np.int64)
-    grid = (a[:, None] * a[:, None] - eps * a[None, :] * a[None, :] - xi) % P
-    return Fraction(int((grid == 0).sum()), P * P)
+    return Fraction(_norm_hits(p, P, [xi]), P * P)
 
 
 # -- norm equations ----------------------------------------------------------------
@@ -1124,13 +1118,14 @@ def classify_g_orbit(x: LocalMatrix) -> int:
 # re + im*sqrt(eps) reduced mod `mod`.  The Haar sampler (mod p^prec) and the
 # cell counts (mod p) form their products and check them unitary on stacks.
 
-_J3 = np.eye(3, dtype=np.int64)[::-1]
 _HAAR_BATCH = 256
 
 
 def _stack_dtype(eps: int, mod: int):
     """int64 while a sum of three products of reduced entries stays exact,
     3 (1 + eps) mod^2 < 2^63; object arrays of Python ints above that."""
+    import numpy as np
+
     return np.int64 if 3 * (1 + eps) * mod * mod < 2**63 else object
 
 
@@ -1143,18 +1138,22 @@ def _stack_matmul(x, y, eps: int, mod: int):
 
 def _assert_unitary_stack(g, eps: int, mod: int):
     """assert_unitary for every matrix of a stack: g* j g = j mod `mod`."""
+    import numpy as np
+
     gr, gi = g
     tr, ti = np.swapaxes(gr, -1, -2), np.swapaxes(gi, -1, -2)
     hr, hi = gr[..., ::-1, :], gi[..., ::-1, :]  # j g
     re = (tr @ hr - eps * (ti @ hi)) % mod
     im = (tr @ hi - ti @ hr) % mod
-    if (re != _J3).any() or (im != 0).any():
+    if (re != np.eye(3, dtype=np.int64)[::-1]).any() or (im != 0).any():
         raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
 
 def _stack(rows):
     """A stack from 3x3 nested rows of (re, im) entries, each an array over
     the stack."""
+    import numpy as np
+
     first = rows[0][0][0]
     out = np.zeros((2,) + first.shape + (3, 3), dtype=first.dtype)
     for r, row in enumerate(rows):
@@ -1184,6 +1183,8 @@ def _haar_products(params, eps: int, mod: int):
     [[0, 0, 1], [0, 1, -b*], [1, b, c]] and the small cell is the diagonal
     times [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f], [0, 1, -d*], [0, 0, 1]].
     """
+    import numpy as np
+
     a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big = params.T
     half = -pow(2, -1, mod) % mod
     zero = np.zeros_like(a0)
@@ -1238,6 +1239,8 @@ def _haar_draw(rng, p: int, eps: int, prec: int):
 
 def _haar_sample(field: LocalField, prec: int, seeds):
     """A stack of Haar draws mod p^prec, one per seed of random.Random."""
+    import numpy as np
+
     if prec < 2:
         raise PrecisionError("sampling needs at least two digits", required=2)
     p, eps = field.p, field.eps
@@ -1279,6 +1282,8 @@ def k1_cell_counts(p: int):
     Returns (big, small, together); the classical order of the unitary group
     over the residue field, q^3 (q+1) (q^2-1) (q^3+1), is the cross-check.
     """
+    import numpy as np
+
     eps = smallest_nonresidue(p)
     pairs = [(x, y) for x in range(p) for y in range(p)]
     units = pairs[1:]
@@ -1323,6 +1328,8 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
     valuation is not certified at precision prec is replaced by the next one,
     at most max(10, samples // 100) times.
     """
+    import numpy as np
+
     key = (p, ell, samples, prec, seed)
     if key in _MC_HISTOGRAMS:
         return _MC_HISTOGRAMS[key]

@@ -568,6 +568,22 @@ class InexactDivision(ArithmeticError):
     """An exact division was requested but a remainder survived."""
 
 
+class PrecisionError(ArithmeticError):
+    """A valuation or division cannot be certified at the working precision.
+
+    When a better bound is known, it is carried in .required as a hint for the
+    caller (retry with at least that many digits).
+    """
+
+    def __init__(self, message: str, required: int | None = None):
+        super().__init__(message)
+        self.required = required
+
+
+class ResourceLimit(RuntimeError):
+    """An input would take more enumeration than the package allows."""
+
+
 def _as_qlaurent(x) -> QLaurent:
     if isinstance(x, QLaurent):
         return x

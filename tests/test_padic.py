@@ -321,6 +321,45 @@ def test_norm_count_completeness():
         assert norm_residual(p, xi, R + 1) == q ** -(R + 1) * (1 + 1 / q)
 
 
+# -- the full P x P grid of the norm counts, kept as the reference -------------------
+
+
+def ref_norm_count(p, xi, r):
+    P = p ** (r + 1)
+    eps = smallest_nonresidue(p)
+    a = np.arange(P, dtype=np.int64)
+    grid = (a[:, None] * a[:, None] - eps * a[None, :] * a[None, :] - xi) % P
+    pr = p**r
+    hit = (grid % pr == 0) & ((grid // pr) % p != 0)
+    return Fraction(int(hit.sum()), P * P)
+
+
+def ref_norm_residual(p, xi, R):
+    if R == 0:
+        return Fraction(1)
+    P = p**R
+    eps = smallest_nonresidue(p)
+    a = np.arange(P, dtype=np.int64)
+    grid = (a[:, None] * a[:, None] - eps * a[None, :] * a[None, :] - xi) % P
+    return Fraction(int((grid == 0).sum()), P * P)
+
+
+def test_norm_counts_match_the_grid():
+    # every unit xi < 2p and every depth the enumeration bound allows, and
+    # one case near the bound (43^4 = 3418801 pairs)
+    cases = [(43, 1, 1), (43, 5, 1)]
+    for p in (3, 5, 7, 11, 13):
+        for xi in range(1, 2 * p):
+            r = 0
+            while xi % p and p ** (2 * (r + 1)) <= ENUMERATION_BOUND:
+                cases.append((p, xi, r))
+                r += 1
+    for p, xi, r in cases:
+        assert norm_count(p, xi, r) == ref_norm_count(p, xi, r), (p, xi, r)
+        for R in (r, r + 1):
+            assert norm_residual(p, xi, R) == ref_norm_residual(p, xi, R), (p, xi, R)
+
+
 def test_norm_count_resource_guard():
     with pytest.raises(ResourceLimit):
         norm_count(997, 1, 3)
