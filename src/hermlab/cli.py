@@ -17,44 +17,19 @@ import os
 import sys
 from fractions import Fraction
 
-from .hall_littlewood import p_poly, q_poly
-from .padic import (
-    LocalField,
-    LocalMatrix,
-    PrecisionError,
-    ResourceLimit,
-    classify_g_orbit,
-    classify_k_orbit,
-    diagonalize_x1,
-    invariant_factors,
-    is_member_X,
-    monte_carlo_omega1,
-    norm_count,
-    random_k,
-    x_lambda,
-)
-from .plancherel import (
-    basis_rank_check,
-    check_inversion,
-    check_plancherel,
-    gram_matrix,
-)
-from .report import CHECKS, RunConfig, _partitions, run_checks
-from .scalars import InexactDivision, QFraction, QLaurent
-from .spherical import (
-    check_functional_equation,
-    omega_explicit,
-    omega_rank1_s_form,
-    parity_sign_relation,
-)
+# Each verb imports its own layer, so a process loads only what its verb
+# needs: numpy comes in only with `verify`, `plancherel` and `padic mc-omega`.
+from .scalars import InexactDivision, PrecisionError, QFraction, QLaurent, ResourceLimit
 
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# `verify --n 4` did not finish within a minute (its exact checks sum over
-# 384 signed permutations), so larger n exits EXIT_RESOURCE up front.
+# At n = 4 `basis-rank` FAILs.  With `q_poly` built by straightening (ROADMAP
+# direction 2), every other check but `functional-equation` (16 s over 384
+# signed permutations) ran in <= 1.1 s.  Until `verify all --n 4` passes,
+# larger n exits EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 
@@ -227,6 +202,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
+    from .report import CHECKS, RunConfig, run_checks
+
     values = _read_config_file(args.config) if args.config else {}
     merged = {}
     for key, conv in _CONFIG_KEYS.items():
@@ -264,6 +241,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hl_qpoly(args) -> int:
+    from .hall_littlewood import p_poly, q_poly
+
     lam = _parse_partition(args.lam)
     poly = (p_poly if args.normalized else q_poly)(args.n, args.parity, lam)
     if args.format == "json":
@@ -274,6 +253,8 @@ def _cmd_hl_qpoly(args) -> int:
 
 
 def _cmd_sph_omega(args) -> int:
+    from .spherical import omega_explicit, omega_rank1_s_form
+
     if args.ell is not None:
         if args.s is None:
             sys.stderr.write("rank-one closed form needs --s\n")
@@ -302,6 +283,8 @@ def _cmd_sph_omega(args) -> int:
 
 
 def _cmd_sph_feq(args) -> int:
+    from .spherical import check_functional_equation
+
     lam = _parse_partition(args.lam)
     ok = check_functional_equation(args.n, args.parity, lam, trials=args.trials, seed=args.seed)
     print("functional-equation:", "pass" if ok else "fail")
@@ -309,6 +292,8 @@ def _cmd_sph_feq(args) -> int:
 
 
 def _cmd_sph_parity_sign(args) -> int:
+    from .spherical import parity_sign_relation
+
     lam = _parse_partition(args.lam)
     want = -1 if sum(lam) % 2 else 1
     got = parity_sign_relation(lam, args.n, seed=args.seed)
@@ -317,10 +302,14 @@ def _cmd_sph_parity_sign(args) -> int:
 
 
 def _partitions_to_weight(n: int, weight: int) -> list[tuple[int, ...]]:
+    from .report import _partitions
+
     return sorted(_partitions(n, weight), key=lambda t: (sum(t), t))
 
 
 def _cmd_plancherel(args) -> int:
+    from .plancherel import check_inversion, check_plancherel, gram_matrix
+
     q0 = _parse_fraction(args.q0)
     lams = _partitions_to_weight(args.n, args.weight)
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
@@ -342,6 +331,8 @@ def _cmd_plancherel(args) -> int:
 
 
 def _cmd_plancherel_rank(args) -> int:
+    from .plancherel import basis_rank_check
+
     q0 = _parse_fraction(args.q0)
     out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=args.trials)
     if out["ok"]:
@@ -351,7 +342,9 @@ def _cmd_plancherel_rank(args) -> int:
     return EXIT_MATH_FAIL
 
 
-def _load_matrix(path: str) -> LocalMatrix:
+def _load_matrix(path: str):
+    from .padic import LocalMatrix
+
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -361,6 +354,19 @@ def _load_matrix(path: str) -> LocalMatrix:
 
 
 def _cmd_padic(args) -> int:
+    from .padic import (
+        LocalField,
+        classify_g_orbit,
+        classify_k_orbit,
+        diagonalize_x1,
+        invariant_factors,
+        is_member_X,
+        monte_carlo_omega1,
+        norm_count,
+        random_k,
+        x_lambda,
+    )
+
     if args.subcommand == "count-norm":
         print(norm_count(args.p, args.xi, args.r))
         return EXIT_PASS

@@ -64,6 +64,16 @@ def test_resource_exit_code(capsys):
     assert code == 3
 
 
+def test_precision_exit_code_from_deep_in_padic(capsys):
+    # the sampler raises PrecisionError below two digits; run() maps it to 3
+    code = run(
+        ["padic", "mc-omega", "--ell", "0", "--s", "1", "--prec", "1", "--samples", "10"]
+    )
+    got = capsys.readouterr()
+    assert code == 3
+    assert got.err == "resource/precision: sampling needs at least two digits\n"
+
+
 def test_math_fail_exit_code(capsys):
     # an under-resolved grid leaves quadrature error above tolerance: the
     # report must say so and the process must signal a mathematical failure
@@ -262,3 +272,39 @@ def test_console_script_end_to_end():
     )
     assert r.returncode == 0
     assert "x1*x2" in r.stdout
+
+
+NUMPY_AFTER_RUN = (
+    "import sys\n"
+    "from hermlab.cli import run\n"
+    "code = run(sys.argv[1:])\n"
+    "print(code, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
+        ["hl", "qpoly", "--n", "2", "--parity", "odd", "--lambda", "1,0"],
+        ["sph", "omega", "--ell", "1", "--s", "1"],
+    ],
+)
+def test_light_verbs_do_not_load_numpy(argv):
+    r = subprocess.run(
+        [sys.executable, "-c", NUMPY_AFTER_RUN, *argv], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
+
+
+def test_report_loads_numpy_before_the_pool_forks():
+    # the verify workers fork from a parent that has numpy, so they do not
+    # each import it again
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, hermlab.report; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "True\n"
