@@ -97,19 +97,6 @@ def _root_params(n: int, parity: str, q0: Fraction) -> list[tuple[tuple[int, ...
     ]
 
 
-def measure_density_point(n: int, parity: str, q0: Fraction, thetas: Sequence[float]) -> float:
-    """Density at one point.
-
-    >>> round(measure_density_point(1, "odd", Fraction(3), [np.pi / 2]), 10)
-    2.25
-    """
-    theta = np.array(thetas, dtype=float).reshape(n)
-    out = float(measure_constant(n, parity, q0))
-    for a, t in _root_params(n, parity, q0):
-        out *= _root_factor(np.exp(1j * (theta @ np.array(a))), t)
-    return float(out)
-
-
 def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
     """Mean of the density over the uniform grid theta = 2 pi k / N, k in Z_N^n.
 

@@ -145,9 +145,6 @@ class PhasedScalar:
             raise ValueError("value involves an odd half-power of q")
         return s
 
-    def eval_float(self, q0: float) -> complex:
-        return (1j) ** self.i_power * q0 ** (self.half_q / 2) * self.scalar.eval_float(q0)
-
     def stretch(self, k: int) -> "PhasedScalar":
         if k % 2:
             raise ValueError("stretch factor must be even to keep half-powers integral")

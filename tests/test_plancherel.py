@@ -8,6 +8,8 @@ from hermlab.plancherel import (
     QuadratureGrid,
     _delta_plus,
     _height,
+    _root_factor,
+    _root_params,
     basis_partitions,
     basis_rank_check,
     check_inversion,
@@ -15,7 +17,6 @@ from hermlab.plancherel import (
     expected_gram_diagonal,
     gram_matrix,
     measure_constant,
-    measure_density_point,
     pairing_matrix,
     pairing_misses,
     total_mass,
@@ -63,9 +64,18 @@ def ref_delta_plus(n, parity, height):
     return out
 
 
+def density_point(n, parity, q0, thetas):
+    """The density at one point of the torus, one root factor at a time."""
+    theta = np.array(thetas, dtype=float)
+    out = float(measure_constant(n, parity, q0))
+    for a, t in _root_params(n, parity, q0):
+        out *= _root_factor(np.exp(1j * (theta @ np.array(a))), t)
+    return float(out)
+
+
 def test_measure_density_frozen_point():
     # n=1 odd, q0=3, theta=pi/2: density = 9/4
-    v = measure_density_point(1, "odd", Fraction(3), [math.pi / 2])
+    v = density_point(1, "odd", Fraction(3), [math.pi / 2])
     assert abs(v - 2.25) < 1e-12
 
 
