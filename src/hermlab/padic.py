@@ -5,8 +5,8 @@ two int numerators over one int denominator and power membership tests and
 orbit classification, where no precision management is wanted.  A residue
 model mod p^m carries the constructive algorithms: those must solve norm
 equations N(b) = t, which have solutions in every residue ring but usually
-none in Q(sqrt(eps)).  The Haar sampler and the cell counts run on stacks of
-3x3 residue matrices held in integer arrays.
+none in Q(sqrt(eps)).  The Haar sampler and the cell counts build 3x3
+residue matrices entry by entry on Python ints.
 
 Matrices remember a global power of p pulled out of all entries ("shift"), so
 entry arithmetic stays integral even for matrices like diag(p^l, 1, p^-l).
@@ -1113,54 +1113,32 @@ def classify_g_orbit(x: LocalMatrix) -> int:
 
 # -- Haar sampling of the rank-one maximal compact -----------------------------------
 
-# The residue kernel: a stack of 3x3 matrices over the residue ring mod `mod`
-# is a pair (re, im) of integer arrays of shape (..., 3, 3) holding the entries
-# re + im*sqrt(eps) reduced mod `mod`.  The Haar sampler (mod p^prec) and the
-# cell counts (mod p) form their products and check them unitary on stacks.
-
-_HAAR_BATCH = 256
-
-
-def _stack_dtype(eps: int, mod: int):
-    """int64 while a sum of three products of reduced entries stays exact,
-    3 (1 + eps) mod^2 < 2^63; object arrays of Python ints above that."""
-    import numpy as np
-
-    return np.int64 if 3 * (1 + eps) * mod * mod < 2**63 else object
+# The residue kernel: a 3x3 matrix over the residue ring mod `mod` is the
+# tuple of its nine entries in row order, each a pair (re, im) of ints standing
+# for re + im*sqrt(eps).  The Haar sampler (mod p^prec) and the cell counts
+# (mod p) build their matrices as g = D N, D diagonal and N written out in
+# closed form, and check them unitary.
 
 
-def _stack_matmul(x, y, eps: int, mod: int):
-    """The products of two stacks mod `mod`, matrix by matrix."""
-    xr, xi = x
-    yr, yi = y
-    return (xr @ yr + eps * (xi @ yi)) % mod, (xr @ yi + xi @ yr) % mod
+def _pmul(x, y, eps: int, mod: int):
+    """The product of two residues (re, im), reduced."""
+    return (x[0] * y[0] + eps * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
 
 
-def _assert_unitary_stack(g, eps: int, mod: int):
-    """assert_unitary for every matrix of a stack: g* j g = j mod `mod`."""
-    import numpy as np
+def _assert_unitary_entries(g, eps: int, mod: int):
+    """assert_unitary for nine entries in row order: g* j g = j mod `mod`.
 
-    gr, gi = g
-    tr, ti = np.swapaxes(gr, -1, -2), np.swapaxes(gi, -1, -2)
-    hr, hi = gr[..., ::-1, :], gi[..., ::-1, :]  # j g
-    re = (tr @ hr - eps * (ti @ hi)) % mod
-    im = (tr @ hi - ti @ hr) % mod
-    if (re != np.eye(3, dtype=np.int64)[::-1]).any() or (im != 0).any():
-        raise AssertionError("constructed element is not unitary for the antidiagonal form")
-
-
-def _stack(rows):
-    """A stack from 3x3 nested rows of (re, im) entries, each an array over
-    the stack."""
-    import numpy as np
-
-    first = rows[0][0][0]
-    out = np.zeros((2,) + first.shape + (3, 3), dtype=first.dtype)
-    for r, row in enumerate(rows):
-        for c, e in enumerate(row):
-            out[0, ..., r, c] = e[0]
-            out[1, ..., r, c] = e[1]
-    return out[0], out[1]
+    g* j g is hermitian, so its entries on and above the diagonal decide."""
+    cols = (g[0::3], g[1::3], g[2::3])
+    for k in range(3):
+        (a0, b0), (a1, b1), (a2, b2) = cols[k]
+        for l in range(k, 3):
+            # (g* j g)_kl, the sum over i of conj(g_ik) g_(2-i)l
+            (c0, d0), (c1, d1), (c2, d2) = cols[l]
+            re = a0 * c2 + a1 * c1 + a2 * c0 - eps * (b0 * d2 + b1 * d1 + b2 * d0)
+            im = a0 * d2 + a1 * d1 + a2 * d0 - b0 * c2 - b1 * c1 - b2 * c0
+            if re % mod != (k + l == 2) or im % mod:
+                raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
 
 def _diag_units(alpha, w, eps: int, mod: int):
@@ -1174,8 +1152,32 @@ def _diag_units(alpha, w, eps: int, mod: int):
     )
 
 
-def _haar_products(params, eps: int, mod: int):
-    """The group elements of a parameter table, one per row, checked unitary.
+def _cell_factor(d, f0, b, c0, big_cell, eps: int, mod: int):
+    """N of g = D N (see _haar_products), the product of the two unipotent
+    or Weyl factors written out; entries in row order, not all reduced."""
+    half = -pow(2, -1, mod) % mod
+    f = ((d[0] * d[0] - eps * d[1] * d[1]) * half % mod, f0)
+    c = ((b[0] * b[0] - eps * b[1] * b[1]) * half % mod, c0)
+    db = _pmul(d, b, eps, mod)
+    one = (1, 0)
+    if big_cell:
+        fb, fc, dc = _pmul(f, b, eps, mod), _pmul(f, c, eps, mod), _pmul(d, c, eps, mod)
+        return (
+            f, (fb[0] - d[0], fb[1] + d[1]), (1 + db[0] + fc[0], fc[1] - db[1]),
+            d, (1 + db[0], db[1]), (dc[0] - b[0], dc[1] + b[1]),
+            one, b, c,
+        )
+    bf, cd, cf = _pmul(b, f, eps, mod), _pmul(c, d, eps, mod), _pmul(c, f, eps, mod)
+    return (
+        one, d, f,
+        b, (1 + db[0], db[1]), (bf[0] - d[0], bf[1] + d[1]),
+        c, (cd[0] - b[0], cd[1] + b[1]), (1 + cf[0] + db[0], cf[1] - db[1]),
+    )
+
+
+def _haar_products(rows, eps: int, mod: int):
+    """The group elements of a parameter table, one per row, checked unitary,
+    each as its nine entries in row order.
 
     A row holds alpha, u, conj(alpha)^-1, d (pairs), f0, b (a pair), c0 and
     the cell flag.  With f = (-N(d)/2, f0) and c = (-N(b)/2, c0), the big
@@ -1183,27 +1185,14 @@ def _haar_products(params, eps: int, mod: int):
     [[0, 0, 1], [0, 1, -b*], [1, b, c]] and the small cell is the diagonal
     times [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f], [0, 1, -d*], [0, 0, 1]].
     """
-    import numpy as np
-
-    a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big = params.T
-    half = -pow(2, -1, mod) % mod
-    zero = np.zeros_like(a0)
-    o, i = (zero, zero), (zero + 1, zero)
-    d, b = (d0, d1), (b0, b1)
-    dn, bn = (-d0 % mod, d1), (-b0 % mod, b1)  # -conj(d), -conj(b)
-    f = ((d0 * d0 - eps * d1 * d1) % mod * half % mod, f0)
-    c = ((b0 * b0 - eps * b1 * b1) % mod * half % mod, c0)
-    diag = _stack([[(a0, a1), o, o], [o, (u0, u1), o], [o, o, (i0, i1)]])
-    cell = big.astype(bool)[:, None, None]
-
-    def by_cell(big_rows, small_rows):
-        return [np.where(cell, x, y) for x, y in zip(_stack(big_rows), _stack(small_rows))]
-
-    middle = by_cell([[i, dn, f], [o, i, d], [o, o, i]], [[i, o, o], [b, i, o], [c, bn, i]])
-    last = by_cell([[o, o, i], [o, i, bn], [i, b, c]], [[i, d, f], [o, i, dn], [o, o, i]])
-    g = _stack_matmul(_stack_matmul(diag, middle, eps, mod), last, eps, mod)
-    _assert_unitary_stack(g, eps, mod)
-    return g
+    out = []
+    for a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big in rows:
+        diag = ((a0, a1), (u0, u1), (i0, i1))
+        n = _cell_factor((d0, d1), f0, (b0, b1), c0, big, eps, mod)
+        g = tuple(_pmul(diag[k // 3], e, eps, mod) for k, e in enumerate(n))
+        _assert_unitary_entries(g, eps, mod)
+        out.append(g)
+    return out
 
 
 def _rand_pair(rng, mod):
@@ -1238,18 +1227,12 @@ def _haar_draw(rng, p: int, eps: int, prec: int):
 
 
 def _haar_sample(field: LocalField, prec: int, seeds):
-    """A stack of Haar draws mod p^prec, one per seed of random.Random."""
-    import numpy as np
-
+    """Haar draws mod p^prec, one per seed of random.Random (see _haar_products)."""
     if prec < 2:
         raise PrecisionError("sampling needs at least two digits", required=2)
     p, eps = field.p, field.eps
-    mod = p**prec
-    params = np.array(
-        [_haar_draw(random.Random(s), p, eps, prec) for s in seeds],
-        dtype=_stack_dtype(eps, mod),
-    )
-    return _haar_products(params, eps, mod)
+    rows = [_haar_draw(random.Random(s), p, eps, prec) for s in seeds]
+    return _haar_products(rows, eps, p**prec)
 
 
 def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
@@ -1261,18 +1244,14 @@ def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
     measure is Haar on each part is validated downstream against the closed
     form of the spherical integral, not assumed locally.
 
-    The product is formed and checked unitary by the residue kernel, as a
-    stack of one; only the nine entries of the result become ResidueElem
-    objects.
+    The product is formed and checked unitary by the residue kernel; only the
+    nine entries of the result become ResidueElem objects.
     """
-    re, im = _haar_sample(field, prec, [seed])
+    (g,) = _haar_sample(field, prec, [seed])
     return LocalMatrix(
         field,
         "residue",
-        [
-            [ResidueElem(field, prec, a, b) for a, b in zip(ra, rb)]
-            for ra, rb in zip(re[0].tolist(), im[0].tolist())
-        ],
+        [[ResidueElem(field, prec, a, b) for a, b in g[r : r + 3]] for r in (0, 3, 6)],
     )
 
 
@@ -1281,9 +1260,11 @@ def k1_cell_counts(p: int):
 
     Returns (big, small, together); the classical order of the unitary group
     over the residue field, q^3 (q+1) (q^2-1) (q^3+1), is the cross-check.
-    """
-    import numpy as np
 
+    Every D and every N of g = D N is built and checked unitary once; each
+    D N is then unitary too, (D N)* j (D N) = N* (D* j D) N.  D N is formed
+    row by row, row r of N times the r-th entry of D, and counted as one int.
+    """
     eps = smallest_nonresidue(p)
     pairs = [(x, y) for x in range(p) for y in range(p)]
     units = pairs[1:]
@@ -1291,27 +1272,37 @@ def k1_cell_counts(p: int):
     for alpha in units:
         for w in units:
             ainv, u = _diag_units(alpha, w, eps, p)
-            diags.add((*alpha, *u, *ainv))
-    diags = np.array(sorted(diags), dtype=np.int64)
-    triples = np.array([(*z, t) for z in pairs for t in range(p)], dtype=np.int64)
-    weights = p ** np.arange(18, dtype=np.int64)  # p^18 < 2^63 for p <= 11
+            diags.add((alpha, u, ainv))
+    zero = (0, 0)
+    for alpha, u, ainv in diags:
+        _assert_unitary_entries((alpha, zero, zero, zero, u, zero, zero, zero, ainv), eps, p)
+    # the entries of D that multiply row r of N
+    scalars = [{diag[r] for diag in diags} for r in range(3)]
 
-    def keys(bc, big_cell):
-        # every combination of a diagonal, (d, f0) and (b, c0), one diagonal
-        # at a time to keep the arrays small; in the small cell b and c0 are
-        # divisible by p, so mod p they are zero
-        j, k = np.indices((len(triples), len(bc))).reshape(2, -1)
-        rest = np.concatenate([triples[j], bc[k], np.full((len(j), 1), big_cell)], axis=1)
-        out = []
-        for diag in diags:
-            params = np.concatenate([np.broadcast_to(diag, (len(rest), 6)), rest], axis=1)
-            re, im = _haar_products(params, eps, p)
-            out.append(np.concatenate([re.reshape(-1, 9), im.reshape(-1, 9)], axis=1) @ weights)
-        return np.unique(np.concatenate(out))
+    def row_key(s, row):
+        # s times a row of N, its six digits mod p as one int below p^6
+        key = 0
+        for e in reversed(row):
+            re, im = _pmul(s, e, eps, p)
+            key = (key * p + im) * p + re
+        return key
 
-    big = keys(triples, 1)
-    small = keys(np.zeros((1, 3), dtype=np.int64), 0)
-    return len(big), len(small), len(np.union1d(big, small))
+    def keys(cells):
+        out = set()
+        for d, f0, b, c0, big_cell in cells:
+            n = _cell_factor(d, f0, b, c0, big_cell, eps, p)
+            _assert_unitary_entries(n, eps, p)
+            k0, k1, k2 = (
+                {s: row_key(s, n[3 * r : 3 * r + 3]) for s in scalars[r]} for r in range(3)
+            )
+            out.update(k0[a] + (k1[u] + k2[i] * p**6) * p**6 for a, u, i in diags)
+        return out
+
+    # in the small cell b and c0 are divisible by p, so mod p they are zero
+    triples = [(z, t) for z in pairs for t in range(p)]
+    big = keys((d, f0, b, c0, True) for d, f0 in triples for b, c0 in triples)
+    small = keys((d, f0, zero, 0, False) for d, f0 in triples)
+    return len(big), len(small), len(big | small)
 
 
 # -- the defining integral, by Monte-Carlo -------------------------------------------
@@ -1328,15 +1319,13 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
     valuation is not certified at precision prec is replaced by the next one,
     at most max(10, samples // 100) times.
     """
-    import numpy as np
-
     key = (p, ell, samples, prec, seed)
     if key in _MC_HISTOGRAMS:
         return _MC_HISTOGRAMS[key]
     field = LocalField(p)
-    mod = p**prec
+    eps, mod = field.eps, p**prec
     # w = N(g20) p^(2 ell) + N(g21) p^ell + N(g22) mod p^prec
-    weights = (pow(p, 2 * ell, mod), pow(p, ell, mod))
+    weights = (pow(p, 2 * ell, mod), pow(p, ell, mod), 1)
     hist: dict[int, int] = {}
     saturated = 0
     produced = 0
@@ -1348,22 +1337,16 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
                 f"saturation rate exceeded 1% at precision {prec}",
                 required=prec + 4,
             )
-        # a batch never holds more draws than are still wanted, so it stops
-        # where drawing one at a time would
-        size = min(_HAAR_BATCH, samples - produced, budget - i)
-        re, im = _haar_sample(field, prec, [f"{seed}:{ell}:{j}" for j in range(i, i + size)])
-        i += size
-        norms = (re[:, 2, :] ** 2 - field.eps * im[:, 2, :] ** 2) % mod
-        w = (norms[:, 0] * weights[0] + norms[:, 1] * weights[1] + norms[:, 2]) % mod
+        (g,) = _haar_sample(field, prec, [f"{seed}:{ell}:{i}"])
+        i += 1
+        w = sum(wt * (a * a - eps * b * b) for wt, (a, b) in zip(weights, g[6:])) % mod
         # valuations from prec - 1 up (zero included) are not certified
-        w = w[w % p ** (prec - 1) != 0]
-        saturated += size - len(w)
-        v = np.zeros(len(w), dtype=np.int64)
-        for k in range(1, prec - 1):
-            v += w % p**k == 0
-        for val in v.tolist():
-            hist[val - ell] = hist.get(val - ell, 0) + 1
-        produced += len(w)
+        if w % p ** (prec - 1) == 0:
+            saturated += 1
+            continue
+        v = _vp_int(w, p) - ell
+        hist[v] = hist.get(v, 0) + 1
+        produced += 1
     if saturated > samples / 100:
         raise PrecisionError(
             f"saturation rate {saturated}/{samples} above 1%", required=prec + 4

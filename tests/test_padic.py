@@ -14,10 +14,12 @@ from hermlab.padic import (
     PrecisionError,
     ResidueElem,
     ResourceLimit,
-    _assert_unitary_stack,
+    _assert_unitary_entries,
+    _diag_units,
+    _haar_draw,
+    _haar_products,
     _haar_sample,
     _mc_valuation_histogram,
-    _stack_dtype,
     assert_unitary,
     classify_g_orbit,
     classify_k_orbit,
@@ -558,30 +560,175 @@ def test_mc_histogram_stream_pinned():
 
 def test_pair_unitarity_check_rejects_corruption():
     mod = 3**6
-    g = _haar_sample(F3, 6, [3])
-    _assert_unitary_stack(g, F3.eps, mod)
-    for i in range(3):
-        for j in range(3):
-            for part in (0, 1):
-                bad = [a.copy() for a in g]
-                bad[part][0, i, j] = (bad[part][0, i, j] + 1) % mod
-                with pytest.raises(AssertionError):
-                    _assert_unitary_stack(bad, F3.eps, mod)
+    (g,) = _haar_sample(F3, 6, [3])
+    _assert_unitary_entries(g, F3.eps, mod)
+    for k in range(9):
+        for part in (0, 1):
+            bad = [list(e) for e in g]
+            bad[k][part] = (bad[k][part] + 1) % mod
+            with pytest.raises(AssertionError):
+                _assert_unitary_entries(bad, F3.eps, mod)
 
 
-def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch():
+def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch(monkeypatch):
+    from hermlab import padic
+
     mod = 3**6
-    g = _haar_sample(F3, 6, range(40))
-    _assert_unitary_stack(g, F3.eps, mod)
+    for g in _haar_sample(F3, 6, range(40)):
+        _assert_unitary_entries(g, F3.eps, mod)
+    cell_factor = padic._cell_factor
     for k, (i, j, part) in enumerate([(0, 0, 0), (2, 1, 1), (1, 2, 0)]):
-        bad = [a.copy() for a in g]
-        bad[part][17 + k, i, j] = (bad[part][17 + k, i, j] + 1) % mod
-        with pytest.raises(AssertionError):
-            _assert_unitary_stack(bad, F3.eps, mod)
+        calls = []
+
+        def corrupted(*args):
+            n = [list(e) for e in cell_factor(*args)]
+            if len(calls) == 17 + k:
+                n[3 * i + j][part] += 1
+            calls.append(1)
+            return n
+
+        monkeypatch.setattr(padic, "_cell_factor", corrupted)
+        with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
+            _haar_sample(F3, 6, range(40))
+        assert len(calls) == 18 + k
+
+
+def test_cell_counts_check_the_diagonal_factor(monkeypatch):
+    # D N is counted without being checked itself, so a D that is not unitary
+    # must be caught on its own
+    from hermlab import padic
+
+    diag_units = padic._diag_units
+
+    def bad_u(alpha, w, eps, mod):
+        ainv, u = diag_units(alpha, w, eps, mod)
+        return ainv, ((u[0] + 1) % mod, u[1])
+
+    monkeypatch.setattr(padic, "_diag_units", bad_u)
+    with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
+        k1_cell_counts(3)
+
+
+# The batched numpy kernel of stacks (int64 up to the overflow bound, object
+# arrays above it), kept verbatim as the reference for the entry-wise kernel.
+
+
+def ref_stack_dtype(eps, mod):
+    """int64 while a sum of three products of reduced entries stays exact,
+    3 (1 + eps) mod^2 < 2^63; object arrays of Python ints above that."""
+    return np.int64 if 3 * (1 + eps) * mod * mod < 2**63 else object
+
+
+def ref_stack_matmul(x, y, eps, mod):
+    """The products of two stacks mod `mod`, matrix by matrix."""
+    xr, xi = x
+    yr, yi = y
+    return (xr @ yr + eps * (xi @ yi)) % mod, (xr @ yi + xi @ yr) % mod
+
+
+def ref_assert_unitary_stack(g, eps, mod):
+    """assert_unitary for every matrix of a stack: g* j g = j mod `mod`."""
+    gr, gi = g
+    tr, ti = np.swapaxes(gr, -1, -2), np.swapaxes(gi, -1, -2)
+    hr, hi = gr[..., ::-1, :], gi[..., ::-1, :]  # j g
+    re = (tr @ hr - eps * (ti @ hi)) % mod
+    im = (tr @ hi - ti @ hr) % mod
+    if (re != np.eye(3, dtype=np.int64)[::-1]).any() or (im != 0).any():
+        raise AssertionError("constructed element is not unitary for the antidiagonal form")
+
+
+def ref_stack(rows):
+    """A stack from 3x3 nested rows of (re, im) entries, each an array over
+    the stack."""
+    first = rows[0][0][0]
+    out = np.zeros((2,) + first.shape + (3, 3), dtype=first.dtype)
+    for r, row in enumerate(rows):
+        for c, e in enumerate(row):
+            out[0, ..., r, c] = e[0]
+            out[1, ..., r, c] = e[1]
+    return out[0], out[1]
+
+
+def ref_haar_products(params, eps, mod):
+    """The group elements of a parameter table, one per row, checked unitary."""
+    a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big = params.T
+    half = -pow(2, -1, mod) % mod
+    zero = np.zeros_like(a0)
+    o, i = (zero, zero), (zero + 1, zero)
+    d, b = (d0, d1), (b0, b1)
+    dn, bn = (-d0 % mod, d1), (-b0 % mod, b1)  # -conj(d), -conj(b)
+    f = ((d0 * d0 - eps * d1 * d1) % mod * half % mod, f0)
+    c = ((b0 * b0 - eps * b1 * b1) % mod * half % mod, c0)
+    diag = ref_stack([[(a0, a1), o, o], [o, (u0, u1), o], [o, o, (i0, i1)]])
+    cell = big.astype(bool)[:, None, None]
+
+    def by_cell(big_rows, small_rows):
+        return [np.where(cell, x, y) for x, y in zip(ref_stack(big_rows), ref_stack(small_rows))]
+
+    middle = by_cell([[i, dn, f], [o, i, d], [o, o, i]], [[i, o, o], [b, i, o], [c, bn, i]])
+    last = by_cell([[o, o, i], [o, i, bn], [i, b, c]], [[i, d, f], [o, i, dn], [o, o, i]])
+    g = ref_stack_matmul(ref_stack_matmul(diag, middle, eps, mod), last, eps, mod)
+    ref_assert_unitary_stack(g, eps, mod)
+    return g
+
+
+def ref_entries(rows, eps, mod):
+    """ref_haar_products as nine (re, im) entries per row, and the dtype it used."""
+    re, im = ref_haar_products(np.array(rows, dtype=ref_stack_dtype(eps, mod)), eps, mod)
+    out = [
+        tuple(zip(r, i)) for r, i in zip(re.reshape(-1, 9).tolist(), im.reshape(-1, 9).tolist())
+    ]
+    return out, re.dtype
+
+
+def test_kernel_matches_stack_reference_on_mc_draws():
+    mod = 3**8
+    # the draws of _mc_valuation_histogram(3, 0, 2000, 8, 0)
+    rows = [_haar_draw(random.Random(f"0:0:{i}"), 3, F3.eps, 8) for i in range(2000)]
+    want, dtype = ref_entries(rows, F3.eps, mod)
+    assert dtype == np.int64
+    assert _haar_products(rows, F3.eps, mod) == want
+    assert sum(not row[-1] for row in rows) >= 30  # the small cell is covered
+
+
+def test_kernel_matches_stack_reference_on_k1_rows():
+    # every parameter row of k1_cell_counts(3): all D, (d, f0) and (b, c0)
+    p, eps = 3, F3.eps
+    pairs = [(x, y) for x in range(p) for y in range(p)]
+    diags = {
+        (*alpha, *u, *ainv)
+        for alpha in pairs[1:]
+        for w in pairs[1:]
+        for ainv, u in [_diag_units(alpha, w, eps, p)]
+    }
+    triples = [(*z, t) for z in pairs for t in range(p)]
+    cells = {
+        big: [(*df, *bc, big) for df in triples for bc in (triples if big else [(0, 0, 0)])]
+        for big in (1, 0)
+    }
+    got = {}
+    for big, rest in cells.items():
+        rows = [diag + r for diag in sorted(diags) for r in rest]
+        want, _ = ref_entries(rows, eps, p)
+        got[big] = set(_haar_products(rows, eps, p))
+        assert got[big] == set(want)
+    assert k1_cell_counts(p) == (len(got[1]), len(got[0]), len(got[1] | got[0]))
+
+
+def test_kernel_matches_stack_reference_past_int64():
+    # 3 (1 + eps) mod^2 < 2^63 holds at p = 3 up to prec 18; at prec 30 the
+    # reference ran on object arrays of Python ints
+    assert ref_stack_dtype(F3.eps, 3**18) is np.int64
+    assert ref_stack_dtype(F3.eps, 3**19) is object
+    mod = 3**30
+    rows = [_haar_draw(random.Random(f"wide:{i}"), 3, F3.eps, 30) for i in range(200)]
+    want, dtype = ref_entries(rows, F3.eps, mod)
+    assert dtype == object
+    assert _haar_products(rows, F3.eps, mod) == want
 
 
 # The pair-level sampler and Monte-Carlo loop, one draw at a time, kept as the
-# reference for the batched residue kernel.
+# reference for the residue kernel.
 
 
 def _ref_pmul(x, y, eps, mod):
@@ -720,17 +867,10 @@ def test_sampler_matches_pair_reference():
         assert small >= 3
 
 
-def test_kernel_dtype_switches_at_the_overflow_bound():
-    # 3 (1 + eps) mod^2 < 2^63 holds at p = 3 up to prec 18
-    assert _stack_dtype(F3.eps, 3**18) is np.int64
-    assert _stack_dtype(F3.eps, 3**19) is object
-    re, im = _haar_sample(F3, 30, ["wide"])
-    assert re.dtype == object and im.dtype == object
-
-
 def test_mc_histogram_matches_reference_at_batch_boundaries():
     # at prec 6, ell 0 about one draw in 300 is replaced; seed "edge:282"
-    # replaces draws 253 and 260, next to the 256-draw batch boundary
+    # replaces draws 253 and 260, next to where the stack kernel's 256-draw
+    # batches ended
     for samples in (1, 255, 256, 257, 300):
         args = (3, 0, samples, 6, "edge:282")
         assert _outcome(_mc_valuation_histogram, *args) == _outcome(
