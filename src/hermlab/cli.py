@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 # Each verb imports its own layer, so a process loads only what its verb
-# needs: numpy comes in only with `verify`, `plancherel` and `padic mc-omega`.
+# needs; no verb loads numpy.
 from .scalars import InexactDivision, PrecisionError, QFraction, QLaurent, ResourceLimit
 
 EXIT_PASS = 0
@@ -202,8 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    from .report import CHECKS, RunConfig, run_checks
-
     values = _read_config_file(args.config) if args.config else {}
     merged = {}
     for key, conv in _CONFIG_KEYS.items():
@@ -220,13 +218,17 @@ def _cmd_verify(args) -> int:
     if workers is None:
         env = os.environ.get("HERMLAB_WORKERS")
         workers = int(env) if env else (os.cpu_count() or 1)
-    cfg = RunConfig(**merged)
-    if cfg.n < 1:
-        sys.stderr.write(f"--n must be at least 1, got {cfg.n}\n")
+    # refused before the layers load; an absent n takes RunConfig's default 1
+    n = merged.get("n", 1)
+    if n < 1:
+        sys.stderr.write(f"--n must be at least 1, got {n}\n")
         return EXIT_USAGE
-    if cfg.n > VERIFY_MAX_N:
-        sys.stderr.write(f"resource: verify supports --n up to {VERIFY_MAX_N}, got {cfg.n}\n")
+    if n > VERIFY_MAX_N:
+        sys.stderr.write(f"resource: verify supports --n up to {VERIFY_MAX_N}, got {n}\n")
         return EXIT_RESOURCE
+    from .report import CHECKS, RunConfig, run_checks
+
+    cfg = RunConfig(**merged)
     if args.checks == "all":
         ids = list(CHECKS)
     else:

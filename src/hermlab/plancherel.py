@@ -13,14 +13,14 @@ float check of the density itself (``total_mass``).
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
-
-import numpy as np
 
 from .hall_littlewood import (
     PARITIES,
@@ -46,7 +46,8 @@ from .weyl import long_positive_roots, short_positive_roots
 
 class QuadratureGrid:
     """The uniform N^n grid on [0, 2pi)^n; a mean over it integrates
-    trigonometric polynomials of degree < N exactly."""
+    trigonometric polynomials of degree < N exactly.  Its arrays are numpy's,
+    imported here only: the package itself sums root tables instead."""
 
     __slots__ = ("n", "N", "thetas")
 
@@ -55,13 +56,17 @@ class QuadratureGrid:
             raise ValueError("need at least two nodes per circle")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "N", N)
+        import numpy as np
+
         axes = np.indices((N,) * n).reshape(n, -1).T * (2 * np.pi / N)
         object.__setattr__(self, "thetas", axes)  # shape (N^n, n)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QuadratureGrid is immutable")
 
-    def poly_values(self, f: TorusPoly, q0: float) -> np.ndarray:
+    def poly_values(self, f: TorusPoly, q0: float):
+        import numpy as np
+
         out = np.zeros(len(self.thetas), dtype=complex)
         for e, c in f.terms():
             out += c.eval_float(q0) * np.exp(1j * (self.thetas @ np.array(e)))
@@ -85,7 +90,7 @@ def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
 
 def _root_factor(w, t: float):
     """One positive root's factor |1 - w|^2 / |1 - t w|^2 at w = x^a."""
-    return np.abs(1 - w) ** 2 / np.abs(1 - t * w) ** 2
+    return abs(1 - w) ** 2 / abs(1 - t * w) ** 2
 
 
 def _root_params(n: int, parity: str, q0: Fraction) -> list[tuple[tuple[int, ...], float]]:
@@ -101,22 +106,47 @@ def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
     """Mean of the density over the uniform grid theta = 2 pi k / N, k in Z_N^n.
 
     On the grid a root's phase a.theta is 2 pi ((a.k) mod N) / N, so its
-    factor takes N values and depends only on the coordinates in the
-    root's support.  The mean is the contraction of one table per root,
-    over those coordinates, divided by N^n.
+    factor takes N values, tabulated once.  Every positive root involves at
+    most two coordinates.  Those that involve the last coordinate and another
+    one, i, make for each value of k_i a vector over the last coordinate.
+    The walk over the other coordinates carries the product of the roots
+    they fix and the product of those vectors, and sums the last coordinate
+    out as a dot product.  Both sums are math.fsum, so the mean does not
+    depend on the order of their terms.
     """
     if N < 2:
         raise ValueError("need at least two nodes per circle")
-    w = np.exp(2j * np.pi * np.arange(N) / N)
-    tables, subscripts = [], []
+    last = n - 1
+    nodes = [cmath.exp(2j * math.pi * k / N) for k in range(N)]
+    inner = [[] for _ in range(last)]  # the roots off the last coordinate, by their largest
+    vecs = [[[1.0] * N for _ in range(N)] for _ in range(last)]  # vecs[i][k_i][k_last]
+    alone = [1.0] * N  # the roots on the last coordinate alone
     for a, t in _root_params(n, parity, q0):
+        table = [_root_factor(w, t) for w in nodes]
         support = [i for i, v in enumerate(a) if v]
-        phase = np.tensordot([a[i] for i in support], np.indices((N,) * len(support)), axes=1)
-        tables.append(_root_factor(w, t)[phase % N])
-        subscripts.append("".join(chr(ord("a") + i) for i in support))
-    # numpy's own loop, without BLAS: the sum does not depend on threads
-    total = np.einsum(",".join(subscripts) + "->", *tables, optimize=False)
-    return float(measure_constant(n, parity, q0)) * float(total) / N**n
+        if support[-1] < last:
+            inner[support[-1]].append((a, table))
+        elif len(support) == 1:
+            alone = [v * table[a[last] * x % N] for x, v in enumerate(alone)]
+        else:
+            i = support[0]
+            for k, vec in enumerate(vecs[i]):
+                vec[:] = [v * table[(a[i] * k + a[last] * x) % N] for x, v in enumerate(vec)]
+
+    def terms(d, fixed, scale, vec):
+        # coordinates below d are fixed; vec is a vector over the last one
+        for k in range(N):
+            ks = fixed + (k,)
+            s = scale
+            for a, table in inner[d]:
+                s *= table[sum(map(operator.mul, a, ks)) % N]
+            if d == last - 1:
+                yield s * math.fsum(map(operator.mul, vec, vecs[d][k]))
+            else:
+                yield from terms(d + 1, ks, s, list(map(operator.mul, vec, vecs[d][k])))
+
+    total = math.fsum(terms(0, (), 1.0, alone) if last else alone)
+    return float(measure_constant(n, parity, q0)) * total / N**n
 
 
 def expected_gram_diagonal(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:

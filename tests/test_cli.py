@@ -120,7 +120,8 @@ def test_workers_do_not_change_bytes(capsys):
 
 
 def test_measure_total_mass_bytes_stable_n3(capsys):
-    # the factored grid sum runs in numpy's own loop, never a threaded BLAS
+    # the grid sum is math.fsum over a fixed walk, so neither threads nor
+    # workers can reorder it
     args = ["verify", "measure-total-mass,height-phase", "--n", "3", "--format", "json"]
     _, first = invoke(capsys, *args)
     _, second = invoke(capsys, *args)
@@ -274,11 +275,13 @@ def test_console_script_end_to_end():
     assert "x1*x2" in r.stdout
 
 
-NUMPY_AFTER_RUN = (
+# a fresh interpreter runs the verb given after a module name, then prints
+# the exit code and whether that module was loaded
+LOADED_AFTER_RUN = (
     "import sys\n"
     "from hermlab.cli import run\n"
-    "code = run(sys.argv[1:])\n"
-    "print(code, 'numpy' in sys.modules)\n"
+    "code = run(sys.argv[2:])\n"
+    "print(code, sys.argv[1] in sys.modules)\n"
 )
 
 
@@ -288,23 +291,35 @@ NUMPY_AFTER_RUN = (
         ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
         ["hl", "qpoly", "--n", "2", "--parity", "odd", "--lambda", "1,0"],
         ["sph", "omega", "--ell", "1", "--s", "1"],
+        ["verify", "all", "--n", "1", "--workers", "2"],
+        ["padic", "mc-omega", "--ell", "0", "--s", "1", "--samples", "50"],
+        ["plancherel", "rank", "--n", "2", "--parity", "odd"],
     ],
 )
 def test_light_verbs_do_not_load_numpy(argv):
     r = subprocess.run(
-        [sys.executable, "-c", NUMPY_AFTER_RUN, *argv], capture_output=True, text=True
+        [sys.executable, "-c", LOADED_AFTER_RUN, "numpy", *argv], capture_output=True, text=True
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 False"
 
 
-def test_report_loads_numpy_before_the_pool_forks():
-    # the verify workers fork from a parent that has numpy, so they do not
-    # each import it again
+def test_report_does_not_load_numpy():
+    # the verify workers fork from a parent without numpy and never import it
     r = subprocess.run(
         [sys.executable, "-c", "import sys, hermlab.report; print('numpy' in sys.modules)"],
         capture_output=True,
         text=True,
     )
     assert r.returncode == 0, r.stderr
-    assert r.stdout == "True\n"
+    assert r.stdout == "False\n"
+
+
+@pytest.mark.parametrize("n, code", [(0, 2), (4, 3)])
+def test_verify_n_out_of_range_refused_before_the_layers_load(n, code):
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "hermlab.report", "verify", "all", "--n", str(n)],
+        capture_output=True,
+        text=True,
+    )
+    assert r.stdout == f"{code} False\n", r.stderr
