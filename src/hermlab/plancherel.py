@@ -118,7 +118,7 @@ def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
         raise ValueError("need at least two nodes per circle")
     last = n - 1
     nodes = [cmath.exp(2j * math.pi * k / N) for k in range(N)]
-    inner = [[] for _ in range(last)]  # the roots off the last coordinate, by their largest
+    inner = [[] for _ in range(last)]  # roots off the last coordinate, by their largest one
     vecs = [[[1.0] * N for _ in range(N)] for _ in range(last)]  # vecs[i][k_i][k_last]
     alone = [1.0] * N  # the roots on the last coordinate alone
     for a, t in _root_params(n, parity, q0):
