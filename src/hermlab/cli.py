@@ -304,9 +304,9 @@ def _cmd_sph_parity_sign(args) -> int:
 
 
 def _partitions_to_weight(n: int, weight: int) -> list[tuple[int, ...]]:
-    from .report import _partitions
+    from .hall_littlewood import partitions
 
-    return sorted(_partitions(n, weight), key=lambda t: (sum(t), t))
+    return sorted(partitions(n, weight), key=lambda t: (sum(t), t))
 
 
 def _cmd_plancherel(args) -> int:

@@ -58,6 +58,27 @@ def check_partition(lam: Sequence[int], n: int) -> Tuple[int, ...]:
     return (lam + (0,) * n)[:n]
 
 
+def partitions(n: int, max_weight: int) -> list[Tuple[int, ...]]:
+    """The partitions with at most n parts and weight at most max_weight,
+    padded to n parts; by weight, and within a weight largest first.
+
+    >>> partitions(2, 2)
+    [(0, 0), (1, 0), (2, 0), (1, 1)]
+    """
+
+    def of_weight(weight: int, length: int, cap: int):
+        if weight == 0:
+            yield (0,) * length
+            return
+        if length == 0:
+            return
+        for first in range(min(weight, cap), 0, -1):
+            for rest in of_weight(weight - first, length - 1, first):
+                yield (first,) + rest
+
+    return [lam for weight in range(max_weight + 1) for lam in of_weight(weight, n, weight)]
+
+
 @lru_cache(maxsize=None)
 def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLaurent) -> TorusPoly:
     # Alternating form.  With rho = (n, ..., 1), half the sum of the positive

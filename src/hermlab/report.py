@@ -19,6 +19,7 @@ from fractions import Fraction
 from .hall_littlewood import (
     p_poly,
     part_multiplicities,
+    partitions,
     q_poly,
     spec_params,
     w_lambda_value,
@@ -99,26 +100,6 @@ class CheckResult:
         return f"{status}  {self.check_id:26s}  {self.detail}"
 
 
-def _partitions(n: int, max_weight: int) -> list[tuple[int, ...]]:
-    out = []
-    for weight in range(max_weight + 1):
-        for lam in _weight_partitions(weight, n):
-            out.append(lam)
-    return out
-
-
-def _weight_partitions(weight: int, length: int, cap: int | None = None):
-    if weight == 0:
-        yield (0,) * length
-        return
-    if length == 0:
-        return
-    top = min(weight, cap) if cap is not None else weight
-    for first in range(top, 0, -1):
-        for rest in _weight_partitions(weight - first, length - 1, first):
-            yield (first,) + rest[: length - 1]
-
-
 # -- individual checks ---------------------------------------------------------------
 
 
@@ -151,7 +132,7 @@ def check_cartan_membership(cfg: RunConfig) -> CheckResult:
     field_ = LocalField(cfg.p)
     n = cfg.n
     checked = 0
-    for lam in _partitions(n, 3):
+    for lam in partitions(n, 3):
         for trial in range(2):
             k = random_k(field_, n, seed=f"{cfg.seed}:member:{lam}:{trial}")
             x = k.act(x_lambda(field_, n, lam))
@@ -343,7 +324,7 @@ def check_stabilizer_closed_form(cfg: RunConfig) -> CheckResult:
     ts, _ = spec_params("odd")
     one_minus_t = QLaurent.const(1) - ts
     for n in range(1, cfg.n + 1):
-        for lam in _partitions(n, 3):
+        for lam in partitions(n, 3):
             brute_odd = poincare_poly(stabilizer(lam, n), *spec_params("odd"))
             if brute_odd != w_lambda_value(lam, n, "odd"):
                 return CheckResult(
@@ -411,7 +392,7 @@ def check_measure_total_mass(cfg: RunConfig) -> CheckResult:
 
 
 def _pairing_check(check_id: str, cfg: RunConfig, misses_of, passed: str) -> CheckResult:
-    lams = _partitions(cfg.n, 2)
+    lams = partitions(cfg.n, 2)
     for parity in PARITIES:
         for i, j, got, want in misses_of(lams, parity)[:1]:
             detail = f"pairing of {lams[i]} with {lams[j]} is {got}, not {want} ({parity} case)"
@@ -486,7 +467,7 @@ def check_basis_rank(cfg: RunConfig) -> CheckResult:
 
 
 def check_parity_sign(cfg: RunConfig) -> CheckResult:
-    for lam in _partitions(cfg.n, 3):
+    for lam in partitions(cfg.n, 3):
         want = -1 if sum(lam) % 2 else 1
         got = parity_sign_relation(lam, cfg.n, trials=3, seed=cfg.seed)
         if got != want:
@@ -504,7 +485,7 @@ def check_height_phase(cfg: RunConfig) -> CheckResult:
     for parity in PARITIES:
         for n in range(1, cfg.n + 1):
             z0 = SpaceConfig(n, parity).z0
-            for lam in _partitions(n, 2):
+            for lam in partitions(n, 2):
                 re = sum((Fraction(l) * pt[0] for l, pt in zip(lam, z0)), Fraction(0))
                 im = sum((Fraction(l) * pt[1] for l, pt in zip(lam, z0)), Fraction(0))
                 ph = phase_power(lam, n, parity)
@@ -527,7 +508,7 @@ def check_height_phase(cfg: RunConfig) -> CheckResult:
 def check_orbit_classification(cfg: RunConfig) -> CheckResult:
     field_ = LocalField(cfg.p)
     n = cfg.n
-    for lam in _partitions(n, 3):
+    for lam in partitions(n, 3):
         x = x_lambda(field_, n, lam)
         if classify_g_orbit(x) != sum(lam) % 2:
             return CheckResult(
