@@ -302,12 +302,6 @@ class QLaurent:
         t = self._c.get(e)
         return GR_ZERO if t is None else self._gr(*t)
 
-    def min_exp(self) -> int:
-        return min(self._c)
-
-    def max_exp(self) -> int:
-        return max(self._c)
-
     # -- arithmetic -------------------------------------------------------
     def _coerce(self, other):
         if isinstance(other, QLaurent):

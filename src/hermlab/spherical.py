@@ -27,7 +27,6 @@ from typing import Sequence, Tuple
 from .hall_littlewood import (
     check_partition,
     q_poly,
-    spec_params,
     w_poly,
     whole_group_value,
 )
@@ -194,10 +193,6 @@ class SpaceConfig:
     @property
     def half_size(self) -> int:
         return (self.matrix_size + 1) // 2
-
-    @property
-    def params(self) -> tuple[QLaurent, QLaurent]:
-        return spec_params(self.parity)
 
     @property
     def z0(self) -> tuple[ZPair, ...]:

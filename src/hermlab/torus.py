@@ -196,9 +196,6 @@ class TorusPoly:
         """Relabel exponents by a signed permutation: x^e -> x^(sigma e)."""
         return TorusPoly(self.n, {sigma.act_vector(e): c for e, c in self._t.items()})
 
-    def is_symmetric(self, group: Sequence[SignedPerm]) -> bool:
-        return all(self.weyl(g) == self for g in group)
-
     # -- evaluation --------------------------------------------------------------
     def eval_exact(self, xs: Sequence) -> QFraction:
         """Substitute exact values (Fraction / GaussianRational / QLaurent /

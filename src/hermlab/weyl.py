@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence, Tuple
 
-from .scalars import QL_ONE, QLaurent
+from .scalars import QLaurent
 
 Vec = Tuple[int, ...]
 
@@ -215,5 +215,3 @@ def orbit(lam: Sequence[int], n: int) -> set[Vec]:
     v = tuple(lam) + (0,) * (n - len(lam))
     return {g.act_vector(v) for g in enumerate_group(n)}
 
-
-ONE = QL_ONE  # re-export convenience for callers building Poincare sums
