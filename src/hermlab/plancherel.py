@@ -378,22 +378,23 @@ def basis_partitions(n: int) -> list[tuple[int, ...]]:
 
 
 def basis_rank_check(
-    n: int, parity: str, q0: Fraction, seed: int = 0, trials: int = 5, tol: float = 1e-6
+    n: int, parity: str, q0: Fraction, seed: int = 0, trials: int = 5
 ) -> dict:
     """Evaluate the 2^n kernels exactly at random rational points and their
     sign flips; each square matrix must be nonsingular over Q(i).  The
     kernels are nonzero multiples of the orbit sums, which are evaluated
-    instead.  A point whose |det| is at most ``tol`` counts as degenerate
-    and is resampled, up to eight times per trial."""
+    instead.  A point where the determinant is exactly zero is resampled, up
+    to eight times per trial; ``dets`` holds the |det| of each certified
+    point as a float."""
     rng = random.Random(seed)
     polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
     dets = []
     for _ in range(trials):
         for _ in range(8):
             xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
-            d = math.sqrt(_rank_det(_flip_rows(polys, xs, q0))[1].abs2())
-            if d > tol:
-                dets.append(d)
+            det = _rank_det(_flip_rows(polys, xs, q0))[1]
+            if not det.is_zero():
+                dets.append(math.sqrt(det.abs2()))
                 break
         else:
             return {"ok": False, "dets": dets}

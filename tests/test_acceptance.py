@@ -265,7 +265,7 @@ def test_criterion_11_evaluation_rank():
     t0 = time.perf_counter()
     for n in (1, 2):
         for parity in PARITIES:
-            out = basis_rank_check(n, parity, Fraction(3), seed=11, trials=5, tol=1e-6)
+            out = basis_rank_check(n, parity, Fraction(3), seed=11, trials=5)
             assert out["ok"]
             assert len(out["dets"]) == 5
             assert min(out["dets"]) > 1e-6
