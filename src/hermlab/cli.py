@@ -380,7 +380,7 @@ def _cmd_padic(args) -> int:
             field = LocalField(args.p)
             k = random_k(field, args.n, seed=args.seed)
             x = k.act(x_lambda(field, args.n, lam))
-        member = is_member_X(x) if x.model == "exact" else None
+        member = is_member_X(x) if x.precision is None else None
         if member is not None:
             print(f"member: {'yes' if member else 'no'}")
             if not member:

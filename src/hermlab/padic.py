@@ -8,6 +8,8 @@ equations N(b) = t, which have solutions in every residue ring but usually
 none in Q(sqrt(eps)).  The Haar sampler and the cell counts build 3x3
 residue matrices entry by entry on Python ints.
 
+A matrix is in the model of its entries; the constructors build exact
+entries unless given prec=, which asks for residue entries mod p^prec.
 Matrices remember a global power of p pulled out of all entries ("shift"), so
 entry arithmetic stays integral even for matrices like diag(p^l, 1, p^-l).
 
@@ -292,15 +294,8 @@ class ResidueElem:
             if other.field != self.field:
                 raise ValueError("mixed fields")
             return other
-        if isinstance(other, int):
+        if isinstance(other, (int, Fraction)):
             return ResidueElem(self.field, m, other)
-        if isinstance(other, Fraction):
-            mod = self.field.p**m
-            if other.denominator % self.field.p == 0:
-                raise InexactDivision("denominator is not a unit in the residue ring")
-            return ResidueElem(
-                self.field, m, other.numerator * pow(other.denominator, -1, mod)
-            )
         return None
 
     def __add__(self, other):
@@ -437,8 +432,8 @@ class ResidueElem:
 # -- matrices --------------------------------------------------------------------
 
 
-def _entry_from(field, model, prec, value):
-    if model == "exact":
+def _entry_from(field, prec, value):
+    if prec is None:
         if isinstance(value, ExactLocal):
             return value
         return ExactLocal(field, value)
@@ -449,20 +444,21 @@ def _entry_from(field, model, prec, value):
             raise InexactDivision("entry has negative valuation; use a matrix shift")
         dinv = pow(value._d, -1, field.p**prec)
         return ResidueElem(field, prec, value._a * dinv, value._b * dinv)
-    z = ResidueElem(field, prec, 0)
-    return z._coerce(value if isinstance(value, (int, Fraction)) else Fraction(value))
+    return ResidueElem(field, prec, value if isinstance(value, int) else Fraction(value))
 
 
 class LocalMatrix:
     """Square matrix of local-field elements with a global shift: the value is
     p^(-shift) times the stored entries, which are always integral in the
-    residue model."""
+    residue model.
 
-    __slots__ = ("field", "model", "rows", "shift")
+    The entries are all ExactLocal (the exact model) or all ResidueElem (the
+    residue model); the model of a matrix is the model of its entries."""
 
-    def __init__(self, field, model, rows, shift=0):
+    __slots__ = ("field", "rows", "shift")
+
+    def __init__(self, field, rows, shift=0):
         self.field = field
-        self.model = model
         self.rows = tuple(tuple(r) for r in rows)
         self.shift = shift
         if shift < 0:
@@ -474,35 +470,57 @@ class LocalMatrix:
 
     @property
     def precision(self):
-        if self.model == "exact":
+        """None for exact entries, else the least precision of the entries."""
+        if isinstance(self.rows[0][0], ExactLocal):
             return None
         return min(e.m for row in self.rows for e in row)
 
+    def _compatible(self, other):
+        """Same size, same field and entries of the same model."""
+        return (
+            self.size == other.size
+            and type(self.rows[0][0]) is type(other.rows[0][0])
+            and self.field == other.field
+        )
+
     @staticmethod
-    def from_values(field, model, values, shift=0, prec=None):
-        if model == "residue" and prec is None:
+    def from_values(field, values, shift=0, prec=None):
+        """A matrix from ints, Fractions and elements of either model.
+
+        Residue entries come from a given prec, or else from any ResidueElem
+        among the values, at the least precision they carry; otherwise the
+        entries are exact.
+
+        >>> F = LocalField(3)
+        >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]]).precision is None
+        True
+        >>> LocalMatrix.from_values(F, [[1, 0], [0, 1]], prec=4).precision
+        4
+        >>> LocalMatrix.from_values(F, [[ResidueElem(F, 5, 2), 0], [0, 1]])
+        <[2 (mod 3^5), 0 (mod 3^5); 0 (mod 3^5), 1 (mod 3^5)]>
+        """
+        if prec is None:
             carried = [v.m for row in values for v in row if isinstance(v, ResidueElem)]
-            if not carried:
-                raise ValueError("residue matrix needs a precision")
-            prec = min(carried)
-        rows = [[_entry_from(field, model, prec, v) for v in row] for row in values]
-        return LocalMatrix(field, model, rows, shift)
+            if carried:
+                prec = min(carried)
+        rows = [[_entry_from(field, prec, v) for v in row] for row in values]
+        return LocalMatrix(field, rows, shift)
 
     @staticmethod
-    def identity(field, size, model="exact", prec=None):
+    def identity(field, size, prec=None):
         vals = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-        return LocalMatrix.from_values(field, model, vals, 0, prec)
+        return LocalMatrix.from_values(field, vals, 0, prec)
 
     @staticmethod
-    def diagonal(field, entries, model="exact", prec=None, shift=0):
+    def diagonal(field, entries, prec=None, shift=0):
         size = len(entries)
         vals = [[entries[i] if i == j else 0 for j in range(size)] for i in range(size)]
-        return LocalMatrix.from_values(field, model, vals, shift, prec)
+        return LocalMatrix.from_values(field, vals, shift, prec)
 
     def __matmul__(self, other):
-        if self.model != other.model or self.field != other.field:
+        if not self._compatible(other):
             raise ValueError("incompatible matrices")
-        if self.model == "exact":
+        if isinstance(self.rows[0][0], ExactLocal):
             return self._exact_matmul(other)
         n = self.size
         rows = []
@@ -530,7 +548,7 @@ class LocalMatrix:
                 else:
                     row.append(acc)
             rows.append(row)
-        return LocalMatrix(self.field, self.model, rows, self.shift + other.shift)
+        return LocalMatrix(self.field, rows, self.shift + other.shift)
 
     def _exact_matmul(self, other):
         # both factors over one common denominator each: the product is an
@@ -559,13 +577,12 @@ class LocalMatrix:
             ]
             for row in x
         ]
-        return LocalMatrix(field, "exact", rows, self.shift + other.shift)
+        return LocalMatrix(field, rows, self.shift + other.shift)
 
     def star(self):
         n = self.size
         return LocalMatrix(
             self.field,
-            self.model,
             [[self.rows[j][i].conj() for j in range(n)] for i in range(n)],
             self.shift,
         )
@@ -577,7 +594,7 @@ class LocalMatrix:
     def __eq__(self, other):
         if not isinstance(other, LocalMatrix):
             return NotImplemented
-        if self.model != other.model or self.size != other.size:
+        if not self._compatible(other):
             return False
         if self.shift != other.shift:
             a, b = self.normalized(), other.normalized()
@@ -591,7 +608,7 @@ class LocalMatrix:
         )
 
     def __hash__(self):
-        return hash((LocalMatrix, self.model, self.shift, self.rows))
+        return hash((LocalMatrix, self.shift, self.rows))
 
     def normalized(self):
         """Strip p-divisibility common to all entries into the shift."""
@@ -599,7 +616,6 @@ class LocalMatrix:
         while m.shift > 0 and m._all_divisible():
             m = LocalMatrix(
                 m.field,
-                m.model,
                 [[_shift_down(e) for e in row] for row in m.rows],
                 m.shift - 1,
             )
@@ -609,34 +625,17 @@ class LocalMatrix:
         p = self.field.p
         for row in self.rows:
             for e in row:
-                if self.model == "exact":
+                if isinstance(e, ExactLocal):
                     if not e.is_zero() and e.valuation() < 1:
                         return False
-                else:
-                    if e.m - 1 < 1:
-                        return False
-                    if e.a % p or e.b % p:
-                        return False
+                elif e.m < 2 or e.a % p or e.b % p:
+                    return False
         return True
-
-    def det(self):
-        n = self.size
-        if n == 1:
-            return self.rows[0][0]
-        acc = None
-        for j in range(n):
-            minor = [[self.rows[i][t] for t in range(n) if t != j] for i in range(1, n)]
-            sub = LocalMatrix(self.field, self.model, minor, 0).det()
-            term = self.rows[0][j] * sub
-            if j % 2:
-                term = -term
-            acc = term if acc is None else acc + term
-        return acc
 
     def to_residue(self, prec: int):
         """Exact -> residue conversion.  The shift absorbs every negative
         entry valuation, so the absolute precision is prec - shift digits."""
-        if self.model != "exact":
+        if self.precision is not None:
             raise TypeError("already a residue matrix")
         worst = 0
         for row in self.rows:
@@ -649,18 +648,18 @@ class LocalMatrix:
             [ExactLocal._make(self.field, e._a * scale, e._b * scale, e._d) for e in row]
             for row in self.rows
         ]
-        return LocalMatrix.from_values(
-            self.field, "residue", vals, self.shift + s, prec
-        )
+        return LocalMatrix.from_values(self.field, vals, self.shift + s, prec)
 
     def to_json_dict(self):
+        exact = self.precision is None
+
         def enc(e):
-            if self.model == "exact":
+            if exact:
                 return [str(e.a), str(e.b)]
             return [e.a, e.b, e.m]
 
         return {
-            "model": self.model,
+            "model": "exact" if exact else "residue",
             "p": self.field.p,
             "eps": self.field.eps,
             "size": self.size,
@@ -671,8 +670,7 @@ class LocalMatrix:
     @staticmethod
     def from_json_dict(d):
         field = LocalField(d["p"], d["eps"])
-        model = d["model"]
-        if model == "exact":
+        if d["model"] == "exact":
             rows = [
                 [ExactLocal(field, Fraction(e[0]), Fraction(e[1])) for e in row]
                 for row in d["entries"]
@@ -682,7 +680,7 @@ class LocalMatrix:
                 [ResidueElem(field, e[2], e[0], e[1]) for e in row]
                 for row in d["entries"]
             ]
-        return LocalMatrix(field, model, rows, d["shift"])
+        return LocalMatrix(field, rows, d["shift"])
 
     def __repr__(self):
         body = "; ".join(
@@ -698,9 +696,9 @@ def _shift_down(e):
     return e.div_pi_power(1) if not e.is_zero() else ResidueElem(e.field, e.m - 1, 0)
 
 
-def j_matrix(field, size, model="exact", prec=None):
+def j_matrix(field, size, prec=None):
     vals = [[1 if i + j == size - 1 else 0 for j in range(size)] for i in range(size)]
-    return LocalMatrix.from_values(field, model, vals, 0, prec)
+    return LocalMatrix.from_values(field, vals, 0, prec)
 
 
 def _val_or_none(e, shift=0):
@@ -718,7 +716,7 @@ def _val_or_none(e, shift=0):
 def assert_unitary(g: LocalMatrix):
     """Check g* j g = j at the working precision; internal invariant for every
     generator and sampled element."""
-    j = j_matrix(g.field, g.size, g.model, g.precision)
+    j = j_matrix(g.field, g.size, g.precision)
     lhs = (g.star() @ j) @ g
     if lhs.shift:
         lhs = lhs.normalized()
@@ -729,20 +727,21 @@ def assert_unitary(g: LocalMatrix):
 # -- the hermitian space ----------------------------------------------------------
 
 
-def x_lambda(field, n, lam, model="exact", prec=None):
-    """diag(p^l1,...,p^ln, 1, p^-ln,...,p^-l1) — the orbit representatives."""
+def x_lambda(field, n, lam, prec=None):
+    """diag(p^l1,...,p^ln, 1, p^-ln,...,p^-l1) — the orbit representatives.
+
+    lam is padded with zeros to n parts; with prec, the residue matrix mod
+    p^prec, its shift absorbing p^-l1."""
     lam = tuple(lam)
     if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 0):
         raise ValueError("expected a partition")
-    p = field.p
-    if model == "exact":
-        ent = [Fraction(p) ** l for l in lam] + [Fraction(1)] + [
-            Fraction(p) ** -l for l in reversed(lam)
-        ]
-        return LocalMatrix.diagonal(field, ent, "exact")
-    s = lam[0] if lam else 0
-    ent = [p ** (l + s) for l in lam] + [p**s] + [p ** (s - l) for l in reversed(lam)]
-    return LocalMatrix.diagonal(field, ent, "residue", prec, shift=s)
+    if any(lam[n:]):
+        raise ValueError(f"partition {lam} has more than {n} nonzero parts")
+    lam = (lam + (0,) * n)[:n]
+    p = Fraction(field.p)
+    ent = [p**l for l in lam] + [1] + [p**-l for l in reversed(lam)]
+    x = LocalMatrix.diagonal(field, ent)
+    return x if prec is None else x.to_residue(prec)
 
 
 def _charpoly_exact(m: LocalMatrix):
@@ -751,7 +750,7 @@ def _charpoly_exact(m: LocalMatrix):
         raise ValueError("charpoly needs an unshifted matrix")
     n = m.size
     one = ExactLocal(m.field, 1)
-    M = LocalMatrix.identity(m.field, n, "exact")
+    M = LocalMatrix.identity(m.field, n)
     coeffs = [one]
     for k in range(1, n + 1):
         AM = m @ M
@@ -768,7 +767,7 @@ def _charpoly_exact(m: LocalMatrix):
                 ]
                 for i in range(n)
             ]
-            M = LocalMatrix(m.field, "exact", rows, 0)
+            M = LocalMatrix(m.field, rows)
     return coeffs
 
 
@@ -791,7 +790,7 @@ def _target_charpoly(n: int):
 def is_member_X(x: LocalMatrix) -> bool:
     """Hermitian, involutive against the antidiagonal form, and with the
     characteristic polynomial (t^2-1)^n (t-1) of the split element."""
-    if x.model != "exact":
+    if x.precision is not None:
         raise TypeError("membership is decided in the exact model")
     n2 = x.size
     if n2 % 2 == 0:
@@ -801,10 +800,10 @@ def is_member_X(x: LocalMatrix) -> bool:
         for j in range(n2):
             if x.rows[i][j] != x.rows[j][i].conj():
                 return False
-    j = j_matrix(x.field, n2, "exact")
+    j = j_matrix(x.field, n2)
     xj = x @ j
     prod = xj @ xj
-    if prod != LocalMatrix.identity(x.field, n2, "exact"):
+    if prod != LocalMatrix.identity(x.field, n2):
         return False
     cp = _charpoly_exact(xj)
     target = _target_charpoly(n)
@@ -965,7 +964,7 @@ def _upper_unipotent(field, n, beta, H):
     )
     for i in range(n):
         rows.append([zero] * (n + 1) + [one if t == i else zero for t in range(n)])
-    g = LocalMatrix(field, "exact", rows, 0)
+    g = LocalMatrix(field, rows)
     assert_unitary(g)
     return g
 
@@ -973,7 +972,7 @@ def _upper_unipotent(field, n, beta, H):
 def _diag_element(field, alphas, u):
     n = len(alphas)
     ent = list(alphas) + [u] + [a.conj().inverse() for a in reversed(alphas)]
-    g = LocalMatrix.diagonal(field, ent, "exact")
+    g = LocalMatrix.diagonal(field, ent)
     assert_unitary(g)
     return g
 
@@ -987,26 +986,27 @@ def _perm_generators(field, n):
         for i, j in pairs:
             perm[i], perm[j] = perm[j], perm[i]
         vals = [[1 if perm[i] == j else 0 for j in range(size)] for i in range(size)]
-        g = LocalMatrix.from_values(field, "exact", vals)
+        g = LocalMatrix.from_values(field, vals)
         assert_unitary(g)
         return g
 
     for i in range(n - 1):
         gens.append(from_pairs([(i, i + 1), (size - 1 - i, size - 2 - i)]))
     gens.append(from_pairs([(n - 1, n + 1)]))
-    gens.append(j_matrix(field, size, "exact"))
+    gens.append(j_matrix(field, size))
     return gens
 
 
-def random_k(field, n, seed, word_length=6, model="exact", prec=None):
+def random_k(field, n, seed, word_length=6, prec=None):
     """A pseudorandom element of the integral unitary group: a word in
     verified generators (diagonal units, constrained unipotents and their
-    transposes, signed-permutation representatives)."""
+    transposes, signed-permutation representatives); exact, or mod p^prec
+    when prec is given."""
     rng = random.Random(seed)
     size = 2 * n + 1
-    g = LocalMatrix.identity(field, size, "exact")
+    g = LocalMatrix.identity(field, size)
     perms = _perm_generators(field, n)
-    J = j_matrix(field, size, "exact")
+    J = j_matrix(field, size)
     for _ in range(word_length):
         kind = rng.randrange(4)
         if kind == 0:
@@ -1027,11 +1027,7 @@ def random_k(field, n, seed, word_length=6, model="exact", prec=None):
             step = perms[rng.randrange(len(perms))]
         g = g @ step
     assert_unitary(g)
-    if model == "residue":
-        if prec is None:
-            raise ValueError("residue model needs a precision")
-        return g.to_residue(prec)
-    return g
+    return g if prec is None else g.to_residue(prec)
 
 
 def t_diag(field, bs):
@@ -1040,7 +1036,7 @@ def t_diag(field, bs):
     integral."""
     bs = [b if isinstance(b, ExactLocal) else ExactLocal(field, b) for b in bs]
     ent = list(bs) + [ExactLocal(field, 1)] + [b.conj().inverse() for b in reversed(bs)]
-    g = LocalMatrix.diagonal(field, ent, "exact")
+    g = LocalMatrix.diagonal(field, ent)
     assert_unitary(g)
     return g
 
@@ -1062,11 +1058,11 @@ def invariant_factors(x: LocalMatrix):
                 if v is not None and (best is None or v < best[0]):
                     best = (v, i, j)
         if best is None:
-            if x.model == "exact":
+            if x.precision is None:
                 raise ValueError("matrix is singular")
             raise PrecisionError(
                 "no pivot certifiable; working precision exhausted",
-                required=(x.precision or 0) + 2,
+                required=x.precision + 2,
             )
         v, bi, bj = best
         if bi != top:
@@ -1249,9 +1245,7 @@ def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
     """
     (g,) = _haar_sample(field, prec, [seed])
     return LocalMatrix(
-        field,
-        "residue",
-        [[ResidueElem(field, prec, a, b) for a, b in g[r : r + 3]] for r in (0, 3, 6)],
+        field, [[ResidueElem(field, prec, a, b) for a, b in g[r : r + 3]] for r in (0, 3, 6)]
     )
 
 
@@ -1412,7 +1406,7 @@ def _entry_is(x: LocalMatrix, i: int, j: int, value) -> bool:
 
 
 def _residue_matrix(field, prec, vals):
-    return LocalMatrix.from_values(field, "residue", vals, 0, prec)
+    return LocalMatrix.from_values(field, vals, 0, prec)
 
 
 def _case_i(x: LocalMatrix):
@@ -1422,18 +1416,12 @@ def _case_i(x: LocalMatrix):
     prec = x.precision
     a = x.rows[0][0]
     b = x.rows[0][1]
-    one = ResidueElem(field, prec, 1)
-    zero = ResidueElem(field, prec, 0)
     if b.is_zero():
-        k = LocalMatrix.identity(field, 3, "residue", prec)
+        k = LocalMatrix.identity(field, 3, prec)
     else:
         lam = -(b.conj()) / a
         mu = lam * lam.conj() * Fraction(-1, 2)
-        k = LocalMatrix(
-            field,
-            "residue",
-            [[one, zero, zero], [lam, one, zero], [mu, -lam.conj(), one]],
-        )
+        k = _residue_matrix(field, prec, [[1, 0, 0], [lam, 1, 0], [mu, -lam.conj(), 1]])
         x = k.act(x)
     if not (x.rows[0][1].is_zero() and x.rows[1][2].is_zero()):
         raise ValueError("row clearing failed; input is not in the hermitian space")
@@ -1442,9 +1430,9 @@ def _case_i(x: LocalMatrix):
 
     va, vg = _vabs(x, 0, 0), _vabs(x, 2, 2)
     if va is None or vg is None:
-        raise PrecisionError("corner valuation not certifiable", required=(prec or 0) + 4)
+        raise PrecisionError("corner valuation not certifiable", required=prec + 4)
     if va < vg:
-        J = j_matrix(field, 3, "residue", prec)
+        J = j_matrix(field, 3, prec)
         x = J.act(x)
         k = J @ k
         va, vg = vg, va
@@ -1456,9 +1444,7 @@ def _case_i(x: LocalMatrix):
     if not g_unit.is_real():
         raise ValueError("corner entry must lie in the base field")
     alpha = hensel_norm_solve(field, g_unit, g_unit.m)
-    D = LocalMatrix.diagonal(
-        field, [alpha, ResidueElem(field, alpha.m, 1), alpha.conj().unit_inverse()], "residue"
-    )
+    D = LocalMatrix.diagonal(field, [alpha, 1, alpha.conj().unit_inverse()])
     x = D.act(x)
     k = D @ k
 
@@ -1467,16 +1453,7 @@ def _case_i(x: LocalMatrix):
         if not (c + c.conj()).is_zero():
             raise ValueError("off-corner entry must be traceless")
         u13 = -(c.div_pi_power(x.shift - ell) if x.shift >= ell else c.times_pi_power(ell - x.shift))
-        m13 = u13.m
-        U = LocalMatrix(
-            field,
-            "residue",
-            [
-                [ResidueElem(field, m13, 1), ResidueElem(field, m13, 0), u13],
-                [ResidueElem(field, m13, 0), ResidueElem(field, m13, 1), ResidueElem(field, m13, 0)],
-                [ResidueElem(field, m13, 0), ResidueElem(field, m13, 0), ResidueElem(field, m13, 1)],
-            ],
-        )
+        U = LocalMatrix.from_values(field, [[1, 0, u13], [0, 1, 0], [0, 0, 1]])
         x = U.act(x)
         k = U @ k
     _assert_diag_form(x, ell)
@@ -1504,31 +1481,21 @@ def _case_ii(x: LocalMatrix):
     # We land here because the corner reads 0 at working precision.  A member
     # with a genuinely vanishing corner has this forced structure; if the
     # checks fail, the corner underflowed and more digits are needed.
-    if not x.rows[0][1].is_zero():
+    if not (x.rows[0][1].is_zero() and _entry_is(x, 0, 2, 1) and _entry_is(x, 1, 1, -1)):
         raise PrecisionError(
             "degenerate chart inconsistent at working precision", required=prec + 4
         )
-    if not _entry_is(x, 0, 2, 1):
-        raise PrecisionError(
-            "degenerate chart inconsistent at working precision", required=prec + 4
-        )
-    if not _entry_is(x, 1, 1, -1):
-        raise PrecisionError(
-            "degenerate chart inconsistent at working precision", required=prec + 4
-        )
-    k = LocalMatrix.identity(field, 3, "residue", prec)
+    k = LocalMatrix.identity(field, 3, prec)
     f = x.rows[1][2]
     if not f.is_zero():
         lf = _vabs(x, 1, 2)
         f_unit = _unit_part(x, 1, 2, lf)
         u = f_unit.unit_inverse().conj()
-        D = LocalMatrix.diagonal(
-            field, [u.conj().unit_inverse(), ResidueElem(field, u.m, 1), u], "residue"
-        )
+        D = LocalMatrix.diagonal(field, [u.conj().unit_inverse(), 1, u])
         x = D.act(x)
         k = D @ k
         if lf <= 0:
-            J = j_matrix(field, 3, "residue", prec)
+            J = j_matrix(field, 3, prec)
             x = J.act(x)
             k2, x, ell = _case_i(x)
             return (k2 @ J) @ k, x, ell
@@ -1555,9 +1522,7 @@ def _case_ii(x: LocalMatrix):
     if not (_entry_is(x, 0, 0, Fraction(-1, 2)) and _entry_is(x, 2, 2, -2)):
         raise AssertionError("chain did not reach the expected diagonal")
     alpha = hensel_norm_solve(field, -2, x.precision)
-    D = LocalMatrix.diagonal(
-        field, [alpha, ResidueElem(field, alpha.m, 1), alpha.conj().unit_inverse()], "residue"
-    )
+    D = LocalMatrix.diagonal(field, [alpha, 1, alpha.conj().unit_inverse()])
     x = D.act(x)
     k = D @ k
     _assert_diag_form(x, 0)
@@ -1572,9 +1537,9 @@ def _orbit2_reduce(x: LocalMatrix):
     p = field.p
     va, vb = _vabs(x, 0, 0), _vabs(x, 0, 1)
     vg, vf = _vabs(x, 2, 2), _vabs(x, 1, 2)
-    k = LocalMatrix.identity(field, 3, "residue", x.precision)
+    k = LocalMatrix.identity(field, 3, x.precision)
     if va < vg:
-        J = j_matrix(field, 3, "residue", x.precision)
+        J = j_matrix(field, 3, x.precision)
         x = J.act(x)
         k = J @ k
         va, vg = vg, va
@@ -1585,18 +1550,12 @@ def _orbit2_reduce(x: LocalMatrix):
 
     a_unit = _unit_part(x, 0, 0, va)
     alpha = hensel_norm_solve(field, a_unit, a_unit.m)
-    D1 = LocalMatrix.diagonal(
-        field,
-        [alpha.unit_inverse(), ResidueElem(field, alpha.m, 1), alpha.conj()],
-        "residue",
-    )
+    D1 = LocalMatrix.diagonal(field, [alpha.unit_inverse(), 1, alpha.conj()])
     x = D1.act(x)
     k = D1 @ k
 
     u = _unit_part(x, 0, 1, mm)
-    D2 = LocalMatrix.diagonal(
-        field, [u.unit_inverse(), ResidueElem(field, u.m, 1), u.conj()], "residue"
-    )
+    D2 = LocalMatrix.diagonal(field, [u.unit_inverse(), 1, u.conj()])
     x = D2.act(x)
     k = D2 @ k
 
@@ -1628,15 +1587,8 @@ def _orbit2_reduce(x: LocalMatrix):
         - gamma * (kb.norm() * r.norm()).unit_inverse()
         + kb.unit_inverse() * kd.conj()
     )
-    mprec = kf.m
-    one = ResidueElem(field, mprec, 1)
-    zero = ResidueElem(field, mprec, 0)
-    U = LocalMatrix(
-        field, "residue", [[one, -kb.conj(), kc], [zero, one, kb], [zero, zero, one]]
-    )
-    Hk = LocalMatrix(
-        field, "residue", [[zero, zero, one], [zero, one, -kd.conj()], [one, kd, kf]]
-    )
+    U = _residue_matrix(field, kf.m, [[1, -kb.conj(), kc], [0, 1, kb], [0, 0, 1]])
+    Hk = _residue_matrix(field, kf.m, [[0, 0, 1], [0, 1, -kd.conj()], [1, kd, kf]])
     k5 = U @ Hk
     assert_unitary(k5)
     x = k5.act(x)
@@ -1653,27 +1605,23 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
 
     Exact inputs are converted to the residue model first (the norm equations
     along the way have no rational solutions in general)."""
-    if x.model == "exact":
+    if x.precision is None:
         if prec is None:
             raise ValueError("converting an exact matrix needs a precision")
         x = x.to_residue(prec)
     if x.size != 3:
         raise ValueError("the constructive reduction is rank-one only")
     x = x.normalized()
-    k_acc = LocalMatrix.identity(x.field, 3, "residue", x.precision)
+    k_acc = LocalMatrix.identity(x.field, 3, x.precision)
     for _ in range(4):
         va = _vabs(x, 0, 0)
         vg = _vabs(x, 2, 2)
-        if va is None and vg is not None:
-            k, x, ell = _case_ii(x)
-            return (k @ k_acc), ell
-        if vg is None and va is not None:
-            J = j_matrix(x.field, 3, "residue", x.precision)
-            x = J.act(x)
-            k_acc = J @ k_acc
-            k, x, ell = _case_ii(x)
-            return (k @ k_acc), ell
-        if va is None and vg is None:
+        if va is None or vg is None:
+            # a corner reads 0; bring it to the top left
+            if va is not None:
+                J = j_matrix(x.field, 3, x.precision)
+                x = J.act(x)
+                k_acc = J @ k_acc
             k, x, ell = _case_ii(x)
             return (k @ k_acc), ell
         vb = _vabs(x, 0, 1)
@@ -1682,7 +1630,7 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
             k, x, ell = _case_i(x)
             return (k @ k_acc), ell
         if vf is None or vg <= vf:
-            J = j_matrix(x.field, 3, "residue", x.precision)
+            J = j_matrix(x.field, 3, x.precision)
             x = J.act(x)
             k_acc = J @ k_acc
             k, x, ell = _case_i(x)

@@ -208,6 +208,20 @@ def test_matrix_file_roundtrip(tmp_path, capsys):
         assert e == e._coerce(want * p**y.shift, e.m)
 
 
+def test_classify_pads_the_partition(capsys):
+    code, out = invoke(capsys, "padic", "classify", "--n", "2", "--lambda", "1")
+    assert code == 0
+    assert (code, out) == invoke(capsys, "padic", "classify", "--n", "2", "--lambda", "1,0")
+    assert "orbit: 1,0" in out
+
+
+def test_classify_refuses_too_many_parts(capsys):
+    code = run(["padic", "classify", "--n", "1", "--lambda", "2,1"])
+    got = capsys.readouterr()
+    assert code == 1 and got.out == ""
+    assert got.err == "error: partition (2, 1) has more than 1 nonzero parts\n"
+
+
 def test_mc_omega_agreement(capsys):
     code, out = invoke(
         capsys, "padic", "mc-omega", "--ell", "0", "--s", "1", "--samples", "1500",

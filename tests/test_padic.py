@@ -39,6 +39,7 @@ from hermlab.padic import (
     t_diag,
     x_lambda,
 )
+from hermlab.hall_littlewood import partitions
 from hermlab.scalars import QFraction, QLaurent
 from hermlab.spherical import omega_rank1_s_form
 
@@ -219,7 +220,7 @@ def test_exact_matrices_match_reference():
                     for _ in range(2)
                 ]
                 x, y = (
-                    LocalMatrix(field, "exact", [[ExactLocal(field, *v) for v in row] for row in m])
+                    LocalMatrix(field, [[ExactLocal(field, *v) for v in row] for row in m])
                     for m in vals
                 )
                 rx, ry = (
@@ -387,13 +388,27 @@ def test_hensel_norm_solve():
 # -- matrices ---------------------------------------------------------------------
 
 
+def _det(rows):
+    """Determinant of a square array of entries, by cofactors along the
+    first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, e in enumerate(rows[0]):
+        term = e * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
 def test_matrix_algebra_and_star():
     k = random_k(F3, 2, seed=3)
     m = random_k(F3, 2, seed=4)
     assert (k @ m).star() == m.star() @ k.star()
     assert_unitary(k @ m)
-    j = j_matrix(F3, 5, "exact")
-    assert j @ j == LocalMatrix.identity(F3, 5, "exact")
+    j = j_matrix(F3, 5)
+    assert j @ j == LocalMatrix.identity(F3, 5)
 
 
 def test_matrix_shift_normalization():
@@ -401,11 +416,11 @@ def test_matrix_shift_normalization():
     r = x.to_residue(8)
     assert r.shift == 2
     assert r == x.to_residue(10)  # equality sees through different shifts
-    assert x.det() == ExactLocal(F3, 1)
+    assert _det(x.rows) == ExactLocal(F3, 1)
 
 
 def test_exact_matrix_normalization():
-    x = LocalMatrix.from_values(F3, "exact", [[3, Fraction(9, 2)], [0, ExactLocal(F3, 6, 3)]], 2)
+    x = LocalMatrix.from_values(F3, [[3, Fraction(9, 2)], [0, ExactLocal(F3, 6, 3)]], 2)
     y = x.normalized()
     assert y.shift == 1
     assert y.rows == ((ExactLocal(F3, 1), ExactLocal(F3, Fraction(3, 2))),
@@ -417,11 +432,11 @@ def test_matmul_precision_cap():
     # a zero entry known only mod 3^2 must cap the certified digits of any
     # sum it participates in, even though it contributes no term
     a = LocalMatrix.from_values(
-        F3, "residue", [[ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)],
-                        [ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)]])
+        F3, [[ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)],
+             [ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)]])
     b = LocalMatrix.from_values(
-        F3, "residue", [[ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)],
-                        [ResidueElem(F3, 9, 0), ResidueElem(F3, 9, 1)]])
+        F3, [[ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)],
+             [ResidueElem(F3, 9, 0), ResidueElem(F3, 9, 1)]])
     prod = a @ b
     assert prod.rows[0][0].m == 2
     assert prod.rows[1][0].m == 9
@@ -430,12 +445,69 @@ def test_matmul_precision_cap():
 def test_matrix_json_roundtrip():
     for mat in (
         x_lambda(F3, 2, (3, 1)),
-        x_lambda(F5, 1, (2,), model="residue", prec=7),
+        x_lambda(F5, 1, (2,), prec=7),
         random_k(F3, 2, seed=9),
     ):
         again = LocalMatrix.from_json_dict(mat.to_json_dict())
         assert again == mat
-        assert again.model == mat.model and again.shift == mat.shift
+        assert again.precision == mat.precision and again.shift == mat.shift
+
+
+def test_prec_alone_selects_the_residue_model():
+    assert LocalMatrix.identity(F3, 5, prec=4).precision == 4
+    assert LocalMatrix.identity(F3, 5).precision is None
+    assert j_matrix(F3, 3, prec=6).precision == 6
+    assert random_k(F3, 2, seed=9, prec=6) == random_k(F3, 2, seed=9).to_residue(6)
+
+
+def test_from_values_takes_a_carried_precision():
+    x = LocalMatrix.from_values(
+        F3, [[ResidueElem(F3, 7, 2), 0], [Fraction(1, 2), ResidueElem(F3, 5, 1)]]
+    )
+    assert x.precision == 5
+    assert [[e.m for e in row] for row in x.rows] == [[7, 5], [5, 5]]
+    assert x.rows[1][0] * 2 == 1
+
+
+def test_matmul_refuses_mixed_models_and_sizes():
+    exact, residue = LocalMatrix.identity(F3, 3), LocalMatrix.identity(F3, 3, prec=4)
+    for a, b in ((exact, residue), (residue, exact)):
+        with pytest.raises(ValueError, match="incompatible matrices"):
+            a @ b
+        assert a != b
+    for prec in (None, 4):
+        big, small = LocalMatrix.identity(F3, 5, prec), LocalMatrix.identity(F3, 3, prec)
+        with pytest.raises(ValueError, match="incompatible matrices"):
+            big @ small
+
+
+def ref_x_lambda_residue(field, lam, prec):
+    """x_lambda mod p^prec built by hand: integer entries p^(l + s), p^s,
+    p^(s - l) over the shift s = l1."""
+    p = field.p
+    s = lam[0] if lam else 0
+    ent = [p ** (l + s) for l in lam] + [p**s] + [p ** (s - l) for l in reversed(lam)]
+    size = len(ent)
+    rows = [[ResidueElem(field, prec, ent[i] if i == j else 0) for j in range(size)]
+            for i in range(size)]
+    return LocalMatrix(field, rows, s)
+
+
+def test_x_lambda_residue_matches_hand_construction():
+    for field in (F3, F5):
+        for n in (1, 2, 3):
+            for lam in partitions(n, 3):
+                for prec in (2, 5, 9):
+                    got = x_lambda(field, n, lam, prec)
+                    want = ref_x_lambda_residue(field, lam, prec)
+                    assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_x_lambda_pads_to_n_parts():
+    assert x_lambda(F3, 2, (1,)) == x_lambda(F3, 2, (1, 0))
+    assert x_lambda(F3, 2, (1,)).size == 5
+    with pytest.raises(ValueError, match="more than 1 nonzero parts"):
+        x_lambda(F3, 1, (2, 1))
 
 
 # -- the hermitian space ------------------------------------------------------------
@@ -446,9 +518,9 @@ def test_membership():
     assert is_member_X(x_lambda(F3, 2, (3, 1)))
     assert is_member_X(x_lambda(F5, 2, (2, 2)))
     # integral hermitian but the wrong characteristic polynomial
-    bad = LocalMatrix.diagonal(F3, [Fraction(3), Fraction(1), Fraction(3)], "exact")
+    bad = LocalMatrix.diagonal(F3, [Fraction(3), Fraction(1), Fraction(3)])
     assert not is_member_X(bad)
-    notherm = LocalMatrix.from_values(F3, "exact", [[0, 0, 1], [0, 1, 1], [1, 0, 0]])
+    notherm = LocalMatrix.from_values(F3, [[0, 0, 1], [0, 1, 1], [1, 0, 0]])
     assert not is_member_X(notherm)
 
 
@@ -457,7 +529,7 @@ def test_random_k_is_unitary_with_trivial_factors():
         k = random_k(field, n, seed=seed)
         assert_unitary(k)
         assert invariant_factors(k) == [0] * (2 * n + 1)
-        assert k.det().norm() == 1
+        assert _det(k.rows).norm() == 1
 
 
 def test_classification_roundtrip():
@@ -511,7 +583,7 @@ def test_sampler_products_stay_in_group():
     for seed in range(40):
         g = sample_k1_haar(F3, 6, seed=seed)
         assert_unitary(g)
-        assert g.det().norm().val() == 0
+        assert _det(g.rows).norm().val() == 0
 
 
 def test_sampler_cell_frequency():
@@ -542,7 +614,7 @@ def test_sampler_stream_pinned():
     }
     for seed, rows in want.items():
         g = sample_k1_haar(F3, 6, seed)
-        assert g.model == "residue" and g.shift == 0 and g.precision == 6
+        assert g.shift == 0 and g.precision == 6
         assert all(isinstance(e, ResidueElem) and e.m == 6 for row in g.rows for e in row)
         assert [[(e.a, e.b) for e in row] for row in g.rows] == rows
 
@@ -956,14 +1028,12 @@ def bordered_form(field, m, ell, r):
         [(Fraction(1) if i + j == 2 else Fraction(0)) + v[i] * v[j] / s for j in range(3)]
         for i in range(3)
     ]
-    return LocalMatrix.from_values(field, "exact", rows)
+    return LocalMatrix.from_values(field, rows)
 
 
 def vanishing_corner_form(field, f):
     f = Fraction(f)
-    return LocalMatrix.from_values(
-        field, "exact", [[0, 0, 1], [0, -1, f], [1, f, -f * f / 2]]
-    )
+    return LocalMatrix.from_values(field, [[0, 0, 1], [0, -1, f], [1, f, -f * f / 2]])
 
 
 def test_diagonalize_representative():
