@@ -363,6 +363,7 @@ def _cmd_padic(args) -> int:
         diagonalize_x1,
         invariant_factors,
         is_member_X,
+        mc_band,
         monte_carlo_omega1,
         norm_count,
         random_k,
@@ -413,7 +414,7 @@ def _cmd_padic(args) -> int:
             args.ell, args.s, args.samples, args.prec, seed=args.seed, p=args.p
         )
         err = abs(out["estimate"] - out["closed_form"])
-        band = 3 * out["stderr"] + 1e-12
+        band = mc_band(out)
         print(f"estimate: {out['estimate']:.6f}")
         print(f"stderr: {out['stderr']:.6f}")
         print(f"closed form: {out['closed_form']:.6f}")

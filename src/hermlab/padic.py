@@ -1365,7 +1365,10 @@ def monte_carlo_omega1(ell: int, s: float, samples: int, prec: int, seed, p: int
     """Estimate the defining integral at x_ell by Haar sampling.
 
     Returns a dict with the estimate, its standard error, the valuation
-    histogram and the saturation count.
+    histogram and the saturation count.  The standard error is the one the
+    closed form predicts, sqrt(Var / samples) with Var[q^(-s v)] =
+    omega(x_ell; 2s) - omega(x_ell; s)^2, so a sample that shows no spread
+    of its own still gets a band.
     """
     if s < 0:
         raise ValueError("the exponent must be nonnegative")
@@ -1377,14 +1380,22 @@ def monte_carlo_omega1(ell: int, s: float, samples: int, prec: int, seed, p: int
     q = float(p)
     total = sum(hist.values())
     est = sum(cnt * q ** (-s * v) for v, cnt in hist.items()) / total
-    var = sum(cnt * (q ** (-s * v) - est) ** 2 for v, cnt in hist.items()) / total
+    closed = omega_n1_closed(ell, s, p)
+    # rounding leaves about 1e-16 at s = 0, where the variance is 0
+    var = max(0.0, omega_n1_closed(ell, 2 * s, p) - closed * closed)
     return {
         "estimate": est,
         "stderr": math.sqrt(var / total),
         "histogram": dict(sorted(hist.items())),
         "saturated": saturated,
-        "closed_form": omega_n1_closed(ell, s, p),
+        "closed_form": closed,
     }
+
+
+def mc_band(out: dict) -> float:
+    """The 3-sigma band around the closed form that a monte_carlo_omega1
+    estimate must fall inside."""
+    return 3 * out["stderr"] + 1e-12
 
 
 # -- constructive rank-one diagonalization -------------------------------------------

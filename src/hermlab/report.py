@@ -34,6 +34,7 @@ from .padic import (
     diagonalize_x1,
     is_member_X,
     k1_cell_counts,
+    mc_band,
     monte_carlo_omega1,
     norm_count,
     norm_residual,
@@ -218,7 +219,7 @@ def check_rank1_sign(cfg: RunConfig) -> CheckResult:
 def check_defining_integral_mc(cfg: RunConfig) -> CheckResult:
     out = monte_carlo_omega1(1, 1.0, cfg.samples, cfg.prec, seed=cfg.seed, p=cfg.p)
     err = abs(out["estimate"] - out["closed_form"])
-    band = 3 * out["stderr"] + 1e-12
+    band = mc_band(out)
     ok = err < band
     return CheckResult(
         "defining-integral-mc",

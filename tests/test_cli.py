@@ -231,6 +231,16 @@ def test_mc_omega_agreement(capsys):
     assert "agreement: pass" in out
 
 
+def test_mc_omega_small_sample_keeps_its_band(capsys):
+    # all 50 draws land on one valuation; the band comes from the closed form
+    code, out = invoke(
+        capsys, "padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"
+    )
+    assert code == 0
+    assert "estimate: 3.000000" in out and "stderr: 0.069" in out
+    assert "agreement: pass" in out
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -262,16 +272,21 @@ PADIC_CHECKS = (
 @pytest.mark.parametrize(
     "extra, digest",
     [
-        (("--n", "1"), "19e13810f14f8e239d84403b6aa5e988960a3723f70f1fec8186c60dcd41f617"),
-        (
+        pytest.param(
+            ("--n", "1"),
+            "7611b289a727da4a887f2f13228f3d97dd812e6fffb469bf6768459501e9a292",
+            id="n1-text",
+        ),
+        pytest.param(
             ("--n", "2", "--format", "json"),
-            "6ecac9d26568e8a24fc3c20b197408eafeef543b55284e059e7b491343eaa73d",
+            "a39c9cb68bfc6c62d67e7879ef5b3d3e33a007f747af49ddc7f54c0e40042de0",
+            id="n2-json",
         ),
     ],
 )
 def test_padic_report_bytes_pinned(capsys, extra, digest):
-    # recorded from the Fraction-based ExactLocal and the pair-level sampler;
-    # the six checks run integer code and fixed-order float sums only
+    # recorded with the Monte-Carlo band from the closed-form variance; the
+    # six checks run integer code and fixed-order float sums only
     code, out = invoke(capsys, "verify", PADIC_CHECKS, *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
