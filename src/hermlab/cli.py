@@ -26,10 +26,10 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 `basis-rank` FAILs.  With `q_poly` built by straightening (ROADMAP
-# direction 2), every other check but `functional-equation` (16 s over 384
-# signed permutations) ran in <= 1.1 s.  Until `verify all --n 4` passes,
-# larger n exits EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, but `basis-rank` alone
+# takes about 770 s (60 s in a prototype that builds `q_poly` by
+# straightening, ROADMAP direction 1).  Until `verify all --n 4` runs within
+# a stated budget, larger n exits EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 
