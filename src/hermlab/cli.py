@@ -27,9 +27,10 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 # At n = 4 all 22 checks pass when run in-process, but `basis-rank` alone
-# takes about 770 s (60 s in a prototype that builds `q_poly` by
-# straightening, ROADMAP direction 1).  Until `verify all --n 4` runs within
-# a stated budget, larger n exits EXIT_RESOURCE up front.
+# takes about 580 s on a 2-core machine, nearly all of it its 32 `q_poly`
+# builds (ROADMAP direction 1 builds them by straightening).  Until
+# `verify all --n 4` runs within a stated budget, larger n exits
+# EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 
@@ -279,6 +280,7 @@ def _cmd_sph_omega(args) -> int:
         return EXIT_PASS
     xs = [_parse_fraction(t) for t in args.x.split(",")]
     if len(xs) != args.n:
+        sys.stderr.write(f"--x needs {args.n} coordinates, got {len(xs)}\n")
         return EXIT_USAGE
     _emit(str(value.eval_exact(xs)) + "\n", args.out)
     return EXIT_PASS

@@ -744,58 +744,17 @@ def x_lambda(field, n, lam, prec=None):
     return x if prec is None else x.to_residue(prec)
 
 
-def _charpoly_exact(m: LocalMatrix):
-    """Faddeev-LeVerrier; coefficients of t^n + c1 t^(n-1) + ... + cn."""
-    if m.shift:
-        raise ValueError("charpoly needs an unshifted matrix")
-    n = m.size
-    one = ExactLocal(m.field, 1)
-    M = LocalMatrix.identity(m.field, n)
-    coeffs = [one]
-    for k in range(1, n + 1):
-        AM = m @ M
-        tr = AM.rows[0][0]
-        for i in range(1, n):
-            tr = tr + AM.rows[i][i]
-        c = tr * Fraction(-1, k)
-        coeffs.append(c)
-        if k < n:
-            rows = [
-                [
-                    AM.rows[i][j] + c if i == j else AM.rows[i][j]
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-            M = LocalMatrix(m.field, rows)
-    return coeffs
-
-
-def _target_charpoly(n: int):
-    # (t^2 - 1)^n (t - 1), highest power first
-    coeffs = [1]
-    for _ in range(n):
-        nxt = [0] * (len(coeffs) + 2)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c
-            nxt[i + 2] -= c
-        coeffs = nxt
-    nxt = [0] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        nxt[i] += c
-        nxt[i + 1] -= c
-    return nxt
-
-
 def is_member_X(x: LocalMatrix) -> bool:
     """Hermitian, involutive against the antidiagonal form, and with the
-    characteristic polynomial (t^2-1)^n (t-1) of the split element."""
+    characteristic polynomial (t^2-1)^n (t-1) of the split element.
+
+    Once (xj)^2 = I, xj is diagonalizable with eigenvalues +-1, so its
+    characteristic polynomial is (t^2-1)^n (t-1) exactly when its trace is 1."""
     if x.precision is not None:
         raise TypeError("membership is decided in the exact model")
     n2 = x.size
     if n2 % 2 == 0:
         return False
-    n = (n2 - 1) // 2
     for i in range(n2):
         for j in range(n2):
             if x.rows[i][j] != x.rows[j][i].conj():
@@ -805,9 +764,8 @@ def is_member_X(x: LocalMatrix) -> bool:
     prod = xj @ xj
     if prod != LocalMatrix.identity(x.field, n2):
         return False
-    cp = _charpoly_exact(xj)
-    target = _target_charpoly(n)
-    return all(c == t for c, t in zip(cp, target))
+    trace = sum((xj.rows[i][i] for i in range(n2)), ExactLocal(x.field, 0))
+    return trace == Fraction(x.field.p) ** xj.shift
 
 
 # -- residue-ring counting ---------------------------------------------------------

@@ -23,7 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from .hall_littlewood import (
-    PARITIES,
     check_partition,
     p_poly,
     q_poly,
@@ -37,6 +36,7 @@ from .spherical import (
     PhasedScalar,
     SpaceConfig,
     SphericalValue,
+    base_point_exponent,
     phase_power,
     psi,
 )
@@ -80,11 +80,8 @@ def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
     mp = SpaceConfig(n, parity).half_size
     w_n = w_poly(n, t).eval(Fraction(q0)).re
     w_mp = w_poly(mp, t).eval(Fraction(q0)).re
-    fact = 1
-    for i in range(2, n + 1):
-        fact *= i
     return (
-        Fraction(1, 2**n * fact) * w_n * w_mp / (1 + Fraction(1, q0)) ** mp
+        Fraction(1, 2**n * math.factorial(n)) * w_n * w_mp / (1 + Fraction(1, q0)) ** mp
     )
 
 
@@ -254,9 +251,7 @@ def volume(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
     >>> volume((1,), 1, "odd", Fraction(3))
     Fraction(8, 1)
     """
-    lam = check_partition(lam, n)
-    z0 = SpaceConfig(n, parity).z0
-    expo = -2 * sum((Fraction(l) * p[0] for l, p in zip(lam, z0)), Fraction(0))
+    expo = -2 * base_point_exponent(lam, n, parity)[0]
     if expo.denominator != 1:
         raise ArithmeticError("orbit exponent failed to be integral")
     return Fraction(q0) ** int(expo) * expected_gram_diagonal(lam, n, parity, q0)
@@ -293,10 +288,6 @@ def check_inversion(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Frac
     return {"matrix": mat, "misses": pairing_misses(mat, [1] * len(lams))}
 
 
-# The fixed rational point of the basis selection (its first n coordinates)
-_RANK_POINT = tuple(Fraction(a, b) for a, b in ((2, 1), (5, 3), (7, 2), (11, 5), (13, 4), (17, 7)))
-
-
 def _flip_rows(polys: Sequence[TorusPoly], xs: Sequence[Fraction], q0: Fraction) -> list[list]:
     """Exact values of each polynomial at q = q0 on the 2^n sign flips of xs
     (the half-period shifts of the point)."""
@@ -307,74 +298,42 @@ def _flip_rows(polys: Sequence[TorusPoly], xs: Sequence[Fraction], q0: Fraction)
     return [[f.eval_exact(x).eval(q0) for x in flips] for f in polys]
 
 
-def _rank_det(rows: Sequence[Sequence[GaussianRational]]) -> tuple[int, GaussianRational]:
-    """Rank over Q(i) by fraction-free (Bareiss) elimination, and the
-    determinant of a square matrix (zero when singular)."""
+def _det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
+    """The determinant of a square matrix over Q(i) by fraction-free
+    (Bareiss) elimination; zero when singular."""
     m = [list(r) for r in rows]
-    width = len(m[0]) if m else 0
-    rank, prev, flipped = 0, GaussianRational(1), False
-    for col in range(width):
-        piv = next((r for r in range(rank, len(m)) if not m[r][col].is_zero()), None)
+    prev, flipped = GaussianRational(1), False
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
         if piv is None:
-            continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+            return GaussianRational(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
             flipped = not flipped
-        top = m[rank]
-        for r in range(rank + 1, len(m)):
+        top = m[col]
+        for r in range(col + 1, len(m)):
             row = m[r]
-            m[r] = [(row[c] * top[col] - row[col] * top[c]) / prev for c in range(width)]
+            m[r] = [(row[c] * top[col] - row[col] * top[c]) / prev for c in range(len(m))]
         prev = top[col]
-        rank += 1
-    if rank < len(m) or rank < width:
-        return rank, GaussianRational(0)
-    return rank, -prev if flipped else prev
-
-
-@lru_cache(maxsize=None)
-def _basis_partitions(n: int) -> tuple[tuple[int, ...], ...]:
-    q0 = Fraction(3)
-    rows: dict[str, list] = {parity: [] for parity in PARITIES}
-    sel: list[tuple[int, ...]] = []
-    for max_part in range(2 * n + 4):
-        candidates = [
-            lam
-            for lam in itertools.product(range(max_part, -1, -1), repeat=n)
-            if all(lam[i] >= lam[i + 1] for i in range(n - 1)) and lam[0] == max_part
-        ]
-        candidates.sort(key=lambda t: (sum(t), t))
-        for lam in candidates:
-            # every exponent of q_poly(lam) has coordinate sum of the parity
-            # of |lam|, so one weight-parity class spans at most 2^(n-1)
-            # dimensions on the sign flips: a full class needs no test
-            if sum(1 for mu in sel if (sum(mu) - sum(lam)) % 2 == 0) == 2 ** (n - 1):
-                continue
-            new = {}
-            for parity in PARITIES:
-                row = _flip_rows([q_poly(n, parity, lam)], _RANK_POINT[:n], q0)
-                new[parity] = rows[parity] + row
-                if _rank_det(new[parity])[0] == len(sel):
-                    break
-            else:
-                rows = new
-                sel.append(lam)
-                if len(sel) == 2**n:
-                    return tuple(sel)
-    raise RuntimeError("basis completion failed")  # pragma: no cover - guard
+    return -prev if flipped else prev
 
 
 def basis_partitions(n: int) -> list[tuple[int, ...]]:
-    """The 2^n partitions used for the evaluation-rank certificate.
+    """The 2^n partitions used for the evaluation-rank certificate: the sums
+    of distinct fundamental weights omega_i = (1^i, 0^(n-i)), i in 1..n.
 
-    Partitions are scanned graded by largest part, then weight, then
-    lexicographically; one is kept only if it raises the exact rank, over
-    Q(i) at q = 3, of the orbit-sum values at a fixed rational point and
-    its 2^n sign flips, in both parity cases.
+    Their consecutive parts differ by 0 or 1 and their last part is 0 or 1.
+    They are ordered by largest part, then weight, then lexicographically.
+    ``basis_rank_check`` certifies that their orbit sums are independent.
 
     >>> basis_partitions(2)
     [(0, 0), (1, 0), (1, 1), (2, 1)]
     """
-    return list(_basis_partitions(n))
+    lams = [
+        tuple(sum(steps[i:]) for i in range(n))
+        for steps in itertools.product((0, 1), repeat=n)
+    ]
+    return sorted(lams, key=lambda lam: (lam[0], sum(lam), lam))
 
 
 def basis_rank_check(
@@ -386,13 +345,15 @@ def basis_rank_check(
     instead.  A point where the determinant is exactly zero is resampled, up
     to eight times per trial; ``dets`` holds the |det| of each certified
     point as a float."""
+    if trials < 1:
+        raise ValueError("at least one trial is needed")
     rng = random.Random(seed)
     polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
     dets = []
     for _ in range(trials):
         for _ in range(8):
             xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
-            det = _rank_det(_flip_rows(polys, xs, q0))[1]
+            det = _det(_flip_rows(polys, xs, q0))
             if not det.is_zero():
                 dets.append(math.sqrt(det.abs2()))
                 break

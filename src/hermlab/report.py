@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .hall_littlewood import (
+    PARITIES,
     p_poly,
     part_multiplicities,
     partitions,
@@ -56,6 +57,7 @@ from .plancherel import (
 from .scalars import QFraction, QLaurent
 from .spherical import (
     SpaceConfig,
+    base_point_exponent,
     check_functional_equation,
     check_gamma_cocycle,
     gamma_factor,
@@ -71,8 +73,6 @@ from .spherical import (
 )
 from .torus import TorusPoly
 from .weyl import coordinate_flip, enumerate_group, poincare_poly, stabilizer
-
-PARITIES = ("odd", "even")
 
 
 @dataclass(frozen=True)
@@ -437,8 +437,7 @@ def check_volume_prefactor_power(cfg: RunConfig) -> CheckResult:
     lam = (1,) + (0,) * (n - 1)
     measured = check_plancherel([lam], n, "odd", q0)["matrix"][0][0]
     adopted = volume(lam, n, "odd", q0)
-    z0 = SpaceConfig(n, "odd").z0
-    expo = -sum((Fraction(l) * pt[0] for l, pt in zip(lam, z0)), Fraction(0))
+    expo = -base_point_exponent(lam, n, "odd")[0]
     alt = q0 ** int(expo) * expected_gram_diagonal(lam, n, "odd", q0)
     return CheckResult(
         "volume-prefactor-power",

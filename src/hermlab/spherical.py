@@ -255,17 +255,26 @@ def phase_q_power(re: Fraction, im: Fraction) -> PhasedScalar:
     return PhasedScalar(int(turn), int(half), QF_ONE)
 
 
+def base_point_exponent(lam: Sequence[int], n: int, parity: str) -> ZPair:
+    """<lam, z0> as an exact (re, im) pair.
+
+    >>> base_point_exponent((1,), 1, "odd")
+    (Fraction(-1, 1), Fraction(1, 2))
+    """
+    lam = check_partition(lam, n)
+    z0 = SpaceConfig(n, parity).z0
+    re = sum((Fraction(l) * p[0] for l, p in zip(lam, z0)), Fraction(0))
+    im = sum((Fraction(l) * p[1] for l, p in zip(lam, z0)), Fraction(0))
+    return re, im
+
+
 def phase_power(lam: Sequence[int], n: int, parity: str) -> PhasedScalar:
     """q**<lam, z0> as an exact phased value.
 
     >>> str(phase_power((1,), 1, "odd"))
     'I * q^(-1) * (1)'
     """
-    lam = check_partition(lam, n)
-    z0 = SpaceConfig(n, parity).z0
-    re = sum((Fraction(l) * p[0] for l, p in zip(lam, z0)), Fraction(0))
-    im = sum((Fraction(l) * p[1] for l, p in zip(lam, z0)), Fraction(0))
-    return phase_q_power(re, im)
+    return phase_q_power(*base_point_exponent(lam, n, parity))
 
 
 def x_coords_stretched(z: Sequence[ZPair]) -> list[QLaurent]:
@@ -443,30 +452,25 @@ def omega_rank1_s_form(ell: int, u: QFraction) -> QFraction:
     """
     if ell < 0:
         raise ValueError("the orbit index must be nonnegative")
-    q = QLaurent.gen()
-    u = u if isinstance(u, QFraction) else QFraction(u)
-    u2 = u * u
-    front = (1 + QFraction(q**-3) * u2) / (
-        QFraction(1 + q**-3) * (1 - QFraction(q**-4) * u2 * u2)
-    )
-    sign = -1 if ell % 2 == 0 else 1
-    brace = u**-ell * (1 - QFraction(q**-4) * u2) + sign * QFraction(
-        q ** (-2 * (ell + 1))
-    ) * u**ell * (1 - u2)
-    return front * brace
+    return _rank1_s_form(ell, u, -1 if ell % 2 == 0 else 1)
 
 
 def omega_rank1_s_form_printed_variant(ell: int, u: QFraction) -> QFraction:
     """Same front factor but with a minus sign on the second brace term for
     every l.  Kept only so the test suite can document that this variant is
     inconsistent with the explicit formula for odd l."""
+    return _rank1_s_form(ell, u, -1)
+
+
+def _rank1_s_form(ell: int, u: QFraction, sign: int) -> QFraction:
+    """The rank-one s-form with the given sign on the second brace term."""
     q = QLaurent.gen()
     u = u if isinstance(u, QFraction) else QFraction(u)
     u2 = u * u
     front = (1 + QFraction(q**-3) * u2) / (
         QFraction(1 + q**-3) * (1 - QFraction(q**-4) * u2 * u2)
     )
-    brace = u**-ell * (1 - QFraction(q**-4) * u2) - QFraction(
+    brace = u**-ell * (1 - QFraction(q**-4) * u2) + sign * QFraction(
         q ** (-2 * (ell + 1))
     ) * u**ell * (1 - u2)
     return front * brace

@@ -208,10 +208,3 @@ def poincare_poly(elems: Iterable[SignedPerm], t_short: QLaurent, t_long: QLaure
         s, l = inversion_counts(g)
         total = total + t_short**s * t_long**l
     return total
-
-
-def orbit(lam: Sequence[int], n: int) -> set[Vec]:
-    """The full signed-permutation orbit of a vector."""
-    v = tuple(lam) + (0,) * (n - len(lam))
-    return {g.act_vector(v) for g in enumerate_group(n)}
-

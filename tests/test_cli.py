@@ -164,6 +164,28 @@ def test_sph_omega_closed_form(capsys):
     assert out == "(q + q^{-4} - q^{-7} - q^{-12})/(1 + q^{-3} - q^{-8} - q^{-11})\n"
 
 
+def test_sph_omega_wrong_coordinate_count(capsys):
+    code = run(["sph", "omega", "--n", "2", "--lambda", "1", "--x", "2"])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.err == "--x needs 2 coordinates, got 1\n" and got.out == ""
+
+
+@pytest.mark.parametrize("parity, least", [("odd", "7.547e+05"), ("even", "2.947e+06")])
+def test_plancherel_rank_n3_pinned(capsys, parity, least):
+    code, out = invoke(capsys, "plancherel", "rank", "--n", "3", "--parity", parity)
+    assert code == 0
+    assert out == f"basis-rank: pass (least |det| {least})\n"
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_plancherel_rank_needs_a_trial(capsys, trials):
+    code = run(["plancherel", "rank", "--n", "1", "--parity", "odd", "--trials", trials])
+    got = capsys.readouterr()
+    assert code == 1
+    assert got.err == "error: at least one trial is needed\n" and got.out == ""
+
+
 def test_sph_parity_sign(capsys):
     code, out = invoke(capsys, "sph", "parity-sign", "--n", "2", "--lambda", "2,1")
     assert code == 0

@@ -21,7 +21,6 @@ from hermlab.torus import Binomial, FactoredRational, TorusPoly, binomial_div_ex
 from hermlab.weyl import (
     enumerate_group,
     long_positive_roots,
-    orbit,
     poincare_poly,
     positive_roots,
     short_positive_roots,
@@ -29,6 +28,12 @@ from hermlab.weyl import (
 )
 
 Q = QLaurent.gen()
+
+
+def orbit(lam, n):
+    """The full signed-permutation orbit of a vector."""
+    v = tuple(lam) + (0,) * (n - len(lam))
+    return {g.act_vector(v) for g in enumerate_group(n)}
 
 
 def partitions_with(max_part, max_len):

@@ -522,6 +522,64 @@ def test_membership():
     assert not is_member_X(bad)
     notherm = LocalMatrix.from_values(F3, [[0, 0, 1], [0, 1, 1], [1, 0, 0]])
     assert not is_member_X(notherm)
+    # -x_lambda is hermitian and involutive, but x j has trace -1
+    assert not is_member_X(_negated(x_lambda(F3, 2, (3, 1))))
+
+
+def _negated(x):
+    return LocalMatrix(x.field, [[-e for e in row] for row in x.rows], x.shift)
+
+
+def _charpoly(m):
+    """Faddeev-LeVerrier: the coefficients of t^n + c1 t^(n-1) + ... + cn of
+    an unshifted exact matrix, highest power first."""
+    assert m.shift == 0
+    n = m.size
+    M = LocalMatrix.identity(m.field, n)
+    coeffs = [ExactLocal(m.field, 1)]
+    for k in range(1, n + 1):
+        AM = m @ M
+        c = sum((AM.rows[i][i] for i in range(n)), ExactLocal(m.field, 0)) * Fraction(-1, k)
+        coeffs.append(c)
+        M = LocalMatrix(
+            m.field, [[e + c if i == j else e for j, e in enumerate(row)] for i, row in enumerate(AM.rows)]
+        )
+    return coeffs
+
+
+def _member_by_charpoly(x):
+    """Membership decided by the whole characteristic polynomial of x j
+    against (t^2 - 1)^n (t - 1), the reference for the trace decision."""
+    size = x.size
+    if any(x.rows[i][j] != x.rows[j][i].conj() for i in range(size) for j in range(size)):
+        return False
+    xj = x @ j_matrix(x.field, size)
+    if xj @ xj != LocalMatrix.identity(x.field, size):
+        return False
+    target = [1, -1]  # t - 1, highest power first
+    for _ in range(size // 2):
+        target = [a - b for a, b in zip(target + [0, 0], [0, 0] + target)]
+    return _charpoly(xj) == target
+
+
+def test_membership_trace_matches_charpoly():
+    decided = []
+    for n in (1, 2, 3):
+        size = 2 * n + 1
+        cases = [LocalMatrix.identity(F3, size), j_matrix(F3, size)]
+        for lam in partitions(n, 4):
+            x = x_lambda(F3, n, lam)
+            for seed in (None, 0, 1):
+                if seed is not None:  # twisted members
+                    x = random_k(F3, n, seed=seed + 10 * sum(lam)).act(x)
+                corner = [list(row) for row in x.rows]
+                corner[-1][-1] = corner[-1][-1] + 3
+                cases += [x, _negated(x), LocalMatrix(F3, corner)]
+        for x in cases:
+            member = is_member_X(x)
+            assert member == _member_by_charpoly(x)
+            decided.append(member)
+    assert True in decided and False in decided
 
 
 def test_random_k_is_unitary_with_trivial_factors():

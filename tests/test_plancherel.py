@@ -255,6 +255,36 @@ def test_basis_partitions_frozen():
         (2, 2, 1),
         (3, 2, 1),
     ]
+    assert basis_partitions(4) == [
+        (0, 0, 0, 0),
+        (1, 0, 0, 0),
+        (1, 1, 0, 0),
+        (1, 1, 1, 0),
+        (1, 1, 1, 1),
+        (2, 1, 0, 0),
+        (2, 1, 1, 0),
+        (2, 1, 1, 1),
+        (2, 2, 1, 0),
+        (2, 2, 1, 1),
+        (2, 2, 2, 1),
+        (3, 2, 1, 0),
+        (3, 2, 1, 1),
+        (3, 2, 2, 1),
+        (3, 3, 2, 1),
+        (4, 3, 2, 1),
+    ]
+
+
+def test_basis_partitions_are_sums_of_distinct_fundamental_weights():
+    for n in range(1, 7):
+        sel = basis_partitions(n)
+        assert len(sel) == 2**n == len(set(sel))
+        for lam in sel:
+            assert len(lam) == n and lam[-1] in (0, 1)
+            assert all(lam[i] - lam[i + 1] in (0, 1) for i in range(n - 1))
+        # graded by largest part, then weight, then lexicographically
+        keys = [(lam[0], sum(lam), lam) for lam in sel]
+        assert keys == sorted(keys)
 
 
 def test_basis_partitions_parity_balance():
@@ -271,6 +301,11 @@ def test_basis_rank():
             r = basis_rank_check(n, parity, Fraction(3), seed=4, trials=3)
             assert r["ok"]
             assert all(d > 1e-6 for d in r["dets"])
+
+
+def test_basis_rank_needs_a_trial():
+    with pytest.raises(ValueError, match="at least one trial is needed"):
+        basis_rank_check(1, "odd", Fraction(3), trials=0)
 
 
 def test_grid_integrates_exactly():
