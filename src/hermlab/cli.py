@@ -26,12 +26,19 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 all 22 checks pass when run in-process, but `basis-rank` alone
-# takes about 580 s on a 2-core machine, nearly all of it its 32 `q_poly`
-# builds (ROADMAP direction 1 builds them by straightening).  Until
-# `verify all --n 4` runs within a stated budget, larger n exits
-# EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, in about 100 s on a
+# 2-core machine.  `basis-rank` alone takes about 64 s cold: 28 s for its 32
+# `q_poly` builds and 36 s for the exact evaluations on the sign flips (ROADMAP
+# direction 1 evaluates through alternants instead); `functional-equation`
+# takes about 21 s.  Until `verify all --n 4` runs within a stated budget,
+# larger n exits EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
+
+# The verbs that build `q_poly` (`hl qpoly`, `sph`, `plancherel`) run at
+# n = 4 in under a minute each on a 2-core machine (`plancherel rank` about
+# 45 s, `sph verify-feq` about 23 s, the others under 3 s); larger n exits
+# EXIT_RESOURCE up front.
+QPOLY_MAX_N = 4
 
 
 def _parse_partition(text: str) -> tuple[int, ...]:
@@ -202,6 +209,18 @@ def _build_parser() -> argparse.ArgumentParser:
 # -- verb handlers --------------------------------------------------------------------
 
 
+def _refuse_n(n: int, verb: str, max_n: int) -> int | None:
+    """The exit code that refuses an --n outside 1..max_n, after its message
+    on stderr; None when n is in range.  Called before any layer loads."""
+    if n < 1:
+        sys.stderr.write(f"--n must be at least 1, got {n}\n")
+        return EXIT_USAGE
+    if n > max_n:
+        sys.stderr.write(f"resource: {verb} supports --n up to {max_n}, got {n}\n")
+        return EXIT_RESOURCE
+    return None
+
+
 def _cmd_verify(args) -> int:
     values = _read_config_file(args.config) if args.config else {}
     merged = {}
@@ -220,13 +239,9 @@ def _cmd_verify(args) -> int:
         env = os.environ.get("HERMLAB_WORKERS")
         workers = int(env) if env else (os.cpu_count() or 1)
     # refused before the layers load; an absent n takes RunConfig's default 1
-    n = merged.get("n", 1)
-    if n < 1:
-        sys.stderr.write(f"--n must be at least 1, got {n}\n")
-        return EXIT_USAGE
-    if n > VERIFY_MAX_N:
-        sys.stderr.write(f"resource: verify supports --n up to {VERIFY_MAX_N}, got {n}\n")
-        return EXIT_RESOURCE
+    refused = _refuse_n(merged.get("n", 1), "verify", VERIFY_MAX_N)
+    if refused is not None:
+        return refused
     from .report import CHECKS, RunConfig, run_checks
 
     cfg = RunConfig(**merged)
@@ -433,6 +448,10 @@ def run(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    if args.command in ("hl", "sph", "plancherel") and args.n is not None:
+        refused = _refuse_n(args.n, f"{args.command} {args.subcommand}", QPOLY_MAX_N)
+        if refused is not None:
+            return refused
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -1,11 +1,12 @@
 """Symmetric orbit sums with parameter on the n-torus.
 
 The central object is ``q_poly``: the parameter-deformed orbit sum attached
-to a partition.  It is computed in alternating form: a product kernel of n^2
-binomials is summed over the signed permutations with the sign det(w), and
-the sum is divided once, exactly, by the Weyl denominator
-prod over positive roots a of (1 - x^(-a)).  ``p_poly`` renormalizes by the
-stabilizer counting series so the leading orbit coefficient is 1.
+to a partition.  It is computed in alternating form: the alternating sum
+over the signed permutations of a product kernel of n^2 binomials is
+straightened onto strictly dominant weights, and the sum is divided once,
+exactly, by the Weyl denominator prod over positive roots a of
+(1 - x^(-a)).  ``p_poly`` renormalizes by the stabilizer counting series so
+the leading orbit coefficient is 1.
 
 Two specializations of the (short, long) parameters occur throughout, tied
 to the residue side being odd- or even-dimensional; ``spec_params`` fixes
@@ -89,6 +90,16 @@ def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLau
     #   q_poly = (-1)^N x^(-rho) * sum_w det(w) w(K) / prod_{a>0} (1 - x^(-a)),
     #   K = x^(-lam-rho) * prod_{a>0} (1 - t_a x^a),
     # so n^2 exact binomial divisions finish the job.
+    #
+    # The alternating sum is straightened (Macdonald, Symmetric Functions,
+    # ch. III) rather than summed over W term by term.  For a term x^e of K,
+    # sum_w det(w) x^(w e) is 0 when a reflection fixes e (a zero part, or
+    # two parts of equal size); otherwise e = v(mu) for the strictly dominant
+    # mu = |e| sorted decreasingly, and the sum is det(v) A_mu with
+    # A_mu = sum_w det(w) x^(w mu) and det(v) = (-1)^(negative parts +
+    # inversions of |e|).  coef[mu] = C_mu collects these, times the overall
+    # (-1)^N, and the sum is then sum_mu C_mu A_mu: the orbits of distinct
+    # mu are disjoint and free, so each of its monomials is written once.
     rho = tuple(range(n, 0, -1))
     K = TorusPoly.monomial(n, tuple(-v - r for v, r in zip(lam, rho)))
     for a in short_positive_roots(n):
@@ -96,15 +107,25 @@ def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLau
     for a in long_positive_roots(n):
         K = K * Binomial(t_long, a).as_poly()
 
-    terms = list(K.terms())
-    neg_terms = [(e, -c) for e, c in terms]
+    coef: dict[Tuple[int, ...], QFraction] = {}
+    for e, c in K.terms():
+        mags = tuple(abs(v) for v in e)
+        if 0 in mags or len(set(mags)) < n:
+            continue
+        flips = n * n + sum(v < 0 for v in e)
+        flips += sum(mags[i] < mags[j] for i in range(n) for j in range(i + 1, n))
+        mu = tuple(sorted(mags, reverse=True))
+        if flips % 2:
+            c = -c
+        s = coef.get(mu)
+        coef[mu] = c if s is None else s + c
+    coef_pairs = [(mu, c) for mu, c in coef.items() if not c.is_zero()]
+    neg_pairs = [(mu, -c) for mu, c in coef_pairs]
+
     acc: dict[Tuple[int, ...], QFraction] = {}
     for g in enumerate_group(n):
-        # the sign is det(g) = (-1)^length(g) times the overall (-1)^N
-        for e, c in neg_terms if (n * n + length(g)) % 2 else terms:
-            e2 = tuple(v - r for v, r in zip(g.act_vector(e), rho))
-            s = acc.get(e2)
-            acc[e2] = c if s is None else s + c
+        for mu, c in neg_pairs if length(g) % 2 else coef_pairs:
+            acc[tuple(v - r for v, r in zip(g.act_vector(mu), rho))] = c
 
     out = TorusPoly(n, acc)
     for a in positive_roots(n):

@@ -40,7 +40,6 @@ from .torus import Binomial, FactoredRational, TorusPoly, act_point
 from .weyl import (
     SignedPerm,
     enumerate_group,
-    long_positive_roots,
     negated_positive_set,
     positive_roots,
     short_positive_roots,

@@ -274,7 +274,9 @@ def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:
 
     Terms are peeled in increasing order of the key <e, alpha>; each peel
     moves mass strictly upward by <alpha, alpha>, and in an exact division
-    no intermediate key can exceed the maximum key of f.
+    no intermediate key can exceed the maximum key of f.  Since keys only
+    grow, no exponent is peeled twice or re-enters the remainder once it
+    has left it, so each exponent gets one quotient term and one heap entry.
 
     >>> f = TorusPoly.monomial(1, (0,)) - TorusPoly.monomial(1, (2,))
     >>> str(binomial_div_exact(f, 1, (1,)))
@@ -291,26 +293,35 @@ def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:
         return TorusPoly(f.n)
 
     rem = dict(f.terms())
-    max_key = max(_dot(e, alpha) for e in rem)
-    heap = [( _dot(e, alpha), e) for e in rem]
+    heap = [(_dot(e, alpha), e) for e in rem]
+    max_key = max(heap)[0]
     heapq.heapify(heap)
     quot: dict[Vec, QFraction] = {}
+    unit = c0 == QF_ONE
 
     while rem:
         k, e = heapq.heappop(heap)
         c = rem.pop(e, None)
         if c is None:
-            continue  # stale heap entry
+            continue  # its remainder cancelled to zero
         if k > max_key:
             raise InexactDivision("remainder survives binomial division")
-        quot[e] = quot.get(e, QF_ZERO) + c
+        quot[e] = c
+        if not unit:
+            c = c * c0
+            if c.is_zero():
+                continue
         e2 = tuple(a + b for a, b in zip(e, alpha))
-        s = rem.get(e2, QF_ZERO) + c * c0
-        if s.is_zero():
-            rem.pop(e2, None)
-        else:
-            rem[e2] = s
+        s = rem.get(e2)
+        if s is None:
+            rem[e2] = c
             heapq.heappush(heap, (k + aa, e2))
+        else:
+            s = s + c
+            if s.is_zero():
+                del rem[e2]
+            else:
+                rem[e2] = s
 
     return TorusPoly(f.n, quot)
 

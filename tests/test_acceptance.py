@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from hermlab.hall_littlewood import (
+    _q_poly_cached,
     p_poly,
     part_multiplicities,
     q_poly,
@@ -300,3 +301,13 @@ def test_criterion_13_parity_sign():
             want = -1 if sum(lam) % 2 else 1
             assert parity_sign_relation(lam, n, trials=4, seed=13) == want
     assert time.perf_counter() - t0 < 10
+
+
+def test_qpoly_rank4_cold_build():
+    # one uncached build at n = 4: the term-by-term alternating sum over the
+    # 384 group elements took 13.5 s on a 2-core machine, straightening 0.5 s
+    lam = (2, 1, 1, 0)
+    t0 = time.perf_counter()
+    f = _q_poly_cached.__wrapped__(4, lam, *spec_params("odd"))
+    assert time.perf_counter() - t0 < 5
+    assert f.coeff(lam) == QFraction(w_lambda_value(lam, 4, "odd"))

@@ -377,3 +377,43 @@ def test_verify_n_out_of_range_refused_before_the_layers_load(n, code):
         text=True,
     )
     assert r.stdout == f"{code} False\n", r.stderr
+
+
+QPOLY_VERBS = [
+    ["hl", "qpoly", "--parity", "odd", "--lambda", "1"],
+    ["sph", "omega", "--lambda", "1"],
+    ["sph", "verify-feq", "--parity", "odd", "--lambda", "1"],
+    ["sph", "parity-sign", "--lambda", "1"],
+    ["plancherel", "gram", "--parity", "odd"],
+    ["plancherel", "check", "--parity", "odd"],
+    ["plancherel", "inversion", "--parity", "odd"],
+    ["plancherel", "rank", "--parity", "odd"],
+]
+
+
+@pytest.mark.parametrize("verb", QPOLY_VERBS, ids=lambda v: " ".join(v[:2]))
+@pytest.mark.parametrize("n, code", [(0, 2), (5, 3)])
+def test_qpoly_verbs_bound_n(capsys, verb, n, code):
+    assert run(verb + ["--n", str(n)]) == code
+    got = capsys.readouterr()
+    assert got.out == ""
+    if code == 2:
+        assert got.err == f"--n must be at least 1, got {n}\n"
+    else:
+        assert got.err == f"resource: {verb[0]} {verb[1]} supports --n up to 4, got {n}\n"
+
+
+def test_qpoly_verbs_refuse_n_before_the_layers_load():
+    layers = ",".join(
+        f"hermlab.{m}"
+        for m in ("weyl", "torus", "hall_littlewood", "spherical", "plancherel", "report", "padic")
+    )
+    script = (
+        "import sys\n"
+        "from hermlab.cli import run\n"
+        f"verbs = {QPOLY_VERBS!r}\n"
+        "print([run(v + ['--n', n]) for v in verbs for n in ('0', '5')],\n"
+        "      any(m in sys.modules for m in sys.argv[1].split(',')))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script, layers], capture_output=True, text=True)
+    assert r.stdout == f"{[2, 3] * len(QPOLY_VERBS)} False\n", r.stderr

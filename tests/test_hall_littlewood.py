@@ -9,6 +9,7 @@ import pytest
 from hermlab.hall_littlewood import (
     check_partition,
     p_poly,
+    partitions,
     q_poly,
     spec_params,
     w_lambda_value,
@@ -20,8 +21,8 @@ from hermlab.scalars import QFraction, QLaurent
 from hermlab.torus import Binomial, FactoredRational, TorusPoly, binomial_div_exact
 from hermlab.weyl import (
     enumerate_group,
+    length,
     long_positive_roots,
-    poincare_poly,
     positive_roots,
     short_positive_roots,
     stabilizer,
@@ -212,6 +213,47 @@ def test_qpoly_matches_full_kernel_reference():
                 assert got == ref
                 assert str(got) == str(ref)
                 assert got.to_json_dict() == ref.to_json_dict()
+
+
+def alternating_q_poly(n, lam, t_short, t_long):
+    """Reference construction of q_poly: the alternating sum of the kernel
+    K = x^(-lam-rho) * prod(1 - t_a x^a) over positive roots a, relabelled
+    by every group element with the sign (-1)^(n^2 + length), shifted by
+    x^(-rho) and divided by prod(1 - x^(-a)).  The package straightens the
+    same sum onto dominant weights instead of summing it term by term."""
+    rho = tuple(range(n, 0, -1))
+    K = TorusPoly.monomial(n, tuple(-v - r for v, r in zip(lam, rho)))
+    for a in short_positive_roots(n):
+        K = K * Binomial(t_short, a).as_poly()
+    for a in long_positive_roots(n):
+        K = K * Binomial(t_long, a).as_poly()
+
+    terms = list(K.terms())
+    neg_terms = [(e, -c) for e, c in terms]
+    acc = {}
+    for g in enumerate_group(n):
+        for e, c in neg_terms if (n * n + length(g)) % 2 else terms:
+            e2 = tuple(v - r for v, r in zip(g.act_vector(e), rho))
+            s = acc.get(e2)
+            acc[e2] = c if s is None else s + c
+
+    out = TorusPoly(n, acc)
+    for a in positive_roots(n):
+        out = binomial_div_exact(out, 1, tuple(-v for v in a))
+    return out
+
+
+@pytest.mark.parametrize("n, max_weight", [(1, 5), (2, 5), (3, 3)])
+def test_qpoly_matches_alternating_reference(n, max_weight):
+    one, zero = QLaurent.const(1), QLaurent.const(0)
+    params = [spec_params("odd"), spec_params("even"), (one, one), (zero, zero)]
+    for lam in partitions(n, max_weight):
+        for ts, tl in params:
+            got = q_poly(n, None, lam, t_short=ts, t_long=tl)
+            ref = alternating_q_poly(n, lam, ts, tl)
+            assert got == ref
+            assert str(got) == str(ref)
+            assert got.to_json_dict() == ref.to_json_dict()
 
 
 # sha256 of json.dumps(q_poly(3, parity, lam).to_json_dict(), sort_keys=True),

@@ -128,6 +128,23 @@ def test_binomial_division_randomized_roundtrip():
         assert binomial_div_exact(f, c, alpha) == cof
 
 
+@pytest.mark.parametrize("c", [1, 2, Q**-1, QFraction(2, 1 + Q)])
+def test_binomial_division_remainder_cancels(c):
+    # f = (1 - c x^alpha) * cof, with cof two terms alpha * 2 apart: peeling
+    # the first cofactor term cancels the remainder at the next exponent
+    # exactly, and peeling the second cancels the one after it
+    for n, alpha, cof in [
+        (1, (1,), mono(1, (0,)) + mono(1, (2,))),
+        (2, (1, -1), mono(2, (0, 1)) + mono(2, (2, -1))),
+        (2, (0, -2), mono(2, (1, 3)) - mono(2, (1, -1)) + mono(2, (0, 0))),
+    ]:
+        b = Binomial(c, alpha).as_poly()
+        f = b * cof
+        g = binomial_div_exact(f, c, alpha)
+        assert b * g == f
+        assert g == cof
+
+
 def test_eval_exact_symbolic_q():
     f = mono(1, (2,), Q**-1) + mono(1, (0,))
     v = f.eval_exact([Fraction(2)])
