@@ -305,7 +305,7 @@ def test_criterion_13_parity_sign():
 
 def test_qpoly_rank4_cold_build():
     # one uncached build at n = 4: the term-by-term alternating sum over the
-    # 384 group elements took 13.5 s on a 2-core machine, straightening 0.5 s
+    # 384 group elements took 13.5-16 s on a 2-core machine, straightening 0.5 s
     lam = (2, 1, 1, 0)
     t0 = time.perf_counter()
     f = _q_poly_cached.__wrapped__(4, lam, *spec_params("odd"))

@@ -130,9 +130,9 @@ def test_binomial_division_randomized_roundtrip():
 
 @pytest.mark.parametrize("c", [1, 2, Q**-1, QFraction(2, 1 + Q)])
 def test_binomial_division_remainder_cancels(c):
-    # f = (1 - c x^alpha) * cof, with cof two terms alpha * 2 apart: peeling
-    # the first cofactor term cancels the remainder at the next exponent
-    # exactly, and peeling the second cancels the one after it
+    # f = (1 - c x^alpha) * cof, where no term of cof sits one step of alpha
+    # above another: peeling each term of cof cancels the remainder one step
+    # up to zero, and the division must go on past that exponent
     for n, alpha, cof in [
         (1, (1,), mono(1, (0,)) + mono(1, (2,))),
         (2, (1, -1), mono(2, (0, 1)) + mono(2, (2, -1))),
