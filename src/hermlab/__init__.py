@@ -2,6 +2,7 @@
 
 Layers (bottom up):
 
+* ``errors`` -- the exceptions that the command line maps to exit codes.
 * ``scalars`` -- Gaussian rationals, Laurent polynomials in q, formal
   fractions.
 * ``torus`` / ``weyl`` -- multivariate Laurent polynomials carrying a
@@ -12,9 +13,11 @@ Layers (bottom up):
   phased evaluation, functional equations, rank-one closed forms.
 * ``plancherel`` -- quadrature on the compact torus, inner products,
   transform and inversion checks.
+* ``residue`` -- residue-ring kernels on ints: the local field, norm
+  counts, Haar sampling, cell counts, Monte Carlo integration of the
+  defining kernel.
 * ``padic`` -- finite-precision local-field matrices: membership tests,
-  orbit invariants, Haar sampling, diagonalization, Monte Carlo
-  integration of the defining kernel.
+  orbit invariants, diagonalization.
 * ``cli`` -- the ``hermlab`` command-line entry point.
 """
 

@@ -18,8 +18,10 @@ import sys
 from fractions import Fraction
 
 # Each verb imports its own layer, so a process loads only what its verb
-# needs; no verb loads numpy.
-from .scalars import InexactDivision, PrecisionError, QFraction, QLaurent, ResourceLimit
+# needs; no verb loads numpy.  With no bytecode cached every imported module
+# is compiled again, so even the exact scalars stay out of verbs that do not
+# use them.
+from .errors import InexactDivision, PrecisionError, ResourceLimit
 
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
@@ -74,25 +76,35 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _usage_error(message: str) -> SystemExit:
+    """The SystemExit of a usage error, after its one-line message on stderr."""
+    sys.stderr.write(message + "\n")
+    return SystemExit(EXIT_USAGE)
+
+
+def _read_text(path: str, what: str) -> str:
+    """The text of a file named on the command line, or a usage error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise _usage_error(f"cannot read {what}: {e}")
+
+
 def _read_config_file(path: str) -> dict:
     """Plain key = value lines; # starts a comment."""
     values: dict[str, str] = {}
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise SystemExit(EXIT_USAGE)
-                key, val = line.split("=", 1)
-                key = key.strip().replace("-", "_").lower()
-                if key not in _CONFIG_KEYS:
-                    sys.stderr.write(f"unknown config key: {key}\n")
-                    raise SystemExit(EXIT_USAGE)
-                values[key] = val.strip()
-    except OSError:
-        raise SystemExit(EXIT_USAGE)
+    for lineno, raw in enumerate(_read_text(path, "config file").split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise _usage_error(f"config line {lineno} is not key = value: {line}")
+        key, val = line.split("=", 1)
+        key = key.strip().replace("-", "_").lower()
+        if key not in _CONFIG_KEYS:
+            raise _usage_error(f"unknown config key: {key}")
+        values[key] = val.strip()
     return values
 
 
@@ -231,13 +243,16 @@ def _cmd_verify(args) -> int:
         elif key in values:
             try:
                 merged[key] = conv(values[key])
-            except ValueError:
-                raise SystemExit(EXIT_USAGE)
+            except (ValueError, ZeroDivisionError):
+                raise _usage_error(f"config value for {key} does not parse: {values[key]!r}")
     fmt = merged.pop("format", "text")
     workers = merged.pop("workers", None)
     if workers is None:
         env = os.environ.get("HERMLAB_WORKERS")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        try:
+            workers = int(env) if env else (os.cpu_count() or 1)
+        except ValueError:
+            raise _usage_error(f"HERMLAB_WORKERS must be an integer, got {env!r}")
     # refused before the layers load; an absent n takes RunConfig's default 1
     refused = _refuse_n(merged.get("n", 1), "verify", VERIFY_MAX_N)
     if refused is not None:
@@ -277,6 +292,8 @@ def _cmd_sph_omega(args) -> int:
         if args.s is None:
             sys.stderr.write("rank-one closed form needs --s\n")
             return EXIT_USAGE
+        from .scalars import QFraction, QLaurent
+
         q = QLaurent.gen()
         val = omega_rank1_s_form(args.ell, QFraction(q ** (-args.s)))
         _emit(str(val) + "\n", args.out)
@@ -364,32 +381,46 @@ def _cmd_plancherel_rank(args) -> int:
 def _load_matrix(path: str):
     from .padic import LocalMatrix
 
+    text = _read_text(path, "matrix file")
     try:
-        with open(path) as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        raise SystemExit(EXIT_USAGE)
+        payload = json.loads(text)
+    except json.JSONDecodeError as e:
+        raise _usage_error(f"matrix file {path} is not JSON: {e}")
     return LocalMatrix.from_json_dict(payload)
 
 
 def _cmd_padic(args) -> int:
+    if args.subcommand == "count-norm":
+        from .residue import norm_count
+
+        print(norm_count(args.p, args.xi, args.r))
+        return EXIT_PASS
+    if args.subcommand == "mc-omega":
+        from .residue import mc_band, monte_carlo_omega1
+
+        out = monte_carlo_omega1(
+            args.ell, args.s, args.samples, args.prec, seed=args.seed, p=args.p
+        )
+        err = abs(out["estimate"] - out["closed_form"])
+        band = mc_band(out)
+        print(f"estimate: {out['estimate']:.6f}")
+        print(f"stderr: {out['stderr']:.6f}")
+        print(f"closed form: {out['closed_form']:.6f}")
+        print(f"replaced draws: {out['saturated']}")
+        ok = err < band
+        print("agreement:", "pass" if ok else "fail")
+        return EXIT_PASS if ok else EXIT_MATH_FAIL
     from .padic import (
-        LocalField,
         classify_g_orbit,
         classify_k_orbit,
         diagonalize_x1,
         invariant_factors,
         is_member_X,
-        mc_band,
-        monte_carlo_omega1,
-        norm_count,
         random_k,
         x_lambda,
     )
+    from .residue import LocalField
 
-    if args.subcommand == "count-norm":
-        print(norm_count(args.p, args.xi, args.r))
-        return EXIT_PASS
     if args.subcommand == "classify":
         if args.infile:
             x = _load_matrix(args.infile)
@@ -426,19 +457,6 @@ def _cmd_padic(args) -> int:
                 json.dump(k.to_json_dict(), fh, sort_keys=True)
                 fh.write("\n")
         return EXIT_PASS
-    if args.subcommand == "mc-omega":
-        out = monte_carlo_omega1(
-            args.ell, args.s, args.samples, args.prec, seed=args.seed, p=args.p
-        )
-        err = abs(out["estimate"] - out["closed_form"])
-        band = mc_band(out)
-        print(f"estimate: {out['estimate']:.6f}")
-        print(f"stderr: {out['stderr']:.6f}")
-        print(f"closed form: {out['closed_form']:.6f}")
-        print(f"replaced draws: {out['saturated']}")
-        ok = err < band
-        print("agreement:", "pass" if ok else "fail")
-        return EXIT_PASS if ok else EXIT_MATH_FAIL
     return EXIT_USAGE  # pragma: no cover - argparse guards subcommands
 
 

@@ -81,6 +81,18 @@ def partitions(n: int, max_weight: int) -> list[Tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _kernel_product(n: int, t_short: QLaurent, t_long: QLaurent) -> TorusPoly:
+    """prod over positive roots a of (1 - t_a x^a), the part of the q_poly
+    kernel that does not depend on the partition."""
+    P = TorusPoly.const(n, 1)
+    for a in short_positive_roots(n):
+        P = P * Binomial(t_short, a).as_poly()
+    for a in long_positive_roots(n):
+        P = P * Binomial(t_long, a).as_poly()
+    return P
+
+
+@lru_cache(maxsize=None)
 def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLaurent) -> TorusPoly:
     # Alternating form.  With rho = (n, ..., 1), half the sum of the positive
     # roots, and N = n^2 positive roots,
@@ -100,15 +112,14 @@ def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLau
     # inversions of |e|).  coef[mu] = C_mu collects these, times the overall
     # (-1)^N, and the sum is then sum_mu C_mu A_mu: the orbits of distinct
     # mu are disjoint and free, so each of its monomials is written once.
+    #
+    # K's product part is shared by every partition (_kernel_product); the
+    # monomial in front only shifts its exponents by -lam-rho.
     rho = tuple(range(n, 0, -1))
-    K = TorusPoly.monomial(n, tuple(-v - r for v, r in zip(lam, rho)))
-    for a in short_positive_roots(n):
-        K = K * Binomial(t_short, a).as_poly()
-    for a in long_positive_roots(n):
-        K = K * Binomial(t_long, a).as_poly()
-
+    shift = tuple(-v - r for v, r in zip(lam, rho))
     coef: dict[Tuple[int, ...], QFraction] = {}
-    for e, c in K.terms():
+    for e, c in _kernel_product(n, t_short, t_long).terms():
+        e = tuple(v + d for v, d in zip(e, shift))
         mags = tuple(abs(v) for v in e)
         if 0 in mags or len(set(mags)) < n:
             continue

@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -28,22 +27,6 @@ from .hall_littlewood import (
     w_tilde,
     whole_group_value,
 )
-from .padic import (
-    LocalField,
-    classify_g_orbit,
-    classify_k_orbit,
-    diagonalize_x1,
-    is_member_X,
-    k1_cell_counts,
-    mc_band,
-    monte_carlo_omega1,
-    norm_count,
-    norm_residual,
-    random_k,
-    smallest_nonresidue,
-    t_diag,
-    x_lambda,
-)
 from .plancherel import (
     basis_rank_check,
     check_inversion,
@@ -53,6 +36,15 @@ from .plancherel import (
     pairing_misses,
     total_mass,
     volume,
+)
+from .residue import (
+    LocalField,
+    k1_cell_counts,
+    mc_band,
+    monte_carlo_omega1,
+    norm_count,
+    norm_residual,
+    smallest_nonresidue,
 )
 from .scalars import QFraction, QLaurent
 from .spherical import (
@@ -73,6 +65,10 @@ from .spherical import (
 )
 from .torus import TorusPoly
 from .weyl import coordinate_flip, enumerate_group, poincare_poly, stabilizer
+
+# The matrix layer, padic, is imported inside the three checks that use it,
+# so a run without them never compiles it.
+MATRIX_CHECKS = ("cartan-membership", "orbit-classification", "diagonalization-roundtrip")
 
 
 @dataclass(frozen=True)
@@ -130,6 +126,8 @@ def check_norm_volume(cfg: RunConfig) -> CheckResult:
 
 
 def check_cartan_membership(cfg: RunConfig) -> CheckResult:
+    from .padic import classify_k_orbit, is_member_X, random_k, x_lambda
+
     field_ = LocalField(cfg.p)
     n = cfg.n
     checked = 0
@@ -506,6 +504,8 @@ def check_height_phase(cfg: RunConfig) -> CheckResult:
 
 
 def check_orbit_classification(cfg: RunConfig) -> CheckResult:
+    from .padic import classify_g_orbit, t_diag, x_lambda
+
     field_ = LocalField(cfg.p)
     n = cfg.n
     for lam in partitions(n, 3):
@@ -545,6 +545,8 @@ def check_k1_cell_counts(cfg: RunConfig) -> CheckResult:
 
 
 def check_diagonalization_roundtrip(cfg: RunConfig) -> CheckResult:
+    from .padic import diagonalize_x1, random_k, x_lambda
+
     field_ = LocalField(cfg.p)
     hits = 0
     for ell in range(4):
@@ -669,6 +671,14 @@ def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
     if unknown:
         raise KeyError(f"unknown check ids: {', '.join(unknown)}")
     if workers > 1 and len(ids) > 1:
+        # imported here, in the parent before it forks, and only when a pool
+        # runs; so is padic when a check needs it, else each worker that runs
+        # one would compile it again
+        from concurrent.futures import ProcessPoolExecutor
+
+        if any(i in MATRIX_CHECKS for i in ids):
+            from . import padic  # noqa: F401
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_one, [(i, cfg) for i in ids]))
     else:

@@ -19,6 +19,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Mapping, Union
 
+from .errors import InexactDivision
+
 Rat = Union[int, Fraction]
 
 
@@ -556,26 +558,6 @@ class QLaurent:
 
 QL_ZERO = QLaurent()
 QL_ONE = QLaurent.const(1)
-
-
-class InexactDivision(ArithmeticError):
-    """An exact division was requested but a remainder survived."""
-
-
-class PrecisionError(ArithmeticError):
-    """A valuation or division cannot be certified at the working precision.
-
-    When a better bound is known, it is carried in .required as a hint for the
-    caller (retry with at least that many digits).
-    """
-
-    def __init__(self, message: str, required: int | None = None):
-        super().__init__(message)
-        self.required = required
-
-
-class ResourceLimit(RuntimeError):
-    """An input would take more enumeration than the package allows."""
 
 
 def _as_qlaurent(x) -> QLaurent:

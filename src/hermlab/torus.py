@@ -13,9 +13,9 @@ import heapq
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
+from .errors import InexactDivision
 from .scalars import (
     GaussianRational,
-    InexactDivision,
     QF_ONE,
     QF_ZERO,
     QFraction,

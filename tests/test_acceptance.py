@@ -23,16 +23,7 @@ from hermlab.hall_littlewood import (
     w_tilde,
     whole_group_value,
 )
-from hermlab.padic import (
-    LocalField,
-    classify_k_orbit,
-    diagonalize_x1,
-    is_member_X,
-    monte_carlo_omega1,
-    norm_count,
-    random_k,
-    x_lambda,
-)
+from hermlab.padic import classify_k_orbit, diagonalize_x1, is_member_X, random_k, x_lambda
 from hermlab.plancherel import (
     basis_rank_check,
     check_inversion,
@@ -43,6 +34,7 @@ from hermlab.plancherel import (
     volume,
 )
 from hermlab.report import RunConfig, run_checks
+from hermlab.residue import LocalField, monte_carlo_omega1, norm_count
 from hermlab.scalars import QFraction, QLaurent
 from hermlab.spherical import (
     check_functional_equation,

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from hermlab.cli import run
-from hermlab.padic import LocalField, LocalMatrix, assert_unitary, random_k, x_lambda
+from hermlab.padic import LocalMatrix, assert_unitary, random_k, x_lambda
+from hermlab.residue import LocalField
 
 
 def invoke(capsys, *argv):
@@ -148,6 +149,58 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text("bogus = 1\n")
     code, _ = invoke(capsys, "verify", "all", "--config", str(cfg))
     assert code == 2
+
+
+def test_config_file_unreadable_is_a_usage_error(tmp_path, capsys):
+    for path, reason in [
+        (tmp_path / "missing.cfg", "[Errno 2] No such file or directory"),
+        (tmp_path, "[Errno 21] Is a directory"),
+    ]:
+        assert run(["verify", "norm-volume", "--config", str(path)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"cannot read config file: {reason}: '{path}'\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# defaults\nn 1\n", "config line 2 is not key = value: n 1"),
+        ("n = x\n", "config value for n does not parse: 'x'"),
+        ("seed = 7\nq0 = 1/0\n", "config value for q0 does not parse: '1/0'"),
+    ],
+)
+def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    assert run(["verify", "norm-volume", "--config", str(cfg)]) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize("verb", ["classify", "diagonalize1"])
+def test_matrix_file_usage_errors(tmp_path, capsys, verb):
+    missing = tmp_path / "missing.json"
+    assert run(["padic", verb, "--in", str(missing)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"cannot read matrix file: [Errno 2] No such file or directory: '{missing}'\n"
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json\n")
+    assert run(["padic", verb, "--in", str(bad)]) == 2
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith(f"matrix file {bad} is not JSON: Expecting property name")
+    assert got.err.count("\n") == 1
+
+
+def test_bad_worker_count_in_the_environment_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("HERMLAB_WORKERS", "abc")
+    assert run(["verify", "norm-volume"]) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", "HERMLAB_WORKERS must be an integer, got 'abc'\n")
+    # a flag wins over the environment, so the variable is not read at all
+    assert run(["verify", "norm-volume", "--workers", "1"]) == 0
 
 
 @pytest.mark.parametrize("n, code", [(0, 2), (-1, 2), (4, 3), (7, 3)])
@@ -356,6 +409,52 @@ def test_light_verbs_do_not_load_numpy(argv):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == "0 False"
+
+
+VERIFY_N3_CHECKS = (
+    "norm-volume,rank1-closed-form,rank1-closed-form-sign,gamma-cocycle,"
+    "stabilizer-closed-form,measure-total-mass,volume-prefactor-power,height-phase"
+)
+
+
+@pytest.mark.parametrize(
+    "unloaded, argv",
+    [
+        (
+            "hermlab.scalars,hermlab.padic",
+            ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
+        ),
+        (
+            "hermlab.scalars,hermlab.padic",
+            ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"],
+        ),
+        ("hermlab.padic", ["verify", VERIFY_N3_CHECKS, "--n", "3", "--workers", "1"]),
+        ("concurrent.futures", ["verify", "norm-volume", "--workers", "1"]),
+    ],
+    ids=["count-norm", "mc-omega", "verify-n3-checks", "verify-one-worker"],
+)
+def test_verbs_load_only_the_layers_they_run(unloaded, argv):
+    # the residue verbs need neither the exact scalars nor the matrix layer;
+    # only three checks use matrices; the pool loads only when it runs
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, unloaded, *argv], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
+
+
+@pytest.mark.parametrize(
+    "checks, loaded",
+    [("norm-volume,orbit-classification", True), ("norm-volume,height-phase", False)],
+)
+def test_a_pool_loads_the_matrix_layer_before_it_forks(checks, loaded):
+    # the workers inherit padic instead of each compiling it again
+    argv = ["verify", checks, "--workers", "2"]
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "hermlab.padic", *argv], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == f"0 {loaded}"
 
 
 def test_report_does_not_load_numpy():

@@ -4,12 +4,14 @@ import importlib
 import pytest
 
 MODULES = [
+    "errors",
     "scalars",
     "weyl",
     "torus",
     "hall_littlewood",
     "spherical",
     "plancherel",
+    "residue",
     "padic",
     "report",
     "cli",

@@ -5,21 +5,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hermlab.errors import InexactDivision, PrecisionError, ResourceLimit
 from hermlab.padic import (
-    ENUMERATION_BOUND,
     ExactLocal,
-    InexactDivision,
-    LocalField,
     LocalMatrix,
-    PrecisionError,
     ResidueElem,
-    ResourceLimit,
-    _assert_unitary_entries,
-    _diag_units,
-    _haar_draw,
-    _haar_products,
-    _haar_sample,
-    _mc_valuation_histogram,
     assert_unitary,
     classify_g_orbit,
     classify_k_orbit,
@@ -28,18 +18,28 @@ from hermlab.padic import (
     invariant_factors,
     is_member_X,
     j_matrix,
+    random_k,
+    sample_k1_haar,
+    t_diag,
+    x_lambda,
+)
+from hermlab.hall_littlewood import partitions
+from hermlab.residue import (
+    ENUMERATION_BOUND,
+    LocalField,
+    _assert_unitary_entries,
+    _diag_units,
+    _haar_draw,
+    _haar_products,
+    _haar_sample,
+    _mc_valuation_histogram,
     k1_cell_counts,
     monte_carlo_omega1,
     norm_count,
     norm_residual,
     omega_n1_closed,
-    random_k,
-    sample_k1_haar,
     smallest_nonresidue,
-    t_diag,
-    x_lambda,
 )
-from hermlab.hall_littlewood import partitions
 from hermlab.scalars import QFraction, QLaurent
 from hermlab.spherical import omega_rank1_s_form
 
@@ -701,12 +701,12 @@ def test_pair_unitarity_check_rejects_corruption():
 
 
 def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch(monkeypatch):
-    from hermlab import padic
+    from hermlab import residue
 
     mod = 3**6
     for g in _haar_sample(F3, 6, range(40)):
         _assert_unitary_entries(g, F3.eps, mod)
-    cell_factor = padic._cell_factor
+    cell_factor = residue._cell_factor
     for k, (i, j, part) in enumerate([(0, 0, 0), (2, 1, 1), (1, 2, 0)]):
         calls = []
 
@@ -717,7 +717,7 @@ def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch(monkeypatch):
             calls.append(1)
             return n
 
-        monkeypatch.setattr(padic, "_cell_factor", corrupted)
+        monkeypatch.setattr(residue, "_cell_factor", corrupted)
         with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
             _haar_sample(F3, 6, range(40))
         assert len(calls) == 18 + k
@@ -726,15 +726,15 @@ def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch(monkeypatch):
 def test_cell_counts_check_the_diagonal_factor(monkeypatch):
     # D N is counted without being checked itself, so a D that is not unitary
     # must be caught on its own
-    from hermlab import padic
+    from hermlab import residue
 
-    diag_units = padic._diag_units
+    diag_units = residue._diag_units
 
     def bad_u(alpha, w, eps, mod):
         ainv, u = diag_units(alpha, w, eps, mod)
         return ainv, ((u[0] + 1) % mod, u[1])
 
-    monkeypatch.setattr(padic, "_diag_units", bad_u)
+    monkeypatch.setattr(residue, "_diag_units", bad_u)
     with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
         k1_cell_counts(3)
 
@@ -1064,6 +1064,15 @@ def test_mc_is_deterministic():
     b = monte_carlo_omega1(1, 1.0, 300, 8, seed=42)
     assert a["estimate"] == b["estimate"]
     assert a["histogram"] == b["histogram"]
+
+
+def test_mc_histograms_reexported_as_the_same_dict():
+    # readers of padic._MC_HISTOGRAMS must see the histograms the Monte-Carlo fills
+    from hermlab import padic, residue
+
+    assert padic._MC_HISTOGRAMS is residue._MC_HISTOGRAMS
+    monte_carlo_omega1(1, 1.0, 20, 8, seed="reexport")
+    assert (3, 1, 20, 8, "reexport") in padic._MC_HISTOGRAMS
 
 
 def test_mc_saturation_guard():

@@ -3,13 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from hermlab.scalars import (
-    GR_ONE,
-    GaussianRational,
-    InexactDivision,
-    QFraction,
-    QLaurent,
-)
+from hermlab.errors import InexactDivision
+from hermlab.scalars import GR_ONE, GaussianRational, QFraction, QLaurent
 
 Q = QLaurent.gen()
 

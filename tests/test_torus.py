@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hermlab.scalars import GaussianRational, InexactDivision, QFraction, QLaurent
+from hermlab.errors import InexactDivision
+from hermlab.scalars import GaussianRational, QFraction, QLaurent
 from hermlab.torus import (
     Binomial,
     FactoredRational,
