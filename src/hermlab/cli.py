@@ -48,17 +48,16 @@ def _parse_partition(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     try:
-        parts = tuple(int(t) for t in text.split(","))
+        return tuple(int(t) for t in text.split(","))
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
-    return parts
+        raise _usage_error(f"--lambda does not parse: {text!r}")
 
 
-def _parse_fraction(text: str) -> Fraction:
+def _parse_fraction(text: str, flag: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise SystemExit(EXIT_USAGE)
+        raise _usage_error(f"{flag} does not parse: {text!r}")
 
 
 def _format_complex(z: complex, digits: int = 12) -> str:
@@ -239,12 +238,15 @@ def _cmd_verify(args) -> int:
     for key, conv in _CONFIG_KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            merged[key] = conv(flag)
+            raw, source = flag, f"--{key}"
         elif key in values:
-            try:
-                merged[key] = conv(values[key])
-            except (ValueError, ZeroDivisionError):
-                raise _usage_error(f"config value for {key} does not parse: {values[key]!r}")
+            raw, source = values[key], f"config value for {key}"
+        else:
+            continue
+        try:
+            merged[key] = conv(raw)
+        except (ValueError, ZeroDivisionError):
+            raise _usage_error(f"{source} does not parse: {raw!r}")
     fmt = merged.pop("format", "text")
     workers = merged.pop("workers", None)
     if workers is None:
@@ -310,7 +312,7 @@ def _cmd_sph_omega(args) -> int:
             args.out,
         )
         return EXIT_PASS
-    xs = [_parse_fraction(t) for t in args.x.split(",")]
+    xs = [_parse_fraction(t, "--x") for t in args.x.split(",")]
     if len(xs) != args.n:
         sys.stderr.write(f"--x needs {args.n} coordinates, got {len(xs)}\n")
         return EXIT_USAGE
@@ -333,7 +335,7 @@ def _cmd_sph_parity_sign(args) -> int:
     lam = _parse_partition(args.lam)
     want = -1 if sum(lam) % 2 else 1
     got = parity_sign_relation(lam, args.n, seed=args.seed)
-    print(f"sign: {got:+d}")
+    print(f"sign: {got:+d}" if got else "sign: 0 (not a constant sign)")
     return EXIT_PASS if got == want else EXIT_MATH_FAIL
 
 
@@ -346,7 +348,7 @@ def _partitions_to_weight(n: int, weight: int) -> list[tuple[int, ...]]:
 def _cmd_plancherel(args) -> int:
     from .plancherel import check_inversion, check_plancherel, gram_matrix
 
-    q0 = _parse_fraction(args.q0)
+    q0 = _parse_fraction(args.q0, "--q0")
     lams = _partitions_to_weight(args.n, args.weight)
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
     if args.subcommand == "gram":
@@ -369,7 +371,7 @@ def _cmd_plancherel(args) -> int:
 def _cmd_plancherel_rank(args) -> int:
     from .plancherel import basis_rank_check
 
-    q0 = _parse_fraction(args.q0)
+    q0 = _parse_fraction(args.q0, "--q0")
     out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=args.trials)
     if out["ok"]:
         print(f"basis-rank: pass (least |det| {min(out['dets']):.3e})")

@@ -825,7 +825,10 @@ def _perm_generators(field, n):
     return gens
 
 
-def random_k(field, n, seed, word_length=6, prec=None):
+RANDOM_K_WORD_LENGTH = 6  # generators multiplied into one random_k element
+
+
+def random_k(field, n, seed, prec=None):
     """A pseudorandom element of the integral unitary group: a word in
     verified generators (diagonal units, constrained unipotents and their
     transposes, signed-permutation representatives); exact, or mod p^prec
@@ -835,7 +838,7 @@ def random_k(field, n, seed, word_length=6, prec=None):
     g = LocalMatrix.identity(field, size)
     perms = _perm_generators(field, n)
     J = j_matrix(field, size)
-    for _ in range(word_length):
+    for _ in range(RANDOM_K_WORD_LENGTH):
         kind = rng.randrange(4)
         if kind == 0:
             alphas = [_rand_exact_unit(field, rng) for _ in range(n)]

@@ -1,8 +1,9 @@
 """Named verification checks and the consolidated report.
 
-Every check has a stable id, runs a self-contained exact or numerical
-verification against an independently computed target, and reports one
-pass/fail line with a measured discrepancy.  Reports are deterministic:
+Every check is registered under a stable id in ``CHECKS``, runs a
+self-contained exact or numerical verification against an independently
+computed target, and reports one pass/fail line with a measured
+discrepancy.  Reports are deterministic:
 identical configurations produce identical bytes in every output format.
 """
 
@@ -12,19 +13,16 @@ import csv
 import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .hall_littlewood import (
     PARITIES,
     p_poly,
-    part_multiplicities,
     partitions,
     q_poly,
     spec_params,
     w_lambda_value,
-    w_poly,
-    w_tilde,
     whole_group_value,
 )
 from .plancherel import (
@@ -98,9 +96,12 @@ class CheckResult:
 
 
 # -- individual checks ---------------------------------------------------------------
+#
+# A check returns what it found, (passed, detail) or (passed, detail, data);
+# run_checks attaches the id it is registered under in CHECKS.
 
 
-def check_norm_volume(cfg: RunConfig) -> CheckResult:
+def check_norm_volume(cfg: RunConfig) -> tuple:
     p = cfg.p
     q = Fraction(p)
     bad = []
@@ -114,18 +115,15 @@ def check_norm_volume(cfg: RunConfig) -> CheckResult:
         if total != 1:
             bad.append((xi, "residual", str(total), "1"))
     if bad:
-        return CheckResult(
-            "norm-volume", False, f"count mismatches at p={p}: {bad}", {"bad": bad}
-        )
-    return CheckResult(
-        "norm-volume",
+        return False, f"count mismatches at p={p}: {bad}", {"bad": bad}
+    return (
         True,
         f"norm fiber volumes match the closed law exactly and fill the shell (p={p})",
         {"p": p},
     )
 
 
-def check_cartan_membership(cfg: RunConfig) -> CheckResult:
+def check_cartan_membership(cfg: RunConfig) -> tuple:
     from .padic import classify_k_orbit, is_member_X, random_k, x_lambda
 
     field_ = LocalField(cfg.p)
@@ -136,26 +134,19 @@ def check_cartan_membership(cfg: RunConfig) -> CheckResult:
             k = random_k(field_, n, seed=f"{cfg.seed}:member:{lam}:{trial}")
             x = k.act(x_lambda(field_, n, lam))
             if not is_member_X(x):
-                return CheckResult(
-                    "cartan-membership", False, f"conjugate of representative {lam} left the space"
-                )
+                return False, f"conjugate of representative {lam} left the space"
             got = classify_k_orbit(x)
             if got != lam:
-                return CheckResult(
-                    "cartan-membership",
-                    False,
-                    f"orbit label {got} != {lam} after compact twisting",
-                )
+                return False, f"orbit label {got} != {lam} after compact twisting"
             checked += 1
-    return CheckResult(
-        "cartan-membership",
+    return (
         True,
         f"{checked} twisted representatives recovered their orbit label exactly (n={n}, p={cfg.p})",
         {"checked": checked},
     )
 
 
-def check_rank1_closed_form(cfg: RunConfig) -> CheckResult:
+def check_rank1_closed_form(cfg: RunConfig) -> tuple:
     rng = random.Random(f"{cfg.seed}:rank1")
     worst_ell = 0
     for ell in range(5):
@@ -169,20 +160,15 @@ def check_rank1_closed_form(cfg: RunConfig) -> CheckResult:
             sf = omega_rank1_s_form(ell, rank1_substitution(x))
             ex = explicit.eval_exact([x]).as_qfraction()
             if not (zf == sf and zf == ex):
-                return CheckResult(
-                    "rank1-closed-form",
-                    False,
-                    f"closed forms disagree at orbit {ell}, x={x}",
-                )
+                return False, f"closed forms disagree at orbit {ell}, x={x}"
             worst_ell = max(worst_ell, ell)
-    return CheckResult(
-        "rank1-closed-form",
+    return (
         True,
         f"product formula and both closed forms agree exactly through orbit depth {worst_ell}",
     )
 
 
-def check_rank1_sign(cfg: RunConfig) -> CheckResult:
+def check_rank1_sign(cfg: RunConfig) -> tuple:
     rng = random.Random(f"{cfg.seed}:rank1sign")
     for ell in (1, 3):
         x = Fraction(rng.randrange(2, 30), rng.randrange(31, 60))
@@ -191,58 +177,44 @@ def check_rank1_sign(cfg: RunConfig) -> CheckResult:
         variant = omega_rank1_s_form_printed_variant(ell, u)
         ex = omega_explicit(1, "odd", (ell,)).eval_exact([x]).as_qfraction()
         if not (adopted == ex):
-            return CheckResult(
-                "rank1-closed-form-sign", False, f"adopted sign fails at odd orbit {ell}"
-            )
+            return False, f"adopted sign fails at odd orbit {ell}"
         if variant == ex:
-            return CheckResult(
-                "rank1-closed-form-sign",
-                False,
-                f"sign variants indistinguishable at odd orbit {ell}",
-            )
+            return False, f"sign variants indistinguishable at odd orbit {ell}"
     for ell in (0, 2):
         x = Fraction(rng.randrange(2, 30), rng.randrange(31, 60))
         u = rank1_substitution(x)
         if not (omega_rank1_s_form(ell, u) == omega_rank1_s_form_printed_variant(ell, u)):
-            return CheckResult(
-                "rank1-closed-form-sign", False, f"variants must coincide at even orbit {ell}"
-            )
-    return CheckResult(
-        "rank1-closed-form-sign",
+            return False, f"variants must coincide at even orbit {ell}"
+    return (
         True,
         "parity-dependent sign confirmed: flipped variant contradicts the product formula at odd depth",
     )
 
 
-def check_defining_integral_mc(cfg: RunConfig) -> CheckResult:
+def check_defining_integral_mc(cfg: RunConfig) -> tuple:
     out = monte_carlo_omega1(1, 1.0, cfg.samples, cfg.prec, seed=cfg.seed, p=cfg.p)
     err = abs(out["estimate"] - out["closed_form"])
     band = mc_band(out)
-    ok = err < band
-    return CheckResult(
-        "defining-integral-mc",
-        ok,
+    return (
+        err < band,
         f"haar estimate off by {err:.3e} (3-sigma band {band:.3e}, {cfg.samples} samples, p={cfg.p})",
         {"estimate": out["estimate"], "stderr": out["stderr"]},
     )
 
 
-def check_functional_equation_all(cfg: RunConfig) -> CheckResult:
+def check_functional_equation_all(cfg: RunConfig) -> tuple:
     lam = (1,) + (0,) * (cfg.n - 1)
     for parity in PARITIES:
         if not check_functional_equation(cfg.n, parity, lam, trials=3, seed=cfg.seed):
-            return CheckResult(
-                "functional-equation", False, f"twist relation fails ({parity} case)"
-            )
+            return False, f"twist relation fails ({parity} case)"
     size = len(enumerate_group(cfg.n))
-    return CheckResult(
-        "functional-equation",
+    return (
         True,
         f"value picks up the factored twist under all {size} group elements, both cases (n={cfg.n})",
     )
 
 
-def check_tau_functional_equation(cfg: RunConfig) -> CheckResult:
+def check_tau_functional_equation(cfg: RunConfig) -> tuple:
     n = cfg.n
     flip = coordinate_flip(n)
     rng = random.Random(f"{cfg.seed}:tau")
@@ -257,188 +229,127 @@ def check_tau_functional_equation(cfg: RunConfig) -> CheckResult:
             QLaurent.const(x2) - q**-1
         )
         if not (tw == explicit):
-            return CheckResult(
-                "tau-functional-equation", False, "last-flip twist differs from its closed form"
-            )
+            return False, "last-flip twist differs from its closed form"
         if not (gamma_factor(flip, "even").eval_exact(xs) == QFraction(1)):
-            return CheckResult(
-                "tau-functional-equation", False, "last-flip twist must be trivial (even case)"
-            )
+            return False, "last-flip twist must be trivial (even case)"
     lam = (1,) + (0,) * (n - 1)
     for parity in PARITIES:
         if not check_functional_equation(
             cfg.n, parity, lam, trials=2, seed=cfg.seed, elements=[flip]
         ):
-            return CheckResult(
-                "tau-functional-equation", False, f"flip equation fails ({parity} case)"
-            )
-    return CheckResult(
-        "tau-functional-equation",
-        True,
-        "sign-flip equation holds with the expected rational factor (trivial in the even case)",
-    )
+            return False, f"flip equation fails ({parity} case)"
+    return True, "sign-flip equation holds with the expected rational factor (trivial in the even case)"
 
 
-def check_gamma_cocycle_all(cfg: RunConfig) -> CheckResult:
+def check_gamma_cocycle_all(cfg: RunConfig) -> tuple:
     for parity in PARITIES:
         if not check_gamma_cocycle(cfg.n, parity, trials=5, seed=cfg.seed):
-            return CheckResult("gamma-cocycle", False, f"cocycle identity fails ({parity} case)")
-    return CheckResult(
-        "gamma-cocycle",
-        True,
-        f"twist cocycle identity holds exactly at random points (n={cfg.n}, both cases)",
-    )
+            return False, f"cocycle identity fails ({parity} case)"
+    return True, f"twist cocycle identity holds exactly at random points (n={cfg.n}, both cases)"
 
 
-def check_macdonald_constant(cfg: RunConfig) -> CheckResult:
+def check_macdonald_constant(cfg: RunConfig) -> tuple:
     for n in range(1, cfg.n + 1):
         for parity in PARITIES:
             zero = (0,) * n
             w0 = whole_group_value(n, parity)
             if q_poly(n, parity, zero) != TorusPoly.const(n, w0):
-                return CheckResult(
-                    "macdonald-constant",
-                    False,
-                    f"degenerate orbit sum differs from the group series (n={n}, {parity})",
-                )
+                return False, f"degenerate orbit sum differs from the group series (n={n}, {parity})"
             if p_poly(n, parity, zero) != TorusPoly.const(n, QLaurent.const(1)):
-                return CheckResult(
-                    "macdonald-constant", False, f"normalized empty sum is not 1 (n={n}, {parity})"
-                )
-            ts, tl = spec_params(parity)
-            if poincare_poly(enumerate_group(n), ts, tl) != w0:
-                return CheckResult(
-                    "macdonald-constant",
+                return False, f"normalized empty sum is not 1 (n={n}, {parity})"
+            if poincare_poly(enumerate_group(n), *spec_params(parity)) != w0:
+                return (
                     False,
                     f"group series differs from the length generating function (n={n}, {parity})",
                 )
-    return CheckResult(
-        "macdonald-constant",
-        True,
-        f"degenerate orbit sums equal the group length series through n={cfg.n}, both cases",
-    )
+    return True, f"degenerate orbit sums equal the group length series through n={cfg.n}, both cases"
 
 
-def check_stabilizer_closed_form(cfg: RunConfig) -> CheckResult:
-    ts, _ = spec_params("odd")
-    one_minus_t = QLaurent.const(1) - ts
+def check_stabilizer_closed_form(cfg: RunConfig) -> tuple:
+    # the enumerated stabilizer is the reference for the closed form of W_lam
+    forms = {"odd": "corrected closed form", "even": "closed form"}
     for n in range(1, cfg.n + 1):
         for lam in partitions(n, 3):
-            brute_odd = poincare_poly(stabilizer(lam, n), *spec_params("odd"))
-            if brute_odd != w_lambda_value(lam, n, "odd"):
-                return CheckResult(
-                    "stabilizer-closed-form", False, f"enumeration differs at {lam} (n={n})"
-                )
-            if brute_odd * one_minus_t ** (n + 1) != w_tilde(lam, n, ts):
-                return CheckResult(
-                    "stabilizer-closed-form",
-                    False,
-                    f"corrected closed form misses the brute sum at {lam} (n={n}, odd)",
-                )
-            mult = part_multiplicities(lam, n)
-            m0 = mult.get(0, 0)
-            closed = w_poly(m0, ts) * w_poly(m0, ts)
-            for v, m in mult.items():
-                if v >= 1:
-                    closed = closed * w_poly(m, ts)
-            brute_even = poincare_poly(stabilizer(lam, n), *spec_params("even"))
-            if brute_even * one_minus_t**n != closed:
-                return CheckResult(
-                    "stabilizer-closed-form",
-                    False,
-                    f"closed form misses the brute sum at {lam} (n={n}, even)",
-                )
-    return CheckResult(
-        "stabilizer-closed-form",
+            stab = stabilizer(lam, n)
+            for parity, form in forms.items():
+                if poincare_poly(stab, *spec_params(parity)) != w_lambda_value(lam, n, parity):
+                    return False, f"{form} misses the brute sum at {lam} (n={n}, {parity})"
+    return (
         True,
         f"closed stabilizer series match brute-force length sums, weight <= 3, n <= {cfg.n}, both cases",
     )
 
 
-def check_identity_value(cfg: RunConfig) -> CheckResult:
+def check_identity_value(cfg: RunConfig) -> tuple:
     for n in range(1, cfg.n + 1):
         for parity in PARITIES:
             if identity_value_constant(n, parity) != identity_value_closed_form(n, parity):
-                return CheckResult(
-                    "identity-value", False, f"normalization constants disagree (n={n}, {parity})"
-                )
+                return False, f"normalization constants disagree (n={n}, {parity})"
             for lam in ((0,) * n, (1,) + (0,) * (n - 1), (2,) + (1,) * (n - 1)):
                 if not omega_explicit(n, parity, lam).eval_at_base_point().is_one():
-                    return CheckResult(
-                        "identity-value",
-                        False,
-                        f"value at the base point is not 1 for {lam} (n={n}, {parity})",
-                    )
-    return CheckResult(
-        "identity-value",
+                    return False, f"value at the base point is not 1 for {lam} (n={n}, {parity})"
+    return (
         True,
         f"explicit values equal 1 at the base point and the constant matches its closed form (n <= {cfg.n})",
     )
 
 
-def check_measure_total_mass(cfg: RunConfig) -> CheckResult:
+def check_measure_total_mass(cfg: RunConfig) -> tuple:
     worst = 0.0
     for parity in PARITIES:
         m = total_mass(cfg.n, parity, cfg.q0, cfg.grid_n)
         worst = max(worst, abs(m - 1.0))
-    ok = worst < cfg.tol
-    return CheckResult(
-        "measure-total-mass",
-        ok,
+    return (
+        worst < cfg.tol,
         f"mass deviates from 1 by {worst:.3e} (grid {cfg.grid_n}, tol {cfg.tol:.1e})",
         {"worst": worst},
     )
 
 
-def _pairing_check(check_id: str, cfg: RunConfig, misses_of, passed: str) -> CheckResult:
+def _pairing_check(cfg: RunConfig, misses_of, passed: str) -> tuple:
     lams = partitions(cfg.n, 2)
     for parity in PARITIES:
         for i, j, got, want in misses_of(lams, parity)[:1]:
-            detail = f"pairing of {lams[i]} with {lams[j]} is {got}, not {want} ({parity} case)"
-            return CheckResult(check_id, False, detail)
-    return CheckResult(check_id, True, passed.format(k=len(lams)))
+            return False, f"pairing of {lams[i]} with {lams[j]} is {got}, not {want} ({parity} case)"
+    return True, passed.format(k=len(lams))
 
 
-def check_gram_orthogonality(cfg: RunConfig) -> CheckResult:
+def check_gram_orthogonality(cfg: RunConfig) -> tuple:
     def misses(lams, parity):
         diag = [expected_gram_diagonal(lam, cfg.n, parity, cfg.q0) for lam in lams]
         return pairing_misses(gram_matrix(lams, cfg.n, parity, cfg.q0), diag)
 
     return _pairing_check(
-        "gram-orthogonality",
         cfg,
         misses,
         "pairings of {k} orbit sums equal W_0/W_lam on the diagonal and 0 off it, exactly, both cases",
     )
 
 
-def check_plancherel_diagonal(cfg: RunConfig) -> CheckResult:
+def check_plancherel_diagonal(cfg: RunConfig) -> tuple:
     return _pairing_check(
-        "plancherel-diagonal",
         cfg,
         lambda lams, parity: check_plancherel(lams, cfg.n, parity, cfg.q0)["misses"],
         "transform pairings equal the orbit masses on the diagonal and 0 off it, exactly",
     )
 
 
-def check_inversion_identity(cfg: RunConfig) -> CheckResult:
+def check_inversion_identity(cfg: RunConfig) -> tuple:
     return _pairing_check(
-        "inversion",
         cfg,
         lambda lams, parity: check_inversion(lams, cfg.n, parity, cfg.q0)["misses"],
         "inverse transform recovers the indicators exactly",
     )
 
 
-def check_volume_prefactor_power(cfg: RunConfig) -> CheckResult:
+def check_volume_prefactor_power(cfg: RunConfig) -> tuple:
     n, q0 = cfg.n, cfg.q0
     lam = (1,) + (0,) * (n - 1)
     measured = check_plancherel([lam], n, "odd", q0)["matrix"][0][0]
     adopted = volume(lam, n, "odd", q0)
     expo = -base_point_exponent(lam, n, "odd")[0]
     alt = q0 ** int(expo) * expected_gram_diagonal(lam, n, "odd", q0)
-    return CheckResult(
-        "volume-prefactor-power",
+    return (
         measured == adopted and measured != alt,
         "finding: the orbit mass carries the doubled base-point power "
         f"(measured {measured}, adopted {adopted}, undoubled alternative {alt})",
@@ -446,40 +357,34 @@ def check_volume_prefactor_power(cfg: RunConfig) -> CheckResult:
     )
 
 
-def check_basis_rank(cfg: RunConfig) -> CheckResult:
+def check_basis_rank(cfg: RunConfig) -> tuple:
     dets = []
     for parity in PARITIES:
         out = basis_rank_check(cfg.n, parity, cfg.q0, seed=cfg.seed, trials=3)
         if not out["ok"]:
-            return CheckResult(
-                "basis-rank", False, f"kernels went singular at sampled points ({parity} case)"
-            )
+            return False, f"kernels went singular at sampled points ({parity} case)"
         dets += out["dets"]
     worst = min(dets)
-    return CheckResult(
-        "basis-rank",
+    return (
         True,
         f"{2**cfg.n} kernels are exactly independent on sign-flipped rational points (least |det| {worst:.3e})",
         {"min_det": worst},
     )
 
 
-def check_parity_sign(cfg: RunConfig) -> CheckResult:
+def check_parity_sign(cfg: RunConfig) -> tuple:
     for lam in partitions(cfg.n, 3):
         want = -1 if sum(lam) % 2 else 1
         got = parity_sign_relation(lam, cfg.n, trials=3, seed=cfg.seed)
         if got != want:
-            return CheckResult(
-                "parity-sign", False, f"sign flip at {lam} is {got}, expected {want}"
-            )
-    return CheckResult(
-        "parity-sign",
+            return False, f"sign flip at {lam} is {got}, expected {want}"
+    return (
         True,
         f"base-point convention shift flips values by the weight parity (|lam| <= 3, n={cfg.n})",
     )
 
 
-def check_height_phase(cfg: RunConfig) -> CheckResult:
+def check_height_phase(cfg: RunConfig) -> tuple:
     for parity in PARITIES:
         for n in range(1, cfg.n + 1):
             z0 = SpaceConfig(n, parity).z0
@@ -488,22 +393,17 @@ def check_height_phase(cfg: RunConfig) -> CheckResult:
                 im = sum((Fraction(l) * pt[1] for l, pt in zip(lam, z0)), Fraction(0))
                 ph = phase_power(lam, n, parity)
                 if (2 * im) % 4 != ph.i_power % 4 or re != Fraction(ph.half_q, 2):
-                    return CheckResult(
-                        "height-phase",
+                    return (
                         False,
                         f"base-point power disagrees with the pairing at {lam} (n={n}, {parity})",
                     )
     one = phase_power((1,), 1, "odd")
     if not (one.i_power == 1 and one.half_q == -2):
-        return CheckResult("height-phase", False, "frozen rank-one phase changed")
-    return CheckResult(
-        "height-phase",
-        True,
-        f"base-point powers equal the pairing with the distinguished exponent (n <= {cfg.n})",
-    )
+        return False, "frozen rank-one phase changed"
+    return True, f"base-point powers equal the pairing with the distinguished exponent (n <= {cfg.n})"
 
 
-def check_orbit_classification(cfg: RunConfig) -> CheckResult:
+def check_orbit_classification(cfg: RunConfig) -> tuple:
     from .padic import classify_g_orbit, t_diag, x_lambda
 
     field_ = LocalField(cfg.p)
@@ -511,40 +411,34 @@ def check_orbit_classification(cfg: RunConfig) -> CheckResult:
     for lam in partitions(n, 3):
         x = x_lambda(field_, n, lam)
         if classify_g_orbit(x) != sum(lam) % 2:
-            return CheckResult(
-                "orbit-classification", False, f"full-group invariant wrong at {lam}"
-            )
+            return False, f"full-group invariant wrong at {lam}"
     bs = [Fraction(cfg.p), Fraction(1)] + [Fraction(1)] * (n - 2)
     t = t_diag(field_, bs[:n])
     lam = (1,) + (0,) * (n - 1)
     y = t.act(x_lambda(field_, n, lam))
     if classify_g_orbit(y) != 1:
-        return CheckResult(
-            "orbit-classification", False, "full-group invariant moved under torus mixing"
-        )
-    return CheckResult(
-        "orbit-classification",
+        return False, "full-group invariant moved under torus mixing"
+    return (
         True,
         f"full-group invariant is the weight parity and survives torus mixing (n={n}, p={cfg.p})",
     )
 
 
-def check_k1_cell_counts(cfg: RunConfig) -> CheckResult:
+def check_k1_cell_counts(cfg: RunConfig) -> tuple:
     big, small, union = k1_cell_counts(3)
     q = 3
     ok = (
         (big, small, union) == (23328, 864, 24192)
         and union == q**3 * (q + 1) * (q**2 - 1) * (q**3 + 1)
     )
-    return CheckResult(
-        "k1-cell-counts",
+    return (
         ok,
         f"cell enumeration gives {big} + {small} = {union}, the full reduction count (q=3)",
         {"big": big, "small": small, "union": union},
     )
 
 
-def check_diagonalization_roundtrip(cfg: RunConfig) -> CheckResult:
+def check_diagonalization_roundtrip(cfg: RunConfig) -> tuple:
     from .padic import diagonalize_x1, random_k, x_lambda
 
     field_ = LocalField(cfg.p)
@@ -555,24 +449,15 @@ def check_diagonalization_roundtrip(cfg: RunConfig) -> CheckResult:
             x = k0.act(x_lambda(field_, 1, (ell,))).to_residue(max(cfg.prec, 12))
             k, got = diagonalize_x1(x)
             if got != ell:
-                return CheckResult(
-                    "diagonalization-roundtrip",
-                    False,
-                    f"recovered orbit {got} != {ell} (p={cfg.p})",
-                )
+                return False, f"recovered orbit {got} != {ell} (p={cfg.p})"
             y = k.act(x)
             pw = Fraction(cfg.p)
             for i, want in enumerate([pw**ell, Fraction(1), pw**-ell]):
                 e = y.rows[i][i]
                 if e != e._coerce(want * pw**y.shift, e.m):
-                    return CheckResult(
-                        "diagonalization-roundtrip",
-                        False,
-                        f"conjugation missed the representative at orbit {ell}",
-                    )
+                    return False, f"conjugation missed the representative at orbit {ell}"
             hits += 1
-    return CheckResult(
-        "diagonalization-roundtrip",
+    return (
         True,
         f"{hits} random conjugates reduced back to their representative (p={cfg.p})",
         {"roundtrips": hits},
@@ -605,9 +490,9 @@ CHECKS = {
 }
 
 
-def _run_one(args):
-    check_id, cfg = args
-    return CHECKS[check_id](cfg)
+def _run_one(check_id: str, cfg: RunConfig) -> CheckResult:
+    # looked up at call time: a profiler may have replaced the function
+    return CheckResult(check_id, *CHECKS[check_id](cfg))
 
 
 class Report:
@@ -632,16 +517,7 @@ class Report:
 
     def to_json(self) -> str:
         payload = {
-            "config": {
-                "n": self.cfg.n,
-                "q0": str(self.cfg.q0),
-                "p": self.cfg.p,
-                "seed": self.cfg.seed,
-                "grid_n": self.cfg.grid_n,
-                "prec": self.cfg.prec,
-                "samples": self.cfg.samples,
-                "tol": self.cfg.tol,
-            },
+            "config": dict(asdict(self.cfg), q0=str(self.cfg.q0)),
             "results": [
                 {"id": r.check_id, "passed": r.passed, "detail": r.detail, "data": r.data}
                 for r in self.results
@@ -667,9 +543,6 @@ class Report:
 
 def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
     ids = list(check_ids)
-    unknown = [i for i in ids if i not in CHECKS]
-    if unknown:
-        raise KeyError(f"unknown check ids: {', '.join(unknown)}")
     if workers > 1 and len(ids) > 1:
         # imported here, in the parent before it forks, and only when a pool
         # runs; so is padic when a check needs it, else each worker that runs
@@ -680,7 +553,7 @@ def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
             from . import padic  # noqa: F401
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, [(i, cfg) for i in ids]))
+            results = list(pool.map(_run_one, ids, [cfg] * len(ids)))
     else:
-        results = [CHECKS[i](cfg) for i in ids]
+        results = [_run_one(i, cfg) for i in ids]
     return Report(cfg, results)

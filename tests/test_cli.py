@@ -1,8 +1,10 @@
 import hashlib
+import importlib
 import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,6 +178,51 @@ def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
     assert run(["verify", "norm-volume", "--config", str(cfg)]) == 2
     got = capsys.readouterr()
     assert (got.out, got.err) == ("", message + "\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "norm-volume", "--q0", "abc"], "--q0 does not parse: 'abc'"),
+        (["verify", "norm-volume", "--q0", "1/0"], "--q0 does not parse: '1/0'"),
+        (["hl", "qpoly", "--n", "2", "--parity", "odd", "--lambda", "a"],
+         "--lambda does not parse: 'a'"),
+        (["sph", "omega", "--n", "2", "--lambda", "1", "--x", "1,y"], "--x does not parse: 'y'"),
+        (["plancherel", "rank", "--n", "1", "--parity", "odd", "--q0", "x"],
+         "--q0 does not parse: 'x'"),
+    ],
+    ids=["verify-q0-literal", "verify-q0-zero-denominator", "lambda", "x", "plancherel-q0"],
+)
+def test_flag_that_does_not_parse_is_a_usage_error(capsys, argv, message):
+    assert run(argv) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", message + "\n")
+
+
+def _standard_phase(lam, n):
+    # the shifted base-point convention replaced by the standard one, so the
+    # two conventions agree and the weight-parity sign is lost
+    from hermlab.spherical import phase_power
+
+    return phase_power(lam, n, "odd")
+
+
+def test_a_failing_check_is_a_line_not_an_abort(monkeypatch, capsys):
+    monkeypatch.setattr("hermlab.spherical.alternative_phase_power", _standard_phase)
+    code = run(["verify", "height-phase,parity-sign,norm-volume", "--n", "1", "--workers", "1"])
+    got = capsys.readouterr()
+    assert code == 1
+    assert got.err == ""
+    lines = got.out.splitlines()
+    assert [line[:4] for line in lines[:3]] == ["PASS", "FAIL", "PASS"]
+    assert lines[1] == "FAIL  parity-sign                 sign flip at (1,) is 1, expected -1"
+    assert lines[3:] == ["1 of 3 checks failed"]
+
+
+def test_parity_sign_verb_prints_the_observed_sign(monkeypatch, capsys):
+    assert invoke(capsys, "sph", "parity-sign", "--n", "2", "--lambda", "2,1") == (0, "sign: -1\n")
+    monkeypatch.setattr("hermlab.spherical.alternative_phase_power", _standard_phase)
+    assert invoke(capsys, "sph", "parity-sign", "--n", "2", "--lambda", "2,1") == (1, "sign: +1\n")
 
 
 @pytest.mark.parametrize("verb", ["classify", "diagonalize1"])
@@ -365,6 +412,49 @@ def test_padic_report_bytes_pinned(capsys, extra, digest):
     code, out = invoke(capsys, "verify", PADIC_CHECKS, *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        pytest.param(
+            ("--n", "1"),
+            "45ea9bec359bd480f411a6c8a754db355f530a0c6ecfaee59cca04427e836757",
+            id="n1-text",
+        ),
+        pytest.param(
+            ("--n", "2", "--format", "json"),
+            "fb8778b18d35e078a1c2ce6b384a1990fcc6576fa98bf3f5e1774d215858418a",
+            id="n2-json",
+        ),
+    ],
+)
+def test_full_report_bytes_pinned(capsys, extra, digest):
+    # all 22 checks, recorded before the checks stopped writing their own ids
+    code, out = invoke(capsys, "verify", "all", *extra, "--workers", "1")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_report_checks_are_the_benchmark_tallies():
+    # perfbench/run.py keeps its own list of the check ids for its per-check
+    # tallies; a renamed or reordered check must not drop out of them
+    from hermlab.report import CHECKS
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        bench = importlib.import_module("run")
+    finally:
+        sys.path.pop(0)
+        sys.modules.pop("run", None)
+    assert tuple(CHECKS) == bench.CHECK_IDS
+
+
+def test_run_checks_refuses_an_unknown_id():
+    from hermlab.report import RunConfig, run_checks
+
+    with pytest.raises(KeyError):
+        run_checks(["norm-volume", "no-such-check"], RunConfig())
 
 
 def test_console_script_end_to_end():

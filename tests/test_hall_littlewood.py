@@ -23,6 +23,7 @@ from hermlab.weyl import (
     enumerate_group,
     length,
     long_positive_roots,
+    poincare_poly,
     positive_roots,
     short_positive_roots,
     stabilizer,
@@ -304,7 +305,7 @@ def test_w_tilde_matches_stabilizer_series_odd():
     one_minus_t = QLaurent.const(1) - t
     for n in (1, 2, 3):
         for lam in partitions_with(3, n):
-            brute = w_lambda_value(lam, n, "odd")
+            brute = poincare_poly(stabilizer(lam, n), *spec_params("odd"))
             assert brute * one_minus_t ** (n + 1) == w_tilde(lam, n, t)
 
 
@@ -322,8 +323,17 @@ def test_even_stabilizer_closed_form():
             for v, m in mult.items():
                 if v >= 1:
                     closed = closed * w_poly(m, t)
-            brute = w_lambda_value(lam, n, "even")
+            brute = poincare_poly(stabilizer(lam, n), *spec_params("even"))
             assert brute * one_minus_t**n == closed
+
+
+def test_w_lambda_closed_form_equals_the_enumeration():
+    # W_lam is computed in closed form; the stabilizer enumeration is its reference
+    for n in (1, 2, 3, 4):
+        for lam in partitions(n, 4):
+            for parity in ("odd", "even"):
+                brute = poincare_poly(stabilizer(lam, n), *spec_params(parity))
+                assert w_lambda_value(lam, n, parity) == brute, (lam, parity)
 
 
 def test_w_lambda_trivial_stabilizer():

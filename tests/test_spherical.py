@@ -248,6 +248,23 @@ def test_parity_sign_relation_frozen():
     assert parity_sign_relation((2, 1), 2) == -1
 
 
+def test_parity_sign_relation_returns_the_sign_it_observes(monkeypatch):
+    import hermlab.spherical as sph
+
+    # with the standard phase in place of the shifted one the two conventions
+    # agree, so the sign observed is +1 whatever the weight
+    monkeypatch.setattr(sph, "alternative_phase_power", lambda lam, n: phase_power(lam, n, "odd"))
+    assert parity_sign_relation((1,), 1) == 1
+    assert parity_sign_relation((2, 1), 2) == 1
+    # a quarter period makes the values differ by I: no sign holds
+    quarter = PhasedScalar(1, 0, QFraction(1))
+    monkeypatch.setattr(
+        sph, "alternative_phase_power", lambda lam, n: phase_power(lam, n, "odd") * quarter
+    )
+    assert parity_sign_relation((1,), 1) == 0
+    assert parity_sign_relation((1, 1), 2) == 0
+
+
 def test_alternative_phase_is_full_period():
     # the shifted convention differs from the standard one by exactly
     # I^(-2|lam|), i.e. the sign (-1)^|lam|
