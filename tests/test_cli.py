@@ -271,6 +271,32 @@ def test_sph_omega_wrong_coordinate_count(capsys):
     assert got.err == "--x needs 2 coordinates, got 1\n" and got.out == ""
 
 
+# The printed form of an exact evaluation (QFraction is not canonical), as
+# recorded before evaluation moved onto monomial powers.
+SPH_OMEGA_X_PINNED = {
+    ("odd", "2,3"): "-I * q^(-2) * ((1/100 - 14/75*q^{-1} + 26/25*q^{-2} - 82/75*q^{-3}"
+    " - 233/50*q^{-4} + 146/25*q^{-5} + 191/25*q^{-6} - 682/75*q^{-7} - 551/100*q^{-8}"
+    " + 448/75*q^{-9} + 37/25*q^{-10} - 36/25*q^{-11})/(1 + q^{-1} - q^{-2} - q^{-5}"
+    " + q^{-6} - q^{-7} - q^{-8} + q^{-9} - q^{-10} - q^{-13} + q^{-14} + q^{-15}))\n",
+    ("odd", "2,1/2"): "-I * q^(-2) * ((2/25 - 33/50*q^{-1} + 28/25*q^{-2} + 58/25*q^{-3}"
+    " - 132/25*q^{-4} - 67/25*q^{-5} + 208/25*q^{-6} + 18/25*q^{-7} - 142/25*q^{-8}"
+    " + 31/50*q^{-9} + 36/25*q^{-10} - 8/25*q^{-11})/(1 + q^{-1} - q^{-2} - q^{-5}"
+    " + q^{-6} - q^{-7} - q^{-8} + q^{-9} - q^{-10} - q^{-13} + q^{-14} + q^{-15}))\n",
+    ("even", "2,3"): "-1 * q^(-3/2) * ((1/2 - 17/6*q^{-1} - 7/3*q^{-2} + 23/3*q^{-3}"
+    " + 19/6*q^{-4} - 41/6*q^{-5} - 4/3*q^{-6} + 2*q^{-7})/(1 + q^{-1} - q^{-2}"
+    " - 2*q^{-5} - q^{-8} + q^{-9} + q^{-10}))\n",
+    ("even", "2,1/2"): "-1 * q^(-3/2) * ((1/2 - 2*q^{-1} - 3/2*q^{-2} + 6*q^{-3}"
+    " + 3/2*q^{-4} - 6*q^{-5} - 1/2*q^{-6} + 2*q^{-7})/(1 + q^{-1} - q^{-2}"
+    " - 2*q^{-5} - q^{-8} + q^{-9} + q^{-10}))\n",
+}
+
+
+@pytest.mark.parametrize("parity, x", sorted(SPH_OMEGA_X_PINNED))
+def test_sph_omega_at_a_point_pinned(capsys, parity, x):
+    got = invoke(capsys, "sph", "omega", "--n", "2", "--lambda", "1", "--parity", parity, "--x", x)
+    assert got == (0, SPH_OMEGA_X_PINNED[parity, x])
+
+
 @pytest.mark.parametrize("parity, least", [("odd", "7.547e+05"), ("even", "2.947e+06")])
 def test_plancherel_rank_n3_pinned(capsys, parity, least):
     code, out = invoke(capsys, "plancherel", "rank", "--n", "3", "--parity", parity)

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -28,6 +29,7 @@ from hermlab.spherical import (
     psi,
     rank1_substitution,
     s_to_z,
+    x_coords_stretched,
     z_to_s,
 )
 from hermlab.weyl import (
@@ -295,3 +297,24 @@ def test_omega_eval_unit_matches_eval_exact():
     want = phased_float(om.eval_exact([x]), 3.0)
     got = spherical_unit_value(om, 3.0, [math.atan2(0.8, 0.6)])
     assert abs(want - got) < 1e-10
+
+
+# The printed form of an exact evaluation: QFraction is not canonical, so a
+# change in the order of the evaluation's products can print a different but
+# equal fraction.  These strings were recorded before evaluation moved onto
+# monomial powers.
+BASE_POINT_FACTORS_SHA256 = {
+    "odd": "615f87cb6b3c3d9496bf18b86cb3d69a80f2ced990cf931a9ecbfbaf651c7815",
+    "even": "34f29e9c8ee6eb156fcf4682743c4b45651877fe77592f447653163248626078",
+}
+
+
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_base_point_value_printed_form_pinned(parity):
+    v = omega_explicit(3, parity, (2, 1, 0))
+    assert str(v.eval_at_base_point()) == "(1)"
+    xs = x_coords_stretched(SpaceConfig(3, parity).z0)
+    num = v.numerator.map_coeffs(lambda c: c.stretch(2)).eval_exact(xs)
+    bnd = v.boundary.map_coefs(lambda c: c.stretch(2)).eval_exact(xs)
+    digest = hashlib.sha256(f"{num}\n{bnd}".encode()).hexdigest()
+    assert digest == BASE_POINT_FACTORS_SHA256[parity]
