@@ -202,6 +202,22 @@ def _gaussian_ints(x) -> tuple[int, int, int]:
     return x.re.numerator * (d // dr), x.im.numerator * (d // di), d
 
 
+def _mono_pow(re: int, im: int, d: int, k: int) -> tuple[int, int, int]:
+    """``((re + im*I)/d)**k`` as ``(re', im', d')`` with ``d' > 0``, not reduced;
+    a negative power inverts first: ``1/x = d*(re - im*I) / (re^2 + im^2)``."""
+    if k < 0:
+        re, im, d, k = d * re, -d * im, re * re + im * im, -k
+    dk = d**k
+    pr, pi = 1, 0
+    while k:
+        if k & 1:
+            pr, pi = pr * re - pi * im, pr * im + pi * re
+        k >>= 1
+        if k:
+            re, im = re * re - im * im, 2 * re * im
+    return pr, pi, dk
+
+
 _set = object.__setattr__
 
 
@@ -382,11 +398,12 @@ class QLaurent:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
+        if len(self._c) == 1:
+            (e, (re, im)), = self._c.items()
+            re, im, d = _mono_pow(re, im, self._d, k)
+            return _ql({e * k: (re, im)}, d)
         if k < 0:
-            if len(self._c) != 1:
-                raise InexactDivision("negative power of a non-monomial QLaurent")
-            (e, v), = self.items()
-            return QLaurent({e * k: v**k})
+            raise InexactDivision("negative power of a non-monomial QLaurent")
         out = QL_ONE
         base = self
         while k:
@@ -712,3 +729,14 @@ class QFraction:
 QF_ZERO = QFraction(0)
 QF_ONE = QFraction(1)
 
+
+def _monomial(x) -> tuple[int, int, int, int]:
+    """``(re, im, d, k)`` with ``x = (re + im*I)/d * q^k`` in lowest terms;
+    ValueError unless ``x`` is a nonzero monomial."""
+    if isinstance(x, (int, Fraction)) and x:
+        return x.numerator, 0, x.denominator, 0
+    f = x if isinstance(x, QFraction) else QFraction(x)
+    if len(f.num._c) == 1 and f.den.is_one():
+        (k, (re, im)), = f.num._c.items()
+        return re, im, f.num._d, k
+    raise ValueError(f"torus coordinate {x} is not a nonzero monomial c*q^k")

@@ -5,6 +5,10 @@ values, so a polynomial here is really a family over the parameter q.
 The signed-permutation group acts by relabeling exponents, and the one
 nontrivial algorithm is exact division by a binomial ``1 - c*x^alpha``,
 which underpins every orbit-sum normalization downstream.
+
+Exact evaluation takes points whose coordinates are nonzero monomials
+``c*q^k`` (c Gaussian rational), such as the paper's x_i = q^(z_i); each
+point is read once into integers and each x^e is one monomial.
 """
 
 from __future__ import annotations
@@ -20,6 +24,9 @@ from .scalars import (
     QF_ZERO,
     QFraction,
     QLaurent,
+    _mono_pow,
+    _monomial,
+    _ql,
 )
 from .weyl import SignedPerm
 
@@ -36,6 +43,21 @@ def _as_qfraction(x) -> QFraction:
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
+
+
+def _x_power(pt: Sequence[tuple[int, int, int, int]], e: Vec, memo: dict) -> QLaurent:
+    """The monomial x^e at a point read by ``_monomial``, memoised in ``memo``."""
+    m = memo.get(e)
+    if m is None:
+        re, im, d, k = 1, 0, 1, 0
+        for (xr, xi, xd, xk), a in zip(pt, e):
+            if a:
+                pr, pi, pd = _mono_pow(xr, xi, xd, a)
+                re, im = re * pr - im * pi, re * pi + im * pr
+                d *= pd
+                k += xk * a
+        m = memo[e] = _ql({k: (re, im)}, d)
+    return m
 
 
 class TorusPoly:
@@ -198,27 +220,15 @@ class TorusPoly:
 
     # -- evaluation --------------------------------------------------------------
     def eval_exact(self, xs: Sequence) -> QFraction:
-        """Substitute exact values (Fraction / GaussianRational / QLaurent /
-        QFraction) for the variables; q stays symbolic if the inputs keep it so."""
+        """Value at a point of nonzero monomial coordinates c*q^k (int,
+        Fraction, GaussianRational, QLaurent or QFraction), else ValueError."""
         if len(xs) != self.n:
             raise ValueError("wrong number of coordinates")
-        vals = [_as_qfraction(x) for x in xs]
-        # cache powers per variable
-        pows: list[dict[int, QFraction]] = [{0: QF_ONE} for _ in range(self.n)]
-
-        def power(i: int, k: int) -> QFraction:
-            cache = pows[i]
-            if k not in cache:
-                cache[k] = vals[i] ** k
-            return cache[k]
-
+        pt = [_monomial(x) for x in xs]
+        memo: dict = {}
         total = QF_ZERO
         for e, c in self._t.items():
-            m = c
-            for i, k in enumerate(e):
-                if k:
-                    m = m * power(i, k)
-            total = total + m
+            total = total + QFraction(c.num * _x_power(pt, e, memo), c.den)
         return total
 
     # -- presentation ---------------------------------------------------------------
@@ -343,11 +353,12 @@ class Binomial:
         return TorusPoly.const(n, 1) - TorusPoly.monomial(n, self.alpha, self.coef)
 
     def eval_exact(self, xs: Sequence) -> QFraction:
-        m = QF_ONE
-        for x, k in zip(xs, self.alpha):
-            if k:
-                m = m * _as_qfraction(x) ** k
-        return QF_ONE - self.coef * m
+        """Value at a point of nonzero monomials, as in TorusPoly.eval_exact."""
+        return self._eval_at([_monomial(x) for x in xs], {})
+
+    def _eval_at(self, pt, memo: dict) -> QFraction:
+        c = self.coef
+        return QF_ONE - QFraction(c.num * _x_power(pt, self.alpha, memo), c.den)
 
     def map_coef(self, fn) -> "Binomial":
         return Binomial(fn(self.coef), self.alpha)
@@ -387,11 +398,15 @@ class FactoredRational:
         return FactoredRational(self.front.inverse(), self.den, self.num)
 
     def eval_exact(self, xs: Sequence) -> QFraction:
+        """Value at a point of nonzero monomials, as in TorusPoly.eval_exact:
+        front, times each numerator value, over each denominator value."""
+        pt = [_monomial(x) for x in xs]
+        memo: dict = {}
         top = self.front
         for b in self.num:
-            top = top * b.eval_exact(xs)
+            top = top * b._eval_at(pt, memo)
         for b in self.den:
-            top = top / b.eval_exact(xs)
+            top = top / b._eval_at(pt, memo)
         return top
 
     def map_coefs(self, fn) -> "FactoredRational":

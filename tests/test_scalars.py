@@ -360,3 +360,33 @@ def test_eval_float_independent_of_construction_order():
     assert QLaurent(up) == QLaurent(down)
     assert QLaurent(up).eval_float(3.0) == QLaurent(down).eval_float(3.0)
     assert QLaurent(up).eval_float(3.0) == RefQLaurent(down).eval_float(3.0)
+
+
+@pytest.mark.parametrize(
+    "coef",
+    [
+        GaussianRational(Fraction(2, 3), Fraction(-1, 5)),
+        GaussianRational(Fraction(1, 2), Fraction(1, 2)),
+        GaussianRational(-1),
+    ],
+)
+@pytest.mark.parametrize("e", [0, 3, -3])
+def test_monomial_powers_match_repeated_products(coef, e):
+    # the integer kernel against repeated multiplication (of x or of its
+    # inverse) and against the GaussianRational route of the reference
+    x = QLaurent.term(coef, e)
+    inv = QLaurent.term(coef.inverse(), -e)
+    for k in range(-5, 6):
+        want = QLaurent.const(1)
+        for _ in range(abs(k)):
+            want = want * (x if k > 0 else inv)
+        got = x**k
+        assert (got._c, got._d) == (want._c, want._d)
+        _same(got, RefQLaurent({e: coef}) ** k)
+
+
+def test_monomial_power_is_reduced():
+    # ((1+I)/2)^2 = I/2: the numerator 2I over 4 is brought to lowest terms
+    x = QLaurent.const(GaussianRational(Fraction(1, 2), Fraction(1, 2)))
+    assert ((x**2)._c, (x**2)._d) == ({0: (0, 1)}, 2)
+    assert ((x**-2)._c, (x**-2)._d) == ({0: (0, -2)}, 1)

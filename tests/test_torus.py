@@ -7,10 +7,12 @@ import pytest
 
 from hermlab.errors import InexactDivision
 from hermlab.scalars import GaussianRational, QFraction, QLaurent
+from hermlab.hall_littlewood import q_poly
 from hermlab.torus import (
     Binomial,
     FactoredRational,
     TorusPoly,
+    act_point,
     binomial_div_exact,
 )
 from hermlab.weyl import SignedPerm, enumerate_group
@@ -202,3 +204,81 @@ def test_factored_rational_pole():
     fr = FactoredRational(1, [], [Binomial(1, (1,))])
     with pytest.raises(ZeroDivisionError):
         fr.eval_exact([Fraction(1)])
+
+
+# -- evaluation at monomial points ---------------------------------------------
+#
+# The reference substitutes QFraction powers of each coordinate, one factor
+# at a time, as evaluation did before it read each point into integers.
+
+
+def _ref_power(xs, e):
+    m = QFraction(1)
+    for x, k in zip(xs, e):
+        if k:
+            m = m * (x if isinstance(x, QFraction) else QFraction(x)) ** k
+    return m
+
+
+def ref_eval_poly(f, xs):
+    total = QFraction(0)
+    for e, c in f.terms():
+        m = c
+        for i, k in enumerate(e):
+            if k:
+                m = m * _ref_power(xs[i : i + 1], [k])
+        total = total + m
+    return total
+
+
+def ref_eval_binomial(b, xs):
+    return QFraction(1) - b.coef * _ref_power(xs, b.alpha)
+
+
+def ref_eval_factored(fr, xs):
+    top = fr.front
+    for b in fr.num:
+        top = top * ref_eval_binomial(b, xs)
+    for b in fr.den:
+        top = top / ref_eval_binomial(b, xs)
+    return top
+
+
+MONOMIAL_POINTS = [
+    [QLaurent({2: GaussianRational(Fraction(2, 3), Fraction(-1, 5))}), Fraction(5, 7)],
+    [QLaurent({-1: GaussianRational(Fraction(1, 2), Fraction(1, 2))}), Fraction(-3)],
+    [GaussianRational(0, 1), QFraction(QLaurent({-3: GaussianRational(Fraction(4, 9))}))],
+    [Fraction(7, 3), Fraction(5, 11)],
+]
+
+
+def _variants(xs):
+    """The point, its sign flips and its images under the signed permutations."""
+    flips = [[s * x for s, x in zip(signs, xs)] for signs in ((1, -1), (-1, 1), (-1, -1))]
+    return [xs] + flips + [act_point(s, xs) for s in enumerate_group(2)]
+
+
+def _same_value(got, want):
+    assert got == want
+    assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("xs", MONOMIAL_POINTS)
+def test_eval_at_monomial_points_matches_reference(xs):
+    c = QFraction(1 + Q, 1 - Q**-3)  # a coefficient whose fraction is not reduced
+    f = q_poly(2, "odd", (2, 1)) + mono(2, (1, -2), c) + mono(2, (0, 0), c)
+    bins = [Binomial(Q**-1, (1, 1)), Binomial(c, (0, -2)), Binomial(-1, (1, -1))]
+    fr = FactoredRational(QFraction(-Q) ** 2, bins[:2], bins[1:])
+    for pt in _variants(xs):
+        _same_value(f.eval_exact(pt), ref_eval_poly(f, pt))
+        for b in bins:
+            _same_value(b.eval_exact(pt), ref_eval_binomial(b, pt))
+        _same_value(fr.eval_exact(pt), ref_eval_factored(fr, pt))
+
+
+@pytest.mark.parametrize("x", [1 + Q, QFraction(1, 1 + Q), Fraction(0), QLaurent(), 0])
+def test_eval_refuses_a_coordinate_that_is_not_a_nonzero_monomial(x):
+    xs = [Fraction(2), x]
+    for evaluable in (mono(2, (1, 1)), Binomial(1, (0, 1)), FactoredRational(1, [Binomial(1, (1, 1))])):
+        with pytest.raises(ValueError, match="not a nonzero monomial"):
+            evaluable.eval_exact(xs)
