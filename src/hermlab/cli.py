@@ -158,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
     om.add_argument("--n", type=int, default=None)
     om.add_argument("--parity", choices=("odd", "even"), default="odd")
     om.add_argument("--lambda", dest="lam", default=None)
-    om.add_argument("--x", default=None, help="comma-joined rational coordinates")
+    om.add_argument("--x", default=None, help="comma-joined nonzero rational coordinates")
     om.add_argument("--out", default=None)
     fe = sphs.add_parser("verify-feq")
     fe.add_argument("--n", type=int, required=True)
@@ -316,7 +316,15 @@ def _cmd_sph_omega(args) -> int:
     if len(xs) != args.n:
         sys.stderr.write(f"--x needs {args.n} coordinates, got {len(xs)}\n")
         return EXIT_USAGE
-    _emit(str(value.eval_exact(xs)) + "\n", args.out)
+    if not all(xs):
+        sys.stderr.write(f"--x coordinates must be nonzero: {args.x!r}\n")
+        return EXIT_USAGE
+    try:
+        text = str(value.eval_exact(xs))
+    except ZeroDivisionError:
+        sys.stderr.write(f"omega has a pole at x = ({', '.join(map(str, xs))})\n")
+        return EXIT_USAGE
+    _emit(text + "\n", args.out)
     return EXIT_PASS
 
 

@@ -271,6 +271,21 @@ def test_sph_omega_wrong_coordinate_count(capsys):
     assert got.err == "--x needs 2 coordinates, got 1\n" and got.out == ""
 
 
+def test_sph_omega_refuses_a_zero_coordinate(capsys):
+    code = run(["sph", "omega", "--n", "2", "--lambda", "1", "--x", "0,2"])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.err == "--x coordinates must be nonzero: '0,2'\n" and got.out == ""
+
+
+def test_sph_omega_reports_a_pole(capsys):
+    # the boundary factor 1 + x1*x2 vanishes at (1, -1)
+    code = run(["sph", "omega", "--n", "2", "--lambda", "1", "--x", "1,-1"])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.err == "omega has a pole at x = (1, -1)\n" and got.out == ""
+
+
 # The printed form of an exact evaluation (QFraction is not canonical), as
 # recorded before evaluation moved onto monomial powers.
 SPH_OMEGA_X_PINNED = {
