@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from hermlab.hall_littlewood import spec_params, whole_group_value
+from hermlab.hall_littlewood import spec_params
 from hermlab.scalars import GaussianRational, QFraction, QLaurent
 from hermlab.spherical import (
     PhasedScalar,
@@ -14,7 +14,6 @@ from hermlab.spherical import (
     alternative_phase_power,
     check_functional_equation,
     check_gamma_cocycle,
-    g_factor,
     gamma_factor,
     identity_value_closed_form,
     identity_value_constant,
