@@ -45,19 +45,16 @@ def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _x_power(pt: Sequence[tuple[int, int, int, int]], e: Vec, memo: dict) -> QLaurent:
-    """The monomial x^e at a point read by ``_monomial``, memoised in ``memo``."""
-    m = memo.get(e)
-    if m is None:
-        re, im, d, k = 1, 0, 1, 0
-        for (xr, xi, xd, xk), a in zip(pt, e):
-            if a:
-                pr, pi, pd = _mono_pow(xr, xi, xd, a)
-                re, im = re * pr - im * pi, re * pi + im * pr
-                d *= pd
-                k += xk * a
-        m = memo[e] = _ql({k: (re, im)}, d)
-    return m
+def _x_power(pt: Sequence[tuple[int, int, int, int]], e: Vec) -> QLaurent:
+    """The monomial x^e at a point read by ``_monomial``."""
+    re, im, d, k = 1, 0, 1, 0
+    for (xr, xi, xd, xk), a in zip(pt, e):
+        if a:
+            pr, pi, pd = _mono_pow(xr, xi, xd, a)
+            re, im = re * pr - im * pi, re * pi + im * pr
+            d *= pd
+            k += xk * a
+    return _ql({k: (re, im)}, d)
 
 
 class TorusPoly:
@@ -225,10 +222,9 @@ class TorusPoly:
         if len(xs) != self.n:
             raise ValueError("wrong number of coordinates")
         pt = [_monomial(x) for x in xs]
-        memo: dict = {}
         total = QF_ZERO
         for e, c in self._t.items():
-            total = total + QFraction(c.num * _x_power(pt, e, memo), c.den)
+            total = total + QFraction(c.num * _x_power(pt, e), c.den)
         return total
 
     # -- presentation ---------------------------------------------------------------
@@ -357,8 +353,11 @@ class Binomial:
         return self._eval_at([_monomial(x) for x in xs], {})
 
     def _eval_at(self, pt, memo: dict) -> QFraction:
-        c = self.coef
-        return QF_ONE - QFraction(c.num * _x_power(pt, self.alpha, memo), c.den)
+        """1 - coef*x^alpha, with x^alpha memoised in ``memo`` by alpha."""
+        m = memo.get(self.alpha)
+        if m is None:
+            m = memo[self.alpha] = _x_power(pt, self.alpha)
+        return QF_ONE - QFraction(self.coef.num * m, self.coef.den)
 
     def map_coef(self, fn) -> "Binomial":
         return Binomial(fn(self.coef), self.alpha)
