@@ -397,8 +397,10 @@ class FactoredRational:
         return FactoredRational(self.front.inverse(), self.den, self.num)
 
     def eval_exact(self, xs: Sequence) -> QFraction:
-        """Value at a point of nonzero monomials, as in TorusPoly.eval_exact:
-        front, times each numerator value, over each denominator value."""
+        """Value at a point of nonzero monomials, as in TorusPoly.eval_exact.
+        The steps run front, times each numerator value, over each denominator
+        value: QFraction is not canonical, and another order can print a
+        different but equal fraction."""
         pt = [_monomial(x) for x in xs]
         memo: dict = {}
         top = self.front
