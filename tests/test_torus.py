@@ -212,11 +212,15 @@ def test_factored_rational_pole():
 # at a time, as evaluation did before it read each point into integers.
 
 
+def _qf(x):
+    return x if isinstance(x, QFraction) else QFraction(x)
+
+
 def _ref_power(xs, e):
     m = QFraction(1)
     for x, k in zip(xs, e):
         if k:
-            m = m * (x if isinstance(x, QFraction) else QFraction(x)) ** k
+            m = m * _qf(x) ** k
     return m
 
 
@@ -224,9 +228,9 @@ def ref_eval_poly(f, xs):
     total = QFraction(0)
     for e, c in f.terms():
         m = c
-        for i, k in enumerate(e):
+        for x, k in zip(xs, e):
             if k:
-                m = m * _ref_power(xs[i : i + 1], [k])
+                m = m * _qf(x) ** k
         total = total + m
     return total
 
@@ -265,7 +269,7 @@ def _same_value(got, want):
 
 @pytest.mark.parametrize("xs", MONOMIAL_POINTS)
 def test_eval_at_monomial_points_matches_reference(xs):
-    c = QFraction(1 + Q, 1 - Q**-3)  # a coefficient whose fraction is not reduced
+    c = QFraction(1 + Q, 1 - Q**-3)  # a coefficient with a denominator other than 1
     f = q_poly(2, "odd", (2, 1)) + mono(2, (1, -2), c) + mono(2, (0, 0), c)
     bins = [Binomial(Q**-1, (1, 1)), Binomial(c, (0, -2)), Binomial(-1, (1, -1))]
     fr = FactoredRational(QFraction(-Q) ** 2, bins[:2], bins[1:])
@@ -279,6 +283,7 @@ def test_eval_at_monomial_points_matches_reference(xs):
 @pytest.mark.parametrize("x", [1 + Q, QFraction(1, 1 + Q), Fraction(0), QLaurent(), 0])
 def test_eval_refuses_a_coordinate_that_is_not_a_nonzero_monomial(x):
     xs = [Fraction(2), x]
-    for evaluable in (mono(2, (1, 1)), Binomial(1, (0, 1)), FactoredRational(1, [Binomial(1, (1, 1))])):
+    b = Binomial(1, (1, 1))
+    for evaluable in (mono(2, (1, 1)), b, FactoredRational(1, [b])):
         with pytest.raises(ValueError, match="not a nonzero monomial"):
             evaluable.eval_exact(xs)
