@@ -164,12 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fe.add_argument("--n", type=int, required=True)
     fe.add_argument("--parity", choices=("odd", "even"), required=True)
     fe.add_argument("--lambda", dest="lam", required=True)
-    fe.add_argument("--trials", type=int, default=5)
-    fe.add_argument("--seed", type=int, default=7)
     ps = sphs.add_parser("parity-sign")
     ps.add_argument("--n", type=int, required=True)
     ps.add_argument("--lambda", dest="lam", required=True)
-    ps.add_argument("--seed", type=int, default=7)
 
     pl = sub.add_parser("plancherel", help="measure, transforms, inversion")
     pls = pl.add_subparsers(dest="subcommand", required=True)
@@ -332,7 +329,7 @@ def _cmd_sph_feq(args) -> int:
     from .spherical import check_functional_equation
 
     lam = _parse_partition(args.lam)
-    ok = check_functional_equation(args.n, args.parity, lam, trials=args.trials, seed=args.seed)
+    ok = check_functional_equation(args.n, args.parity, lam)
     print("functional-equation:", "pass" if ok else "fail")
     return EXIT_PASS if ok else EXIT_MATH_FAIL
 
@@ -342,7 +339,7 @@ def _cmd_sph_parity_sign(args) -> int:
 
     lam = _parse_partition(args.lam)
     want = -1 if sum(lam) % 2 else 1
-    got = parity_sign_relation(lam, args.n, seed=args.seed)
+    got = parity_sign_relation(lam, args.n)
     print(f"sign: {got:+d}" if got else "sign: 0 (not a constant sign)")
     return EXIT_PASS if got == want else EXIT_MATH_FAIL
 

@@ -205,7 +205,7 @@ def check_defining_integral_mc(cfg: RunConfig) -> tuple:
 def check_functional_equation_all(cfg: RunConfig) -> tuple:
     lam = (1,) + (0,) * (cfg.n - 1)
     for parity in PARITIES:
-        if not check_functional_equation(cfg.n, parity, lam, trials=3, seed=cfg.seed):
+        if not check_functional_equation(cfg.n, parity, lam):
             return False, f"twist relation fails ({parity} case)"
     size = len(enumerate_group(cfg.n))
     return (
@@ -234,9 +234,7 @@ def check_tau_functional_equation(cfg: RunConfig) -> tuple:
             return False, "last-flip twist must be trivial (even case)"
     lam = (1,) + (0,) * (n - 1)
     for parity in PARITIES:
-        if not check_functional_equation(
-            cfg.n, parity, lam, trials=2, seed=cfg.seed, elements=[flip]
-        ):
+        if not check_functional_equation(cfg.n, parity, lam, elements=[flip]):
             return False, f"flip equation fails ({parity} case)"
     return True, "sign-flip equation holds with the expected rational factor (trivial in the even case)"
 
@@ -245,7 +243,7 @@ def check_gamma_cocycle_all(cfg: RunConfig) -> tuple:
     for parity in PARITIES:
         if not check_gamma_cocycle(cfg.n, parity, trials=5, seed=cfg.seed):
             return False, f"cocycle identity fails ({parity} case)"
-    return True, f"twist cocycle identity holds exactly at random points (n={cfg.n}, both cases)"
+    return True, f"twist cocycle identity holds exactly in factored form at random pairs (n={cfg.n}, both cases)"
 
 
 def check_macdonald_constant(cfg: RunConfig) -> tuple:
@@ -375,7 +373,7 @@ def check_basis_rank(cfg: RunConfig) -> tuple:
 def check_parity_sign(cfg: RunConfig) -> tuple:
     for lam in partitions(cfg.n, 3):
         want = -1 if sum(lam) % 2 else 1
-        got = parity_sign_relation(lam, cfg.n, trials=3, seed=cfg.seed)
+        got = parity_sign_relation(lam, cfg.n)
         if got != want:
             return False, f"sign flip at {lam} is {got}, expected {want}"
     return (

@@ -36,7 +36,7 @@ from .scalars import (
     QFraction,
     QLaurent,
 )
-from .torus import Binomial, FactoredRational, TorusPoly, act_point
+from .torus import Binomial, FactoredRational, TorusPoly
 from .weyl import (
     SignedPerm,
     enumerate_group,
@@ -497,69 +497,34 @@ def rank1_substitution(x: Fraction) -> QFraction:
 # -- identity checks ------------------------------------------------------------
 
 
-def _random_point(rng: random.Random, n: int) -> list[Fraction]:
-    while True:
-        xs = [
-            Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)
-        ]
-        vals = set()
-        ok = True
-        for x in xs:
-            if x == 1 or x in vals or 1 / x in vals:
-                ok = False
-                break
-            vals.add(x)
-        if ok:
-            return xs
-
-
 def check_functional_equation(
-    n: int,
-    parity: str,
-    lam: Sequence[int],
-    trials: int = 10,
-    seed: int = 0,
-    elements: Sequence[SignedPerm] | None = None,
+    n: int, parity: str, lam: Sequence[int], elements: Sequence[SignedPerm] | None = None
 ) -> bool:
-    """Exact pointwise verification, at random rational coordinates, that the
-    explicit value picks up exactly the factored twist under every group
-    element:  value(x) == twist_sigma(x) * value(sigma . x).
+    """value(x) == twist_sigma(x) * value(sigma . x) for every group element
+    (or for ``elements``), as an identity in x and q: with value =
+    prefactor * f / g, f is invariant and g(sigma . x) == twist_sigma(x) * g(x),
+    where g(sigma . x) is g.weyl(sigma^-1) as (sigma . x)^e = x^(sigma^-1 e).
     """
     lam = check_partition(lam, n)
     omega = omega_explicit(n, parity, lam)
+    f, g = omega.numerator, omega.boundary
     group = list(elements) if elements is not None else enumerate_group(n)
-    rng = random.Random(seed)
-    for _ in range(trials):
-        for attempt in range(50):
-            xs = _random_point(rng, n)
-            try:
-                lhs = omega.eval_exact(xs)
-                for sigma in group:
-                    tw = gamma_factor(sigma, parity).eval_exact(xs)
-                    rhs = tw * omega.eval_exact(act_point(sigma, xs))
-                    if lhs != rhs:
-                        return False
-                break
-            except ZeroDivisionError:
-                continue
-        else:
-            raise RuntimeError("could not find a pole-free sample point")
-    return True
+    return all(
+        f.weyl(sigma) == f and g.weyl(sigma.inverse()).same_as(gamma_factor(sigma, parity) * g)
+        for sigma in group
+    )
 
 
 def check_gamma_cocycle(n: int, parity: str, trials: int = 5, seed: int = 0) -> bool:
-    """twist_{sigma tau}(x) == twist_tau(x) * twist_sigma(tau . x), exactly."""
+    """twist_{sigma tau}(x) == twist_tau(x) * twist_sigma(tau . x) as factored
+    forms, for ``trials`` pairs (sigma, tau) drawn with ``seed``."""
     rng = random.Random(seed)
     group = enumerate_group(n)
     for _ in range(trials):
-        xs = _random_point(rng, n)
         sigma = rng.choice(group)
         tau = rng.choice(group)
-        lhs = gamma_factor(sigma * tau, parity).eval_exact(xs)
-        rhs = gamma_factor(tau, parity).eval_exact(xs) * gamma_factor(
-            sigma, parity
-        ).eval_exact(act_point(tau, xs))
-        if lhs != rhs:
+        rhs = gamma_factor(tau, parity) * gamma_factor(sigma, parity).weyl(tau.inverse())
+        if not gamma_factor(sigma * tau, parity).same_as(rhs):
             return False
     return True
 
@@ -572,21 +537,10 @@ def alternative_phase_power(lam: Sequence[int], n: int) -> PhasedScalar:
     return phase_q_power(re, im - sum(lam))
 
 
-def parity_sign_relation(lam: Sequence[int], n: int, trials: int = 4, seed: int = 0) -> int:
-    """Evaluate the explicit value with the standard (a) and with the shifted
-    (b) base-point convention at common random points, and return the sign
-    they differ by: +1 if b == a at every point, -1 if b == -a at every
-    point, and 0 if no one sign holds at all of them.  The expected sign is
-    (-1)**|lam|."""
+def parity_sign_relation(lam: Sequence[int], n: int) -> int:
+    """The sign b/a between the explicit value with the shifted (b) and the
+    standard (a) base-point convention, or 0 if b/a is not +-1.  Only their
+    phase powers differ.  The expected sign is (-1)**|lam|."""
     lam = check_partition(lam, n)
-    omega = omega_explicit(n, "odd", lam)
-    alt_pre = PhasedScalar(0, 0, leading_constant(n, "odd")) * alternative_phase_power(lam, n)
-    alt = SphericalValue(n, "odd", lam, alt_pre, omega.numerator, omega.boundary)
-    rng = random.Random(seed)
-    signs = {1, -1}
-    for _ in range(trials):
-        xs = _random_point(rng, n)
-        a = omega.eval_exact(xs)
-        b = alt.eval_exact(xs)
-        signs &= {s for s, c in ((1, a), (-1, -a)) if b == c}
-    return signs.pop() if len(signs) == 1 else 0
+    ratio = alternative_phase_power(lam, n) / phase_power(lam, n, "odd")
+    return 1 if ratio == 1 else -1 if ratio == -1 else 0

@@ -14,6 +14,7 @@ point is read once into integers and each x^e is one monomial.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
@@ -28,7 +29,7 @@ from .scalars import (
     _monomial,
     _ql,
 )
-from .weyl import SignedPerm
+from .weyl import SignedPerm, is_positive_vec
 
 Vec = Tuple[int, ...]
 
@@ -417,17 +418,35 @@ class FactoredRational:
             [b.map_coef(fn) for b in self.den],
         )
 
+    def weyl(self, sigma: SignedPerm) -> "FactoredRational":
+        """Relabel each binomial exponent as TorusPoly.weyl does: x^a -> x^(sigma a)."""
+        act = lambda bs: [Binomial(b.coef, sigma.act_vector(b.alpha)) for b in bs]
+        return FactoredRational(self.front, act(self.num), act(self.den))
+
+    def same_as(self, other: "FactoredRational") -> bool:
+        """Equality as rational functions of x and q, read off the factors.
+
+        Each 1 - c*x^a with a negative exponent a becomes -c*x^a * (1 - c^-1 x^-a);
+        then the fronts, the x-exponents and the multiplicity of each binomial
+        (numerator minus denominator) must agree.  True always proves equality.
+        False proves inequality when every coefficient is a monomial c*q^k and
+        no exponent, made positive, is a multiple of another (as for the
+        positive roots of type C): differing binomials are then coprime.
+        """
+        return self._normal_form() == other._normal_form()
+
+    def _normal_form(self):
+        front, shift, count = self.front, Counter(), Counter()
+        for sign, factors in ((1, self.num), (-1, self.den)):
+            for b in factors:
+                c, a = b.coef, b.alpha
+                if not is_positive_vec(a):
+                    front = front * -c if sign == 1 else front / -c
+                    shift.update({i: sign * v for i, v in enumerate(a)})
+                    c, a = c.inverse(), tuple(-v for v in a)
+                count[_monomial(c), a] += sign
+        return front, shift, count
+
     def __repr__(self):
         return f"FactoredRational(front={self.front}, num={len(self.num)}, den={len(self.den)})"
 
-
-def act_point(sigma: SignedPerm, xs: Sequence) -> list[QFraction]:
-    """Transform torus coordinates by a signed permutation:
-
-        (sigma . x)[i] = x[perm[i]] ** signs[i]
-    """
-    vals = [_as_qfraction(x) for x in xs]
-    return [
-        vals[sigma.perm[i]] if sigma.signs[i] == 1 else vals[sigma.perm[i]].inverse()
-        for i in range(sigma.n)
-    ]

@@ -152,7 +152,7 @@ def test_criterion_05_functional_equations_full_group():
     for n in (1, 2):
         for parity in PARITIES:
             for lam in partitions_up_to_weight(n, 3):
-                assert check_functional_equation(n, parity, lam, trials=10, seed=5)
+                assert check_functional_equation(n, parity, lam)
             assert check_gamma_cocycle(n, parity, trials=5, seed=5)
         # the sign-flip generator carries its printed rational factor
         flip = coordinate_flip(n)
@@ -291,7 +291,7 @@ def test_criterion_13_parity_sign():
     for n in (1, 2):
         for lam in partitions_up_to_weight(n, 3):
             want = -1 if sum(lam) % 2 else 1
-            assert parity_sign_relation(lam, n, trials=4, seed=13) == want
+            assert parity_sign_relation(lam, n) == want
     assert time.perf_counter() - t0 < 10
 
 

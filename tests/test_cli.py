@@ -225,6 +225,22 @@ def test_parity_sign_verb_prints_the_observed_sign(monkeypatch, capsys):
     assert invoke(capsys, "sph", "parity-sign", "--n", "2", "--lambda", "2,1") == (1, "sign: +1\n")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-feq", "--n", "2", "--parity", "odd", "--lambda", "1", "--trials", "1"],
+        ["verify-feq", "--n", "2", "--parity", "odd", "--lambda", "1", "--seed", "7"],
+        ["parity-sign", "--n", "2", "--lambda", "1", "--seed", "7"],
+    ],
+    ids=["verify-feq-trials", "verify-feq-seed", "parity-sign-seed"],
+)
+def test_sph_checks_take_no_sampling_flags(capsys, argv):
+    # both are exact identities: there are no points to draw
+    assert run(["sph", *argv]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and f"unrecognized arguments: {' '.join(argv[-2:])}" in got.err
+
+
 @pytest.mark.parametrize("verb", ["classify", "diagonalize1"])
 def test_matrix_file_usage_errors(tmp_path, capsys, verb):
     missing = tmp_path / "missing.json"

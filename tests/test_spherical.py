@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import hermlab.spherical as sph
 from hermlab.hall_littlewood import spec_params
 from hermlab.scalars import GaussianRational, QFraction, QLaurent
 from hermlab.spherical import (
@@ -31,6 +32,7 @@ from hermlab.spherical import (
     x_coords_stretched,
     z_to_s,
 )
+from hermlab.torus import TorusPoly
 from hermlab.weyl import (
     SignedPerm,
     coordinate_flip,
@@ -197,16 +199,96 @@ def test_identity_value_constant_matches_closed_form():
     assert c == GaussianRational(Fraction(6, 7))
 
 
+# -- the twist identities, against a pointwise oracle ---------------------------
+#
+# The oracle evaluates both sides at random positive rational points, where
+# no factor 1 + x^a or 1 - q^(+-1) x^a vanishes, so neither side has a pole.
+
+
+def _act_point(sigma, xs):
+    """(sigma . x)[i] = x[perm[i]] ** signs[i], so (sigma . x)^e = x^(sigma^-1 e)."""
+    return [xs[p] ** s for p, s in zip(sigma.perm, sigma.signs)]
+
+
+def _rational_points(seed, n, count=2):
+    rng = random.Random(seed)
+    return [[Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)] for _ in range(count)]
+
+
+def pointwise_functional_equation(n, parity, lam, seed):
+    """value(x) == twist_sigma(x) * value(sigma . x) for every group element."""
+    omega = sph.omega_explicit(n, parity, lam)
+    return all(
+        omega.eval_exact(xs)
+        == sph.gamma_factor(s, parity).eval_exact(xs) * omega.eval_exact(_act_point(s, xs))
+        for xs in _rational_points(seed, n)
+        for s in enumerate_group(n)
+    )
+
+
+def pointwise_cocycle(n, parity, seed):
+    """twist_{sigma tau}(x) == twist_tau(x) * twist_sigma(tau . x) for every pair."""
+    group = enumerate_group(n)
+    tw = lambda s, xs: sph.gamma_factor(s, parity).eval_exact(xs)
+    return all(
+        tw(s * t, xs) == tw(t, xs) * tw(s, _act_point(t, xs))
+        for xs in _rational_points(seed, n)
+        for s in group
+        for t in group
+    )
+
+
+FEQ_CASES = [(1, "odd", (2,), 1), (1, "even", (1,), 2), (2, "odd", (1, 1), 3), (2, "even", (2, 0), 4)]
+
+
 def test_functional_equation_small():
-    assert check_functional_equation(1, "odd", (2,), trials=3, seed=1)
-    assert check_functional_equation(1, "even", (1,), trials=3, seed=2)
-    assert check_functional_equation(2, "odd", (1, 1), trials=2, seed=3)
-    assert check_functional_equation(2, "even", (2, 0), trials=2, seed=4)
+    for n, parity, lam, seed in FEQ_CASES:
+        assert check_functional_equation(n, parity, lam)
+        assert pointwise_functional_equation(n, parity, lam, seed)
 
 
 def test_gamma_cocycle_small():
     for parity in ("odd", "even"):
         assert check_gamma_cocycle(2, parity, trials=5, seed=11)
+        for n in (1, 2):
+            assert pointwise_cocycle(n, parity, seed=11)
+
+
+def _other(parity):
+    return "even" if parity == "odd" else "odd"
+
+
+@pytest.mark.parametrize(
+    "twist",
+    [lambda tw, s, p: tw(s.inverse(), p), lambda tw, s, p: tw(s, _other(p))],
+    ids=["inverse-element", "other-parity"],
+)
+def test_functional_equation_refuses_a_wrong_twist(monkeypatch, twist):
+    true_twist = sph.gamma_factor
+    monkeypatch.setattr(sph, "gamma_factor", lambda s, p: twist(true_twist, s, p))
+    for n, parity, lam, seed in FEQ_CASES[2:]:  # at n = 1 every element is its own inverse
+        assert not check_functional_equation(n, parity, lam)
+        assert not pointwise_functional_equation(n, parity, lam, seed)
+
+
+def test_functional_equation_refuses_a_numerator_that_is_not_invariant(monkeypatch):
+    true_q_poly = sph.q_poly
+    monkeypatch.setattr(
+        sph, "q_poly", lambda n, p, lam: true_q_poly(n, p, lam) + TorusPoly.monomial(n, (1,) + (0,) * (n - 1))
+    )
+    for n, parity, lam, seed in FEQ_CASES:
+        assert not check_functional_equation(n, parity, lam)
+        assert not pointwise_functional_equation(n, parity, lam, seed)
+
+
+def test_gamma_cocycle_refuses_the_factors_in_the_wrong_order(monkeypatch):
+    # composing in the other order compares twist_{sigma tau} with the
+    # factorization of twist_{tau sigma}
+    compose = SignedPerm.__mul__
+    monkeypatch.setattr(SignedPerm, "__mul__", lambda a, b: compose(b, a))
+    for parity in ("odd", "even"):
+        assert not check_gamma_cocycle(2, parity, trials=5, seed=11)
+        assert not pointwise_cocycle(2, parity, seed=11)
 
 
 def test_rank1_closed_forms_agree_with_explicit():
@@ -250,8 +332,6 @@ def test_parity_sign_relation_frozen():
 
 
 def test_parity_sign_relation_returns_the_sign_it_observes(monkeypatch):
-    import hermlab.spherical as sph
-
     # with the standard phase in place of the shifted one the two conventions
     # agree, so the sign observed is +1 whatever the weight
     monkeypatch.setattr(sph, "alternative_phase_power", lambda lam, n: phase_power(lam, n, "odd"))

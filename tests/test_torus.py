@@ -12,7 +12,6 @@ from hermlab.torus import (
     Binomial,
     FactoredRational,
     TorusPoly,
-    act_point,
     binomial_div_exact,
 )
 from hermlab.weyl import SignedPerm, enumerate_group
@@ -206,6 +205,54 @@ def test_factored_rational_pole():
         fr.eval_exact([Fraction(1)])
 
 
+def test_factored_weyl_relabels_like_the_polynomial():
+    fr = FactoredRational(Q, [Binomial(2, (1, 1)), Binomial(Q**-1, (0, 2))], [Binomial(Q, (1, -1))])
+    top = FactoredRational(Q, fr.num)
+    expanded = Q * fr.num[0].as_poly() * fr.num[1].as_poly()
+    xs = [Fraction(3, 7), Fraction(5, 2)]
+    for s in enumerate_group(2):
+        w = fr.weyl(s)
+        assert w.front == fr.front
+        assert [b.alpha for b in w.num + w.den] == [s.act_vector(b.alpha) for b in fr.num + fr.den]
+        assert w.eval_exact(xs) == fr.eval_exact(_act_point(s.inverse(), xs))
+        w_top = top.weyl(s)
+        assert Q * w_top.num[0].as_poly() * w_top.num[1].as_poly() == expanded.weyl(s)
+
+
+NEG = (-1, 1)  # a negative root; -NEG is positive
+
+
+def test_same_as_rewrites_a_binomial_on_a_negative_root():
+    # (1 - q^-1 x^NEG)/(1 - q x^NEG) = q^-2 (1 - q x^-NEG)/(1 - q^-1 x^-NEG)
+    fr = FactoredRational(1, [Binomial(Q**-1, NEG)], [Binomial(Q, NEG)])
+    pos = tuple(-v for v in NEG)
+    rewritten = FactoredRational(Q**-2, [Binomial(Q, pos)], [Binomial(Q**-1, pos)])
+    assert fr.same_as(rewritten) and rewritten.same_as(fr)
+    xs = [Fraction(2, 3), Fraction(7, 5)]
+    assert fr.eval_exact(xs) == rewritten.eval_exact(xs)
+
+
+def test_same_as_cancels_numerator_against_denominator():
+    a, b = Binomial(Q**-1, (1, 1)), Binomial(-1, (0, 2))
+    assert FactoredRational(2, [a, b], [b]).same_as(FactoredRational(2, [a]))
+    # also across a rewrite: 1 - q x^NEG is -q x^NEG (1 - q^-1 x^-NEG)
+    pos = tuple(-v for v in NEG)
+    lhs = FactoredRational(1, [Binomial(Q, NEG), a], [Binomial(Q, NEG)])
+    assert lhs.same_as(FactoredRational(1, [a]))
+    assert not FactoredRational(1, [Binomial(Q, NEG)], [Binomial(Q**-1, pos)]).same_as(
+        FactoredRational(-Q)
+    )  # the quotient is -q x^NEG: a monomial in x is left over
+
+
+def test_same_as_sees_a_changed_front_or_coefficient():
+    a = Binomial(Q**-1, (1, 1))
+    fr = FactoredRational(2, [a], [Binomial(Q, NEG)])
+    assert not fr.same_as(FactoredRational(3, [a], [Binomial(Q, NEG)]))
+    assert not fr.same_as(FactoredRational(2, [Binomial(Q**-2, (1, 1))], [Binomial(Q, NEG)]))
+    assert not fr.same_as(FactoredRational(2, [a], [Binomial(Q**-1, NEG)]))
+    assert not fr.same_as(FactoredRational(2, [a]))
+
+
 # -- evaluation at monomial points ---------------------------------------------
 #
 # The reference substitutes QFraction powers of each coordinate, one factor
@@ -256,10 +303,15 @@ MONOMIAL_POINTS = [
 ]
 
 
+def _act_point(sigma, xs):
+    """(sigma . x)[i] = x[perm[i]] ** signs[i], so (sigma . x)^e = x^(sigma^-1 e)."""
+    return [_qf(xs[p]) if s == 1 else _qf(xs[p]).inverse() for p, s in zip(sigma.perm, sigma.signs)]
+
+
 def _variants(xs):
     """The point, its sign flips and its images under the signed permutations."""
     flips = [[s * x for s, x in zip(signs, xs)] for signs in ((1, -1), (-1, 1), (-1, -1))]
-    return [xs] + flips + [act_point(s, xs) for s in enumerate_group(2)]
+    return [xs] + flips + [_act_point(s, xs) for s in enumerate_group(2)]
 
 
 def _same_value(got, want):
