@@ -476,18 +476,18 @@ def test_padic_report_bytes_pinned(capsys, extra, digest):
     [
         pytest.param(
             ("--n", "1"),
-            "45ea9bec359bd480f411a6c8a754db355f530a0c6ecfaee59cca04427e836757",
+            "8a74de91d28096a161b50da7dde71cddfba796b15458b06b96f192ed12787b2b",
             id="n1-text",
         ),
         pytest.param(
             ("--n", "2", "--format", "json"),
-            "fb8778b18d35e078a1c2ce6b384a1990fcc6576fa98bf3f5e1774d215858418a",
+            "543872e468fe1ab936999dec0c905b538ecb7dbf6f3dc8c61636d6f0884be3e8",
             id="n2-json",
         ),
     ],
 )
 def test_full_report_bytes_pinned(capsys, extra, digest):
-    # all 22 checks, recorded before the checks stopped writing their own ids
+    # all 22 checks, recorded when gamma-cocycle began to compare factored forms
     code, out = invoke(capsys, "verify", "all", *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
