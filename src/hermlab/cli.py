@@ -43,14 +43,24 @@ VERIFY_MAX_N = 3
 QPOLY_MAX_N = 4
 
 
-def _parse_partition(text: str) -> tuple[int, ...]:
+def _parse_partition(text: str, check):
+    """``check`` of the parts of --lambda; a usage error unless they parse
+    and ``check`` accepts them without a ValueError."""
     text = text.strip()
-    if not text:
-        return ()
     try:
-        return tuple(int(t) for t in text.split(","))
+        lam = tuple(int(t) for t in text.split(",")) if text else ()
     except ValueError:
         raise _usage_error(f"--lambda does not parse: {text!r}")
+    try:
+        return check(lam)
+    except ValueError as e:
+        raise _usage_error(f"--lambda: {e}")
+
+
+def _at_least(value: int, least: int, flag: str) -> int:
+    if value < least:
+        raise _usage_error(f"{flag} must be at least {least}, got {value}")
+    return value
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -273,9 +283,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hl_qpoly(args) -> int:
-    from .hall_littlewood import p_poly, q_poly
+    from .hall_littlewood import check_partition, p_poly, q_poly
 
-    lam = _parse_partition(args.lam)
+    lam = _parse_partition(args.lam, lambda lam: check_partition(lam, args.n))
     poly = (p_poly if args.normalized else q_poly)(args.n, args.parity, lam)
     if args.format == "json":
         _emit(json.dumps(poly.to_json_dict(), sort_keys=True) + "\n", args.out)
@@ -285,6 +295,7 @@ def _cmd_hl_qpoly(args) -> int:
 
 
 def _cmd_sph_omega(args) -> int:
+    from .hall_littlewood import check_partition
     from .spherical import omega_explicit, omega_rank1_s_form
 
     if args.ell is not None:
@@ -300,7 +311,7 @@ def _cmd_sph_omega(args) -> int:
     if args.n is None or args.lam is None:
         sys.stderr.write("general evaluation needs --n and --lambda\n")
         return EXIT_USAGE
-    lam = _parse_partition(args.lam)
+    lam = _parse_partition(args.lam, lambda lam: check_partition(lam, args.n))
     value = omega_explicit(args.n, args.parity, lam)
     if args.x is None:
         _emit(
@@ -326,18 +337,20 @@ def _cmd_sph_omega(args) -> int:
 
 
 def _cmd_sph_feq(args) -> int:
+    from .hall_littlewood import check_partition
     from .spherical import check_functional_equation
 
-    lam = _parse_partition(args.lam)
+    lam = _parse_partition(args.lam, lambda lam: check_partition(lam, args.n))
     ok = check_functional_equation(args.n, args.parity, lam)
     print("functional-equation:", "pass" if ok else "fail")
     return EXIT_PASS if ok else EXIT_MATH_FAIL
 
 
 def _cmd_sph_parity_sign(args) -> int:
+    from .hall_littlewood import check_partition
     from .spherical import parity_sign_relation
 
-    lam = _parse_partition(args.lam)
+    lam = _parse_partition(args.lam, lambda lam: check_partition(lam, args.n))
     want = -1 if sum(lam) % 2 else 1
     got = parity_sign_relation(lam, args.n)
     print(f"sign: {got:+d}" if got else "sign: 0 (not a constant sign)")
@@ -354,7 +367,7 @@ def _cmd_plancherel(args) -> int:
     from .plancherel import check_inversion, check_plancherel, gram_matrix
 
     q0 = _parse_fraction(args.q0, "--q0")
-    lams = _partitions_to_weight(args.n, args.weight)
+    lams = _partitions_to_weight(args.n, _at_least(args.weight, 0, "--weight"))
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
     if args.subcommand == "gram":
         mat = gram_matrix(lams, args.n, args.parity, q0)
@@ -377,7 +390,8 @@ def _cmd_plancherel_rank(args) -> int:
     from .plancherel import basis_rank_check
 
     q0 = _parse_fraction(args.q0, "--q0")
-    out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=args.trials)
+    trials = _at_least(args.trials, 1, "--trials")
+    out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=trials)
     if out["ok"]:
         print(f"basis-rank: pass (least |det| {min(out['dets']):.3e})")
         return EXIT_PASS
@@ -432,10 +446,9 @@ def _cmd_padic(args) -> int:
         if args.infile:
             x = _load_matrix(args.infile)
         else:
-            lam = _parse_partition(args.lam) if args.lam else (1,) + (0,) * (args.n - 1)
             field = LocalField(args.p)
             k = random_k(field, args.n, seed=args.seed)
-            x = k.act(x_lambda(field, args.n, lam))
+            x = k.act(_parse_partition(args.lam or "1", lambda lam: x_lambda(field, args.n, lam)))
         member = is_member_X(x) if x.precision is None else None
         if member is not None:
             print(f"member: {'yes' if member else 'no'}")

@@ -190,8 +190,31 @@ def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
         (["sph", "omega", "--n", "2", "--lambda", "1", "--x", "1,y"], "--x does not parse: 'y'"),
         (["plancherel", "rank", "--n", "1", "--parity", "odd", "--q0", "x"],
          "--q0 does not parse: 'x'"),
+        (["plancherel", "check", "--n", "1", "--parity", "odd", "--weight", "-1"],
+         "--weight must be at least 0, got -1"),
+        (["plancherel", "inversion", "--n", "1", "--parity", "odd", "--weight", "-1"],
+         "--weight must be at least 0, got -1"),
+        (["plancherel", "gram", "--n", "1", "--parity", "odd", "--weight", "-1"],
+         "--weight must be at least 0, got -1"),
+        (["hl", "qpoly", "--n", "2", "--parity", "odd", "--lambda", "1,2"],
+         "--lambda: parts must be weakly decreasing: (1, 2)"),
+        (["sph", "omega", "--n", "1", "--lambda", "1,1"],
+         "--lambda: partition (1, 1) has more than 1 nonzero parts"),
+        (["sph", "verify-feq", "--n", "1", "--parity", "odd", "--lambda", "-1"],
+         "--lambda: negative part in (-1,)"),
+        (["sph", "parity-sign", "--n", "1", "--lambda", "1,1"],
+         "--lambda: partition (1, 1) has more than 1 nonzero parts"),
+        (["padic", "classify", "--n", "1", "--lambda", "1,1"],
+         "--lambda: partition (1, 1) has more than 1 nonzero parts"),
+        (["plancherel", "rank", "--n", "1", "--parity", "odd", "--trials", "0"],
+         "--trials must be at least 1, got 0"),
     ],
-    ids=["verify-q0-literal", "verify-q0-zero-denominator", "lambda", "x", "plancherel-q0"],
+    ids=[
+        "verify-q0-literal", "verify-q0-zero-denominator", "lambda", "x", "plancherel-q0",
+        "plancherel-check-weight", "plancherel-inversion-weight", "plancherel-gram-weight",
+        "hl-lambda-order", "sph-omega-lambda-parts", "sph-verify-feq-lambda-sign",
+        "sph-parity-sign-lambda-parts", "padic-classify-lambda-parts", "plancherel-rank-trials",
+    ],
 )
 def test_flag_that_does_not_parse_is_a_usage_error(capsys, argv, message):
     assert run(argv) == 2
@@ -339,8 +362,8 @@ def test_plancherel_rank_n3_pinned(capsys, parity, least):
 def test_plancherel_rank_needs_a_trial(capsys, trials):
     code = run(["plancherel", "rank", "--n", "1", "--parity", "odd", "--trials", trials])
     got = capsys.readouterr()
-    assert code == 1
-    assert got.err == "error: at least one trial is needed\n" and got.out == ""
+    assert code == 2
+    assert got.err == f"--trials must be at least 1, got {trials}\n" and got.out == ""
 
 
 def test_sph_parity_sign(capsys):
@@ -397,8 +420,8 @@ def test_classify_pads_the_partition(capsys):
 def test_classify_refuses_too_many_parts(capsys):
     code = run(["padic", "classify", "--n", "1", "--lambda", "2,1"])
     got = capsys.readouterr()
-    assert code == 1 and got.out == ""
-    assert got.err == "error: partition (2, 1) has more than 1 nonzero parts\n"
+    assert code == 2 and got.out == ""
+    assert got.err == "--lambda: partition (2, 1) has more than 1 nonzero parts\n"
 
 
 def test_mc_omega_agreement(capsys):
