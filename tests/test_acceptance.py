@@ -10,8 +10,6 @@ import random
 import time
 from fractions import Fraction
 
-import pytest
-
 from hermlab.hall_littlewood import (
     _q_poly_cached,
     p_poly,
@@ -49,7 +47,7 @@ from hermlab.spherical import (
     rank1_substitution,
 )
 from hermlab.torus import TorusPoly
-from hermlab.weyl import coordinate_flip, enumerate_group, poincare_poly, stabilizer
+from hermlab.weyl import coordinate_flip, poincare_poly, stabilizer
 
 PARITIES = ("odd", "even")
 

@@ -14,7 +14,7 @@ from hermlab.torus import (
     TorusPoly,
     binomial_div_exact,
 )
-from hermlab.weyl import SignedPerm, enumerate_group
+from hermlab.weyl import enumerate_group
 
 Q = QLaurent.gen()
 
