@@ -28,18 +28,17 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 all 22 checks pass when run in-process, in about 100 s on a
-# 2-core machine.  `basis-rank` alone takes about 64 s cold: 28 s for its 32
-# `q_poly` builds and 36 s for the exact evaluations on the sign flips (ROADMAP
-# direction 1 evaluates through alternants instead); `functional-equation`
-# takes about 21 s.  Until `verify all --n 4` runs within a stated budget,
-# larger n exits EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, in about 50 s on a
+# 2-core machine.  `basis-rank` takes about 40 s of it, in its 32 `q_poly`
+# builds and the exact evaluations on the sign flips (ROADMAP direction 2
+# evaluates through alternants instead); `functional-equation` takes about
+# 1 s.  Until `verify all --n 4` runs within a stated budget, larger n exits
+# EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 # The verbs that build `q_poly` (`hl qpoly`, `sph`, `plancherel`) run at
 # n = 4 in under a minute each on a 2-core machine (`plancherel rank` about
-# 45 s, `sph verify-feq` about 23 s, the others under 3 s); larger n exits
-# EXIT_RESOURCE up front.
+# 45 s, the others under 3 s); larger n exits EXIT_RESOURCE up front.
 QPOLY_MAX_N = 4
 
 
