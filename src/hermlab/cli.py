@@ -56,10 +56,27 @@ def _parse_partition(text: str, check):
         raise _usage_error(f"--lambda: {e}")
 
 
-def _at_least(value: int, least: int, flag: str) -> int:
+def _at_least(value, least: int, flag: str):
     if value < least:
         raise _usage_error(f"{flag} must be at least {least}, got {value}")
     return value
+
+
+def _above_one(q0: Fraction, flag: str) -> Fraction:
+    """q0, a residue-field size, or a usage error unless it is above 1."""
+    if q0 <= 1:
+        raise _usage_error(f"{flag} must be above 1, got {q0}")
+    return q0
+
+
+def _local_field(p: int, flag: str):
+    """The LocalField of p, or a usage error unless p is an odd prime."""
+    from .residue import LocalField
+
+    try:
+        return LocalField(p)
+    except ValueError:
+        raise _usage_error(f"{flag} must be an odd prime, got {p}")
 
 
 def _parse_fraction(text: str, flag: str) -> Fraction:
@@ -69,11 +86,9 @@ def _parse_fraction(text: str, flag: str) -> Fraction:
         raise _usage_error(f"{flag} does not parse: {text!r}")
 
 
-def _format_complex(z: complex, digits: int = 12) -> str:
-    re = f"{z.real:.{digits}g}"
-    im = f"{abs(z.imag):.{digits}g}"
+def _format_complex(z: complex) -> str:
     sign = "+" if z.imag >= 0 else "-"
-    return f"{re}{sign}{im}i"
+    return f"{z.real:.12g}{sign}{abs(z.imag):.12g}i"
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -115,6 +130,14 @@ def _read_config_file(path: str) -> dict:
         values[key] = val.strip()
     return values
 
+
+# the verify settings with a range, each checked before the report loads
+_VERIFY_RANGES = {
+    "q0": _above_one,
+    "p": _local_field,
+    "grid_n": lambda value, flag: _at_least(value, 2, flag),
+    "samples": lambda value, flag: _at_least(value, 1, flag),
+}
 
 _CONFIG_KEYS = {
     "n": int,
@@ -244,7 +267,7 @@ def _cmd_verify(args) -> int:
     for key, conv in _CONFIG_KEYS.items():
         flag = getattr(args, key, None)
         if flag is not None:
-            raw, source = flag, f"--{key}"
+            raw, source = flag, "--grid-N" if key == "grid_n" else f"--{key}"
         elif key in values:
             raw, source = values[key], f"config value for {key}"
         else:
@@ -253,6 +276,8 @@ def _cmd_verify(args) -> int:
             merged[key] = conv(raw)
         except (ValueError, ZeroDivisionError):
             raise _usage_error(f"{source} does not parse: {raw!r}")
+        if key in _VERIFY_RANGES:
+            _VERIFY_RANGES[key](merged[key], source)
     fmt = merged.pop("format", "text")
     workers = merged.pop("workers", None)
     if workers is None:
@@ -356,17 +381,13 @@ def _cmd_sph_parity_sign(args) -> int:
     return EXIT_PASS if got == want else EXIT_MATH_FAIL
 
 
-def _partitions_to_weight(n: int, weight: int) -> list[tuple[int, ...]]:
-    from .hall_littlewood import partitions
-
-    return sorted(partitions(n, weight), key=lambda t: (sum(t), t))
-
-
 def _cmd_plancherel(args) -> int:
+    from .hall_littlewood import partitions
     from .plancherel import check_inversion, check_plancherel, gram_matrix
 
-    q0 = _parse_fraction(args.q0, "--q0")
-    lams = _partitions_to_weight(args.n, _at_least(args.weight, 0, "--weight"))
+    q0 = _above_one(_parse_fraction(args.q0, "--q0"), "--q0")
+    weight = _at_least(args.weight, 0, "--weight")
+    lams = sorted(partitions(args.n, weight), key=lambda t: (sum(t), t))
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
     if args.subcommand == "gram":
         mat = gram_matrix(lams, args.n, args.parity, q0)
@@ -388,7 +409,7 @@ def _cmd_plancherel(args) -> int:
 def _cmd_plancherel_rank(args) -> int:
     from .plancherel import basis_rank_check
 
-    q0 = _parse_fraction(args.q0, "--q0")
+    q0 = _above_one(_parse_fraction(args.q0, "--q0"), "--q0")
     trials = _at_least(args.trials, 1, "--trials")
     out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=trials)
     if out["ok"]:
@@ -410,9 +431,16 @@ def _load_matrix(path: str):
 
 
 def _cmd_padic(args) -> int:
+    # every range is checked before the matrix layer loads
+    field = _local_field(args.p, "--p")
+    for flag, least in (("n", 1), ("r", 0), ("ell", 0), ("s", 0), ("samples", 1)):
+        if getattr(args, flag, None) is not None:
+            _at_least(getattr(args, flag), least, f"--{flag}")
     if args.subcommand == "count-norm":
         from .residue import norm_count
 
+        if args.xi % args.p == 0:
+            raise _usage_error(f"--xi must be a unit mod {args.p}, got {args.xi}")
         print(norm_count(args.p, args.xi, args.r))
         return EXIT_PASS
     if args.subcommand == "mc-omega":
@@ -439,13 +467,11 @@ def _cmd_padic(args) -> int:
         random_k,
         x_lambda,
     )
-    from .residue import LocalField
 
     if args.subcommand == "classify":
         if args.infile:
             x = _load_matrix(args.infile)
         else:
-            field = LocalField(args.p)
             k = random_k(field, args.n, seed=args.seed)
             x = k.act(_parse_partition(args.lam or "1", lambda lam: x_lambda(field, args.n, lam)))
         member = is_member_X(x) if x.precision is None else None
@@ -465,7 +491,6 @@ def _cmd_padic(args) -> int:
             if args.ell is None:
                 sys.stderr.write("need --in or --ell\n")
                 return EXIT_USAGE
-            field = LocalField(args.p)
             k0 = random_k(field, 1, seed=args.seed)
             x = k0.act(x_lambda(field, 1, (args.ell,)))
         k, ell = diagonalize_x1(x, prec=args.prec)

@@ -142,29 +142,16 @@ def _q_poly_cached(n: int, lam: Tuple[int, ...], t_short: QLaurent, t_long: QLau
     return out
 
 
-def q_poly(
-    n: int,
-    parity: str | None,
-    lam: Sequence[int],
-    t_short: QLaurent | None = None,
-    t_long: QLaurent | None = None,
-) -> TorusPoly:
-    """The parameter orbit sum for a partition (at a parity specialization,
-    or at explicitly supplied parameters).
+def q_poly(n: int, parity: str, lam: Sequence[int]) -> TorusPoly:
+    """The parameter orbit sum for a partition at the parity specialization.
 
     >>> str(q_poly(1, "odd", (1,)))
     'x + x^{-1}'
     >>> str(q_poly(1, "odd", ()))
     '1 - q^{-2}'
     """
-    if (t_short is None) != (t_long is None):
-        raise ValueError("supply both parameters or neither")
-    if t_short is None:
-        if parity is None:
-            raise ValueError("need a parity when no explicit parameters are given")
-        t_short, t_long = spec_params(parity)
-    lam = check_partition(lam, n)
-    return _q_poly_cached(n, lam, t_short, t_long)
+    t_short, t_long = spec_params(parity)
+    return _q_poly_cached(n, check_partition(lam, n), t_short, t_long)
 
 
 def w_poly(m: int, t: QLaurent) -> QLaurent:

@@ -438,10 +438,10 @@ class LocalMatrix:
         return LocalMatrix.from_values(field, vals, 0, prec)
 
     @staticmethod
-    def diagonal(field, entries, prec=None, shift=0):
+    def diagonal(field, entries):
         size = len(entries)
         vals = [[entries[i] if i == j else 0 for j in range(size)] for i in range(size)]
-        return LocalMatrix.from_values(field, vals, shift, prec)
+        return LocalMatrix.from_values(field, vals)
 
     def __matmul__(self, other):
         if not self._compatible(other):
@@ -653,11 +653,10 @@ def assert_unitary(g: LocalMatrix):
 # -- the hermitian space ----------------------------------------------------------
 
 
-def x_lambda(field, n, lam, prec=None):
-    """diag(p^l1,...,p^ln, 1, p^-ln,...,p^-l1) — the orbit representatives.
-
-    lam is padded with zeros to n parts; with prec, the residue matrix mod
-    p^prec, its shift absorbing p^-l1."""
+def x_lambda(field, n, lam):
+    """diag(p^l1,...,p^ln, 1, p^-ln,...,p^-l1) — the orbit representatives,
+    exact; lam is padded with zeros to n parts.  ``.to_residue(prec)`` gives
+    the residue matrix mod p^prec, its shift absorbing p^-l1."""
     lam = tuple(lam)
     if list(lam) != sorted(lam, reverse=True) or (lam and lam[-1] < 0):
         raise ValueError("expected a partition")
@@ -666,8 +665,7 @@ def x_lambda(field, n, lam, prec=None):
     lam = (lam + (0,) * n)[:n]
     p = Fraction(field.p)
     ent = [p**l for l in lam] + [1] + [p**-l for l in reversed(lam)]
-    x = LocalMatrix.diagonal(field, ent)
-    return x if prec is None else x.to_residue(prec)
+    return LocalMatrix.diagonal(field, ent)
 
 
 def is_member_X(x: LocalMatrix) -> bool:
@@ -798,7 +796,6 @@ def _upper_unipotent(field, n, beta, H):
 
 
 def _diag_element(field, alphas, u):
-    n = len(alphas)
     ent = list(alphas) + [u] + [a.conj().inverse() for a in reversed(alphas)]
     g = LocalMatrix.diagonal(field, ent)
     assert_unitary(g)
@@ -828,11 +825,10 @@ def _perm_generators(field, n):
 RANDOM_K_WORD_LENGTH = 6  # generators multiplied into one random_k element
 
 
-def random_k(field, n, seed, prec=None):
-    """A pseudorandom element of the integral unitary group: a word in
+def random_k(field, n, seed):
+    """A pseudorandom element of the integral unitary group, exact: a word in
     verified generators (diagonal units, constrained unipotents and their
-    transposes, signed-permutation representatives); exact, or mod p^prec
-    when prec is given."""
+    transposes, signed-permutation representatives)."""
     rng = random.Random(seed)
     size = 2 * n + 1
     g = LocalMatrix.identity(field, size)
@@ -858,7 +854,7 @@ def random_k(field, n, seed, prec=None):
             step = perms[rng.randrange(len(perms))]
         g = g @ step
     assert_unitary(g)
-    return g if prec is None else g.to_residue(prec)
+    return g
 
 
 def t_diag(field, bs):
@@ -866,10 +862,7 @@ def t_diag(field, bs):
     it preserves the hermitian space under the g x g* action without being
     integral."""
     bs = [b if isinstance(b, ExactLocal) else ExactLocal(field, b) for b in bs]
-    ent = list(bs) + [ExactLocal(field, 1)] + [b.conj().inverse() for b in reversed(bs)]
-    g = LocalMatrix.diagonal(field, ent)
-    assert_unitary(g)
-    return g
+    return _diag_element(field, bs, ExactLocal(field, 1))
 
 
 # -- orbit classification -----------------------------------------------------------
@@ -977,10 +970,6 @@ def _entry_is(x: LocalMatrix, i: int, j: int, value) -> bool:
     return e == e._coerce(want, e.m)
 
 
-def _residue_matrix(field, prec, vals):
-    return LocalMatrix.from_values(field, vals, 0, prec)
-
-
 def _case_i(x: LocalMatrix):
     """a nonzero with v(a) <= v(b): clear the first row, force the middle to
     1, normalize the corner to an exact power of p.  Returns (k, x, ell)."""
@@ -993,7 +982,8 @@ def _case_i(x: LocalMatrix):
     else:
         lam = -(b.conj()) / a
         mu = lam * lam.conj() * Fraction(-1, 2)
-        k = _residue_matrix(field, prec, [[1, 0, 0], [lam, 1, 0], [mu, -lam.conj(), 1]])
+        vals = [[1, 0, 0], [lam, 1, 0], [mu, -lam.conj(), 1]]
+        k = LocalMatrix.from_values(field, vals, prec=prec)
         x = k.act(x)
     if not (x.rows[0][1].is_zero() and x.rows[1][2].is_zero()):
         raise ValueError("row clearing failed; input is not in the hermitian space")
@@ -1072,10 +1062,10 @@ def _case_ii(x: LocalMatrix):
             k2, x, ell = _case_i(x)
             return (k2 @ J) @ k, x, ell
         h = field.p**lf
-        L = _residue_matrix(
+        L = LocalMatrix.from_values(
             field,
-            prec,
             [[1, 0, 0], [Fraction(-h, 2), 1, 0], [Fraction(-h * h, 8), Fraction(h, 2), 1]],
+            prec=prec,
         )
         x = L.act(x)
         k = L @ k
@@ -1085,8 +1075,8 @@ def _case_ii(x: LocalMatrix):
                 "degenerate chart inconsistent at working precision", required=prec + 4
             )
     # now x = antidiag(1, -1, 1) up to precision
-    M1 = _residue_matrix(field, prec, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]])
-    M2 = _residue_matrix(field, prec, [[0, 0, 1], [0, 1, 1], [1, -1, Fraction(-1, 2)]])
+    M1 = LocalMatrix.from_values(field, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]], prec=prec)
+    M2 = LocalMatrix.from_values(field, [[0, 0, 1], [0, 1, 1], [1, -1, Fraction(-1, 2)]], prec=prec)
     chain = M1 @ M2
     assert_unitary(chain)
     x = chain.act(x)
@@ -1159,8 +1149,8 @@ def _orbit2_reduce(x: LocalMatrix):
         - gamma * (kb.norm() * r.norm()).unit_inverse()
         + kb.unit_inverse() * kd.conj()
     )
-    U = _residue_matrix(field, kf.m, [[1, -kb.conj(), kc], [0, 1, kb], [0, 0, 1]])
-    Hk = _residue_matrix(field, kf.m, [[0, 0, 1], [0, 1, -kd.conj()], [1, kd, kf]])
+    U = LocalMatrix.from_values(field, [[1, -kb.conj(), kc], [0, 1, kb], [0, 0, 1]], prec=kf.m)
+    Hk = LocalMatrix.from_values(field, [[0, 0, 1], [0, 1, -kd.conj()], [1, kd, kf]], prec=kf.m)
     k5 = U @ Hk
     assert_unitary(k5)
     x = k5.act(x)

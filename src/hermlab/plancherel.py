@@ -6,9 +6,10 @@ The measure is the absolutely continuous one with density
         prod over positive roots a of |1 - x^a|^2 / |1 - t_a x^a|^2
 
 against the normalized Haar measure of the n-torus (m' is the half-size of
-the space).  Pairings of W-invariant Laurent polynomials against it are
-exact constant terms (``pairing_matrix``); the uniform grid remains for the
-float check of the density itself (``total_mass``).
+the space: n + 1 in the odd case, n in the even case).  Pairings of
+W-invariant Laurent polynomials against it are exact constant terms
+(``pairing_matrix``); the uniform grid remains for the float check of the
+density itself (``total_mass``).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .hall_littlewood import (
 from .scalars import QF_ZERO, GaussianRational, QFraction, QLaurent
 from .spherical import (
     PhasedScalar,
-    SpaceConfig,
     SphericalValue,
     base_point_exponent,
     phase_power,
@@ -77,7 +77,7 @@ def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
     """The exact front constant of the density."""
     q = QLaurent.gen()
     t = -(q**-1)
-    mp = SpaceConfig(n, parity).half_size
+    mp = n + 1 if parity == "odd" else n
     w_n = w_poly(n, t).eval(Fraction(q0)).re
     w_mp = w_poly(mp, t).eval(Fraction(q0)).re
     return (

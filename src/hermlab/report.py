@@ -46,7 +46,7 @@ from .residue import (
 )
 from .scalars import QFraction, QLaurent
 from .spherical import (
-    SpaceConfig,
+    base_point,
     base_point_exponent,
     check_functional_equation,
     check_gamma_cocycle,
@@ -241,7 +241,7 @@ def check_tau_functional_equation(cfg: RunConfig) -> tuple:
 
 def check_gamma_cocycle_all(cfg: RunConfig) -> tuple:
     for parity in PARITIES:
-        if not check_gamma_cocycle(cfg.n, parity, trials=5, seed=cfg.seed):
+        if not check_gamma_cocycle(cfg.n, parity, seed=cfg.seed):
             return False, f"cocycle identity fails ({parity} case)"
     return True, f"twist cocycle identity holds exactly in factored form at random pairs (n={cfg.n}, both cases)"
 
@@ -385,7 +385,7 @@ def check_parity_sign(cfg: RunConfig) -> tuple:
 def check_height_phase(cfg: RunConfig) -> tuple:
     for parity in PARITIES:
         for n in range(1, cfg.n + 1):
-            z0 = SpaceConfig(n, parity).z0
+            z0 = base_point(n, parity)
             for lam in partitions(n, 2):
                 re = sum((Fraction(l) * pt[0] for l, pt in zip(lam, z0)), Fraction(0))
                 im = sum((Fraction(l) * pt[1] for l, pt in zip(lam, z0)), Fraction(0))

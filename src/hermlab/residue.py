@@ -101,13 +101,12 @@ class LocalField:
 # -- residue-ring counting ---------------------------------------------------------
 
 
-def _norm_hits(p: int, P: int, targets) -> int:
+def _norm_hits(eps: int, P: int, targets) -> int:
     """The number of pairs (a, b) mod P with a^2 - eps b^2 in targets mod P.
 
     From the histograms of a^2 and eps b^2 mod P: O(P) per target instead of
     enumerating the P^2 pairs.
     """
-    eps = smallest_nonresidue(p)
     sq: dict[int, int] = {}
     for a in range(P):
         u = a * a % P
@@ -130,6 +129,7 @@ def norm_count(p: int, xi: int, r: int) -> Fraction:
     >>> norm_count(5, 2, 2)
     Fraction(24, 625)
     """
+    eps = LocalField(p).eps
     if xi % p == 0:
         raise ValueError("xi must be a unit")
     if r < 0:
@@ -141,17 +141,18 @@ def norm_count(p: int, xi: int, r: int) -> Fraction:
         )
     # N(x) - xi has valuation exactly r mod p^(r+1) iff it is k p^r, 0 < k < p
     pr = p**r
-    return Fraction(_norm_hits(p, P, [xi + k * pr for k in range(1, p)]), P * P)
+    return Fraction(_norm_hits(eps, P, [xi + k * pr for k in range(1, p)]), P * P)
 
 
 def norm_residual(p: int, xi: int, R: int) -> Fraction:
     """Measure of {x : the norm misses xi by valuation >= R}."""
+    eps = LocalField(p).eps
     if R == 0:
         return Fraction(1)
     P = p**R
     if P * P > ENUMERATION_BOUND:
         raise ResourceLimit("residual enumeration exceeds the bound")
-    return Fraction(_norm_hits(p, P, [xi]), P * P)
+    return Fraction(_norm_hits(eps, P, [xi]), P * P)
 
 
 # -- Haar sampling of the rank-one maximal compact -----------------------------------

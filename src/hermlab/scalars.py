@@ -186,17 +186,10 @@ GR_I = GaussianRational(0, 1)
 _I_POWERS = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
 
 
-def _as_gaussian(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussianRational(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a Gaussian rational")
-
-
 def _gaussian_ints(x) -> tuple[int, int, int]:
     """``(re, im, d)`` with ``x = (re + im*I) / d``, ``d > 0``, in lowest terms."""
-    x = _as_gaussian(x)
+    if not isinstance(x, GaussianRational):
+        x = GaussianRational(x)
     dr, di = x.re.denominator, x.im.denominator
     d = dr * di // gcd(dr, di)
     return x.re.numerator * (d // dr), x.im.numerator * (d // di), d
@@ -494,18 +487,15 @@ class QLaurent:
 
     # -- evaluation ---------------------------------------------------------
     def eval(self, q0) -> GaussianRational:
-        """Exact substitution q <- q0 (rational or Gaussian rational)."""
-        q0 = _as_gaussian(q0)
-        if q0.is_zero():
+        """Exact substitution q <- q0 for a nonzero rational q0."""
+        q0 = _as_fraction(q0)
+        if not q0:
             raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
-        if q0.im or not self._c:
-            total = GR_ZERO
-            for e, v in self.items():
-                total = total + v * q0**e
-            return total
-        # q0 = a/b rational: sum the integer numerators scaled by
-        # a^(e-lo) b^(hi-e), then apply a^lo / (b^hi d) once
-        a, b = q0.re.numerator, q0.re.denominator
+        if not self._c:
+            return GR_ZERO
+        # q0 = a/b: sum the integer numerators scaled by a^(e-lo) b^(hi-e),
+        # then apply a^lo / (b^hi d) once
+        a, b = q0.numerator, q0.denominator
         lo, hi = min(self._c), max(self._c)
         re = im = 0
         for e, (r, i) in self._c.items():

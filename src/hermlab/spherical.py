@@ -164,53 +164,23 @@ class PhasedScalar:
 # -- the two coordinate systems ----------------------------------------------
 
 
-class SpaceConfig:
-    """Rank and parity of the underlying space, with its derived constants.
-
-    ``matrix_size`` is the size of the hermitian matrices downstairs
-    (2n+1 or 2n); ``half_size`` the number of independent orbit invariants
-    on the unramified side.
-    """
-
-    __slots__ = ("n", "parity")
-
-    def __init__(self, n: int, parity: str):
-        if parity not in ("odd", "even"):
-            raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
-        if n < 1:
-            raise ValueError("rank must be at least 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "parity", parity)
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("SpaceConfig is immutable")
-
-    @property
-    def matrix_size(self) -> int:
-        return 2 * self.n + 1 if self.parity == "odd" else 2 * self.n
-
-    @property
-    def half_size(self) -> int:
-        return (self.matrix_size + 1) // 2
-
-    @property
-    def z0(self) -> tuple[ZPair, ...]:
-        """The distinguished base point, as exact (re, im) pairs."""
-        n = self.n
-        if self.parity == "odd":
-            return tuple(
-                (Fraction(-(n - i + 1)), Fraction(2 * (n - i) + 1, 2))
-                for i in range(1, n + 1)
-            )
+def base_point(n: int, parity: str) -> tuple[ZPair, ...]:
+    """The distinguished base point z0, as exact (re, im) pairs."""
+    if parity == "odd":
+        return tuple(
+            (Fraction(-(n - i + 1)), Fraction(2 * (n - i) + 1, 2)) for i in range(1, n + 1)
+        )
+    if parity == "even":
         return tuple(
             (Fraction(-(2 * (n - i) + 1), 2), Fraction(n - i)) for i in range(1, n + 1)
         )
+    raise ValueError(f"parity must be 'odd' or 'even', not {parity!r}")
 
 
 def s_to_z(s: Sequence[ZPair], n: int, parity: str) -> tuple[ZPair, ...]:
     """Exact affine change of coordinates; the origin maps to the base point.
 
-    >>> s_to_z([(Fraction(0), Fraction(0))] * 2, 2, "odd") == SpaceConfig(2, "odd").z0
+    >>> s_to_z([(Fraction(0), Fraction(0))] * 2, 2, "odd") == base_point(2, "odd")
     True
     """
     if len(s) != n:
@@ -261,7 +231,7 @@ def base_point_exponent(lam: Sequence[int], n: int, parity: str) -> ZPair:
     (Fraction(-1, 1), Fraction(1, 2))
     """
     lam = check_partition(lam, n)
-    z0 = SpaceConfig(n, parity).z0
+    z0 = base_point(n, parity)
     re = sum((Fraction(l) * p[0] for l, p in zip(lam, z0)), Fraction(0))
     im = sum((Fraction(l) * p[1] for l, p in zip(lam, z0)), Fraction(0))
     return re, im
@@ -285,21 +255,13 @@ def x_coords_stretched(z: Sequence[ZPair]) -> list[QLaurent]:
 # -- the factored boundary terms ------------------------------------------------
 
 
-def _relevant_roots(n: int, parity: str):
-    if parity == "odd":
-        return positive_roots(n)
-    return short_positive_roots(n)
-
-
 def g_factor(n: int, parity: str) -> FactoredRational:
-    """prod over the relevant positive roots of (1 + x^a)/(1 - q^-1 x^a)."""
+    """prod over the relevant positive roots (all of them in the odd case, the
+    short ones in the even case) of (1 + x^a)/(1 - q^-1 x^a)."""
     q = QLaurent.gen()
-    num = []
-    den = []
-    for a in _relevant_roots(n, parity):
-        num.append(Binomial(-1, a))
-        den.append(Binomial(q**-1, a))
-    return FactoredRational(1, num, den)
+    roots = positive_roots(n) if parity == "odd" else short_positive_roots(n)
+    num = [Binomial(-1, a) for a in roots]
+    return FactoredRational(1, num, [Binomial(q**-1, a) for a in roots])
 
 
 def gamma_factor(sigma: SignedPerm, parity: str) -> FactoredRational:
@@ -383,8 +345,7 @@ class SphericalValue:
 
     def eval_at_base_point(self) -> PhasedScalar:
         """Exact value at the distinguished point (everything in r = sqrt q)."""
-        z0 = SpaceConfig(self.n, self.parity).z0
-        xs = x_coords_stretched(z0)
+        xs = x_coords_stretched(base_point(self.n, self.parity))
         stretch = lambda c: c.stretch(2)
         num = self.numerator.map_coeffs(stretch).eval_exact(xs)
         bnd = self.boundary.map_coefs(stretch).eval_exact(xs)
@@ -515,12 +476,12 @@ def check_functional_equation(
     )
 
 
-def check_gamma_cocycle(n: int, parity: str, trials: int = 5, seed: int = 0) -> bool:
+def check_gamma_cocycle(n: int, parity: str, seed: int = 0) -> bool:
     """twist_{sigma tau}(x) == twist_tau(x) * twist_sigma(tau . x) as factored
-    forms, for ``trials`` pairs (sigma, tau) drawn with ``seed``."""
+    forms, for five pairs (sigma, tau) drawn with ``seed``."""
     rng = random.Random(seed)
     group = enumerate_group(n)
-    for _ in range(trials):
+    for _ in range(5):
         sigma = rng.choice(group)
         tau = rng.choice(group)
         rhs = gamma_factor(tau, parity) * gamma_factor(sigma, parity).weyl(tau.inverse())

@@ -151,7 +151,7 @@ def test_criterion_05_functional_equations_full_group():
         for parity in PARITIES:
             for lam in partitions_up_to_weight(n, 3):
                 assert check_functional_equation(n, parity, lam)
-            assert check_gamma_cocycle(n, parity, trials=5, seed=5)
+            assert check_gamma_cocycle(n, parity, seed=5)
         # the sign-flip generator carries its printed rational factor
         flip = coordinate_flip(n)
         for xs in rational_points(rng, n, 3):

@@ -91,8 +91,8 @@ def test_math_fail_exit_code(capsys):
 def test_measure_total_mass_refuses_small_grid(capsys, grid_n):
     code = run(["verify", "measure-total-mass", "--n", "2", "--grid-N", grid_n, "--workers", "1"])
     got = capsys.readouterr()
-    assert code == 1
-    assert got.err == "error: need at least two nodes per circle\n" and got.out == ""
+    assert code == 2
+    assert got.err == f"--grid-N must be at least 2, got {grid_n}\n" and got.out == ""
 
 
 def test_report_breaks_down_by_format(capsys):
@@ -170,6 +170,10 @@ def test_config_file_unreadable_is_a_usage_error(tmp_path, capsys):
         ("# defaults\nn 1\n", "config line 2 is not key = value: n 1"),
         ("n = x\n", "config value for n does not parse: 'x'"),
         ("seed = 7\nq0 = 1/0\n", "config value for q0 does not parse: '1/0'"),
+        ("samples = 0\n", "config value for samples must be at least 1, got 0"),
+        ("grid_n = 1\n", "config value for grid_n must be at least 2, got 1"),
+        ("q0 = 1\n", "config value for q0 must be above 1, got 1"),
+        ("p = 9\n", "config value for p must be an odd prime, got 9"),
     ],
 )
 def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
@@ -178,6 +182,39 @@ def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
     assert run(["verify", "norm-volume", "--config", str(cfg)]) == 2
     got = capsys.readouterr()
     assert (got.out, got.err) == ("", message + "\n")
+
+
+# inputs outside the range of their flag: each exits 2 with one line on stderr
+OUT_OF_RANGE = [
+    (["padic", "classify", "--n", "0"], "--n must be at least 1, got 0"),
+    (["padic", "classify", "--n", "-2", "--lambda", "1"], "--n must be at least 1, got -2"),
+    (["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "-1"], "--r must be at least 0, got -1"),
+    (["padic", "count-norm", "--p", "3", "--xi", "3", "--r", "0"], "--xi must be a unit mod 3, got 3"),
+    (["padic", "count-norm", "--p", "5", "--xi", "-10", "--r", "0"], "--xi must be a unit mod 5, got -10"),
+    (["padic", "diagonalize1", "--ell", "-1"], "--ell must be at least 0, got -1"),
+    (["verify", "all", "--samples", "0"], "--samples must be at least 1, got 0"),
+    (["verify", "defining-integral-mc", "--samples", "-4"], "--samples must be at least 1, got -4"),
+] + [
+    (verb + ["--p", p], f"--p must be an odd prime, got {p}")
+    for verb in (
+        ["padic", "count-norm", "--xi", "1", "--r", "0"],
+        ["padic", "classify"],
+        ["padic", "diagonalize1", "--ell", "1"],
+        ["padic", "mc-omega", "--ell", "1", "--s", "1"],
+        ["verify", "all", "--n", "1"],
+    )
+    for p in ("4", "2", "1", "-3")
+] + [
+    (verb + ["--q0", q0], f"--q0 must be above 1, got {q0}")
+    for verb in (
+        ["verify", "all", "--n", "1"],
+        ["plancherel", "gram", "--n", "1", "--parity", "odd"],
+        ["plancherel", "check", "--n", "1", "--parity", "odd"],
+        ["plancherel", "inversion", "--n", "1", "--parity", "even"],
+        ["plancherel", "rank", "--n", "1", "--parity", "odd"],
+    )
+    for q0 in ("0", "1", "-1", "1/2")
+]
 
 
 @pytest.mark.parametrize(
@@ -208,13 +245,15 @@ def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
          "--lambda: partition (1, 1) has more than 1 nonzero parts"),
         (["plancherel", "rank", "--n", "1", "--parity", "odd", "--trials", "0"],
          "--trials must be at least 1, got 0"),
-    ],
+    ]
+    + OUT_OF_RANGE,
     ids=[
         "verify-q0-literal", "verify-q0-zero-denominator", "lambda", "x", "plancherel-q0",
         "plancherel-check-weight", "plancherel-inversion-weight", "plancherel-gram-weight",
         "hl-lambda-order", "sph-omega-lambda-parts", "sph-verify-feq-lambda-sign",
         "sph-parity-sign-lambda-parts", "padic-classify-lambda-parts", "plancherel-rank-trials",
-    ],
+    ]
+    + [" ".join(argv) for argv, _ in OUT_OF_RANGE],
 )
 def test_flag_that_does_not_parse_is_a_usage_error(capsys, argv, message):
     assert run(argv) == 2
@@ -446,23 +485,34 @@ def test_mc_omega_small_sample_keeps_its_band(capsys):
 @pytest.mark.parametrize(
     "flag, value, message",
     [
-        ("--samples", "0", "at least one sample is needed"),
-        ("--samples", "-5", "at least one sample is needed"),
-        ("--ell", "-1", "the orbit index must be nonnegative"),
+        ("--samples", "0", "--samples must be at least 1, got 0"),
+        ("--samples", "-5", "--samples must be at least 1, got -5"),
+        ("--ell", "-1", "--ell must be at least 0, got -1"),
+        ("--s", "-1", "--s must be at least 0, got -1.0"),
     ],
 )
 def test_mc_omega_rejects_bad_input(capsys, flag, value, message):
-    base = {"--ell": "1", "--s": "1", "--samples": "200"}
-    ref_args = dict(base, **{"--s": "-1"})
-    code_ref = run(["padic", "mc-omega", *(x for kv in ref_args.items() for x in kv)])
-    ref = capsys.readouterr()
-    assert code_ref == 1
-    assert ref.err == "error: the exponent must be nonnegative\n" and ref.out == ""
-    args = dict(base, **{flag: value})
+    args = dict({"--ell": "1", "--s": "1", "--samples": "200"}, **{flag: value})
     code = run(["padic", "mc-omega", *(x for kv in args.items() for x in kv)])
     got = capsys.readouterr()
-    assert code == code_ref
-    assert got.err == f"error: {message}\n" and got.out == ""
+    assert code == 2
+    assert got.err == f"{message}\n" and got.out == ""
+
+
+def test_out_of_range_input_is_refused_before_the_layers_load():
+    # verify refuses before the report loads, padic before the matrix layer
+    refused = [argv for argv, _ in OUT_OF_RANGE if argv[0] in ("verify", "padic")]
+    script = (
+        "import sys\n"
+        "from hermlab.cli import run\n"
+        f"verbs = {refused!r}\n"
+        "print([run(v) for v in verbs],\n"
+        "      any(m in sys.modules for m in sys.argv[1].split(',')))\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", script, "hermlab.report,hermlab.padic"], capture_output=True, text=True
+    )
+    assert r.stdout == f"{[2] * len(refused)} False\n", r.stderr
 
 
 PADIC_CHECKS = (

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from hermlab.hall_littlewood import (
+    _q_poly_cached,
     check_partition,
     p_poly,
     partitions,
@@ -112,7 +113,7 @@ def test_degeneracy_at_unit_parameters():
     # degenerates to |stabilizer| times the plain orbit sum
     one = QLaurent.const(1)
     for n, lam in [(1, (2,)), (2, (1, 0)), (2, (2, 1)), (3, (1, 1, 0))]:
-        f = q_poly(n, None, lam, t_short=one, t_long=one)
+        f = _q_poly_cached(n, lam, one, one)
         k = len(stabilizer(lam, n))
         expect = TorusPoly.zero(n)
         for e in orbit(lam, n):
@@ -209,7 +210,7 @@ def test_qpoly_matches_full_kernel_reference():
         for lam in partitions_with(3, n):
             lam = check_partition(lam, n)
             for ts, tl in params:
-                got = q_poly(n, None, lam, t_short=ts, t_long=tl)
+                got = _q_poly_cached(n, lam, ts, tl)
                 ref = full_kernel_q_poly(n, lam, ts, tl)
                 assert got == ref
                 assert str(got) == str(ref)
@@ -250,7 +251,7 @@ def test_qpoly_matches_alternating_reference(n, max_weight):
     params = [spec_params("odd"), spec_params("even"), (one, one), (zero, zero)]
     for lam in partitions(n, max_weight):
         for ts, tl in params:
-            got = q_poly(n, None, lam, t_short=ts, t_long=tl)
+            got = _q_poly_cached(n, lam, ts, tl)
             ref = alternating_q_poly(n, lam, ts, tl)
             assert got == ref
             assert str(got) == str(ref)

@@ -1,9 +1,14 @@
-"""No module of the package or the tests imports a name it never uses.
+"""No module of the package or the tests imports a name it never uses, and
+the package defines no function or class that only the tests call.
 
 A name counts as used when it appears anywhere in the module, doctest
 examples included, as a bare name (an attribute chain starts with one) or is
 listed in ``__all__``.  Imports
 from ``__future__`` and names on a line marked ``# noqa`` are skipped.
+
+A module-level function or class of the package counts as named when package
+code outside its own body has it as a bare name, an attribute or an imported
+name; doctests do not count.
 """
 
 import ast
@@ -13,7 +18,16 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([*ROOT.glob("src/hermlab/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/hermlab/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
+
+# package definitions that no package code names, kept on purpose
+UNNAMED_BY_DESIGN = (
+    "QuadratureGrid",  # perfbench/tracer.py times its poly_values
+    "s_to_z",  # the change of coordinates of ROADMAP direction 7
+    "sample_k1_haar",  # perfbench/tracer.py counts its calls
+    "z_to_s",  # the inverse of s_to_z
+)
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -60,3 +74,40 @@ def test_the_scan_finds_an_unused_import(tmp_path):
         "def f():\n    '>>> math.floor(1.5)'\n"
     )
     assert unused_imports(mod) == ["os (line 2)", "Fraction (line 5)"]
+
+
+def unnamed_definitions(paths) -> list[str]:
+    """The module-level functions and classes of ``paths`` that no code in
+    ``paths`` names outside their own body, by name."""
+    defined, named = {}, set()
+    for path in paths:
+        for top in ast.parse(path.read_text()).body:
+            own = getattr(top, "name", None)
+            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined[own] = f"{path.name}:{top.lineno}"
+            named |= {
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+            } - {own}
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in named)
+
+
+def test_no_package_definition_is_left_to_the_tests():
+    found = unnamed_definitions(PACKAGE)
+    assert [entry.split()[0] for entry in found] == sorted(UNNAMED_BY_DESIGN), found
+
+
+def test_the_scan_finds_an_unnamed_definition(tmp_path):
+    a = tmp_path / "a.py"
+    a.write_text(
+        "def used():\n    return helper()\n"
+        "def helper():\n    '>>> lonely()'\n    return 1\n"
+        "def lonely():\n    return lonely()\n"
+        "class Spare:\n    pass\n"
+    )
+    b = tmp_path / "b.py"
+    b.write_text("from a import used\nimport a\nprint(a.Attr)\nclass Attr:\n    pass\n")
+    assert unnamed_definitions([a, b]) == ["Spare (a.py:8)", "lonely (a.py:6)"]

@@ -46,9 +46,10 @@ def test_qlaurent_eval_frozen():
 
 
 def test_qlaurent_eval_at_gaussian_point():
+    # q is the size of a residue field: eval takes a nonzero rational only
     f = Q**2 + 1
-    v = f.eval(GaussianRational(0, 1))  # q = I
-    assert v == GaussianRational(0)
+    with pytest.raises(TypeError):
+        f.eval(GaussianRational(0, 1))
     with pytest.raises(ValueError):
         f.eval(0)
 
@@ -345,9 +346,7 @@ def test_str_serialize_and_eval_match_reference():
         f, rf = f * g, rf * rg
         assert str(f) == str(QLaurent(rf._c))
         assert f.serialize() == {str(e): str(v) for e, v in sorted(rf._c.items())}
-        for q0 in (
-            Fraction(3), Fraction(-2, 7), Fraction(5, 3), GaussianRational(Fraction(1, 2), -1)
-        ):
+        for q0 in (Fraction(3), Fraction(-2, 7), Fraction(5, 3)):
             assert f.eval(q0) == rf.eval(q0)
         assert f.eval_float(3.0) == pytest.approx(rf.eval_float(3.0), rel=1e-12, abs=1e-12)
 
