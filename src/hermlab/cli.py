@@ -62,11 +62,11 @@ def _at_least(value, least: int, flag: str):
     return value
 
 
-def _above_one(q0: Fraction, flag: str) -> Fraction:
-    """q0, a residue-field size, or a usage error unless it is above 1."""
-    if q0 <= 1:
-        raise _usage_error(f"{flag} must be above 1, got {q0}")
-    return q0
+def _above(value, bound: int, flag: str):
+    # `not >` also refuses a float nan
+    if not value > bound:
+        raise _usage_error(f"{flag} must be above {bound}, got {value}")
+    return value
 
 
 def _local_field(p: int, flag: str):
@@ -133,10 +133,12 @@ def _read_config_file(path: str) -> dict:
 
 # the verify settings with a range, each checked before the report loads
 _VERIFY_RANGES = {
-    "q0": _above_one,
+    "q0": lambda value, flag: _above(value, 1, flag),
     "p": _local_field,
     "grid_n": lambda value, flag: _at_least(value, 2, flag),
     "samples": lambda value, flag: _at_least(value, 1, flag),
+    "tol": lambda value, flag: _above(value, 0, flag),
+    "workers": lambda value, flag: _at_least(value, 1, flag),
 }
 
 _CONFIG_KEYS = {
@@ -286,6 +288,7 @@ def _cmd_verify(args) -> int:
             workers = int(env) if env else (os.cpu_count() or 1)
         except ValueError:
             raise _usage_error(f"HERMLAB_WORKERS must be an integer, got {env!r}")
+        _VERIFY_RANGES["workers"](workers, "HERMLAB_WORKERS")
     # refused before the layers load; an absent n takes RunConfig's default 1
     refused = _refuse_n(merged.get("n", 1), "verify", VERIFY_MAX_N)
     if refused is not None:
@@ -319,6 +322,8 @@ def _cmd_hl_qpoly(args) -> int:
 
 
 def _cmd_sph_omega(args) -> int:
+    if args.ell is not None:
+        _at_least(args.ell, 0, "--ell")
     from .hall_littlewood import check_partition
     from .spherical import omega_explicit, omega_rank1_s_form
 
@@ -385,7 +390,7 @@ def _cmd_plancherel(args) -> int:
     from .hall_littlewood import partitions
     from .plancherel import check_inversion, check_plancherel, gram_matrix
 
-    q0 = _above_one(_parse_fraction(args.q0, "--q0"), "--q0")
+    q0 = _above(_parse_fraction(args.q0, "--q0"), 1, "--q0")
     weight = _at_least(args.weight, 0, "--weight")
     lams = sorted(partitions(args.n, weight), key=lambda t: (sum(t), t))
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
@@ -409,7 +414,7 @@ def _cmd_plancherel(args) -> int:
 def _cmd_plancherel_rank(args) -> int:
     from .plancherel import basis_rank_check
 
-    q0 = _above_one(_parse_fraction(args.q0, "--q0"), "--q0")
+    q0 = _above(_parse_fraction(args.q0, "--q0"), 1, "--q0")
     trials = _at_least(args.trials, 1, "--trials")
     out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=trials)
     if out["ok"]:
@@ -428,6 +433,18 @@ def _load_matrix(path: str):
     except json.JSONDecodeError as e:
         raise _usage_error(f"matrix file {path} is not JSON: {e}")
     return LocalMatrix.from_json_dict(payload)
+
+
+def _not_a_member(x) -> bool:
+    """Print whether an exact matrix lies in the space; True when it does not.
+    A residue matrix is not decided and prints nothing."""
+    from .padic import is_member_X
+
+    if x.precision is not None:
+        return False
+    member = is_member_X(x)
+    print(f"member: {'yes' if member else 'no'}")
+    return not member
 
 
 def _cmd_padic(args) -> int:
@@ -463,7 +480,6 @@ def _cmd_padic(args) -> int:
         classify_k_orbit,
         diagonalize_x1,
         invariant_factors,
-        is_member_X,
         random_k,
         x_lambda,
     )
@@ -474,11 +490,8 @@ def _cmd_padic(args) -> int:
         else:
             k = random_k(field, args.n, seed=args.seed)
             x = k.act(_parse_partition(args.lam or "1", lambda lam: x_lambda(field, args.n, lam)))
-        member = is_member_X(x) if x.precision is None else None
-        if member is not None:
-            print(f"member: {'yes' if member else 'no'}")
-            if not member:
-                return EXIT_MATH_FAIL
+        if _not_a_member(x):
+            return EXIT_MATH_FAIL
         facs = invariant_factors(x)
         print("invariant factors:", ",".join(map(str, facs)))
         print("orbit:", ",".join(map(str, classify_k_orbit(x))))
@@ -487,6 +500,8 @@ def _cmd_padic(args) -> int:
     if args.subcommand == "diagonalize1":
         if args.infile:
             x = _load_matrix(args.infile)
+            if _not_a_member(x):
+                return EXIT_MATH_FAIL
         else:
             if args.ell is None:
                 sys.stderr.write("need --in or --ell\n")

@@ -3,11 +3,14 @@
 Two number models coexist.  Exact elements of Q(sqrt(eps)) are carried as
 two int numerators over one int denominator and power membership tests and
 orbit classification, where no precision management is wanted.  A residue
-model mod p^m carries the constructive algorithms: those must solve norm
-equations N(b) = t, which have solutions in every residue ring but usually
-none in Q(sqrt(eps)).  The kernels that need no matrix layer (the field,
-the norm counts, the Haar sampler, the cell counts and the rank-one
-Monte-Carlo) live in ``residue``.
+model mod p^m carries the constructive rank-one reduction: it must solve a
+norm equation N(b) = t, which has solutions in every residue ring but
+usually none in Q(sqrt(eps)).  The reduction reads the reflection vector of
+x off p^l (x - J) and builds one element of the integral unitary group
+around it, so every member reduces at any precision m >= 1 with the
+reducing element certified mod p^m.  The kernels that need no matrix layer
+(the field, the norm counts, the Haar sampler, the cell counts and the
+rank-one Monte-Carlo) live in ``residue``.
 
 A matrix is in the model of its entries; the constructors build exact
 entries unless given prec=, which asks for residue entries mod p^prec.
@@ -627,14 +630,14 @@ def j_matrix(field, size, prec=None):
     return LocalMatrix.from_values(field, vals, 0, prec)
 
 
-def _val_or_none(e, shift=0):
-    """Absolute valuation of a matrix entry, or None when it is zero at the
-    available precision."""
+def _val_or_none(e):
+    """Valuation of a matrix entry, or None when it is zero at the available
+    precision."""
     if isinstance(e, ExactLocal):
         v = e.valuation()
-        return None if math.isinf(v) else int(v) - shift
+        return None if math.isinf(v) else int(v)
     try:
-        return e.val() - shift
+        return e.val()
     except PrecisionError:
         return None
 
@@ -695,26 +698,17 @@ def is_member_X(x: LocalMatrix) -> bool:
 # -- norm equations ----------------------------------------------------------------
 
 
-def hensel_norm_solve(field: LocalField, target, prec: int) -> ResidueElem:
-    """Solve N(alpha) = target in the residue ring mod p^prec for a unit
-    target of the base ring.  A solution mod p always exists (the norm is
-    surjective onto units) and lifts by Newton iteration because the gradient
-    (2a, -2*eps*b) cannot vanish at a unit."""
+def hensel_norm_solve(target: ResidueElem) -> ResidueElem:
+    """Solve N(alpha) = target in the residue ring, at the target's precision,
+    for a unit target of the base ring.  A solution mod p always exists (the
+    norm is surjective onto units) and lifts by Newton iteration because the
+    gradient (2a, -2*eps*b) cannot vanish at a unit."""
+    field, prec = target.field, target.m
     p, eps = field.p, field.eps
     mod = p**prec
-    if isinstance(target, ResidueElem):
-        if not target.is_real():
-            raise ValueError("norm targets live in the base ring")
-        if target.m < prec:
-            raise PrecisionError("target has fewer digits than requested", required=prec)
-        t = target.a % mod
-    elif isinstance(target, (int, Fraction)):
-        fr = Fraction(target)
-        if fr.denominator % p == 0:
-            raise ValueError("target must be integral")
-        t = fr.numerator * pow(fr.denominator, -1, mod) % mod
-    else:
-        raise TypeError("unsupported target")
+    if not target.is_real():
+        raise ValueError("norm targets live in the base ring")
+    t = target.a
     if t % p == 0:
         raise ValueError("target must be a unit")
 
@@ -955,218 +949,34 @@ def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
 # -- constructive rank-one diagonalization -------------------------------------------
 
 
-def _vabs(x: LocalMatrix, i: int, j: int):
-    return _val_or_none(x.rows[i][j], x.shift)
-
-def _unit_part(x: LocalMatrix, i: int, j: int, vab: int) -> ResidueElem:
-    return x.rows[i][j].div_pi_power(vab + x.shift)
-
-
-def _entry_is(x: LocalMatrix, i: int, j: int, value) -> bool:
-    """Compare an entry against a rational value, through the matrix shift,
-    at whatever precision the entry still carries."""
-    e = x.rows[i][j]
-    want = Fraction(value) * Fraction(x.field.p) ** x.shift
-    return e == e._coerce(want, e.m)
-
-
-def _case_i(x: LocalMatrix):
-    """a nonzero with v(a) <= v(b): clear the first row, force the middle to
-    1, normalize the corner to an exact power of p.  Returns (k, x, ell)."""
-    field = x.field
-    prec = x.precision
-    a = x.rows[0][0]
-    b = x.rows[0][1]
-    if b.is_zero():
-        k = LocalMatrix.identity(field, 3, prec)
-    else:
-        lam = -(b.conj()) / a
-        mu = lam * lam.conj() * Fraction(-1, 2)
-        vals = [[1, 0, 0], [lam, 1, 0], [mu, -lam.conj(), 1]]
-        k = LocalMatrix.from_values(field, vals, prec=prec)
-        x = k.act(x)
-    if not (x.rows[0][1].is_zero() and x.rows[1][2].is_zero()):
-        raise ValueError("row clearing failed; input is not in the hermitian space")
-    if not _entry_is(x, 1, 1, 1):
-        raise ValueError("middle entry is not forced to 1; input is not in the space")
-
-    va, vg = _vabs(x, 0, 0), _vabs(x, 2, 2)
-    if va is None or vg is None:
-        raise PrecisionError("corner valuation not certifiable", required=prec + 4)
-    if va < vg:
-        J = j_matrix(field, 3, prec)
-        x = J.act(x)
-        k = J @ k
-        va, vg = vg, va
-    ell = -vg
-    if ell < 0:
-        raise ValueError("corner valuations inconsistent with a hermitian member")
-
-    g_unit = _unit_part(x, 2, 2, vg)
-    if not g_unit.is_real():
-        raise ValueError("corner entry must lie in the base field")
-    alpha = hensel_norm_solve(field, g_unit, g_unit.m)
-    D = LocalMatrix.diagonal(field, [alpha, 1, alpha.conj().unit_inverse()])
-    x = D.act(x)
-    k = D @ k
-
-    c = x.rows[0][2]
-    if not c.is_zero():
-        if not (c + c.conj()).is_zero():
-            raise ValueError("off-corner entry must be traceless")
-        u13 = -(c.div_pi_power(x.shift - ell) if x.shift >= ell else c.times_pi_power(ell - x.shift))
-        U = LocalMatrix.from_values(field, [[1, 0, u13], [0, 1, 0], [0, 0, 1]])
-        x = U.act(x)
-        k = U @ k
-    _assert_diag_form(x, ell)
-    return k, x, ell
-
-
-def _assert_diag_form(x: LocalMatrix, ell: int):
-    p = Fraction(x.field.p)
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                if not x.rows[i][j].is_zero():
-                    raise AssertionError("result is not diagonal at working precision")
-    for i, want in enumerate([p**ell, Fraction(1), p**-ell]):
-        if not _entry_is(x, i, i, want):
-            raise AssertionError("result diagonal differs from the orbit representative")
-
-
-def _case_ii(x: LocalMatrix):
-    """a = 0 at working precision: forced corner structure, then an explicit
-    chain of unipotents lands on the identity orbit unless a negative-power
-    tail routes back to the generic case."""
-    field = x.field
-    prec = x.precision
-    # We land here because the corner reads 0 at working precision.  A member
-    # with a genuinely vanishing corner has this forced structure; if the
-    # checks fail, the corner underflowed and more digits are needed.
-    if not (x.rows[0][1].is_zero() and _entry_is(x, 0, 2, 1) and _entry_is(x, 1, 1, -1)):
-        raise PrecisionError(
-            "degenerate chart inconsistent at working precision", required=prec + 4
-        )
-    k = LocalMatrix.identity(field, 3, prec)
-    f = x.rows[1][2]
-    if not f.is_zero():
-        lf = _vabs(x, 1, 2)
-        f_unit = _unit_part(x, 1, 2, lf)
-        u = f_unit.unit_inverse().conj()
-        D = LocalMatrix.diagonal(field, [u.conj().unit_inverse(), 1, u])
-        x = D.act(x)
-        k = D @ k
-        if lf <= 0:
-            J = j_matrix(field, 3, prec)
-            x = J.act(x)
-            k2, x, ell = _case_i(x)
-            return (k2 @ J) @ k, x, ell
-        h = field.p**lf
-        L = LocalMatrix.from_values(
-            field,
-            [[1, 0, 0], [Fraction(-h, 2), 1, 0], [Fraction(-h * h, 8), Fraction(h, 2), 1]],
-            prec=prec,
-        )
-        x = L.act(x)
-        k = L @ k
-    else:
-        if not x.rows[2][2].is_zero():
-            raise PrecisionError(
-                "degenerate chart inconsistent at working precision", required=prec + 4
-            )
-    # now x = antidiag(1, -1, 1) up to precision
-    M1 = LocalMatrix.from_values(field, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]], prec=prec)
-    M2 = LocalMatrix.from_values(field, [[0, 0, 1], [0, 1, 1], [1, -1, Fraction(-1, 2)]], prec=prec)
-    chain = M1 @ M2
-    assert_unitary(chain)
-    x = chain.act(x)
-    k = chain @ k
-    if not (_entry_is(x, 0, 0, Fraction(-1, 2)) and _entry_is(x, 2, 2, -2)):
-        raise AssertionError("chain did not reach the expected diagonal")
-    alpha = hensel_norm_solve(field, -2, x.precision)
-    D = LocalMatrix.diagonal(field, [alpha, 1, alpha.conj().unit_inverse()])
-    x = D.act(x)
-    k = D @ k
-    _assert_diag_form(x, 0)
-    return k, x, 0
-
-
-def _orbit2_reduce(x: LocalMatrix):
-    """Both corners deeper than their neighbors: normalize to the bordered
-    rank-one form around the antidiagonal, then kill the middle column with
-    the explicit unitary built from the norm equation."""
-    field = x.field
-    p = field.p
-    va, vb = _vabs(x, 0, 0), _vabs(x, 0, 1)
-    vg, vf = _vabs(x, 2, 2), _vabs(x, 1, 2)
-    k = LocalMatrix.identity(field, 3, x.precision)
-    if va < vg:
-        J = j_matrix(field, 3, x.precision)
-        x = J.act(x)
-        k = J @ k
-        va, vg = vg, va
-        vb, vf = vf, vb
-    mm, ll = vb, vf
-    if va != 2 * mm or vg != 2 * ll or ll < 1:
-        raise ValueError("corner/neighbor valuations violate the deep-corner pattern")
-
-    a_unit = _unit_part(x, 0, 0, va)
-    alpha = hensel_norm_solve(field, a_unit, a_unit.m)
-    D1 = LocalMatrix.diagonal(field, [alpha.unit_inverse(), 1, alpha.conj()])
-    x = D1.act(x)
-    k = D1 @ k
-
-    u = _unit_part(x, 0, 1, mm)
-    D2 = LocalMatrix.diagonal(field, [u.unit_inverse(), 1, u.conj()])
-    x = D2.act(x)
-    k = D2 @ k
-
-    # bordered form: middle entry = 1 + s, side = p^ll * r * s
-    s = _unit_part(x, 1, 1, 0) - 1
-    if s.val() != 0 or not s.is_real():
-        raise ValueError("bordered form did not produce a unit parameter")
-    rs = _unit_part(x, 1, 2, ll)
-    r = rs / s
-    cons = (r + r.conj()) * p ** (mm + ll) + s + 2
-    if not cons.is_zero():
-        raise ValueError("bordered-form constraint fails; input is not in the space")
-
-    tr_r = r + r.conj()
-    y = tr_r * p ** (mm - ll) / s
-    vy = _val_or_none(y)
-    if vy is None or vy > 0:
-        rho = ResidueElem(field, y.m, 1)
-    else:
-        rho = -y.unit_inverse()
-    denom = rho * 2 + y * rho * rho - p ** (2 * ll)
-    gamma = -(rho * r * r.conj()) / denom
-    rg = rho * gamma
-    kb = hensel_norm_solve(field, rg, rg.m)
-    kc = kb.norm() * Fraction(-1, 2)
-    kd = kb.unit_inverse() * ((kb.conj() * r).unit_inverse() * gamma * p**ll - 1)
-    kf = (
-        -(r.conj() * s).unit_inverse() * p ** (mm - ll)
-        - gamma * (kb.norm() * r.norm()).unit_inverse()
-        + kb.unit_inverse() * kd.conj()
-    )
-    U = LocalMatrix.from_values(field, [[1, -kb.conj(), kc], [0, 1, kb], [0, 0, 1]], prec=kf.m)
-    Hk = LocalMatrix.from_values(field, [[0, 0, 1], [0, 1, -kd.conj()], [1, kd, kf]], prec=kf.m)
-    k5 = U @ Hk
-    assert_unitary(k5)
-    x = k5.act(x)
-    k = k5 @ k
-    if not (x.rows[0][1].is_zero() and x.rows[1][2].is_zero() and _entry_is(x, 1, 1, 1)):
-        raise AssertionError("middle clearing failed in the deep-corner reduction")
-    return k, x
-
-
 def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
     """Rank-one constructive reduction: returns (k, ell) with k in the
-    integral unitary group and k x k* the representative diag(p^ell, 1,
-    p^-ell) at the remaining precision.
+    integral unitary group K and k x k* = x_ell = diag(p^ell, 1, p^-ell) at
+    the working precision.
 
-    Exact inputs are converted to the residue model first (the norm equations
-    along the way have no rational solutions in general)."""
+    With h(u, v) = u* J v, xJ is the reflection in a vector v, so
+    x - J = -2 v v* / h(v, v); for x_ell, v = w_ell = (p^ell, 0, -1).  A
+    member is k0^-1 x_ell k0^-* for some k0 in K, so x - J = p^-ell v v*
+    with v = k0^-1 w_ell primitive.  Hence the normalized stored matrix
+    p^s x has s = ell, and p^s (x - J) = v v* has a unit diagonal entry u,
+    whose column w is a unit multiple of v with h(w, w) = -2 p^ell u: read
+    off u, not from the cancelling sum w* J w.  Rescaled by beta with
+    N(beta) = 1/u, w = g w_ell for g = [c0 c1 c2] in K built around it:
+    c0 isotropic with h(c0, w) = -1, c2 = p^ell c0 - w, and
+    c1 = J conj(c0 x c2), whose h(c1, c1) = |h(c0, c2)|^2 = 1 needs no
+    scaling.  So k = g^-1 = J g* J.  When neither end of w is a unit, an
+    integral unitary first turns the unit middle entry into a unit top
+    entry.  Every step is a unit inverse or a norm equation, so k carries
+    the precision of the input; it is checked unitary, and k x k* is
+    checked against x_ell.
+
+    Exact inputs are converted to the residue model first (the norm equation
+    has no rational solution in general).
+
+    >>> k, ell = diagonalize_x1(x_lambda(LocalField(3), 1, (2,)), prec=4)
+    >>> ell, k.precision
+    (2, 4)
+    """
     if x.precision is None:
         if prec is None:
             raise ValueError("converting an exact matrix needs a precision")
@@ -1174,29 +984,34 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
     if x.size != 3:
         raise ValueError("the constructive reduction is rank-one only")
     x = x.normalized()
-    k_acc = LocalMatrix.identity(x.field, 3, x.precision)
-    for _ in range(4):
-        va = _vabs(x, 0, 0)
-        vg = _vabs(x, 2, 2)
-        if va is None or vg is None:
-            # a corner reads 0; bring it to the top left
-            if va is not None:
-                J = j_matrix(x.field, 3, x.precision)
-                x = J.act(x)
-                k_acc = J @ k_acc
-            k, x, ell = _case_ii(x)
-            return (k @ k_acc), ell
-        vb = _vabs(x, 0, 1)
-        vf = _vabs(x, 1, 2)
-        if vb is None or va <= vb:
-            k, x, ell = _case_i(x)
-            return (k @ k_acc), ell
-        if vf is None or vg <= vf:
-            J = j_matrix(x.field, 3, x.precision)
-            x = J.act(x)
-            k_acc = J @ k_acc
-            k, x, ell = _case_i(x)
-            return (k @ k_acc), ell
-        k, x = _orbit2_reduce(x)
-        k_acc = k @ k_acc
-    raise AssertionError("reduction did not terminate")
+    field, m, ell = x.field, x.precision, x.shift
+    pl = field.p**ell
+    # p^ell (x - J), column by column
+    cols = [[x.rows[t][i] - (pl if t + i == 2 else 0) for t in range(3)] for i in range(3)]
+    i = next((i for i in range(3) if _val_or_none(cols[i][i]) == 0), None)
+    if i is None:
+        raise ValueError("no diagonal entry of p^s (x - J) is a unit; input is not in the space")
+    beta = hensel_norm_solve(cols[i][i].unit_inverse())
+    w0, w1, w2 = (e * beta for e in cols[i])
+    k = LocalMatrix.identity(field, 3, m)
+    if _val_or_none(w2) != 0 and _val_or_none(w0) != 0:
+        k = LocalMatrix.from_values(field, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]], prec=m)
+        w0, w1 = w0 - w1 - w2 * Fraction(1, 2), w1 + w2
+    zero = ResidueElem(field, m, 0)
+    if _val_or_none(w2) == 0:
+        c0 = [-w2.conj().unit_inverse(), zero, zero]
+    else:
+        c0 = [zero, zero, -w0.conj().unit_inverse()]
+    c2 = [c * pl - e for c, e in zip(c0, (w0, w1, w2))]
+    # c1 = J conj(c0 x c2)
+    c1 = [
+        (c0[(t + 1) % 3] * c2[(t + 2) % 3] - c0[(t + 2) % 3] * c2[(t + 1) % 3]).conj()
+        for t in (2, 1, 0)
+    ]
+    g = LocalMatrix(field, zip(c0, c1, c2))
+    J = j_matrix(field, 3, m)
+    k = (J @ g.star()) @ J @ k
+    assert_unitary(k)
+    if k.act(x) != x_lambda(field, 1, (ell,)).to_residue(m):
+        raise AssertionError("k x k* differs from the orbit representative at working precision")
+    return k, ell

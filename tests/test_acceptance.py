@@ -21,7 +21,14 @@ from hermlab.hall_littlewood import (
     w_tilde,
     whole_group_value,
 )
-from hermlab.padic import classify_k_orbit, diagonalize_x1, is_member_X, random_k, x_lambda
+from hermlab.padic import (
+    assert_unitary,
+    classify_k_orbit,
+    diagonalize_x1,
+    is_member_X,
+    random_k,
+    x_lambda,
+)
 from hermlab.plancherel import (
     basis_rank_check,
     check_inversion,
@@ -266,19 +273,17 @@ def test_criterion_11_evaluation_rank():
 def test_criterion_12_constructive_diagonalization():
     t0 = time.perf_counter()
     done = 0
-    for p in (3, 5):
+    for p in (3, 5, 7):
         field = LocalField(p)
-        for ell in range(4):
+        for ell in range(5):
             for trial in range(13):
                 k0 = random_k(field, 1, seed=1000 * p + 10 * ell + trial)
                 x = k0.act(x_lambda(field, 1, (ell,))).to_residue(12)
                 k, got = diagonalize_x1(x)
                 assert got == ell
-                y = k.act(x)
-                pw = Fraction(p)
-                for i, want in enumerate([pw**ell, Fraction(1), pw**-ell]):
-                    e = y.rows[i][i]
-                    assert e == e._coerce(want * pw**y.shift, e.m)
+                assert k.precision == 12
+                assert_unitary(k)
+                assert k.act(x) == x_lambda(field, 1, (ell,)).to_residue(12)
                 done += 1
     assert done >= 100
     assert time.perf_counter() - t0 < 60

@@ -77,6 +77,16 @@ def test_precision_exit_code_from_deep_in_padic(capsys):
     assert got.err == "resource/precision: sampling needs at least two digits\n"
 
 
+def test_roundtrip_check_runs_at_the_requested_precision(capsys):
+    # one digit is enough for the reduction; zero digits is a precision limit
+    code, out = invoke(capsys, "verify", "diagonalization-roundtrip", "--prec", "1", "--workers", "1")
+    assert code == 0 and out.startswith("PASS  diagonalization-roundtrip")
+    code = run(["verify", "diagonalization-roundtrip", "--prec", "0", "--workers", "1"])
+    got = capsys.readouterr()
+    assert code == 3
+    assert got.err == "resource/precision: residue precision must be at least 1\n"
+
+
 def test_math_fail_exit_code(capsys):
     # an under-resolved grid leaves quadrature error above tolerance: the
     # report must say so and the process must signal a mathematical failure
@@ -174,6 +184,8 @@ def test_config_file_unreadable_is_a_usage_error(tmp_path, capsys):
         ("grid_n = 1\n", "config value for grid_n must be at least 2, got 1"),
         ("q0 = 1\n", "config value for q0 must be above 1, got 1"),
         ("p = 9\n", "config value for p must be an odd prime, got 9"),
+        ("tol = 0\n", "config value for tol must be above 0, got 0.0"),
+        ("workers = 0\n", "config value for workers must be at least 1, got 0"),
     ],
 )
 def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
@@ -194,6 +206,12 @@ OUT_OF_RANGE = [
     (["padic", "diagonalize1", "--ell", "-1"], "--ell must be at least 0, got -1"),
     (["verify", "all", "--samples", "0"], "--samples must be at least 1, got 0"),
     (["verify", "defining-integral-mc", "--samples", "-4"], "--samples must be at least 1, got -4"),
+    (["verify", "measure-total-mass", "--tol", "-1"], "--tol must be above 0, got -1.0"),
+    (["verify", "all", "--tol", "0"], "--tol must be above 0, got 0.0"),
+    (["verify", "all", "--tol", "nan"], "--tol must be above 0, got nan"),
+    (["verify", "all", "--workers", "0"], "--workers must be at least 1, got 0"),
+    (["verify", "norm-volume", "--workers", "-2"], "--workers must be at least 1, got -2"),
+    (["sph", "omega", "--ell", "-1", "--s", "1"], "--ell must be at least 0, got -1"),
 ] + [
     (verb + ["--p", p], f"--p must be an odd prime, got {p}")
     for verb in (
@@ -326,6 +344,11 @@ def test_bad_worker_count_in_the_environment_is_a_usage_error(monkeypatch, capsy
     assert (got.out, got.err) == ("", "HERMLAB_WORKERS must be an integer, got 'abc'\n")
     # a flag wins over the environment, so the variable is not read at all
     assert run(["verify", "norm-volume", "--workers", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("HERMLAB_WORKERS", "0")
+    assert run(["verify", "norm-volume"]) == 2
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", "HERMLAB_WORKERS must be at least 1, got 0\n")
 
 
 @pytest.mark.parametrize("n, code", [(0, 2), (-1, 2), (4, 3), (7, 3)])
@@ -449,6 +472,30 @@ def test_matrix_file_roundtrip(tmp_path, capsys):
         assert e == e._coerce(want * p**y.shift, e.m)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+        [[3, 0, 0], [0, 1, 0], [0, 0, 1]],
+        [[1, 2, 0], [0, 1, 0], [0, 0, 1]],
+    ],
+    ids=["antidiagonal", "diag-3-1-1", "not-hermitian"],
+)
+def test_diagonalize_refuses_a_non_member(tmp_path, capsys, rows):
+    x = LocalMatrix.from_values(LocalField(3), rows)
+    exact, residue = tmp_path / "exact.json", tmp_path / "residue.json"
+    exact.write_text(json.dumps(x.to_json_dict()))
+    residue.write_text(json.dumps(x.to_residue(12).to_json_dict()))
+    # the exact model decides membership first
+    assert run(["padic", "diagonalize1", "--in", str(exact)]) == 1
+    assert capsys.readouterr() == ("member: no\n", "")
+    # the residue model cannot; the reduction refuses in one line
+    assert run(["padic", "diagonalize1", "--in", str(residue)]) == 1
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err.startswith("error: ") and got.err.count("\n") == 1
+
+
 def test_classify_pads_the_partition(capsys):
     code, out = invoke(capsys, "padic", "classify", "--n", "2", "--lambda", "1")
     assert code == 0
@@ -500,8 +547,9 @@ def test_mc_omega_rejects_bad_input(capsys, flag, value, message):
 
 
 def test_out_of_range_input_is_refused_before_the_layers_load():
-    # verify refuses before the report loads, padic before the matrix layer
-    refused = [argv for argv, _ in OUT_OF_RANGE if argv[0] in ("verify", "padic")]
+    # verify refuses before the report loads, padic before the matrix layer,
+    # sph before the spherical layer
+    refused = [argv for argv, _ in OUT_OF_RANGE if argv[0] in ("verify", "padic", "sph")]
     script = (
         "import sys\n"
         "from hermlab.cli import run\n"
@@ -510,7 +558,9 @@ def test_out_of_range_input_is_refused_before_the_layers_load():
         "      any(m in sys.modules for m in sys.argv[1].split(',')))\n"
     )
     r = subprocess.run(
-        [sys.executable, "-c", script, "hermlab.report,hermlab.padic"], capture_output=True, text=True
+        [sys.executable, "-c", script, "hermlab.report,hermlab.padic,hermlab.spherical"],
+        capture_output=True,
+        text=True,
     )
     assert r.stdout == f"{[2] * len(refused)} False\n", r.stderr
 

@@ -1,25 +1,19 @@
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = [
-    "errors",
-    "scalars",
-    "weyl",
-    "torus",
-    "hall_littlewood",
-    "spherical",
-    "plancherel",
-    "residue",
-    "padic",
-    "report",
-    "cli",
+import hermlab
+
+# the package and every module in it, so that no module skips its doctests
+MODULES = [hermlab.__name__] + [
+    f"{hermlab.__name__}.{info.name}" for info in pkgutil.iter_modules(hermlab.__path__)
 ]
 
 
-@pytest.mark.parametrize("name", MODULES)
+@pytest.mark.parametrize("name", MODULES, ids=lambda name: name.rpartition(".")[2])
 def test_module_doctests(name):
-    module = importlib.import_module(f"hermlab.{name}")
+    module = importlib.import_module(name)
     result = doctest.testmod(module)
     assert result.failed == 0

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hermlab import padic
 from hermlab.errors import InexactDivision, PrecisionError, ResourceLimit
 from hermlab.padic import (
     ExactLocal,
@@ -45,6 +46,7 @@ from hermlab.spherical import omega_rank1_s_form
 
 F3 = LocalField(3)
 F5 = LocalField(5)
+F7 = LocalField(7)
 
 
 # -- the Fraction-pair ExactLocal, kept as the reference ----------------------------
@@ -387,11 +389,24 @@ def test_hensel_norm_solve():
             t = rng.randrange(1, p**4)
             if t % p == 0:
                 t += 1
-            alpha = hensel_norm_solve(field, t, 6)
-            assert alpha.norm() == ResidueElem(field, alpha.m, t)
-    # Fraction targets with unit denominator work too
-    alpha = hensel_norm_solve(F3, Fraction(5, 7), 8)
-    assert alpha.norm() == ResidueElem(F3, alpha.m, Fraction(5, 7))
+            alpha = hensel_norm_solve(ResidueElem(field, 6, t))
+            assert alpha.m == 6
+            assert alpha.norm() == ResidueElem(field, 6, t)
+    # a target read from a Fraction with unit denominator
+    target = ResidueElem(F3, 8, Fraction(5, 7))
+    assert hensel_norm_solve(target).norm() == target
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        (ResidueElem(F3, 4, 3), "target must be a unit"),
+        (ResidueElem(F3, 4, 1, 1), "norm targets live in the base ring"),
+    ],
+)
+def test_hensel_norm_solve_refuses(target, message):
+    with pytest.raises(ValueError, match=message):
+        hensel_norm_solve(target)
 
 
 # -- matrices ---------------------------------------------------------------------
@@ -1111,6 +1126,17 @@ def vanishing_corner_form(field, f):
     return LocalMatrix.from_values(field, [[0, 0, 1], [0, -1, f], [1, f, -f * f / 2]])
 
 
+def _assert_reduces(x, prec, want):
+    """diagonalize_x1 of the exact member x at prec returns want with a
+    unitary k that carries the full precision and conjugates x onto x_want."""
+    xr = x.to_residue(prec)
+    k, ell = diagonalize_x1(xr)
+    assert ell == want
+    assert k.precision == prec
+    assert_unitary(k)
+    assert k.act(xr) == x_lambda(xr.field, 1, (ell,)).to_residue(prec)
+
+
 def test_diagonalize_representative():
     k, ell = diagonalize_x1(x_lambda(F3, 1, (2,)), prec=12)
     assert ell == 2
@@ -1120,62 +1146,57 @@ def test_diagonalize_representative():
 def test_diagonalize_bordered_examples():
     x = bordered_form(F3, 1, 1, 1)
     assert is_member_X(x)
-    k, ell = diagonalize_x1(x, prec=14)
-    assert ell == 0
+    _assert_reduces(x, 14, 0)
     # deeper corners still land where the invariant-factor oracle says
-    for field in (F3, F5):
+    for field in (F3, F5, F7):
         for m, el, r in [(2, 1, 1), (2, 2, 1), (3, 1, 2)]:
             x = bordered_form(field, m, el, r)
             assert is_member_X(x)
-            want = classify_k_orbit(x)[0]
-            k, got = diagonalize_x1(x, prec=16)
-            assert got == want
+            _assert_reduces(x, 16, classify_k_orbit(x)[0])
 
 
 def test_diagonalize_vanishing_corner_family():
-    for field in (F3, F5):
+    for field in (F3, F5, F7):
         p = field.p
         for f in (0, p, p * p, Fraction(1, p), 1):
             x = vanishing_corner_form(field, f)
             assert is_member_X(x)
-            want = classify_k_orbit(x)[0]
-            k, got = diagonalize_x1(x, prec=14)
-            assert got == want
+            _assert_reduces(x, 14, classify_k_orbit(x)[0])
 
 
 def test_diagonalize_roundtrips():
-    for p, field in ((3, F3), (5, F5)):
-        for ell in range(4):
+    for p, field in ((3, F3), (5, F5), (7, F7)):
+        for ell in range(5):
             for trial in range(3):
                 seed = 1000 * p + 10 * ell + trial
                 x = random_k(field, 1, seed=seed).act(x_lambda(field, 1, (ell,)))
-                xr = x.to_residue(12)
-                k, got = diagonalize_x1(xr)
-                assert got == ell
-                y = k.act(xr)
-                pw = Fraction(p)
-                for i, want in enumerate([pw**ell, Fraction(1), pw**-ell]):
-                    e = y.rows[i][i]
-                    assert e == e._coerce(want * pw**y.shift, e.m)
-                for i in range(3):
-                    for j in range(3):
-                        if i != j:
-                            assert y.rows[i][j].is_zero()
+                _assert_reduces(x, 12, ell)
 
 
-def test_diagonalize_precision_retry():
-    # a saturated corner raises with a usable retry hint instead of lying
-    x = x_lambda(F3, 1, (3,))
-    prec, rounds = 3, 0
-    while True:
-        try:
-            k, ell = diagonalize_x1(x.to_residue(prec))
-            break
-        except PrecisionError as e:
-            assert e.required > prec
-            prec = e.required
-            rounds += 1
-    assert ell == 3 and rounds >= 1
+@pytest.mark.parametrize("field", [F3, F5, F7], ids=["p3", "p5", "p7"])
+def test_diagonalize_needs_no_precision_retry(field):
+    # every member reduces at every precision down to one digit, with k
+    # certified at that precision: no input asks for more digits
+    p = field.p
+    members = [bordered_form(field, m, el, r) for m, el, r in [(1, 1, 1), (2, 2, 1), (3, 1, 2)]]
+    members += [vanishing_corner_form(field, f) for f in (0, p, Fraction(1, p), 1)]
+    for ell in range(5):
+        members.append(x_lambda(field, 1, (ell,)))
+        members.append(random_k(field, 1, seed=f"{p}:{ell}").act(x_lambda(field, 1, (ell,))))
+    for x in members:
+        want = classify_k_orbit(x)[0]
+        for prec in range(1, 9):
+            _assert_reduces(x, prec, want)
+
+
+def test_diagonalize_certifies_the_norm_equation(monkeypatch):
+    # with the norm equation answered wrongly, h(w, w) misses -2 p^ell and
+    # the reduction must refuse rather than return a non-unitary k
+    monkeypatch.setattr(padic, "hensel_norm_solve", lambda target: 1)
+    for trial in range(10):
+        x = random_k(F3, 1, seed=f"mutant:{trial}").act(x_lambda(F3, 1, (1,)))
+        with pytest.raises(AssertionError):
+            diagonalize_x1(x, prec=12)
 
 
 def test_diagonalize_rejects_larger_sizes():
