@@ -424,7 +424,37 @@ def _cmd_plancherel_rank(args) -> int:
     return EXIT_MATH_FAIL
 
 
+def _matrix_file_problem(d) -> str | None:
+    """What keeps a parsed matrix file from holding a square matrix of its
+    declared model, as far as its shape shows; None when nothing does."""
+    if not isinstance(d, dict):
+        return "expected a JSON object"
+    missing = [k for k in ("model", "p", "eps", "size", "shift", "entries") if k not in d]
+    if missing:
+        return "missing " + ", ".join(missing)
+    width = {"exact": 2, "residue": 3}.get(d["model"])
+    if width is None:
+        return f"unknown model {d['model']!r}"
+    size, shift, entries = d["size"], d["shift"], d["entries"]
+    if any(type(d[k]) is not int for k in ("p", "eps", "size", "shift")):
+        return "p, eps, size and shift must be integers"
+    if size < 1 or shift < 0:
+        return f"size must be positive and shift nonnegative, got {size} and {shift}"
+    if not (
+        isinstance(entries, list)
+        and len(entries) == size
+        and all(isinstance(row, list) and len(row) == size for row in entries)
+        and all(isinstance(e, list) and len(e) == width for row in entries for e in row)
+    ):
+        return f"entries are not a {size}x{size} matrix of {d['model']} entries"
+    if width == 3 and any(type(v) is not int for row in entries for e in row for v in e):
+        return "residue entries must be integers"
+    return None
+
+
 def _load_matrix(path: str):
+    """The matrix a file holds, or a usage error naming the file unless it
+    holds a square matrix of its declared model."""
     from .padic import LocalMatrix
 
     text = _read_text(path, "matrix file")
@@ -432,16 +462,20 @@ def _load_matrix(path: str):
         payload = json.loads(text)
     except json.JSONDecodeError as e:
         raise _usage_error(f"matrix file {path} is not JSON: {e}")
-    return LocalMatrix.from_json_dict(payload)
+    problem = _matrix_file_problem(payload)
+    if problem is None:
+        try:
+            return LocalMatrix.from_json_dict(payload)
+        except (ArithmeticError, TypeError, ValueError) as e:
+            problem = str(e)
+    raise _usage_error(f"matrix file {path} does not hold a matrix: {problem}")
 
 
 def _not_a_member(x) -> bool:
-    """Print whether an exact matrix lies in the space; True when it does not.
-    A residue matrix is not decided and prints nothing."""
+    """Print whether the matrix lies in the space, a residue matrix at its
+    precision; True when it does not."""
     from .padic import is_member_X
 
-    if x.precision is not None:
-        return False
     member = is_member_X(x)
     print(f"member: {'yes' if member else 'no'}")
     return not member

@@ -1,11 +1,16 @@
 """Finite-precision laboratory over a p-adic field with a quadratic extension.
 
 Two number models coexist.  Exact elements of Q(sqrt(eps)) are carried as
-two int numerators over one int denominator and power membership tests and
-orbit classification, where no precision management is wanted.  A residue
-model mod p^m carries the constructive rank-one reduction: it must solve a
-norm equation N(b) = t, which has solutions in every residue ring but
-usually none in Q(sqrt(eps)).  The reduction reads the reflection vector of
+two int numerators over one int denominator.  Residue elements mod p^m carry
+only the ring operations and the inverse of a unit; a residue matrix holds
+all its entries at one precision m.  Membership is decided in both models,
+a residue matrix at its precision.  Orbit classification eliminates exact
+entries only: a residue matrix is read through the exact lift of its stored
+digits, which is certified when every invariant of the lift is below m,
+because matrices congruent mod p^m share their Smith form over the residue
+ring, whose valuations are min(v_i, m).  The residue model carries the
+constructive rank-one reduction: it must solve a norm equation N(b) = t,
+which has solutions in every residue ring but usually none in Q(sqrt(eps)).  The reduction reads the reflection vector of
 x off p^l (x - J) and builds one element of the integral unitary group
 around it, so every member reduces at any precision m >= 1 with the
 reducing element certified mod p^m.  The kernels that need no matrix layer
@@ -13,7 +18,8 @@ reducing element certified mod p^m.  The kernels that need no matrix layer
 rank-one Monte-Carlo) live in ``residue``.
 
 A matrix is in the model of its entries; the constructors build exact
-entries unless given prec=, which asks for residue entries mod p^prec.
+entries unless given prec=, which asks for residue entries mod p^prec.  The
+product is one integer kernel for both models.
 Matrices remember a global power of p pulled out of all entries ("shift"), so
 entry arithmetic stays integral even for matrices like diag(p^l, 1, p^-l).
 
@@ -198,8 +204,8 @@ class ResidueElem:
     extension at certified precision m.
 
     Valuations below m are certified; an element congruent to zero mod p^m has
-    no certifiable valuation and val() raises.  Dividing by p costs one digit
-    of certified precision and refuses to go below two digits.
+    no certifiable valuation and val() raises.  Only the ring operations and
+    the inverse of a unit are defined: there is no division by p.
     """
 
     __slots__ = ("field", "m", "a", "b")
@@ -217,14 +223,13 @@ class ResidueElem:
         self.a = a % mod
         self.b = b % mod
 
-    def _coerce(self, other, m=None):
-        m = self.m if m is None else m
+    def _coerce(self, other):
         if isinstance(other, ResidueElem):
             if other.field != self.field:
                 raise ValueError("mixed fields")
             return other
         if isinstance(other, (int, Fraction)):
-            return ResidueElem(self.field, m, other)
+            return ResidueElem(self.field, self.m, other)
         return None
 
     def __add__(self, other):
@@ -267,9 +272,6 @@ class ResidueElem:
     def norm(self):
         return ResidueElem(self.field, self.m, self.a * self.a - self.field.eps * self.b * self.b)
 
-    def trace(self):
-        return ResidueElem(self.field, self.m, 2 * self.a)
-
     def is_zero(self):
         """Congruent to zero at the element's own precision."""
         return self.a == 0 and self.b == 0
@@ -289,33 +291,6 @@ class ResidueElem:
         vb = _vp_int(self.b, p) if self.b else self.m
         return min(va, vb)
 
-    def reduce(self, m: int):
-        if m > self.m:
-            raise PrecisionError(f"cannot raise precision {self.m} -> {m}", required=m)
-        return ResidueElem(self.field, m, self.a, self.b)
-
-    def div_pi_power(self, v: int):
-        """Exact division by p^v; costs v digits of certified precision."""
-        if v == 0:
-            return self
-        if v < 0:
-            return self.times_pi_power(-v)
-        q = self.field.p**v
-        if self.a % q or self.b % q:
-            raise InexactDivision(f"entry not divisible by p^{v}")
-        if self.m - v < 2:
-            raise PrecisionError(
-                f"division by p^{v} would leave precision {self.m - v}",
-                required=self.m + (2 - (self.m - v)),
-            )
-        return ResidueElem(self.field, self.m - v, self.a // q, self.b // q)
-
-    def times_pi_power(self, v: int):
-        if v < 0:
-            return self.div_pi_power(-v)
-        q = self.field.p**v
-        return ResidueElem(self.field, self.m + v, self.a * q, self.b * q)
-
     def unit_inverse(self):
         if self.val() != 0:
             raise ZeroDivisionError("not a unit in the residue ring")
@@ -323,23 +298,6 @@ class ResidueElem:
         n = (self.a * self.a - self.field.eps * self.b * self.b) % mod
         ninv = pow(n, -1, mod)
         return ResidueElem(self.field, self.m, self.a * ninv, -self.b * ninv)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        vo = o.val()
-        if self.is_zero():
-            m = min(self.m, o.m) - vo
-            if m < 1:
-                raise PrecisionError("quotient precision exhausted", required=vo + 2)
-            return ResidueElem(self.field, m, 0)
-        vs = self.val()
-        if vs < vo:
-            raise InexactDivision("quotient would not be integral")
-        us = self.div_pi_power(vs) if vs else self
-        uo = o.div_pi_power(vo) if vo else o
-        return (us * uo.unit_inverse()).times_pi_power(vs - vo)
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -367,7 +325,7 @@ def _entry_from(field, prec, value):
             return value
         return ExactLocal(field, value)
     if isinstance(value, ResidueElem):
-        return value
+        return value if value.m == prec else ResidueElem(field, prec, value.a, value.b)
     if isinstance(value, ExactLocal):
         if value._d % field.p == 0:
             raise InexactDivision("entry has negative valuation; use a matrix shift")
@@ -382,7 +340,8 @@ class LocalMatrix:
     residue model.
 
     The entries are all ExactLocal (the exact model) or all ResidueElem (the
-    residue model); the model of a matrix is the model of its entries."""
+    residue model); the model of a matrix is the model of its entries.  The
+    entries of a residue matrix share one precision m: each is known mod p^m."""
 
     __slots__ = ("field", "rows", "shift")
 
@@ -392,6 +351,9 @@ class LocalMatrix:
         self.shift = shift
         if shift < 0:
             raise ValueError("shift must be nonnegative")
+        m = self.precision
+        if m is not None and any(e.m != m for row in self.rows for e in row):
+            raise ValueError("residue entries at mixed precisions; from_values reduces them")
 
     @property
     def size(self):
@@ -399,10 +361,9 @@ class LocalMatrix:
 
     @property
     def precision(self):
-        """None for exact entries, else the least precision of the entries."""
-        if isinstance(self.rows[0][0], ExactLocal):
-            return None
-        return min(e.m for row in self.rows for e in row)
+        """None for exact entries, else the one precision of the entries."""
+        e = self.rows[0][0]
+        return None if isinstance(e, ExactLocal) else e.m
 
     def _compatible(self, other):
         """Same size, same field and entries of the same model."""
@@ -416,22 +377,21 @@ class LocalMatrix:
     def from_values(field, values, shift=0, prec=None):
         """A matrix from ints, Fractions and elements of either model.
 
-        Residue entries come from a given prec, or else from any ResidueElem
-        among the values, at the least precision they carry; otherwise the
-        entries are exact.
+        Residue entries come from a given prec or from any ResidueElem among
+        the values; all of them are reduced to the least of those precisions.
+        Otherwise the entries are exact.
 
         >>> F = LocalField(3)
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]]).precision is None
         True
         >>> LocalMatrix.from_values(F, [[1, 0], [0, 1]], prec=4).precision
         4
-        >>> LocalMatrix.from_values(F, [[ResidueElem(F, 5, 2), 0], [0, 1]])
+        >>> LocalMatrix.from_values(F, [[ResidueElem(F, 5, 2), 0], [0, ResidueElem(F, 7, 1)]])
         <[2 (mod 3^5), 0 (mod 3^5); 0 (mod 3^5), 1 (mod 3^5)]>
         """
-        if prec is None:
-            carried = [v.m for row in values for v in row if isinstance(v, ResidueElem)]
-            if carried:
-                prec = min(carried)
+        carried = [v.m for row in values for v in row if isinstance(v, ResidueElem)]
+        if carried:
+            prec = min(carried) if prec is None else min(prec, *carried)
         rows = [[_entry_from(field, prec, v) for v in row] for row in values]
         return LocalMatrix(field, rows, shift)
 
@@ -447,65 +407,31 @@ class LocalMatrix:
         return LocalMatrix.from_values(field, vals)
 
     def __matmul__(self, other):
+        """One integer kernel for both models: the entries as int pairs, over
+        one common denominator per factor (exact) or mod p^m at the lesser
+        precision of the factors (residue)."""
         if not self._compatible(other):
             raise ValueError("incompatible matrices")
-        if isinstance(self.rows[0][0], ExactLocal):
-            return self._exact_matmul(other)
-        n = self.size
-        rows = []
-        for i in range(n):
-            left = self.rows[i]
-            row = []
-            for j in range(n):
-                # a term that is zero at precision m contributes nothing but
-                # still caps the certified digits of the sum at m
-                acc = None
-                cap = None
-                for t in range(n):
-                    a = left[t]
-                    b = other.rows[t][j]
-                    if a.is_zero() or b.is_zero():
-                        mp = min(a.m, b.m)
-                        cap = mp if cap is None else min(cap, mp)
-                        continue
-                    term = a * b
-                    acc = term if acc is None else acc + term
-                if acc is None:
-                    row.append(ResidueElem(self.field, cap, 0))
-                elif cap is not None and cap < acc.m:
-                    row.append(acc.reduce(cap))
-                else:
-                    row.append(acc)
-            rows.append(row)
-        return LocalMatrix(self.field, rows, self.shift + other.shift)
-
-    def _exact_matmul(self, other):
-        # both factors over one common denominator each: the product is an
-        # integer matrix product, reduced to lowest terms entry by entry
         field, eps = self.field, self.field.eps
-
-        def numerators(rows):
-            den = math.lcm(*(e._d for row in rows for e in row))
-            return den, [
-                [(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows
-            ]
-
-        dx, x = numerators(self.rows)
-        dy, y = numerators(other.rows)
+        dx, x = _int_pairs(self.rows)
+        dy, y = _int_pairs(other.rows)
         cols = list(zip(*y))
-        make = ExactLocal._make
-        rows = [
+        sums = [
             [
-                make(
-                    field,
+                (
                     sum(a * c + eps * b * d for (a, b), (c, d) in zip(row, col)),
                     sum(a * d + b * c for (a, b), (c, d) in zip(row, col)),
-                    dx * dy,
                 )
                 for col in cols
             ]
             for row in x
         ]
+        m = self.precision
+        if m is None:
+            rows = [[ExactLocal._make(field, a, b, dx * dy) for a, b in row] for row in sums]
+        else:
+            m = min(m, other.precision)
+            rows = [[ResidueElem(field, m, a, b) for a, b in row] for row in sums]
         return LocalMatrix(field, rows, self.shift + other.shift)
 
     def star(self):
@@ -551,15 +477,12 @@ class LocalMatrix:
         return m
 
     def _all_divisible(self):
-        p = self.field.p
-        for row in self.rows:
-            for e in row:
-                if isinstance(e, ExactLocal):
-                    if not e.is_zero() and e.valuation() < 1:
-                        return False
-                elif e.m < 2 or e.a % p or e.b % p:
-                    return False
-        return True
+        """Every entry is p times an entry of the model, and a residue matrix
+        keeps at least one digit after the division."""
+        p, m = self.field.p, self.precision
+        if m is None:
+            return all(e.is_zero() or e.valuation() >= 1 for row in self.rows for e in row)
+        return m >= 2 and all(e.a % p == 0 and e.b % p == 0 for row in self.rows for e in row)
 
     def to_residue(self, prec: int):
         """Exact -> residue conversion.  The shift absorbs every negative
@@ -605,10 +528,8 @@ class LocalMatrix:
                 for row in d["entries"]
             ]
         else:
-            rows = [
-                [ResidueElem(field, e[2], e[0], e[1]) for e in row]
-                for row in d["entries"]
-            ]
+            m = min(e[2] for row in d["entries"] for e in row)
+            rows = [[ResidueElem(field, m, e[0], e[1]) for e in row] for row in d["entries"]]
         return LocalMatrix(field, rows, d["shift"])
 
     def __repr__(self):
@@ -619,10 +540,21 @@ class LocalMatrix:
         return f"<{pre}[{body}]>"
 
 
+def _int_pairs(rows):
+    """(den, pairs): every entry as an int pair (a, b) over the common
+    denominator den, which is 1 for residue entries."""
+    if isinstance(rows[0][0], ResidueElem):
+        return 1, [[(e.a, e.b) for e in row] for row in rows]
+    den = math.lcm(*(e._d for row in rows for e in row))
+    return den, [[(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows]
+
+
 def _shift_down(e):
+    """e / p for an entry divisible by p; a residue entry loses one digit."""
+    p = e.field.p
     if isinstance(e, ExactLocal):
-        return ExactLocal._make(e.field, e._a, e._b, e._d * e.field.p)
-    return e.div_pi_power(1) if not e.is_zero() else ResidueElem(e.field, e.m - 1, 0)
+        return ExactLocal._make(e.field, e._a, e._b, e._d * p)
+    return ResidueElem(e.field, e.m - 1, e.a // p, e.b // p)
 
 
 def j_matrix(field, size, prec=None):
@@ -630,16 +562,10 @@ def j_matrix(field, size, prec=None):
     return LocalMatrix.from_values(field, vals, 0, prec)
 
 
-def _val_or_none(e):
-    """Valuation of a matrix entry, or None when it is zero at the available
-    precision."""
-    if isinstance(e, ExactLocal):
-        v = e.valuation()
-        return None if math.isinf(v) else int(v)
-    try:
-        return e.val()
-    except PrecisionError:
-        return None
+def _is_unit(e: ResidueElem) -> bool:
+    """Valuation 0: some component is prime to p."""
+    p = e.field.p
+    return e.a % p != 0 or e.b % p != 0
 
 
 def assert_unitary(g: LocalMatrix):
@@ -676,23 +602,21 @@ def is_member_X(x: LocalMatrix) -> bool:
     characteristic polynomial (t^2-1)^n (t-1) of the split element.
 
     Once (xj)^2 = I, xj is diagonalizable with eigenvalues +-1, so its
-    characteristic polynomial is (t^2-1)^n (t-1) exactly when its trace is 1."""
-    if x.precision is not None:
-        raise TypeError("membership is decided in the exact model")
-    n2 = x.size
-    if n2 % 2 == 0:
+    characteristic polynomial is (t^2-1)^n (t-1) exactly when its trace is 1.
+    Both models decide on the stored entries M = p^s x: M is hermitian,
+    (MJ)^2 = p^(2s) and tr(MJ) = p^s, a residue matrix at its precision."""
+    size = x.size
+    if size % 2 == 0:
         return False
-    for i in range(n2):
-        for j in range(n2):
-            if x.rows[i][j] != x.rows[j][i].conj():
-                return False
-    j = j_matrix(x.field, n2)
-    xj = x @ j
-    prod = xj @ xj
-    if prod != LocalMatrix.identity(x.field, n2):
+    rows = x.rows
+    if any(rows[i][j] != rows[j][i].conj() for i in range(size) for j in range(size)):
         return False
-    trace = sum((xj.rows[i][i] for i in range(n2)), ExactLocal(x.field, 0))
-    return trace == Fraction(x.field.p) ** xj.shift
+    ps = x.field.p**x.shift
+    mj = LocalMatrix(x.field, [row[::-1] for row in rows])
+    square = (mj @ mj).rows
+    if any(square[i][j] != (ps * ps if i == j else 0) for i in range(size) for j in range(size)):
+        return False
+    return sum(mj.rows[i][i] for i in range(size)) == ps
 
 
 # -- norm equations ----------------------------------------------------------------
@@ -864,44 +788,49 @@ def t_diag(field, bs):
 
 def invariant_factors(x: LocalMatrix):
     """Valuations of the invariant factors, largest first, found by repeated
-    elimination with a minimal-valuation pivot (the local-ring Smith form)."""
-    n = x.size
-    rows = [list(r) for r in x.rows]
+    elimination with a minimal-valuation pivot (the local-ring Smith form).
+
+    A pivot of least valuation divides its row and column, so clearing its
+    column leaves the invariants of the remaining block; the pivots come out
+    in increasing valuation.
+
+    A residue matrix mod p^m is read through the exact lift of its stored
+    digits, each a + b*u becoming a + b*sqrt(eps).  Matrices congruent mod
+    p^m have the same Smith form over the residue ring, whose diagonal
+    valuations are min(v_i, m).  So when every invariant of the lift is below
+    m, every matrix with these digits shares it; a pivot at valuation m or
+    more cannot be certified and raises PrecisionError.
+
+    >>> x = x_lambda(LocalField(3), 1, (2,))
+    >>> invariant_factors(x), invariant_factors(x.to_residue(5))
+    ([2, 0, -2], [2, 0, -2])
+    """
+    n, m = x.size, x.precision
+    if m is None:
+        rows = [list(r) for r in x.rows]
+    else:
+        rows = [[ExactLocal._make(x.field, e.a, e.b, 1) for e in r] for r in x.rows]
     vals = []
     for top in range(n):
-        best = None
-        for i in range(top, n):
-            for j in range(top, n):
-                v = _val_or_none(rows[i][j])
-                if v is not None and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            if x.precision is None:
-                raise ValueError("matrix is singular")
+        v, bi, bj = min(
+            (rows[i][j].valuation(), i, j) for i in range(top, n) for j in range(top, n)
+        )
+        if m is not None and v >= m:
             raise PrecisionError(
-                "no pivot certifiable; working precision exhausted",
-                required=x.precision + 2,
+                f"an invariant factor reaches p^{m}; the stored digits do not decide it",
+                required=m + 1,
             )
-        v, bi, bj = best
-        if bi != top:
-            rows[top], rows[bi] = rows[bi], rows[top]
-        if bj != top:
-            for row in rows:
-                row[top], row[bj] = row[bj], row[top]
-        piv = rows[top][top]
+        if math.isinf(v):
+            raise ValueError("matrix is singular")
+        rows[top], rows[bi] = rows[bi], rows[top]
+        for row in rows:
+            row[top], row[bj] = row[bj], row[top]
+        pivot_row = rows[top]
         for i in range(top + 1, n):
             e = rows[i][top]
-            if _val_or_none(e) is None:
-                continue
-            fac = e / piv
-            rows[i] = [rows[i][j] - fac * rows[top][j] for j in range(n)]
-        for j in range(top + 1, n):
-            e = rows[top][j]
-            if _val_or_none(e) is None:
-                continue
-            fac = e / piv
-            for i in range(top, n):
-                rows[i][j] = rows[i][j] - fac * rows[i][top]
+            if not e.is_zero():
+                fac = e / pivot_row[top]
+                rows[i] = [a - fac * b for a, b in zip(rows[i], pivot_row)]
         vals.append(v)
     return sorted((v - x.shift for v in vals), reverse=True)
 
@@ -988,17 +917,17 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
     pl = field.p**ell
     # p^ell (x - J), column by column
     cols = [[x.rows[t][i] - (pl if t + i == 2 else 0) for t in range(3)] for i in range(3)]
-    i = next((i for i in range(3) if _val_or_none(cols[i][i]) == 0), None)
+    i = next((i for i in range(3) if _is_unit(cols[i][i])), None)
     if i is None:
         raise ValueError("no diagonal entry of p^s (x - J) is a unit; input is not in the space")
     beta = hensel_norm_solve(cols[i][i].unit_inverse())
     w0, w1, w2 = (e * beta for e in cols[i])
     k = LocalMatrix.identity(field, 3, m)
-    if _val_or_none(w2) != 0 and _val_or_none(w0) != 0:
+    if not _is_unit(w2) and not _is_unit(w0):
         k = LocalMatrix.from_values(field, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]], prec=m)
         w0, w1 = w0 - w1 - w2 * Fraction(1, 2), w1 + w2
     zero = ResidueElem(field, m, 0)
-    if _val_or_none(w2) == 0:
+    if _is_unit(w2):
         c0 = [-w2.conj().unit_inverse(), zero, zero]
     else:
         c0 = [zero, zero, -w0.conj().unit_inverse()]

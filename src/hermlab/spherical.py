@@ -315,6 +315,14 @@ def identity_value_closed_form(n: int, parity: str) -> QFraction:
 # -- the main evaluable --------------------------------------------------------
 
 
+def _r_parity(poly: QLaurent) -> int:
+    """The common parity of the exponents of a Laurent polynomial in r."""
+    parities = {e % 2 for e, _ in poly.items()}
+    if len(parities) > 1:
+        raise ValueError("base-point value mixes integral and half-integral powers of q")
+    return parities.pop() if parities else 0
+
+
 class SphericalValue:
     """prefactor * numerator(x) / boundary(x), all exact."""
 
@@ -344,26 +352,25 @@ class SphericalValue:
         return self.prefactor * val
 
     def eval_at_base_point(self) -> PhasedScalar:
-        """Exact value at the distinguished point (everything in r = sqrt q)."""
+        """Exact value at the distinguished point (everything in r = sqrt q).
+
+        The value is q^(h/2) F(q) / G(q) with h = -1, 0 or 1; a value whose
+        powers of r mix both parities in its numerator or its denominator is
+        refused with ValueError."""
         xs = x_coords_stretched(base_point(self.n, self.parity))
         stretch = lambda c: c.stretch(2)
         num = self.numerator.map_coeffs(stretch).eval_exact(xs)
         bnd = self.boundary.map_coefs(stretch).eval_exact(xs)
         pre = self.prefactor.stretch(2)
-        val = pre * (num / bnd)
-        # fold the r-world value back: r-exponents are doubled q-exponents,
-        # so an even r-power folds to an integral power of q
-        h, s = val.folded()
-        if h:
-            raise ValueError("base-point value fails to be an integral power")
-        num2, den2 = s.num, s.den
-        if any(e % 2 for e, _ in num2.items()) or any(e % 2 for e, _ in den2.items()):
-            return PhasedScalar(0, 0, s)  # genuinely half-integral in q
+        # the stretched prefactor doubled every half-power, so the folded
+        # parity is 0 and the whole value sits in the QFraction, in r
+        _, s = (pre * (num / bnd)).folded()
+        hn, hd = _r_parity(s.num), _r_parity(s.den)
         unstretch = QFraction(
-            QLaurent({e // 2: c for e, c in num2.items()}),
-            QLaurent({e // 2: c for e, c in den2.items()}),
+            QLaurent({(e - hn) // 2: c for e, c in s.num.items()}),
+            QLaurent({(e - hd) // 2: c for e, c in s.den.items()}),
         )
-        return PhasedScalar(0, 0, unstretch)
+        return PhasedScalar(0, hn - hd, unstretch)
 
     def __repr__(self):
         return (

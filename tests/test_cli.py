@@ -469,10 +469,10 @@ def test_matrix_file_roundtrip(tmp_path, capsys):
     p = Fraction(3)
     for i, want in enumerate([p**2, Fraction(1), p**-2]):
         e = y.rows[i][i]
-        assert e == e._coerce(want * p**y.shift, e.m)
+        assert e == e._coerce(want * p**y.shift)
 
 
-@pytest.mark.parametrize(
+NON_MEMBERS = pytest.mark.parametrize(
     "rows",
     [
         [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
@@ -481,19 +481,75 @@ def test_matrix_file_roundtrip(tmp_path, capsys):
     ],
     ids=["antidiagonal", "diag-3-1-1", "not-hermitian"],
 )
-def test_diagonalize_refuses_a_non_member(tmp_path, capsys, rows):
+
+
+def _refuses_a_non_member(tmp_path, capsys, rows, verb):
     x = LocalMatrix.from_values(LocalField(3), rows)
     exact, residue = tmp_path / "exact.json", tmp_path / "residue.json"
     exact.write_text(json.dumps(x.to_json_dict()))
     residue.write_text(json.dumps(x.to_residue(12).to_json_dict()))
-    # the exact model decides membership first
-    assert run(["padic", "diagonalize1", "--in", str(exact)]) == 1
-    assert capsys.readouterr() == ("member: no\n", "")
-    # the residue model cannot; the reduction refuses in one line
-    assert run(["padic", "diagonalize1", "--in", str(residue)]) == 1
+    # both models decide membership before anything else runs
+    for path in (exact, residue):
+        assert run(["padic", verb, "--in", str(path)]) == 1
+        assert capsys.readouterr() == ("member: no\n", "")
+
+
+@NON_MEMBERS
+def test_diagonalize_refuses_a_non_member(tmp_path, capsys, rows):
+    _refuses_a_non_member(tmp_path, capsys, rows, "diagonalize1")
+
+
+@NON_MEMBERS
+def test_classify_refuses_a_non_member(tmp_path, capsys, rows):
+    _refuses_a_non_member(tmp_path, capsys, rows, "classify")
+
+
+def test_residue_member_file_prints_member_yes(tmp_path, capsys):
+    field = LocalField(3)
+    x = random_k(field, 1, seed=21).act(x_lambda(field, 1, (2,)))
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps(x.to_residue(5).to_json_dict()))
+    code, out = invoke(capsys, "padic", "classify", "--in", str(xfile))
+    assert code == 0
+    assert out.startswith("member: yes\n") and "orbit: 2" in out
+    code, out = invoke(capsys, "padic", "diagonalize1", "--in", str(xfile))
+    assert (code, out) == (0, "member: yes\norbit index: 2\ncertified precision: 5\n")
+
+
+def _matrix_file(**changes):
+    d = LocalMatrix.identity(LocalField(3), 1).to_json_dict()
+    d.update(changes)
+    return d
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {},
+        [1, 2],
+        _matrix_file(size=2, entries=[[["1", "0"], ["0", "0"]], [["1", "0"]]]),
+        _matrix_file(shift=-1),
+        _matrix_file(eps=4),
+        _matrix_file(p=9),
+        _matrix_file(size=3),
+        _matrix_file(model="residue"),
+        _matrix_file(model="residue", entries=[[[1, 0, 0]]]),
+        _matrix_file(entries=[[["1/0", "0"]]]),
+    ],
+    ids=[
+        "empty-object", "list", "ragged", "negative-shift", "square-eps", "p-9",
+        "size-mismatch", "exact-entries-as-residue", "residue-precision-0", "zero-denominator",
+    ],
+)
+@pytest.mark.parametrize("verb", ["classify", "diagonalize1"])
+def test_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, payload, verb):
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(payload))
+    code = run(["padic", verb, "--in", str(path)])
     got = capsys.readouterr()
-    assert got.out == ""
-    assert got.err.startswith("error: ") and got.err.count("\n") == 1
+    assert code == 2 and got.out == ""
+    assert got.err.startswith(f"matrix file {path} ") and got.err.count("\n") == 1
+    assert "Traceback" not in got.err
 
 
 def test_classify_pads_the_partition(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hermlab import padic
-from hermlab.errors import InexactDivision, PrecisionError, ResourceLimit
+from hermlab.errors import PrecisionError, ResourceLimit
 from hermlab.padic import (
     ExactLocal,
     LocalMatrix,
@@ -287,24 +287,9 @@ def test_residue_arithmetic_and_precision():
     assert (a + b).m == 4
     u = a.unit_inverse()
     assert (a * u) == ResidueElem(F3, 6, 1)
-    # dividing by pi costs certified digits
-    c = ResidueElem(F3, 6, 9)
-    assert c.val() == 2
-    d = c.div_pi_power(2)
-    assert d.m == 4 and d == ResidueElem(F3, 4, 1)
+    assert ResidueElem(F3, 6, 9).val() == 2
     with pytest.raises(PrecisionError):
         ResidueElem(F3, 3, 27).val()  # reads 0 mod 27: could hide deeper divisibility
-    with pytest.raises(PrecisionError):
-        ResidueElem(F3, 3, 9).div_pi_power(2)  # would leave < 2 digits
-    with pytest.raises(InexactDivision):
-        ResidueElem(F3, 5, 1) / ResidueElem(F3, 5, 3)
-
-
-def test_residue_division_restores_pi_powers():
-    num = ResidueElem(F3, 8, 18, 9)  # valuation 2... (18,9) = 9*(2,1), v=2
-    den = ResidueElem(F3, 8, 3)
-    quo = num / den
-    assert quo * den == num.reduce(quo.m)
 
 
 def test_norm_counts_frozen():
@@ -452,18 +437,22 @@ def test_exact_matrix_normalization():
     assert y == x
 
 
-def test_matmul_precision_cap():
-    # a zero entry known only mod 3^2 must cap the certified digits of any
-    # sum it participates in, even though it contributes no term
+def test_matmul_keeps_one_precision():
+    # an entry known only mod 3^2 brings the whole matrix down to 2 digits,
+    # and so every entry of a product with it
     a = LocalMatrix.from_values(
         F3, [[ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)],
              [ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)]])
     b = LocalMatrix.from_values(
         F3, [[ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)],
              [ResidueElem(F3, 9, 0), ResidueElem(F3, 9, 1)]])
-    prod = a @ b
-    assert prod.rows[0][0].m == 2
-    assert prod.rows[1][0].m == 9
+    assert a.precision == 2 and b.precision == 9
+    for mat in (a, a @ b, b @ a):
+        assert [[e.m for e in row] for row in mat.rows] == [[2, 2], [2, 2]]
+    assert a @ b == a
+    with pytest.raises(ValueError, match="mixed precisions"):
+        LocalMatrix(F3, [[ResidueElem(F3, 9, 1), ResidueElem(F3, 2, 0)],
+                         [ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)]])
 
 
 def test_matrix_json_roundtrip():
@@ -488,8 +477,19 @@ def test_from_values_takes_a_carried_precision():
         F3, [[ResidueElem(F3, 7, 2), 0], [Fraction(1, 2), ResidueElem(F3, 5, 1)]]
     )
     assert x.precision == 5
-    assert [[e.m for e in row] for row in x.rows] == [[7, 5], [5, 5]]
+    assert [[e.m for e in row] for row in x.rows] == [[5, 5], [5, 5]]
     assert x.rows[1][0] * 2 == 1
+    # a given prec above the carried one cannot add digits
+    y = LocalMatrix.from_values(F3, [[ResidueElem(F3, 3, 2)]], prec=6)
+    assert y.precision == 3
+
+
+def test_json_residue_entries_share_the_least_precision():
+    d = x_lambda(F3, 1, (1,)).to_residue(6).to_json_dict()
+    d["entries"][1][1][2] = 4
+    x = LocalMatrix.from_json_dict(d)
+    assert x.precision == 4
+    assert {e.m for row in x.rows for e in row} == {4}
 
 
 def test_matmul_refuses_mixed_models_and_sizes():
@@ -623,10 +623,25 @@ def test_classification_roundtrip():
                 x = k.act(x_lambda(F3, n, lam))
                 assert is_member_X(x)
                 assert classify_k_orbit(x) == lam
-                # residue model agrees when given enough digits (elimination
-                # spends them fast: the deepest case here needs 16)
+                # residue model agrees when given enough digits
                 xr = x.to_residue(18)
                 assert classify_k_orbit(xr) == lam
+
+
+@pytest.mark.parametrize("field", [F3, F5, LocalField(7)], ids=["p3", "p5", "p7"])
+def test_classification_needs_exactly_2l1_plus_1_digits(field):
+    # the stored matrix p^l1 x has invariants l1 + l_i, l1, l1 - l_i: the
+    # largest, 2 l1, is certified exactly when the precision exceeds it
+    rng = random.Random(field.p)
+    lams = {1: [(0,), (1,), (2,), (3,)], 2: [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0)],
+            3: [(0, 0, 0), (1, 0, 0), (2, 1, 0), (2, 2, 1)]}
+    for n, lamlist in lams.items():
+        for lam in lamlist:
+            for trial in range(3):
+                x = random_k(field, n, seed=rng.randrange(10**6)).act(x_lambda(field, n, lam))
+                assert classify_k_orbit(x.to_residue(2 * lam[0] + 1)) == lam
+                with pytest.raises(PrecisionError):
+                    classify_k_orbit(x.to_residue(2 * lam[0]))
 
 
 def test_classification_insufficient_precision():

@@ -11,6 +11,7 @@ from hermlab.hall_littlewood import spec_params
 from hermlab.scalars import GaussianRational, QFraction, QLaurent
 from hermlab.spherical import (
     PhasedScalar,
+    SphericalValue,
     alternative_phase_power,
     base_point,
     check_functional_equation,
@@ -32,7 +33,7 @@ from hermlab.spherical import (
     x_coords_stretched,
     z_to_s,
 )
-from hermlab.torus import TorusPoly
+from hermlab.torus import FactoredRational, TorusPoly
 from hermlab.weyl import (
     SignedPerm,
     coordinate_flip,
@@ -186,6 +187,25 @@ def test_base_point_value_is_one():
             for lam in lams:
                 v = omega_explicit(n, parity, lam)
                 assert v.eval_at_base_point().is_one()
+
+
+def _bare_value(*exponents):
+    """n = 1, even parity, prefactor 1, trivial boundary: the numerator is the
+    sum of x^e over the exponents; the base point has x = q^(-1/2)."""
+    num = TorusPoly.zero(1)
+    for e in exponents:
+        num = num + TorusPoly.monomial(1, (e,))
+    return SphericalValue(1, "even", (0,), PhasedScalar.one(), num, FactoredRational(1))
+
+
+def test_base_point_value_keeps_a_half_power_of_q():
+    q = QLaurent.gen()
+    got = _bare_value(1).eval_at_base_point()
+    assert got == PhasedScalar(0, -1, QFraction(1))
+    assert got.half_q % 2 == 1 and got != PhasedScalar(0, 0, QFraction(q**-1))
+    assert _bare_value(2).eval_at_base_point() == PhasedScalar(0, 0, QFraction(q**-1))
+    with pytest.raises(ValueError, match="mixes integral and half-integral"):
+        _bare_value(1, 2).eval_at_base_point()
 
 
 def test_identity_value_constant_matches_closed_form():
