@@ -423,15 +423,16 @@ def check_orbit_classification(cfg: RunConfig) -> tuple:
 
 
 def check_k1_cell_counts(cfg: RunConfig) -> tuple:
-    big, small, union = k1_cell_counts(3)
-    q = 3
+    q = cfg.p
+    big, small, union = k1_cell_counts(q)
     ok = (
-        (big, small, union) == (23328, 864, 24192)
+        big == (q**2 - 1) * (q + 1) * q**6
+        and small == (q**2 - 1) * (q + 1) * q**3
         and union == q**3 * (q + 1) * (q**2 - 1) * (q**3 + 1)
     )
     return (
         ok,
-        f"cell enumeration gives {big} + {small} = {union}, the full reduction count (q=3)",
+        f"cell enumeration gives {big} + {small} = {union}, the full reduction count (q={q})",
         {"big": big, "small": small, "union": union},
     )
 

@@ -6,6 +6,13 @@ without the matrix layer of ``padic``: the norm-class counts, the Haar
 sampler of the integral unitary 3x3 group and its cell counts, built entry by
 entry on pairs of ints, and the rank-one Monte-Carlo of the defining integral
 with its closed form.
+
+The Monte-Carlo draws rows, not matrices.  At rank one the integrand reads
+only the bottom row of k, a primitive isotropic row; Haar measure on K pushes
+forward to the uniform law on those rows mod p^m (K acts transitively on
+them, p odd), and the valuation it histograms does not change when the row
+is multiplied by a unit.  So one index into the classes of such rows up to
+units (``_isotropic_row``) is one draw.
 """
 
 from __future__ import annotations
@@ -284,11 +291,16 @@ def k1_cell_counts(p: int):
 
     Returns (big, small, together); the classical order of the unitary group
     over the residue field, q^3 (q+1) (q^2-1) (q^3+1), is the cross-check.
+    Raises ResourceLimit, before enumerating, when that order exceeds
+    ENUMERATION_BOUND (p = 5 runs, p = 7 does not).
 
     Every D and every N of g = D N is built and checked unitary once; each
     D N is then unitary too, (D N)* j (D N) = N* (D* j D) N.  D N is formed
     row by row, row r of N times the r-th entry of D, and counted as one int.
     """
+    order = p**3 * (p + 1) * (p**2 - 1) * (p**3 + 1)
+    if order > ENUMERATION_BOUND:
+        raise ResourceLimit(f"enumeration of {order} unitary matrices mod {p} exceeds the bound")
     eps = smallest_nonresidue(p)
     pairs = [(x, y) for x in range(p) for y in range(p)]
     units = pairs[1:]
@@ -332,6 +344,42 @@ def k1_cell_counts(p: int):
 # -- the defining integral, by Monte-Carlo -------------------------------------------
 
 
+def _isotropic_row(k: int, p: int, eps: int, mod: int):
+    """The row class of index k: a primitive isotropic row mod `mod` = p^m,
+    Tr(r0 conj(r2)) + N(r1) = 0, normalised up to units, as three pairs.
+
+    k < mod^3 is the big cell (1, b, c) with b in O/p^m and c = (-N(b)/2, c0),
+    c0 in Z/p^m; the p^(3(m-1)) indices above it are the small cell
+    (c, -conj(b), 1) with b in pO and c0 in pZ.  Each class is hit once, so a
+    uniform index is a uniform row class, in the cell split p^3 : 1 of the
+    Haar sampler.
+    """
+    big = mod**3
+    if k < big:
+        b, c0 = divmod(k, mod)
+        b0, b1 = divmod(b, mod)
+    else:
+        low = mod // p
+        b, c0 = divmod(k - big, low)
+        b0, b1 = divmod(b, low)
+        b0, b1, c0 = p * b0, p * b1, p * c0
+    # -N(b)/2, (mod + 1) // 2 being the inverse of 2
+    c = ((eps * b1 * b1 - b0 * b0) * ((mod + 1) // 2) % mod, c0)
+    if k < big:
+        return (1, 0), (b0, b1), c
+    return c, (-b0 % mod, b1), (1, 0)
+
+
+def _assert_isotropic_row(r, p: int, eps: int, mod: int):
+    """Refuse a row that is not primitive or not isotropic mod `mod`:
+    Tr(r0 conj(r2)) + N(r1) must vanish and some digit must be a unit."""
+    (a0, b0), (a1, b1), (a2, b2) = r
+    if (2 * (a0 * a2 - eps * b0 * b2) + a1 * a1 - eps * b1 * b1) % mod:
+        raise AssertionError("drawn row is not isotropic")
+    if not (a0 % p or b0 % p or a1 % p or b1 % p or a2 % p or b2 % p):
+        raise AssertionError("drawn row is not primitive")
+
+
 _MC_HISTOGRAMS: dict = {}
 
 
@@ -339,17 +387,23 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
     """Histogram of the corner-minor valuations over Haar draws; shared by all
     exponents s so repeated estimates reuse the samples.
 
-    Draw i comes from random.Random(f"{seed}:{ell}:{i}"); a draw whose
-    valuation is not certified at precision prec is replaced by the next one,
-    at most max(10, samples // 100) times.
+    A draw is the bottom row r of k: one index into the row classes of
+    _isotropic_row, uniform from random.Random(f"{seed}:{ell}"), checked
+    isotropic and primitive.  Its valuation is that of
+    w = p^(2 ell) N(r0) + p^ell N(r1) + N(r2), less ell.  A draw whose
+    valuation is not certified at precision prec is replaced by the next
+    one, at most max(10, samples // 100) times.
     """
     key = (p, ell, samples, prec, seed)
     if key in _MC_HISTOGRAMS:
         return _MC_HISTOGRAMS[key]
-    field = LocalField(p)
-    eps, mod = field.eps, p**prec
-    # w = N(g20) p^(2 ell) + N(g21) p^ell + N(g22) mod p^prec
-    weights = (pow(p, 2 * ell, mod), pow(p, ell, mod), 1)
+    if prec < 2:
+        raise PrecisionError("sampling needs at least two digits", required=2)
+    eps, mod = LocalField(p).eps, p**prec
+    total = mod**3 + (mod // p) ** 3
+    rng = random.Random(f"{seed}:{ell}")
+    w2, w1 = pow(p, 2 * ell, mod), pow(p, ell, mod)
+    uncertified = p ** (prec - 1)
     hist: dict[int, int] = {}
     saturated = 0
     produced = 0
@@ -361,11 +415,14 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
                 f"saturation rate exceeded 1% at precision {prec}",
                 required=prec + 4,
             )
-        (g,) = _haar_sample(field, prec, [f"{seed}:{ell}:{i}"])
+        row = _isotropic_row(rng.randrange(total), p, eps, mod)
+        _assert_isotropic_row(row, p, eps, mod)
         i += 1
-        w = sum(wt * (a * a - eps * b * b) for wt, (a, b) in zip(weights, g[6:])) % mod
+        (a0, b0), (a1, b1), (a2, b2) = row
+        w = (w2 * (a0 * a0 - eps * b0 * b0) + w1 * (a1 * a1 - eps * b1 * b1)
+             + a2 * a2 - eps * b2 * b2) % mod
         # valuations from prec - 1 up (zero included) are not certified
-        if w % p ** (prec - 1) == 0:
+        if w % uncertified == 0:
             saturated += 1
             continue
         v = _vp_int(w, p) - ell

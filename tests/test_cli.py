@@ -576,13 +576,38 @@ def test_mc_omega_agreement(capsys):
 
 
 def test_mc_omega_small_sample_keeps_its_band(capsys):
-    # all 50 draws land on one valuation; the band comes from the closed form
+    # all 10 draws land on one valuation; the band comes from the closed form
     code, out = invoke(
-        capsys, "padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"
+        capsys, "padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "10"
     )
     assert code == 0
-    assert "estimate: 3.000000" in out and "stderr: 0.069" in out
+    assert "estimate: 3.000000" in out and "stderr: 0.156" in out
     assert "agreement: pass" in out
+
+
+@pytest.mark.parametrize(
+    "p, code, out, err",
+    [
+        pytest.param(
+            "5", 0,
+            "PASS  k1-cell-counts              cell enumeration gives 2250000 + 18000 = 2268000,"
+            " the full reduction count (q=5)\nall 1 checks passed\n",
+            "",
+            id="p5",
+        ),
+        pytest.param(
+            "7", 3, "",
+            "resource/precision: enumeration of 45308928 unitary matrices mod 7 exceeds the bound\n",
+            id="p7",
+        ),
+    ],
+)
+def test_k1_cell_counts_reads_p(capsys, p, code, out, err):
+    # p = 5 enumerates the 2,268,000 elements of U(3) mod 5; p = 7 would
+    # enumerate 45,308,928 and is refused before it starts
+    got_code = run(["verify", "k1-cell-counts", "--p", p, "--workers", "1"])
+    got = capsys.readouterr()
+    assert (got_code, got.out, got.err) == (code, out, err)
 
 
 @pytest.mark.parametrize(
@@ -632,19 +657,20 @@ PADIC_CHECKS = (
     [
         pytest.param(
             ("--n", "1"),
-            "7611b289a727da4a887f2f13228f3d97dd812e6fffb469bf6768459501e9a292",
+            "065bd4f163021690be30db9438088093731ffc6d13908a6e9ca77890a9491b61",
             id="n1-text",
         ),
         pytest.param(
             ("--n", "2", "--format", "json"),
-            "a39c9cb68bfc6c62d67e7879ef5b3d3e33a007f747af49ddc7f54c0e40042de0",
+            "d10e9622588a14263706bf968856ae109bf1adcdd74fa511f01715bb2484753e",
             id="n2-json",
         ),
     ],
 )
 def test_padic_report_bytes_pinned(capsys, extra, digest):
-    # recorded with the Monte-Carlo band from the closed-form variance; the
-    # six checks run integer code and fixed-order float sums only
+    # recorded when the Monte-Carlo began to draw isotropic rows, with its
+    # band from the closed-form variance; the six checks run integer code and
+    # fixed-order float sums only
     code, out = invoke(capsys, "verify", PADIC_CHECKS, *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -655,18 +681,18 @@ def test_padic_report_bytes_pinned(capsys, extra, digest):
     [
         pytest.param(
             ("--n", "1"),
-            "8a74de91d28096a161b50da7dde71cddfba796b15458b06b96f192ed12787b2b",
+            "942d3f0f9ed1b27679cb6ea5d5b8d09f3b14f2036885fbf3ba68de58b2c4a12c",
             id="n1-text",
         ),
         pytest.param(
             ("--n", "2", "--format", "json"),
-            "543872e468fe1ab936999dec0c905b538ecb7dbf6f3dc8c61636d6f0884be3e8",
+            "581700cad21c3a9fd652e55d9fada5440af7fd28553a6eb4292c890883bb2e48",
             id="n2-json",
         ),
     ],
 )
 def test_full_report_bytes_pinned(capsys, extra, digest):
-    # all 22 checks, recorded when gamma-cocycle began to compare factored forms
+    # all 22 checks, recorded when the Monte-Carlo began to draw isotropic rows
     code, out = invoke(capsys, "verify", "all", *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
