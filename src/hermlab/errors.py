@@ -21,5 +21,10 @@ class PrecisionError(ArithmeticError):
         self.required = required
 
 
+# The most items (group elements, residue pairs, grid orbits) that one
+# enumeration may visit; a larger input raises ResourceLimit before it starts.
+ENUMERATION_BOUND = 4_000_000
+
+
 class ResourceLimit(RuntimeError):
     """An input would take more enumeration than the package allows."""

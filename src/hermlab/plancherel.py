@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .errors import ENUMERATION_BOUND, ResourceLimit
 from .hall_littlewood import (
     check_partition,
     p_poly,
@@ -102,22 +103,39 @@ def _root_params(n: int, parity: str, q0: Fraction) -> list[tuple[tuple[int, ...
 def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
     """Mean of the density over the uniform grid theta = 2 pi k / N, k in Z_N^n.
 
+    The density is invariant under W, the signed permutations, and so is the
+    grid: a sign flip sends k_i to -k_i mod N.  The walk visits one point of
+    each W-orbit, 0 <= k_1 <= ... <= k_n <= N // 2, and weights it by the
+    orbit's size n! / prod m_j! * 2^#{i : 2 k_i != 0 mod N}, an int; the m_j
+    count the equal coordinates.
+
     On the grid a root's phase a.theta is 2 pi ((a.k) mod N) / N, so its
     factor takes N values, tabulated once.  Every positive root involves at
     most two coordinates.  Those that involve the last coordinate and another
     one, i, make for each value of k_i a vector over the last coordinate.
     The walk over the other coordinates carries the product of the roots
-    they fix and the product of those vectors, and sums the last coordinate
-    out as a dot product.  Both sums are math.fsum, so the mean does not
-    depend on the order of their terms.
+    they fix and the product of those vectors, sliced to the last
+    coordinate's range k_(n-1) <= x <= N // 2, and sums x out as a dot
+    product; the term x = k_(n-1), which lengthens a run of equal
+    coordinates, is weighted apart.  Every sum is math.fsum, so the mean
+    does not depend on the order of its terms.
+
+    Raises ResourceLimit, before building any table, when the number of
+    orbits, C(N // 2 + n, n), exceeds ENUMERATION_BOUND.
     """
     if N < 2:
         raise ValueError("need at least two nodes per circle")
+    half = N // 2
+    orbits = math.comb(half + n, n)
+    if orbits > ENUMERATION_BOUND:
+        raise ResourceLimit(f"summing {orbits} grid orbits (N = {N}, n = {n}) exceeds the bound")
     last = n - 1
+    span = range(half + 1)
     nodes = [cmath.exp(2j * math.pi * k / N) for k in range(N)]
     inner = [[] for _ in range(last)]  # roots off the last coordinate, by their largest one
-    vecs = [[[1.0] * N for _ in range(N)] for _ in range(last)]  # vecs[i][k_i][k_last]
-    alone = [1.0] * N  # the roots on the last coordinate alone
+    vecs = [[[1.0] * len(span) for _ in span] for _ in range(last)]  # vecs[i][k_i][k_last]
+    # the roots on the last coordinate alone, times the size of {x, -x mod N}
+    alone = [1.0 if 2 * x % N == 0 else 2.0 for x in span]
     for a, t in _root_params(n, parity, q0):
         table = [_root_factor(w, t) for w in nodes]
         support = [i for i, v in enumerate(a) if v]
@@ -130,19 +148,27 @@ def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
             for k, vec in enumerate(vecs[i]):
                 vec[:] = [v * table[(a[i] * k + a[last] * x) % N] for x, v in enumerate(vec)]
 
-    def terms(d, fixed, scale, vec):
-        # coordinates below d are fixed; vec is a vector over the last one
-        for k in range(N):
+    top = math.factorial(n)
+
+    def terms(d, fixed, run, flips, denom, scale, vec):
+        # coordinates below d are fixed, the last `run` of them equal to lo;
+        # denom is prod m_j! over them; vec is over the last one, x >= lo
+        lo = fixed[-1] if fixed else 0
+        for k in range(lo, half + 1):
             ks = fixed + (k,)
+            r = run + 1 if k == lo else 1
+            f = flips + (2 * k % N != 0)
             s = scale
             for a, table in inner[d]:
                 s *= table[sum(map(operator.mul, a, ks)) % N]
+            v = list(map(operator.mul, vec[k - lo :], vecs[d][k][k:]))
             if d == last - 1:
-                yield s * math.fsum(map(operator.mul, vec, vecs[d][k]))
+                yield s * ((top << f) // (denom * r)) * math.fsum(v[1:])
+                yield s * ((top << f) // (denom * r * (r + 1))) * v[0]
             else:
-                yield from terms(d + 1, ks, s, list(map(operator.mul, vec, vecs[d][k])))
+                yield from terms(d + 1, ks, r, f, denom * r, s, v)
 
-    total = math.fsum(terms(0, (), 1.0, alone) if last else alone)
+    total = math.fsum(terms(0, (), 0, 0, 1, 1.0, alone) if last else alone)
     return float(measure_constant(n, parity, q0)) * total / N**n
 
 

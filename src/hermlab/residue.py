@@ -21,9 +21,7 @@ import math
 import random
 from fractions import Fraction
 
-from .errors import PrecisionError, ResourceLimit
-
-ENUMERATION_BOUND = 4_000_000
+from .errors import ENUMERATION_BOUND, PrecisionError, ResourceLimit
 
 
 # -- integer helpers -------------------------------------------------------------

@@ -105,6 +105,24 @@ def test_measure_total_mass_refuses_small_grid(capsys, grid_n):
     assert got.err == f"--grid-N must be at least 2, got {grid_n}\n" and got.out == ""
 
 
+def test_measure_total_mass_refuses_a_grid_with_too_many_orbits(capsys):
+    # N = 1024 at n = 3 has C(515, 3) W-orbits, above the enumeration bound;
+    # N = 64 still sums its 6,545
+    code = run(["verify", "measure-total-mass", "--n", "3", "--grid-N", "1024", "--workers", "1"])
+    got = capsys.readouterr()
+    assert code == 3 and got.out == ""
+    assert got.err == (
+        "resource/precision: summing 22632705 grid orbits (N = 1024, n = 3) exceeds the bound\n"
+    )
+    code, out = invoke(
+        capsys, "verify", "measure-total-mass", "--n", "3", "--grid-N", "64", "--workers", "1"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == (
+        "PASS  measure-total-mass          mass deviates from 1 by 2.143e-14 (grid 64, tol 1.0e-08)"
+    )
+
+
 def test_report_breaks_down_by_format(capsys):
     args = ["verify", "measure-total-mass", "--n", "1", "--workers", "1"]
     _, text = invoke(capsys, *args, "--format", "text")
@@ -133,8 +151,8 @@ def test_workers_do_not_change_bytes(capsys):
 
 
 def test_measure_total_mass_bytes_stable_n3(capsys):
-    # the grid sum is math.fsum over a fixed walk, so neither threads nor
-    # workers can reorder it
+    # the grid sum is math.fsum over the W-orbits of the grid, visited in one
+    # fixed order, so neither threads nor workers can reorder it
     args = ["verify", "measure-total-mass,height-phase", "--n", "3", "--format", "json"]
     _, first = invoke(capsys, *args)
     _, second = invoke(capsys, *args)

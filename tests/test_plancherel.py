@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from hermlab import plancherel
+from hermlab.errors import ENUMERATION_BOUND, ResourceLimit
 from hermlab.plancherel import (
     QuadratureGrid,
     _delta_plus,
@@ -110,10 +112,45 @@ def test_total_mass_matches_full_grid_n3_default():
 
 def test_total_mass_matches_full_grid_n4():
     # below N = 9 some root factor vanishes at every node of a rank-4 grid,
-    # so N = 9 and 12 are the cases where the mean is not ~0
+    # so N = 9, 12 and 16 are the cases where the mean is not ~0
     for parity in ("odd", "even"):
-        for N in (3, 8, 9, 12):
+        for N in (3, 8, 9, 12, 16):
             assert full_grid_gap(4, parity, Fraction(3), N) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_total_mass_orbit_sizes_cover_the_grid(monkeypatch, n):
+    # with no roots and a front constant of 1 every node weighs 1, so the
+    # walk adds up the orbit sizes; they are integers below 2^53, the sum is
+    # exact, and the mean is 1.0 exactly only when they add up to N^n
+    monkeypatch.setattr(plancherel, "_root_params", lambda *args: [])
+    monkeypatch.setattr(plancherel, "measure_constant", lambda *args: Fraction(1))
+    for N in (2, 3, 5, 8, 9, 16, 64):
+        assert total_mass(n, "odd", Fraction(3), N) == 1.0
+
+
+def test_density_is_weyl_invariant_on_the_grid():
+    # the walk visits one node per W-orbit: a sign flip (k -> -k mod N) and
+    # a transposition leave the density where it was
+    N = 64
+    for ks in ((5, 23), (5, 17, 40), (3, 11, 30, 50)):
+        n = len(ks)
+        flipped = ks[:-1] + (N - ks[-1],)
+        swapped = (ks[1], ks[0]) + ks[2:]
+        for parity in ("odd", "even"):
+            for q0 in (Fraction(3), Fraction(7, 2)):
+                at = [density_point(n, parity, q0, [2 * math.pi * k / N for k in img])
+                      for img in (ks, flipped, swapped)]
+                assert abs(at[1] - at[0]) <= 1e-13 and abs(at[2] - at[0]) <= 1e-13
+
+
+def test_total_mass_refuses_too_many_orbits():
+    # C(N // 2 + n, n) orbits: 22,632,705 at n = 3, N = 1024; at n = 1 and
+    # N = 10^12 the refusal comes before any table of N values is built
+    assert math.comb(512 + 3, 3) > ENUMERATION_BOUND
+    for n, N in ((3, 1024), (1, 10**12)):
+        with pytest.raises(ResourceLimit):
+            total_mass(n, "odd", Fraction(3), N)
 
 
 def test_total_mass_refines():
