@@ -704,13 +704,14 @@ def test_padic_report_bytes_pinned(capsys, extra, digest):
         ),
         pytest.param(
             ("--n", "2", "--format", "json"),
-            "581700cad21c3a9fd652e55d9fada5440af7fd28553a6eb4292c890883bb2e48",
+            "291e538dd7ad7409e183cbdcb325f68440c672091f849397028e7519384a7fb9",
             id="n2-json",
         ),
     ],
 )
 def test_full_report_bytes_pinned(capsys, extra, digest):
-    # all 22 checks, recorded when the Monte-Carlo began to draw isotropic rows
+    # all 22 checks; n1 recorded when the Monte-Carlo began to draw isotropic
+    # rows, n2 when the total mass began to sum one node per W-orbit
     code, out = invoke(capsys, "verify", "all", *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
