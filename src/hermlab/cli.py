@@ -28,12 +28,13 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 all 22 checks pass when run in-process, in about 50 s on a
-# 2-core machine.  `basis-rank` takes about 40 s of it, in its 32 `q_poly`
-# builds and the exact evaluations on the sign flips (ROADMAP direction 2
-# evaluates through alternants instead); `functional-equation` takes about
-# 1 s.  Until `verify all --n 4` runs within a stated budget, larger n exits
-# EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, in 36-39 s on a 2-core
+# machine.  `basis-rank` takes 31-33 s of it, in its 32 `q_poly` builds and
+# the exact evaluations on the sign flips (ROADMAP direction 2 evaluates
+# through alternants instead); `gram-orthogonality` and
+# `functional-equation` take under 2.2 s each, and `measure-total-mass`
+# 0.1 s.  Until `verify all --n 4` runs within a stated budget, larger n
+# exits EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 # The verbs that build `q_poly` (`hl qpoly`, `sph`, `plancherel`) run at

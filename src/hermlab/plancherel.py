@@ -133,7 +133,7 @@ def total_mass(n: int, parity: str, q0: Fraction, N: int = 64) -> float:
     span = range(half + 1)
     nodes = [cmath.exp(2j * math.pi * k / N) for k in range(N)]
     inner = [[] for _ in range(last)]  # roots off the last coordinate, by their largest one
-    vecs = [[[1.0] * len(span) for _ in span] for _ in range(last)]  # vecs[i][k_i][k_last]
+    vecs = [[[1.0] * (half + 1) for _ in span] for _ in range(last)]  # vecs[i][k_i][k_last]
     # the roots on the last coordinate alone, times the size of {x, -x mod N}
     alone = [1.0 if 2 * x % N == 0 else 2.0 for x in span]
     for a, t in _root_params(n, parity, q0):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hermlab import plancherel
 from hermlab.errors import ENUMERATION_BOUND, ResourceLimit
 from hermlab.plancherel import (
     QuadratureGrid,
@@ -123,8 +122,8 @@ def test_total_mass_orbit_sizes_cover_the_grid(monkeypatch, n):
     # with no roots and a front constant of 1 every node weighs 1, so the
     # walk adds up the orbit sizes; they are integers below 2^53, the sum is
     # exact, and the mean is 1.0 exactly only when they add up to N^n
-    monkeypatch.setattr(plancherel, "_root_params", lambda *args: [])
-    monkeypatch.setattr(plancherel, "measure_constant", lambda *args: Fraction(1))
+    monkeypatch.setattr("hermlab.plancherel._root_params", lambda *args: [])
+    monkeypatch.setattr("hermlab.plancherel.measure_constant", lambda *args: Fraction(1))
     for N in (2, 3, 5, 8, 9, 16, 64):
         assert total_mass(n, "odd", Fraction(3), N) == 1.0
 
