@@ -301,6 +301,9 @@ def _cmd_verify(args) -> int:
         ids = list(CHECKS)
     else:
         ids = [c.strip() for c in args.checks.split(",") if c.strip()]
+        if not ids:
+            sys.stderr.write(f"no checks named in {args.checks!r}\n")
+            return EXIT_USAGE
         unknown = [c for c in ids if c not in CHECKS]
         if unknown:
             sys.stderr.write(f"unknown checks: {', '.join(unknown)}\n")

@@ -12,10 +12,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
+import pickle
 import random
+import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
+from .errors import ResourceLimit
 from .hall_littlewood import (
     PARITIES,
     p_poly,
@@ -536,19 +540,89 @@ class Report:
         return self.to_text()
 
 
+def _drain(tasks: int, width: int, ids: list, cfg: RunConfig) -> list:
+    """Run the checks whose indices this process reads from the task pipe,
+    one token at a time until the pipe is empty, as (index, result) pairs;
+    an exception a check raises stands in for its result."""
+    done = []
+    while token := os.read(tasks, width):
+        i = int(token)
+        try:
+            done.append((i, _run_one(ids[i], cfg)))
+        except Exception as e:
+            done.append((i, e))
+    return done
+
+
+def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
+    """The (index, result) pairs of every check, run by ``workers - 1``
+    forked children and this process.  The indices wait in one pipe, so a
+    process takes the next check when it is free.  Each child pickles its
+    pairs into a pipe of its own and leaves through ``os._exit``, so it
+    never returns into the caller nor flushes the stdio buffers it inherited.
+    The command line runs no threads, so forking is safe."""
+    width = len(str(len(ids) - 1))
+    blob = "".join(f"{i:0{width}d}" for i in range(len(ids))).encode()
+    tasks, feed = os.pipe()
+    children: dict[int, int] = {}  # pid -> read end of its result pipe
+    sent: dict[int, bytes] = {}
+    codes: dict[int, int] = {}
+    try:
+        # written whole before the fork, without blocking: no reader runs yet
+        with open(feed, "wb", buffering=0) as fh:
+            os.set_blocking(feed, False)
+            if fh.write(blob) != len(blob):
+                raise ResourceLimit(f"{len(ids)} checks do not fit the task pipe; use one worker")
+        sys.stdout.flush()
+        sys.stderr.flush()
+        for _ in range(workers - 1):
+            fd, out = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    for theirs in (*children.values(), fd):
+                        os.close(theirs)
+                    with open(out, "wb") as fh:
+                        fh.write(pickle.dumps(_drain(tasks, width, ids, cfg)))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(out)
+            children[pid] = fd
+        done = _drain(tasks, width, ids, cfg)
+        for pid, fd in children.items():
+            with open(fd, "rb", closefd=False) as fh:
+                sent[pid] = fh.read()
+    finally:
+        # no child outlives this call, whatever it raised
+        os.close(tasks)
+        for pid, fd in children.items():
+            os.close(fd)
+            codes[pid] = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    for pid, code in codes.items():
+        if code or not sent[pid]:
+            raise RuntimeError(f"check worker {pid} exited with code {code} before sending its results")
+        done += pickle.loads(sent[pid])
+    return sorted(done, key=lambda pair: pair[0])
+
+
 def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
+    """Run the checks in ``check_ids`` order on ``workers`` processes, this
+    one among them; the report is the same for every worker count, and the
+    first exception in id order is raised."""
     ids = list(check_ids)
     if workers > 1 and len(ids) > 1:
-        # imported here, in the parent before it forks, and only when a pool
-        # runs; so is padic when a check needs it, else each worker that runs
-        # one would compile it again
-        from concurrent.futures import ProcessPoolExecutor
-
+        # padic is imported before the fork when a check needs it, else each
+        # worker that runs one would compile it again
         if any(i in MATRIX_CHECKS for i in ids):
             from . import padic  # noqa: F401
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_one, ids, [cfg] * len(ids)))
+        results = []
+        for _, result in _run_forked(ids, cfg, workers):
+            if isinstance(result, Exception):
+                raise result
+            results.append(result)
     else:
         results = [_run_one(i, cfg) for i in ids]
     return Report(cfg, results)

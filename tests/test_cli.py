@@ -281,6 +281,8 @@ OUT_OF_RANGE = [
          "--lambda: partition (1, 1) has more than 1 nonzero parts"),
         (["plancherel", "rank", "--n", "1", "--parity", "odd", "--trials", "0"],
          "--trials must be at least 1, got 0"),
+        (["verify", ","], "no checks named in ','"),
+        (["verify", " "], "no checks named in ' '"),
     ]
     + OUT_OF_RANGE,
     ids=[
@@ -288,6 +290,7 @@ OUT_OF_RANGE = [
         "plancherel-check-weight", "plancherel-inversion-weight", "plancherel-gram-weight",
         "hl-lambda-order", "sph-omega-lambda-parts", "sph-verify-feq-lambda-sign",
         "sph-parity-sign-lambda-parts", "padic-classify-lambda-parts", "plancherel-rank-trials",
+        "verify-no-checks-comma", "verify-no-checks-blank",
     ]
     + [" ".join(argv) for argv, _ in OUT_OF_RANGE],
 )
@@ -801,12 +804,14 @@ VERIFY_N3_CHECKS = (
         ),
         ("hermlab.padic", ["verify", VERIFY_N3_CHECKS, "--n", "3", "--workers", "1"]),
         ("concurrent.futures", ["verify", "norm-volume", "--workers", "1"]),
+        ("concurrent.futures,multiprocessing", ["verify", "all", "--n", "1", "--workers", "2"]),
     ],
-    ids=["count-norm", "mc-omega", "verify-n3-checks", "verify-one-worker"],
+    ids=["count-norm", "mc-omega", "verify-n3-checks", "verify-one-worker", "verify-two-workers"],
 )
 def test_verbs_load_only_the_layers_they_run(unloaded, argv):
     # the residue verbs need neither the exact scalars nor the matrix layer;
-    # only three checks use matrices; the pool loads only when it runs
+    # only three checks use matrices; the parallel checks fork with os.fork
+    # and need no process pool
     r = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_RUN, unloaded, *argv], capture_output=True, text=True
     )
@@ -818,8 +823,8 @@ def test_verbs_load_only_the_layers_they_run(unloaded, argv):
     "checks, loaded",
     [("norm-volume,orbit-classification", True), ("norm-volume,height-phase", False)],
 )
-def test_a_pool_loads_the_matrix_layer_before_it_forks(checks, loaded):
-    # the workers inherit padic instead of each compiling it again
+def test_parallel_verify_loads_the_matrix_layer_before_it_forks(checks, loaded):
+    # the forked workers inherit padic instead of each compiling it again
     argv = ["verify", checks, "--workers", "2"]
     r = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_RUN, "hermlab.padic", *argv], capture_output=True, text=True
