@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import os
-import pickle
 import random
 import sys
 from dataclasses import asdict, dataclass, field
@@ -561,6 +560,8 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
     pairs into a pipe of its own and leaves through ``os._exit``, so it
     never returns into the caller nor flushes the stdio buffers it inherited.
     The command line runs no threads, so forking is safe."""
+    import pickle  # only a parallel run needs it
+
     width = len(str(len(ids) - 1))
     blob = "".join(f"{i:0{width}d}" for i in range(len(ids))).encode()
     tasks, feed = os.pipe()

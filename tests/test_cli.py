@@ -803,7 +803,7 @@ VERIFY_N3_CHECKS = (
             ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"],
         ),
         ("hermlab.padic", ["verify", VERIFY_N3_CHECKS, "--n", "3", "--workers", "1"]),
-        ("concurrent.futures", ["verify", "norm-volume", "--workers", "1"]),
+        ("concurrent.futures,pickle", ["verify", "norm-volume", "--workers", "1"]),
         ("concurrent.futures,multiprocessing", ["verify", "all", "--n", "1", "--workers", "2"]),
     ],
     ids=["count-norm", "mc-omega", "verify-n3-checks", "verify-one-worker", "verify-two-workers"],
@@ -811,7 +811,7 @@ VERIFY_N3_CHECKS = (
 def test_verbs_load_only_the_layers_they_run(unloaded, argv):
     # the residue verbs need neither the exact scalars nor the matrix layer;
     # only three checks use matrices; the parallel checks fork with os.fork
-    # and need no process pool
+    # and need no process pool, and a serial run does not pickle
     r = subprocess.run(
         [sys.executable, "-c", LOADED_AFTER_RUN, unloaded, *argv], capture_output=True, text=True
     )
