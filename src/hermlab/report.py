@@ -585,7 +585,7 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
                     for theirs in (*children.values(), fd):
                         os.close(theirs)
                     with open(out, "wb") as fh:
-                        fh.write(pickle.dumps(_drain(tasks, width, ids, cfg)))
+                        pickle.dump(_drain(tasks, width, ids, cfg), fh)
                     code = 0
                 finally:
                     os._exit(code)
@@ -609,9 +609,10 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
 
 
 def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
-    """Run the checks in ``check_ids`` order on ``workers`` processes, this
-    one among them; the report is the same for every worker count, and the
-    first exception in id order is raised."""
+    """Run the checks in ``check_ids`` on ``workers`` processes, this one
+    among them.  The report lists them in the order given, whatever the
+    worker count; if checks raise, the first of them in that order raises
+    here, after every check has run."""
     ids = list(check_ids)
     if workers > 1 and len(ids) > 1:
         # padic is imported before the fork when a check needs it, else each

@@ -16,8 +16,9 @@ from hermlab.report import RunConfig, run_checks
 CFG = RunConfig()
 
 
-def passing(label):
+def passing(label, delay=0.0):
     def check(cfg):
+        time.sleep(delay)
         return True, f"{label} at n={cfg.n}", {"label": label}
 
     return check
@@ -76,7 +77,8 @@ def test_text_printed_before_the_fork_appears_once():
     ids=["2-workers", "3-workers", "more-workers-than-ids"],
 )
 def test_results_do_not_depend_on_the_worker_count(monkeypatch, ids, workers):
-    monkeypatch.setattr(report, "CHECKS", {f"c{i}": passing(f"c{i}") for i in range(5)})
+    # each check pauses, so that every worker takes some of them
+    monkeypatch.setattr(report, "CHECKS", {f"c{i}": passing(f"c{i}", 0.02) for i in range(5)})
     serial = run_checks(ids, CFG, workers=1).results
     assert [r.check_id for r in serial] == ids
     assert run_checks(ids, CFG, workers=workers).results == serial
