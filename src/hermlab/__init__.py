@@ -14,8 +14,8 @@ Layers (bottom up):
 * ``plancherel`` -- quadrature on the compact torus, inner products,
   transform and inversion checks.
 * ``residue`` -- residue-ring kernels on ints: the local field, norm
-  counts, Haar sampling, cell counts, Monte Carlo integration of the
-  defining kernel.
+  counts, cell counts, Monte Carlo integration of the defining kernel over
+  Haar-random rows.
 * ``padic`` -- finite-precision local-field matrices: membership tests,
   orbit invariants, diagonalization.
 * ``cli`` -- the ``hermlab`` command-line entry point.

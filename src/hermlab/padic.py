@@ -14,8 +14,8 @@ which has solutions in every residue ring but usually none in Q(sqrt(eps)).  The
 x off p^l (x - J) and builds one element of the integral unitary group
 around it, so every member reduces at any precision m >= 1 with the
 reducing element certified mod p^m.  The kernels that need no matrix layer
-(the field, the norm counts, the Haar sampler, the cell counts and the
-rank-one Monte-Carlo) live in ``residue``.
+(the field, the norm counts, the cell counts and the rank-one Monte-Carlo)
+live in ``residue``.
 
 A matrix is in the model of its entries; the constructors build exact
 entries unless given prec=, which asks for residue entries mod p^prec.  The
@@ -35,7 +35,7 @@ import random
 from fractions import Fraction
 
 from .errors import InexactDivision, PrecisionError
-from .residue import LocalField, _haar_sample, _legendre, _sqrt_mod_p, _vp_int
+from .residue import LocalField, _legendre, _sqrt_mod_p, _vp_int
 
 # perfbench/tracer.py counts the accepted Monte-Carlo draws from
 # padic._MC_HISTOGRAMS; the name must stay bound to the very dict that
@@ -139,9 +139,6 @@ class ExactLocal:
 
     def norm(self) -> Fraction:
         return Fraction(self._a * self._a - self.field.eps * self._b * self._b, self._d**2)
-
-    def trace(self) -> Fraction:
-        return Fraction(2 * self._a, self._d)
 
     def inverse(self):
         n = self._a * self._a - self.field.eps * self._b * self._b
@@ -852,27 +849,6 @@ def classify_g_orbit(x: LocalMatrix) -> int:
     """0 or 1: the weight parity of the K-orbit label, constant on orbits of
     the full unitary group."""
     return sum(classify_k_orbit(x)) % 2
-
-
-# -- Haar sampling of the rank-one maximal compact -----------------------------------
-
-
-def sample_k1_haar(field: LocalField, prec: int, seed) -> LocalMatrix:
-    """One draw from the integral unitary 3x3 group.
-
-    The group splits into the big cell (lower-left corner a unit) and its
-    complement, with volumes 1 : q^-3; each part carries an explicit
-    parametrization that we sample coordinate-uniformly.  That the parameter
-    measure is Haar on each part is validated downstream against the closed
-    form of the spherical integral, not assumed locally.
-
-    The product is formed and checked unitary by the residue kernel; only the
-    nine entries of the result become ResidueElem objects.
-    """
-    (g,) = _haar_sample(field, prec, [seed])
-    return LocalMatrix(
-        field, [[ResidueElem(field, prec, a, b) for a, b in g[r : r + 3]] for r in (0, 3, 6)]
-    )
 
 
 # -- constructive rank-one diagonalization -------------------------------------------

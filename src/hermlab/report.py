@@ -541,24 +541,33 @@ class Report:
 
 def _drain(tasks: int, width: int, ids: list, cfg: RunConfig) -> list:
     """Run the checks whose indices this process reads from the task pipe,
-    one token at a time until the pipe is empty, as (index, result) pairs;
-    an exception a check raises stands in for its result."""
+    one token at a time until the pipe is empty, as (index, result,
+    traceback) triples; an exception a check raises stands in for its
+    result, with its formatted traceback, which pickling would drop."""
     done = []
     while token := os.read(tasks, width):
         i = int(token)
         try:
-            done.append((i, _run_one(ids[i], cfg)))
+            done.append((i, _run_one(ids[i], cfg), None))
         except Exception as e:
-            done.append((i, e))
+            import traceback  # only a check that raised needs it
+
+            done.append((i, e, traceback.format_exc()))
     return done
+
+
+class _RemoteTraceback(Exception):
+    """The formatted traceback of an exception that a forked worker raised,
+    which pickling drops: that exception's ``__cause__`` in the caller."""
 
 
 def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
     """The (index, result) pairs of every check, run by ``workers - 1``
     forked children and this process.  The indices wait in one pipe, so a
     process takes the next check when it is free.  Each child pickles its
-    pairs into a pipe of its own and leaves through ``os._exit``, so it
+    results into a pipe of its own and leaves through ``os._exit``, so it
     never returns into the caller nor flushes the stdio buffers it inherited.
+    An exception from a child gets the child's traceback as its ``__cause__``.
     The command line runs no threads, so forking is safe."""
     import pickle  # only a parallel run needs it
 
@@ -591,7 +600,7 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
                     os._exit(code)
             os.close(out)
             children[pid] = fd
-        done = _drain(tasks, width, ids, cfg)
+        done = [(i, result) for i, result, _ in _drain(tasks, width, ids, cfg)]
         for pid, fd in children.items():
             with open(fd, "rb", closefd=False) as fh:
                 sent[pid] = fh.read()
@@ -604,7 +613,10 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
     for pid, code in codes.items():
         if code or not sent[pid]:
             raise RuntimeError(f"check worker {pid} exited with code {code} before sending its results")
-        done += pickle.loads(sent[pid])
+        for i, result, tb in pickle.loads(sent[pid]):
+            if tb is not None:
+                result.__cause__ = _RemoteTraceback(f'\n"""\n{tb}"""')
+            done.append((i, result))
     return sorted(done, key=lambda pair: pair[0])
 
 

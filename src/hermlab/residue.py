@@ -2,10 +2,10 @@
 
 The local field is an odd prime p with the unramified quadratic extension by
 sqrt(eps).  Everything here counts or samples in the residue rings mod p^m
-without the matrix layer of ``padic``: the norm-class counts, the Haar
-sampler of the integral unitary 3x3 group and its cell counts, built entry by
-entry on pairs of ints, and the rank-one Monte-Carlo of the defining integral
-with its closed form.
+without the matrix layer of ``padic``: the norm-class counts, the cell counts
+of the integral unitary 3x3 group mod p, built entry by entry on pairs of
+ints, and the rank-one Monte-Carlo of the defining integral with its closed
+form.
 
 The Monte-Carlo draws rows, not matrices.  At rank one the integrand reads
 only the bottom row of k, a primitive isotropic row; Haar measure on K pushes
@@ -160,13 +160,12 @@ def norm_residual(p: int, xi: int, R: int) -> Fraction:
     return Fraction(_norm_hits(eps, P, [xi]), P * P)
 
 
-# -- Haar sampling of the rank-one maximal compact -----------------------------------
+# -- the cells of the rank-one maximal compact ---------------------------------------
 
 # The residue kernel: a 3x3 matrix over the residue ring mod `mod` is the
 # tuple of its nine entries in row order, each a pair (re, im) of ints standing
-# for re + im*sqrt(eps).  The Haar sampler (mod p^prec) and the cell counts
-# (mod p) build their matrices as g = D N, D diagonal and N written out in
-# closed form, and check them unitary.
+# for re + im*sqrt(eps).  The cell counts build their matrices mod p as
+# g = D N, D diagonal and N written out in closed form, and check them unitary.
 
 
 def _pmul(x, y, eps: int, mod: int):
@@ -202,8 +201,11 @@ def _diag_units(alpha, w, eps: int, mod: int):
 
 
 def _cell_factor(d, f0, b, c0, big_cell, eps: int, mod: int):
-    """N of g = D N (see _haar_products), the product of the two unipotent
-    or Weyl factors written out; entries in row order, not all reduced."""
+    """N of g = D N, D = diag(alpha, u, conj(alpha)^-1), written out in row
+    order, entries not all reduced.  With f = (-N(d)/2, f0), c = (-N(b)/2, c0)
+    it is [[1, -d*, f], [0, 1, d], [0, 0, 1]] [[0, 0, 1], [0, 1, -b*], [1, b, c]]
+    in the big cell, [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f],
+    [0, 1, -d*], [0, 0, 1]] in the small cell."""
     half = -pow(2, -1, mod) % mod
     f = ((d[0] * d[0] - eps * d[1] * d[1]) * half % mod, f0)
     c = ((b[0] * b[0] - eps * b[1] * b[1]) * half % mod, c0)
@@ -222,66 +224,6 @@ def _cell_factor(d, f0, b, c0, big_cell, eps: int, mod: int):
         b, (1 + db[0], db[1]), (bf[0] - d[0], bf[1] + d[1]),
         c, (cd[0] - b[0], cd[1] + b[1]), (1 + cf[0] + db[0], cf[1] - db[1]),
     )
-
-
-def _haar_products(rows, eps: int, mod: int):
-    """The group elements of a parameter table, one per row, checked unitary,
-    each as its nine entries in row order.
-
-    A row holds alpha, u, conj(alpha)^-1, d (pairs), f0, b (a pair), c0 and
-    the cell flag.  With f = (-N(d)/2, f0) and c = (-N(b)/2, c0), the big
-    cell is diag(alpha, u, conj(alpha)^-1) [[1, -d*, f], [0, 1, d], [0, 0, 1]]
-    [[0, 0, 1], [0, 1, -b*], [1, b, c]] and the small cell is the diagonal
-    times [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f], [0, 1, -d*], [0, 0, 1]].
-    """
-    out = []
-    for a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big in rows:
-        diag = ((a0, a1), (u0, u1), (i0, i1))
-        n = _cell_factor((d0, d1), f0, (b0, b1), c0, big, eps, mod)
-        g = tuple(_pmul(diag[k // 3], e, eps, mod) for k, e in enumerate(n))
-        _assert_unitary_entries(g, eps, mod)
-        out.append(g)
-    return out
-
-
-def _rand_pair(rng, mod):
-    return (rng.randrange(mod), rng.randrange(mod))
-
-
-def _rand_pair_unit(rng, p, mod):
-    while True:
-        z = _rand_pair(rng, mod)
-        if z[0] % p or z[1] % p:
-            return z
-
-
-def _haar_draw(rng, p: int, eps: int, prec: int):
-    """The parameter row of one draw (see _haar_products), from rng in the
-    fixed order alpha, w, d, f0, cell, b, c0."""
-    mod = p**prec
-    alpha = _rand_pair_unit(rng, p, mod)
-    w = _rand_pair_unit(rng, p, mod)
-    d = _rand_pair(rng, mod)
-    f0 = rng.randrange(mod)
-    big_cell = rng.randrange(p**3 + 1) < p**3
-    if big_cell:
-        b = _rand_pair(rng, mod)
-        c0 = rng.randrange(mod)
-    else:
-        b0, b1 = _rand_pair(rng, p ** (prec - 1))
-        b = (p * b0, p * b1)
-        c0 = p * rng.randrange(p ** (prec - 1))
-    ainv, u = _diag_units(alpha, w, eps, mod)
-    return (*alpha, *u, *ainv, *d, f0, *b, c0, big_cell)
-
-
-def _haar_sample(field: LocalField, prec: int, seeds):
-    """Haar draws mod p^prec, one per seed of random.Random (see _haar_products)."""
-    if prec < 2:
-        raise PrecisionError("sampling needs at least two digits", required=2)
-    p, eps = field.p, field.eps
-    rows = [_haar_draw(random.Random(s), p, eps, prec) for s in seeds]
-    return _haar_products(rows, eps, p**prec)
 
 
 def k1_cell_counts(p: int):
@@ -349,8 +291,8 @@ def _isotropic_row(k: int, p: int, eps: int, mod: int):
     k < mod^3 is the big cell (1, b, c) with b in O/p^m and c = (-N(b)/2, c0),
     c0 in Z/p^m; the p^(3(m-1)) indices above it are the small cell
     (c, -conj(b), 1) with b in pO and c0 in pZ.  Each class is hit once, so a
-    uniform index is a uniform row class, in the cell split p^3 : 1 of the
-    Haar sampler.
+    uniform index is a uniform row class, in the split p^3 : 1 of the Haar
+    volumes of the two cells.
     """
     big = mod**3
     if k < big:

@@ -803,8 +803,11 @@ VERIFY_N3_CHECKS = (
             ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"],
         ),
         ("hermlab.padic", ["verify", VERIFY_N3_CHECKS, "--n", "3", "--workers", "1"]),
-        ("concurrent.futures,pickle", ["verify", "norm-volume", "--workers", "1"]),
-        ("concurrent.futures,multiprocessing", ["verify", "all", "--n", "1", "--workers", "2"]),
+        ("concurrent.futures,pickle,traceback", ["verify", "norm-volume", "--workers", "1"]),
+        (
+            "concurrent.futures,multiprocessing,traceback",
+            ["verify", "all", "--n", "1", "--workers", "2"],
+        ),
     ],
     ids=["count-norm", "mc-omega", "verify-n3-checks", "verify-one-worker", "verify-two-workers"],
 )

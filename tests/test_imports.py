@@ -6,9 +6,10 @@ examples included, as a bare name (an attribute chain starts with one) or is
 listed in ``__all__``.  Imports
 from ``__future__`` and names on a line marked ``# noqa`` are skipped.
 
-A module-level function or class of the package counts as named when package
-code outside its own body has it as a bare name, an attribute or an imported
-name; doctests do not count.
+A module-level function or class of the package, or a method of such a
+class other than a dunder, counts as named when package code outside its own
+body has it as a bare name, an attribute or an imported name; doctests do not
+count.
 """
 
 import ast
@@ -24,8 +25,8 @@ FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py")])
 # package definitions that no package code names, kept on purpose
 UNNAMED_BY_DESIGN = (
     "QuadratureGrid",  # perfbench/tracer.py times its poly_values
+    "QuadratureGrid.poly_values",  # SPAN_METHODS in perfbench/tracer.py names it
     "s_to_z",  # the change of coordinates of ROADMAP direction 7
-    "sample_k1_haar",  # perfbench/tracer.py counts its calls
     "z_to_s",  # the inverse of s_to_z
 )
 
@@ -76,23 +77,38 @@ def test_the_scan_finds_an_unused_import(tmp_path):
     assert unused_imports(mod) == ["os (line 2)", "Fraction (line 5)"]
 
 
+def _names(node) -> set[str]:
+    """The bare names, attributes and imported names in ``node``."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr if isinstance(n, ast.Attribute) else n.name
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
 def unnamed_definitions(paths) -> list[str]:
-    """The module-level functions and classes of ``paths`` that no code in
-    ``paths`` names outside their own body, by name."""
+    """The module-level functions and classes of ``paths``, and the methods of
+    those classes other than dunders, that no code in ``paths`` names outside
+    their own body, by name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     defined, named = {}, set()
     for path in paths:
         for top in ast.parse(path.read_text()).body:
             own = getattr(top, "name", None)
-            if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defined[own] = f"{path.name}:{top.lineno}"
-            named |= {
-                node.id if isinstance(node, ast.Name)
-                else node.attr if isinstance(node, ast.Attribute)
-                else node.name
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
-            } - {own}
-    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in named)
+            if not isinstance(top, (*functions, ast.ClassDef)):
+                named |= _names(top)
+                continue
+            defined[own] = (own, f"{path.name}:{top.lineno}")
+            for part in top.body if isinstance(top, ast.ClassDef) else [top]:
+                method = None
+                if part is not top and isinstance(part, functions):
+                    if not (part.name.startswith("__") and part.name.endswith("__")):
+                        method = part.name
+                        defined[f"{own}.{method}"] = (method, f"{path.name}:{part.lineno}")
+                named |= _names(part) - {own, method}
+    return sorted(
+        f"{label} ({where})" for label, (name, where) in defined.items() if name not in named
+    )
 
 
 def test_no_package_definition_is_left_to_the_tests():
@@ -109,5 +125,14 @@ def test_the_scan_finds_an_unnamed_definition(tmp_path):
         "class Spare:\n    pass\n"
     )
     b = tmp_path / "b.py"
-    b.write_text("from a import used\nimport a\nprint(a.Attr)\nclass Attr:\n    pass\n")
-    assert unnamed_definitions([a, b]) == ["Spare (a.py:8)", "lonely (a.py:6)"]
+    b.write_text(
+        "from a import used\nimport a\nprint(a.Attr().run())\n"
+        "class Attr:\n"
+        "    def __init__(self):\n        self.ready = True\n"
+        "    def run(self):\n        return self.step()\n"
+        "    def step(self):\n        return Attr()\n"
+        "    def idle(self):\n        return self.idle()\n"
+    )
+    assert unnamed_definitions([a, b]) == [
+        "Attr.idle (b.py:11)", "Spare (a.py:8)", "lonely (a.py:6)",
+    ]

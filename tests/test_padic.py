@@ -20,7 +20,6 @@ from hermlab.padic import (
     is_member_X,
     j_matrix,
     random_k,
-    sample_k1_haar,
     t_diag,
     x_lambda,
 )
@@ -30,10 +29,8 @@ from hermlab.residue import (
     LocalField,
     _assert_isotropic_row,
     _assert_unitary_entries,
+    _cell_factor,
     _diag_units,
-    _haar_draw,
-    _haar_products,
-    _haar_sample,
     _isotropic_row,
     _mc_valuation_histogram,
     _pmul,
@@ -193,7 +190,7 @@ def test_exact_local_matches_reference():
             assert _same(x * y, rx * ry) and _same(-x, -rx) and _same(x.conj(), rx.conj())
             assert _same(x + n, rx + n) and _same(x * fr, rx * fr) and _same(n + x, rx + n)
             assert _same(n - x, -rx + n) and _same(fr * x, rx * fr)
-            assert x.norm() == rx.norm() and x.trace() == rx.trace()
+            assert x.norm() == rx.norm() and 2 * x.a == rx.trace()
             assert x.valuation() == rx.valuation()
             assert (x == y) == (rx == ry) and (x == x.a) == (rx == rx.a)
             assert x == ExactLocal(field, rx.a, rx.b)
@@ -270,7 +267,7 @@ def test_exact_local_algebra():
     assert x * x.inverse() == ExactLocal(F3, 1)
     # norm is multiplicative and real
     assert (x * y).norm() == x.norm() * y.norm()
-    assert x.trace() == Fraction(1)
+    assert 2 * x.a == Fraction(1)
     assert x.conj().conj() == x
     # valuation of a product adds
     assert (x * y).valuation() == x.valuation() + y.valuation()
@@ -665,7 +662,7 @@ def test_g_orbit_parity_survives_torus_mixing():
     assert classify_g_orbit(x_lambda(F3, 2, (2, 0))) == 0
 
 
-# -- Haar sampling on the small unitary group ------------------------------------
+# -- the cells of the small unitary group ---------------------------------------
 
 
 def test_k1_cell_counts_frozen():
@@ -676,46 +673,6 @@ def test_k1_cell_counts_frozen():
     assert union == q**3 * (q + 1) * (q**2 - 1) * (q**3 + 1)
     assert big == (q**2 - 1) * (q + 1) * q**6
     assert small == (q**2 - 1) * (q + 1) * q**3
-
-
-def test_sampler_products_stay_in_group():
-    for seed in range(40):
-        g = sample_k1_haar(F3, 6, seed=seed)
-        assert_unitary(g)
-        assert _det(g.rows).norm().val() == 0
-
-
-def test_sampler_cell_frequency():
-    # P(big cell) = 1/(1+q^-3) = 27/28; check a 3-sigma band at modest n
-    n, hits = 4000, 0
-    for seed in range(4000):
-        g = sample_k1_haar(F3, 4, seed=f"cell:{seed}")
-        if g.rows[2][2].val() == 0:
-            hits += 1
-    want = 27 / 28
-    sigma = math.sqrt(want * (1 - want) / n)
-    assert abs(hits / n - want) < 3 * sigma
-
-
-def test_sampler_stream_pinned():
-    # (a, b) digits recorded from the ResidueElem-level sampler, which passes
-    # assert_unitary and the 3-sigma gates; seed 16 falls in the small cell
-    want = {
-        0: [[(614, 272), (658, 586), (579, 313)],
-            [(248, 644), (118, 338), (384, 266)],
-            [(176, 329), (229, 525), (76, 280)]],
-        1: [[(201, 272), (307, 236), (90, 250)],
-            [(660, 453), (622, 258), (434, 109)],
-            [(671, 456), (242, 254), (145, 128)]],
-        16: [[(370, 480), (388, 323), (269, 182)],
-             [(108, 561), (524, 522), (106, 211)],
-             [(333, 468), (441, 573), (502, 186)]],
-    }
-    for seed, rows in want.items():
-        g = sample_k1_haar(F3, 6, seed)
-        assert g.shift == 0 and g.precision == 6
-        assert all(isinstance(e, ResidueElem) and e.m == 6 for row in g.rows for e in row)
-        assert [[(e.a, e.b) for e in row] for row in g.rows] == rows
 
 
 def test_mc_histogram_stream_pinned():
@@ -849,37 +806,42 @@ def test_mc_histogram_refuses_a_bad_row(monkeypatch):
 
 def test_pair_unitarity_check_rejects_corruption():
     mod = 3**6
-    (g,) = _haar_sample(F3, 6, [3])
-    _assert_unitary_entries(g, F3.eps, mod)
-    for k in range(9):
-        for part in (0, 1):
-            bad = [list(e) for e in g]
-            bad[k][part] = (bad[k][part] + 1) % mod
-            with pytest.raises(AssertionError):
-                _assert_unitary_entries(bad, F3.eps, mod)
+    for big_cell in (True, False):
+        n = _cell_factor((5, 7), 11, (4, 2), 13, big_cell, F3.eps, mod)
+        g = [(a % mod, b % mod) for a, b in n]
+        _assert_unitary_entries(g, F3.eps, mod)
+        for k in range(9):
+            for part in (0, 1):
+                bad = [list(e) for e in g]
+                bad[k][part] = (bad[k][part] + 1) % mod
+                with pytest.raises(AssertionError):
+                    _assert_unitary_entries(bad, F3.eps, mod)
 
 
-def test_unitarity_check_rejects_one_corrupted_matrix_in_a_batch(monkeypatch):
+# 27 * 27 factors N in the big cell of k1_cell_counts(3), 27 in the small one
+@pytest.mark.parametrize(
+    "big_cell, index", [(True, 0), (True, 728), (False, 0), (False, 26)],
+    ids=["big-first", "big-last", "small-first", "small-last"],
+)
+def test_cell_counts_check_every_cell_factor(monkeypatch, big_cell, index):
+    # N times 1 + sqrt(eps), whose norm 1 - eps is -1 mod 3, has N* j N = -j
     from hermlab import residue
 
-    mod = 3**6
-    for g in _haar_sample(F3, 6, range(40)):
-        _assert_unitary_entries(g, F3.eps, mod)
     cell_factor = residue._cell_factor
-    for k, (i, j, part) in enumerate([(0, 0, 0), (2, 1, 1), (1, 2, 0)]):
-        calls = []
+    seen = []
 
-        def corrupted(*args):
-            n = [list(e) for e in cell_factor(*args)]
-            if len(calls) == 17 + k:
-                n[3 * i + j][part] += 1
-            calls.append(1)
-            return n
+    def corrupted(d, f0, b, c0, big, eps, mod):
+        n = cell_factor(d, f0, b, c0, big, eps, mod)
+        if big == big_cell:
+            seen.append(n)
+            if len(seen) == index + 1:
+                return tuple(_pmul((1, 1), e, eps, mod) for e in n)
+        return n
 
-        monkeypatch.setattr(residue, "_cell_factor", corrupted)
-        with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
-            _haar_sample(F3, 6, range(40))
-        assert len(calls) == 18 + k
+    monkeypatch.setattr(residue, "_cell_factor", corrupted)
+    with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
+        k1_cell_counts(3)
+    assert len(seen) == index + 1
 
 
 def test_cell_counts_check_the_diagonal_factor(monkeypatch):
@@ -898,14 +860,8 @@ def test_cell_counts_check_the_diagonal_factor(monkeypatch):
         k1_cell_counts(3)
 
 
-# The batched numpy kernel of stacks (int64 up to the overflow bound, object
-# arrays above it), kept verbatim as the reference for the entry-wise kernel.
-
-
-def ref_stack_dtype(eps, mod):
-    """int64 while a sum of three products of reduced entries stays exact,
-    3 (1 + eps) mod^2 < 2^63; object arrays of Python ints above that."""
-    return np.int64 if 3 * (1 + eps) * mod * mod < 2**63 else object
+# The batched numpy kernel of stacks on int64, kept as the reference for
+# k1_cell_counts: it multiplies out D and the two factors of each cell.
 
 
 def ref_stack_matmul(x, y, eps, mod):
@@ -938,7 +894,7 @@ def ref_stack(rows):
     return out[0], out[1]
 
 
-def ref_haar_products(params, eps, mod):
+def ref_stack_products(params, eps, mod):
     """The group elements of a parameter table, one per row, checked unitary."""
     a0, a1, u0, u1, i0, i1, d0, d1, f0, b0, b1, c0, big = params.T
     half = -pow(2, -1, mod) % mod
@@ -962,22 +918,11 @@ def ref_haar_products(params, eps, mod):
 
 
 def ref_entries(rows, eps, mod):
-    """ref_haar_products as nine (re, im) entries per row, and the dtype it used."""
-    re, im = ref_haar_products(np.array(rows, dtype=ref_stack_dtype(eps, mod)), eps, mod)
-    out = [
+    """ref_stack_products as nine (re, im) entries per row."""
+    re, im = ref_stack_products(np.array(rows, dtype=np.int64), eps, mod)
+    return [
         tuple(zip(r, i)) for r, i in zip(re.reshape(-1, 9).tolist(), im.reshape(-1, 9).tolist())
     ]
-    return out, re.dtype
-
-
-def test_kernel_matches_stack_reference_on_mc_draws():
-    mod = 3**8
-    # 2000 seeded draws at precision 8
-    rows = [_haar_draw(random.Random(f"0:0:{i}"), 3, F3.eps, 8) for i in range(2000)]
-    want, dtype = ref_entries(rows, F3.eps, mod)
-    assert dtype == np.int64
-    assert _haar_products(rows, F3.eps, mod) == want
-    assert sum(not row[-1] for row in rows) >= 30  # the small cell is covered
 
 
 def test_kernel_matches_stack_reference_on_k1_rows():
@@ -995,30 +940,15 @@ def test_kernel_matches_stack_reference_on_k1_rows():
         big: [(*df, *bc, big) for df in triples for bc in (triples if big else [(0, 0, 0)])]
         for big in (1, 0)
     }
-    got = {}
-    for big, rest in cells.items():
-        rows = [diag + r for diag in sorted(diags) for r in rest]
-        want, _ = ref_entries(rows, eps, p)
-        got[big] = set(_haar_products(rows, eps, p))
-        assert got[big] == set(want)
-    assert k1_cell_counts(p) == (len(got[1]), len(got[0]), len(got[1] | got[0]))
+    want = {
+        big: set(ref_entries([diag + r for diag in sorted(diags) for r in rest], eps, p))
+        for big, rest in cells.items()
+    }
+    assert k1_cell_counts(p) == (len(want[1]), len(want[0]), len(want[1] | want[0]))
 
 
-def test_kernel_matches_stack_reference_past_int64():
-    # 3 (1 + eps) mod^2 < 2^63 holds at p = 3 up to prec 18; at prec 30 the
-    # reference ran on object arrays of Python ints
-    assert ref_stack_dtype(F3.eps, 3**18) is np.int64
-    assert ref_stack_dtype(F3.eps, 3**19) is object
-    mod = 3**30
-    rows = [_haar_draw(random.Random(f"wide:{i}"), 3, F3.eps, 30) for i in range(200)]
-    want, dtype = ref_entries(rows, F3.eps, mod)
-    assert dtype == object
-    assert _haar_products(rows, F3.eps, mod) == want
-
-
-# The pair-level sampler, one draw at a time, kept as the reference for the
-# residue kernel; the Monte-Carlo reference reads the bottom row of its group
-# element.
+# The pair-level group element, one pair product at a time, kept as the
+# reference for the Monte-Carlo, which reads its bottom row.
 
 
 def _ref_pmul(x, y, eps, mod):
@@ -1057,17 +987,6 @@ def _ref_pmatmul(x, y, eps, mod):
     return tuple(out)
 
 
-def _ref_rand_pair(rng, mod):
-    return (rng.randrange(mod), rng.randrange(mod))
-
-
-def _ref_rand_pair_unit(rng, p, mod):
-    while True:
-        z = _ref_rand_pair(rng, mod)
-        if z[0] % p or z[1] % p:
-            return z
-
-
 def ref_group_element(field, prec, alpha, w, d, f0, big_cell, b, c0):
     """The pair matrix of one parameter row, one pair product at a time:
     diag(alpha, u, conj(alpha)^-1) times the two factors of its cell."""
@@ -1093,28 +1012,6 @@ def ref_group_element(field, prec, alpha, w, d, f0, big_cell, b, c0):
         upper = ((one, d, f), (zero, one, dbar), (zero, zero, one))
         g = _ref_pmatmul(_ref_pmatmul(diag, lower, eps, mod), upper, eps, mod)
     return [list(row) for row in g]
-
-
-def ref_sample_pairs(field, prec, seed):
-    """(pair matrix, big_cell) of one draw of sample_k1_haar."""
-    if prec < 2:
-        raise PrecisionError("sampling needs at least two digits", required=2)
-    rng = random.Random(seed)
-    p = field.p
-    mod = p**prec
-    alpha = _ref_rand_pair_unit(rng, p, mod)
-    w = _ref_rand_pair_unit(rng, p, mod)
-    d = _ref_rand_pair(rng, mod)
-    f0 = rng.randrange(mod)
-    big_cell = rng.randrange(p**3 + 1) < p**3
-    if big_cell:
-        b = _ref_rand_pair(rng, mod)
-        c0 = rng.randrange(mod)
-    else:
-        b0, b1 = _ref_rand_pair(rng, p ** (prec - 1))
-        b = (p * b0, p * b1)
-        c0 = p * rng.randrange(p ** (prec - 1))
-    return ref_group_element(field, prec, alpha, w, d, f0, big_cell, b, c0), big_cell
 
 
 def ref_row_parameters(index, p, prec):
@@ -1173,17 +1070,6 @@ def _outcome(fn, *args):
     except PrecisionError as e:
         return ("raised", str(e), e.required)
     return (list(hist.items()), saturated)
-
-
-def test_sampler_matches_pair_reference():
-    for prec in (2, 6, 8, 30):
-        small = 0
-        for seed in range(200):
-            want, big_cell = ref_sample_pairs(F3, prec, f"ref:{seed}")
-            small += not big_cell
-            g = sample_k1_haar(F3, prec, f"ref:{seed}")
-            assert [[(e.a, e.b) for e in row] for row in g.rows] == want
-        assert small >= 3
 
 
 def test_mc_histogram_matches_reference_at_batch_boundaries():

@@ -58,6 +58,22 @@ def test_a_worker_that_dies_is_an_error_and_is_reaped(monkeypatch):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_an_exception_from_a_worker_carries_its_traceback(monkeypatch):
+    parent = os.getpid()
+
+    def adds_none_in_a_child(cfg):
+        if os.getpid() != parent:
+            return None + 1
+        time.sleep(0.2)  # the child takes the next check meanwhile
+        return True, "ran in the parent"
+
+    monkeypatch.setattr(report, "CHECKS", dict.fromkeys("abc", adds_none_in_a_child))
+    with pytest.raises(TypeError, match="unsupported operand") as raised:
+        run_checks(list("abc"), CFG, workers=2)
+    cause = str(raised.value.__cause__)
+    assert "in adds_none_in_a_child" in cause and "return None + 1" in cause
+
+
 def test_text_printed_before_the_fork_appears_once():
     # stdout is a pipe, so the text waits in the buffer when the workers fork
     code = (
