@@ -947,6 +947,47 @@ def test_kernel_matches_stack_reference_on_k1_rows():
     assert k1_cell_counts(p) == (len(want[1]), len(want[0]), len(want[1] | want[0]))
 
 
+def kernel_row(rng, p, prec):
+    """A random parameter row (alpha, u, conj(alpha)^-1, d, f0, b, c0, big)
+    mod p^prec, flat as ref_entries takes it, and the unit w of u = w /
+    conj(w); the small cell, b and c0 divisible by p, is drawn with
+    probability 1/(p^3 + 1)."""
+    mod = p**prec
+
+    def unit():
+        while True:
+            z = (rng.randrange(mod), rng.randrange(mod))
+            if z[0] % p or z[1] % p:
+                return z
+
+    alpha, w = unit(), unit()
+    d, f0 = (rng.randrange(mod), rng.randrange(mod)), rng.randrange(mod)
+    big = rng.randrange(p**3 + 1) < p**3
+    scale = 1 if big else p
+    b = tuple(scale * rng.randrange(mod // scale) for _ in range(2))
+    c0 = scale * rng.randrange(mod // scale)
+    ainv, u = _diag_units(alpha, w, smallest_nonresidue(p), mod)
+    return (*alpha, *u, *ainv, *d, f0, *b, c0, int(big)), w
+
+
+def kernel_element(row, eps, mod):
+    """D N of a parameter row from the residue kernel, nine reduced entries:
+    row r of _cell_factor's N times the r-th diagonal entry of D."""
+    diag = (row[0:2], row[2:4], row[4:6])
+    n = _cell_factor(row[6:8], row[8], row[9:11], row[11], bool(row[12]), eps, mod)
+    return tuple(_pmul(diag[k // 3], e, eps, mod) for k, e in enumerate(n))
+
+
+def test_kernel_matches_stack_reference_on_random_rows():
+    p, eps, mod = 3, F3.eps, 3**8
+    rows = [kernel_row(random.Random(f"row:{i}"), p, 8)[0] for i in range(2000)]
+    got = [kernel_element(row, eps, mod) for row in rows]
+    for g in got:
+        _assert_unitary_entries(g, eps, mod)
+    assert got == ref_entries(rows, eps, mod)
+    assert sum(not row[-1] for row in rows) >= 30  # the small cell is covered
+
+
 # The pair-level group element, one pair product at a time, kept as the
 # reference for the Monte-Carlo, which reads its bottom row.
 
@@ -1012,6 +1053,22 @@ def ref_group_element(field, prec, alpha, w, d, f0, big_cell, b, c0):
         upper = ((one, d, f), (zero, one, dbar), (zero, zero, one))
         g = _ref_pmatmul(_ref_pmatmul(diag, lower, eps, mod), upper, eps, mod)
     return [list(row) for row in g]
+
+
+def test_kernel_matches_pair_reference_past_int64():
+    # at prec 30 the entries reach 3^60, past int64 and the stack reference
+    for prec in (2, 6, 30):
+        mod, small = 3**prec, 0
+        for i in range(200):
+            row, w = kernel_row(random.Random(f"wide:{prec}:{i}"), 3, prec)
+            small += not row[-1]
+            g = kernel_element(row, F3.eps, mod)
+            _assert_unitary_entries(g, F3.eps, mod)
+            want = ref_group_element(
+                F3, prec, row[0:2], w, row[6:8], row[8], bool(row[12]), row[9:11], row[11]
+            )
+            assert [list(g[3 * r : 3 * r + 3]) for r in range(3)] == want
+        assert small >= 3
 
 
 def ref_row_parameters(index, p, prec):
