@@ -720,6 +720,63 @@ def test_full_report_bytes_pinned(capsys, extra, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "extra, out_digest, file_digest",
+    [
+        pytest.param(
+            ("--ell", "0", "--seed", "5"),
+            "4ace104989c5a61e58deb232b8218421fc274e834d60ee0c699e501e1526f862",
+            "9eda2122eb22203a216747110a5db4f4d62fc219a70bbe15bde0decfd3eb9361",
+            id="ell0",
+        ),
+        pytest.param(
+            ("--ell", "1", "--seed", "5"),
+            "678c7993bd5eb94fa241fcd644b3719a53bc1ca28de3f5f36b8d5c9e921a043d",
+            "8e4535b7c30247c3bd0dfa2340532dc83687df4fd7e3539bc4dfaeffb7929d44",
+            id="ell1",
+        ),
+        pytest.param(
+            ("--ell", "2", "--seed", "5"),
+            "1167a385fbff2d7faf9b7068e20a3fafa357bd01073d31160ea70064ac91544c",
+            "80d368e44175844d119e6e49262fe2b61edef6cf1a1d674669c9e7059ea91d5e",
+            id="ell2",
+        ),
+        pytest.param(
+            ("--ell", "3", "--seed", "5"),
+            "7bd3922be0fd7cbb438b4e556e9117958b66107bdb283212c655db0c67876500",
+            "8ae6b07d92752705e951b65dc63cf09f93151f269debd264a22c9984850a6344",
+            id="ell3",
+        ),
+        pytest.param(
+            ("--ell", "0", "--seed", "2", "--prec", "3"),
+            "6b3ba4cb7e3a9508eb98fd207faa1c4f00c4188ac7a75f976d0c8ed389cccbfa",
+            "08885a0cd6fbab258c1b859ae88ff166a99c5ee0c53dc8c0f61e6597887c03b4",
+            id="ell0-prec3",
+        ),
+    ],
+)
+def test_diagonalize_bytes_pinned(tmp_path, capsys, extra, out_digest, file_digest):
+    # recorded while residue entries were still objects with a precision each
+    kfile = tmp_path / "k.json"
+    code, out = invoke(capsys, "padic", "diagonalize1", *extra, "--out", str(kfile))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(kfile.read_bytes()).hexdigest() == file_digest
+
+
+def test_classify_residue_file_bytes_pinned(tmp_path, capsys):
+    field = LocalField(3)
+    x = random_k(field, 2, seed=21).act(x_lambda(field, 2, (2, 1))).to_residue(12)
+    xfile = tmp_path / "x.json"
+    xfile.write_text(json.dumps(x.to_json_dict()))
+    code, out = invoke(capsys, "padic", "classify", "--in", str(xfile))
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "19ecb4c0d73a626a727f9002a6012fa66c8848c9256fd36594efe6426127b43c"
+    )
+
+
 def test_report_checks_are_the_benchmark_tallies():
     # perfbench/run.py keeps its own list of the check ids for its per-check
     # tallies; a renamed or reordered check must not drop out of them
