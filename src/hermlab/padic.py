@@ -1,27 +1,32 @@
 """Finite-precision laboratory over a p-adic field with a quadratic extension.
 
 Two number models coexist.  Exact elements of Q(sqrt(eps)) are carried as
-two int numerators over one int denominator.  Residue elements mod p^m carry
-only the ring operations and the inverse of a unit; a residue matrix holds
-all its entries at one precision m.  Membership is decided in both models,
-a residue matrix at its precision.  Orbit classification eliminates exact
+two int numerators over one int denominator (``ExactLocal``).  A residue
+matrix holds its entries as int pairs (a, b), standing for a + b*sqrt(eps)
+mod p^m, all at the one precision m of the matrix.  Both models compute on
+the pair kernel of ``residue`` (product, conjugate, norm, unit inverse,
+valuation, matrix product and star, and one unitarity check): the exact
+model on numerators over a common denominator, the residue model on its
+stored pairs, reduced mod p^m.  Membership is decided in both models, a
+residue matrix at its precision.  Orbit classification eliminates exact
 entries only: a residue matrix is read through the exact lift of its stored
 digits, which is certified when every invariant of the lift is below m,
 because matrices congruent mod p^m share their Smith form over the residue
 ring, whose valuations are min(v_i, m).  The residue model carries the
 constructive rank-one reduction: it must solve a norm equation N(b) = t,
-which has solutions in every residue ring but usually none in Q(sqrt(eps)).  The reduction reads the reflection vector of
-x off p^l (x - J) and builds one element of the integral unitary group
-around it, so every member reduces at any precision m >= 1 with the
-reducing element certified mod p^m.  The kernels that need no matrix layer
-(the field, the norm counts, the cell counts and the rank-one Monte-Carlo)
+which has solutions in every residue ring but usually none in
+Q(sqrt(eps)).  The reduction reads the reflection vector of x off
+p^l (x - J) and builds one element of the integral unitary group around it,
+so every member reduces at any precision m >= 1 with the reducing element
+certified mod p^m.  The kernels that need no matrix layer (the field, the
+pair kernel, the norm counts, the cell counts and the rank-one Monte-Carlo)
 live in ``residue``.
 
-A matrix is in the model of its entries; the constructors build exact
-entries unless given prec=, which asks for residue entries mod p^prec.  The
-product is one integer kernel for both models.
-Matrices remember a global power of p pulled out of all entries ("shift"), so
-entry arithmetic stays integral even for matrices like diag(p^l, 1, p^-l).
+The constructors build exact matrices unless given prec=, which asks for
+the residue model mod p^prec; a precision below 1 raises PrecisionError.
+Matrices remember a global power of p pulled out of all entries ("shift"),
+so entry arithmetic stays integral even for matrices like
+diag(p^l, 1, p^-l).
 
 Throughout, the hermitian conjugate of a matrix is written star(), the fixed
 antidiagonal involution is j_matrix(), and the group action on hermitian
@@ -35,7 +40,21 @@ import random
 from fractions import Fraction
 
 from .errors import InexactDivision, PrecisionError
-from .residue import LocalField, _legendre, _sqrt_mod_p, _vp_int
+from .residue import (
+    LocalField,
+    _legendre,
+    _sqrt_mod_p,
+    _vp_int,
+    pair_unitary,
+    pconj,
+    pmatmul,
+    pmul,
+    pnorm,
+    pstar,
+    punit_inverse,
+    pval,
+    pzero,
+)
 
 # perfbench/tracer.py counts the accepted Monte-Carlo draws from
 # padic._MC_HISTOGRAMS; the name must stay bound to the very dict that
@@ -127,10 +146,8 @@ class ExactLocal:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, d = self._a, self._b, o._a, o._b
-        return ExactLocal._make(
-            self.field, a * c + self.field.eps * b * d, a * d + b * c, self._d * o._d
-        )
+        a, b = pmul((self._a, self._b), (o._a, o._b), self.field.eps)
+        return ExactLocal._make(self.field, a, b, self._d * o._d)
 
     __rmul__ = __mul__
 
@@ -138,10 +155,10 @@ class ExactLocal:
         return ExactLocal._make(self.field, self._a, -self._b, self._d)
 
     def norm(self) -> Fraction:
-        return Fraction(self._a * self._a - self.field.eps * self._b * self._b, self._d**2)
+        return Fraction(pnorm((self._a, self._b), self.field.eps), self._d**2)
 
     def inverse(self):
-        n = self._a * self._a - self.field.eps * self._b * self._b
+        n = pnorm((self._a, self._b), self.field.eps)
         if n == 0:
             raise ZeroDivisionError("inverting zero")
         return ExactLocal._make(self.field, self._a * self._d, -self._b * self._d, n)
@@ -158,16 +175,7 @@ class ExactLocal:
 
     def valuation(self) -> float:
         """min of the component valuations; +inf for zero (unramified basis)."""
-        a, b, p = self._a, self._b, self.field.p
-        if a == 0 and b == 0:
-            return math.inf
-        if a == 0:
-            v = _vp_int(b, p)
-        elif b == 0:
-            v = _vp_int(a, p)
-        else:
-            v = min(_vp_int(a, p), _vp_int(b, p))
-        return v - _vp_int(self._d, p)
+        return pval((self._a, self._b), self.field.p) - _vp_int(self._d, self.field.p)
 
     def is_zero(self):
         return self._a == 0 and self._b == 0
@@ -187,148 +195,14 @@ class ExactLocal:
         return f"{self.a}+{self.b}*sqrt({self.field.eps})"
 
 
-# -- residue model ---------------------------------------------------------------
-
-
-def _fraction_mod(x: Fraction, p: int, mod: int) -> int:
-    if x.denominator % p == 0:
-        raise InexactDivision("denominator is not a unit in the residue ring")
-    return x.numerator * pow(x.denominator, -1, mod)
-
-
-class ResidueElem:
-    """a + b*u in (Z/p^m)[u]/(u^2 - eps): the residue ring of the quadratic
-    extension at certified precision m.
-
-    Valuations below m are certified; an element congruent to zero mod p^m has
-    no certifiable valuation and val() raises.  Only the ring operations and
-    the inverse of a unit are defined: there is no division by p.
-    """
-
-    __slots__ = ("field", "m", "a", "b")
-
-    def __init__(self, field: LocalField, m: int, a: int, b: int = 0):
-        if m < 1:
-            raise PrecisionError("residue precision must be at least 1", required=1)
-        self.field = field
-        self.m = m
-        mod = field.p**m
-        if isinstance(a, Fraction):
-            a = _fraction_mod(a, field.p, mod)
-        if isinstance(b, Fraction):
-            b = _fraction_mod(b, field.p, mod)
-        self.a = a % mod
-        self.b = b % mod
-
-    def _coerce(self, other):
-        if isinstance(other, ResidueElem):
-            if other.field != self.field:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return ResidueElem(self.field, self.m, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = min(self.m, o.m)
-        return ResidueElem(self.field, m, self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ResidueElem(self.field, self.m, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = min(self.m, o.m)
-        return ResidueElem(self.field, m, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = min(self.m, o.m)
-        e = self.field.eps
-        return ResidueElem(
-            self.field, m, self.a * o.a + e * self.b * o.b, self.a * o.b + self.b * o.a
-        )
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return ResidueElem(self.field, self.m, self.a, -self.b)
-
-    def norm(self):
-        return ResidueElem(self.field, self.m, self.a * self.a - self.field.eps * self.b * self.b)
-
-    def is_zero(self):
-        """Congruent to zero at the element's own precision."""
-        return self.a == 0 and self.b == 0
-
-    def is_real(self):
-        return self.b == 0
-
-    def val(self) -> int:
-        """Certified valuation.  Raises when every stored digit vanishes."""
-        if self.is_zero():
-            raise PrecisionError(
-                f"element is 0 mod p^{self.m}; valuation not certifiable",
-                required=self.m + 1,
-            )
-        p = self.field.p
-        va = _vp_int(self.a, p) if self.a else self.m
-        vb = _vp_int(self.b, p) if self.b else self.m
-        return min(va, vb)
-
-    def unit_inverse(self):
-        if self.val() != 0:
-            raise ZeroDivisionError("not a unit in the residue ring")
-        mod = self.field.p**self.m
-        n = (self.a * self.a - self.field.eps * self.b * self.b) % mod
-        ninv = pow(n, -1, mod)
-        return ResidueElem(self.field, self.m, self.a * ninv, -self.b * ninv)
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m = min(self.m, o.m)
-        mod = self.field.p**m
-        return (self.a - o.a) % mod == 0 and (self.b - o.b) % mod == 0
-
-    def __hash__(self):
-        return hash((ResidueElem, self.field.p, self.m, self.a, self.b))
-
-    def __repr__(self):
-        if self.b == 0:
-            return f"{self.a} (mod {self.field.p}^{self.m})"
-        return f"{self.a}+{self.b}u (mod {self.field.p}^{self.m})"
-
-
 # -- matrices --------------------------------------------------------------------
 
 
-def _entry_from(field, prec, value):
-    if prec is None:
-        if isinstance(value, ExactLocal):
-            return value
-        return ExactLocal(field, value)
-    if isinstance(value, ResidueElem):
-        return value if value.m == prec else ResidueElem(field, prec, value.a, value.b)
-    if isinstance(value, ExactLocal):
-        if value._d % field.p == 0:
-            raise InexactDivision("entry has negative valuation; use a matrix shift")
-        dinv = pow(value._d, -1, field.p**prec)
-        return ResidueElem(field, prec, value._a * dinv, value._b * dinv)
-    return ResidueElem(field, prec, value if isinstance(value, int) else Fraction(value))
+def _modulus(field, prec) -> int:
+    """p^prec, the modulus of the residue model at precision prec."""
+    if prec < 1:
+        raise PrecisionError("residue precision must be at least 1", required=1)
+    return field.p**prec
 
 
 class LocalMatrix:
@@ -336,61 +210,59 @@ class LocalMatrix:
     p^(-shift) times the stored entries, which are always integral in the
     residue model.
 
-    The entries are all ExactLocal (the exact model) or all ResidueElem (the
-    residue model); the model of a matrix is the model of its entries.  The
-    entries of a residue matrix share one precision m: each is known mod p^m."""
+    A matrix is in one of two models.  Exact (precision None): its entries
+    are ExactLocal.  Residue: its entries are int pairs (a, b), standing for
+    a + b*sqrt(eps) mod p^m, reduced, all at the one precision m."""
 
-    __slots__ = ("field", "rows", "shift")
+    __slots__ = ("field", "rows", "shift", "precision")
 
-    def __init__(self, field, rows, shift=0):
+    def __init__(self, field, rows, shift=0, precision=None):
+        if shift < 0:
+            raise ValueError("shift must be nonnegative")
+        if precision is not None:
+            mod = _modulus(field, precision)
+            rows = [[(a % mod, b % mod) for a, b in row] for row in rows]
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
         self.shift = shift
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
-        m = self.precision
-        if m is not None and any(e.m != m for row in self.rows for e in row):
-            raise ValueError("residue entries at mixed precisions; from_values reduces them")
+        self.precision = precision
 
     @property
     def size(self):
         return len(self.rows)
 
-    @property
-    def precision(self):
-        """None for exact entries, else the one precision of the entries."""
-        e = self.rows[0][0]
-        return None if isinstance(e, ExactLocal) else e.m
-
     def _compatible(self, other):
-        """Same size, same field and entries of the same model."""
+        """Same size, same field and the same model."""
         return (
             self.size == other.size
-            and type(self.rows[0][0]) is type(other.rows[0][0])
+            and (self.precision is None) == (other.precision is None)
             and self.field == other.field
         )
 
     @staticmethod
     def from_values(field, values, shift=0, prec=None):
-        """A matrix from ints, Fractions and elements of either model.
-
-        Residue entries come from a given prec or from any ResidueElem among
-        the values; all of them are reduced to the least of those precisions.
-        Otherwise the entries are exact.
+        """A matrix from ints, Fractions and ExactLocal values: exact, or
+        given prec, reduced mod p^prec.
 
         >>> F = LocalField(3)
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]]).precision is None
         True
-        >>> LocalMatrix.from_values(F, [[1, 0], [0, 1]], prec=4).precision
-        4
-        >>> LocalMatrix.from_values(F, [[ResidueElem(F, 5, 2), 0], [0, ResidueElem(F, 7, 1)]])
-        <[2 (mod 3^5), 0 (mod 3^5); 0 (mod 3^5), 1 (mod 3^5)]>
+        >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]], prec=2)
+        <[(1, 0), (0, 0); (0, 0), (5, 0)] mod 3^2>
         """
-        carried = [v.m for row in values for v in row if isinstance(v, ResidueElem)]
-        if carried:
-            prec = min(carried) if prec is None else min(prec, *carried)
-        rows = [[_entry_from(field, prec, v) for v in row] for row in values]
-        return LocalMatrix(field, rows, shift)
+        rows = [
+            [v if isinstance(v, ExactLocal) else ExactLocal(field, v) for v in row]
+            for row in values
+        ]
+        if prec is None:
+            return LocalMatrix(field, rows, shift)
+        mod = _modulus(field, prec)
+        den, pairs = _int_pairs(rows)
+        if den % field.p == 0:
+            raise InexactDivision("entry has negative valuation; use a matrix shift")
+        dinv = pow(den, -1, mod)
+        pairs = [[(a * dinv, b * dinv) for a, b in row] for row in pairs]
+        return LocalMatrix(field, pairs, shift, prec)
 
     @staticmethod
     def identity(field, size, prec=None):
@@ -404,40 +276,27 @@ class LocalMatrix:
         return LocalMatrix.from_values(field, vals)
 
     def __matmul__(self, other):
-        """One integer kernel for both models: the entries as int pairs, over
-        one common denominator per factor (exact) or mod p^m at the lesser
-        precision of the factors (residue)."""
+        """One pair kernel for both models: the numerators over one common
+        denominator per factor (exact), or the stored pairs reduced at the
+        lesser precision of the factors (residue)."""
         if not self._compatible(other):
             raise ValueError("incompatible matrices")
-        field, eps = self.field, self.field.eps
+        field, shift = self.field, self.shift + other.shift
+        if self.precision is not None:
+            m = min(self.precision, other.precision)
+            return LocalMatrix(field, pmatmul(self.rows, other.rows, field.eps), shift, m)
         dx, x = _int_pairs(self.rows)
         dy, y = _int_pairs(other.rows)
-        cols = list(zip(*y))
-        sums = [
-            [
-                (
-                    sum(a * c + eps * b * d for (a, b), (c, d) in zip(row, col)),
-                    sum(a * d + b * c for (a, b), (c, d) in zip(row, col)),
-                )
-                for col in cols
-            ]
-            for row in x
-        ]
-        m = self.precision
-        if m is None:
-            rows = [[ExactLocal._make(field, a, b, dx * dy) for a, b in row] for row in sums]
-        else:
-            m = min(m, other.precision)
-            rows = [[ResidueElem(field, m, a, b) for a, b in row] for row in sums]
-        return LocalMatrix(field, rows, self.shift + other.shift)
+        rows = pmatmul(x, y, field.eps)
+        rows = [[ExactLocal._make(field, a, b, dx * dy) for a, b in row] for row in rows]
+        return LocalMatrix(field, rows, shift)
 
     def star(self):
-        n = self.size
-        return LocalMatrix(
-            self.field,
-            [[self.rows[j][i].conj() for j in range(n)] for i in range(n)],
-            self.shift,
-        )
+        if self.precision is None:
+            rows = [[e.conj() for e in col] for col in zip(*self.rows)]
+        else:
+            rows = pstar(self.rows)
+        return LocalMatrix(self.field, rows, self.shift, self.precision)
 
     def act(self, x):
         """The hermitian action: self x self*."""
@@ -450,36 +309,49 @@ class LocalMatrix:
             return False
         if self.shift != other.shift:
             a, b = self.normalized(), other.normalized()
-            if a.shift != b.shift:
-                return False
-            return a == b
+            return a.shift == b.shift and a == b
+        if self.precision == other.precision:
+            return self.rows == other.rows
+        mod = self.field.p ** min(self.precision, other.precision)
         return all(
-            self.rows[i][j] == other.rows[i][j]
-            for i in range(self.size)
-            for j in range(self.size)
+            (a - c) % mod == 0 and (b - d) % mod == 0
+            for r, s in zip(self.rows, other.rows)
+            for (a, b), (c, d) in zip(r, s)
         )
 
     def __hash__(self):
         return hash((LocalMatrix, self.shift, self.rows))
 
     def normalized(self):
-        """Strip p-divisibility common to all entries into the shift."""
-        m = self
-        while m.shift > 0 and m._all_divisible():
-            m = LocalMatrix(
-                m.field,
-                [[_shift_down(e) for e in row] for row in m.rows],
-                m.shift - 1,
-            )
-        return m
+        """Strip p-divisibility common to all entries into the shift; a
+        residue matrix loses a digit with each division and keeps at least
+        one."""
+        x, p = self, self.field.p
+        while x.shift > 0:
+            m = x.precision
+            if m is None:
+                if any(e.valuation() < 1 for row in x.rows for e in row):
+                    break
+                rows = [
+                    [ExactLocal._make(x.field, e._a, e._b, e._d * p) for e in row]
+                    for row in x.rows
+                ]
+            else:
+                if m < 2 or any(a % p or b % p for row in x.rows for a, b in row):
+                    break
+                rows = [[(a // p, b // p) for a, b in row] for row in x.rows]
+                m -= 1
+            x = LocalMatrix(x.field, rows, x.shift - 1, m)
+        return x
 
-    def _all_divisible(self):
-        """Every entry is p times an entry of the model, and a residue matrix
-        keeps at least one digit after the division."""
-        p, m = self.field.p, self.precision
-        if m is None:
-            return all(e.is_zero() or e.valuation() >= 1 for row in self.rows for e in row)
-        return m >= 2 and all(e.a % p == 0 and e.b % p == 0 for row in self.rows for e in row)
+    def _numerators(self):
+        """(M, c, mod): the entries as int pairs M with self = M / c, and the
+        modulus p^m they are known to, 0 when exact."""
+        p = self.field.p
+        if self.precision is None:
+            den, pairs = _int_pairs(self.rows)
+            return pairs, den * p**self.shift, 0
+        return self.rows, p**self.shift, p**self.precision
 
     def to_residue(self, prec: int):
         """Exact -> residue conversion.  The shift absorbs every negative
@@ -500,20 +372,16 @@ class LocalMatrix:
         return LocalMatrix.from_values(self.field, vals, self.shift + s, prec)
 
     def to_json_dict(self):
-        exact = self.precision is None
-
-        def enc(e):
-            if exact:
-                return [str(e.a), str(e.b)]
-            return [e.a, e.b, e.m]
-
+        m = self.precision
         return {
-            "model": "exact" if exact else "residue",
+            "model": "exact" if m is None else "residue",
             "p": self.field.p,
             "eps": self.field.eps,
             "size": self.size,
             "shift": self.shift,
-            "entries": [[enc(e) for e in row] for row in self.rows],
+            "entries": [
+                [[str(e.a), str(e.b)] if m is None else [*e, m] for e in row] for row in self.rows
+            ],
         }
 
     @staticmethod
@@ -524,34 +392,22 @@ class LocalMatrix:
                 [ExactLocal(field, Fraction(e[0]), Fraction(e[1])) for e in row]
                 for row in d["entries"]
             ]
-        else:
-            m = min(e[2] for row in d["entries"] for e in row)
-            rows = [[ResidueElem(field, m, e[0], e[1]) for e in row] for row in d["entries"]]
-        return LocalMatrix(field, rows, d["shift"])
+            return LocalMatrix(field, rows, d["shift"])
+        m = min(e[2] for row in d["entries"] for e in row)
+        return LocalMatrix(field, [[e[:2] for e in row] for row in d["entries"]], d["shift"], m)
 
     def __repr__(self):
-        body = "; ".join(
-            ", ".join(repr(e) for e in row) for row in self.rows
-        )
+        body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         pre = f"p^-{self.shift} * " if self.shift else ""
-        return f"<{pre}[{body}]>"
+        post = "" if self.precision is None else f" mod {self.field.p}^{self.precision}"
+        return f"<{pre}[{body}]{post}>"
 
 
 def _int_pairs(rows):
-    """(den, pairs): every entry as an int pair (a, b) over the common
-    denominator den, which is 1 for residue entries."""
-    if isinstance(rows[0][0], ResidueElem):
-        return 1, [[(e.a, e.b) for e in row] for row in rows]
+    """(den, pairs): every exact entry as an int pair (a, b) over the common
+    denominator den."""
     den = math.lcm(*(e._d for row in rows for e in row))
     return den, [[(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows]
-
-
-def _shift_down(e):
-    """e / p for an entry divisible by p; a residue entry loses one digit."""
-    p = e.field.p
-    if isinstance(e, ExactLocal):
-        return ExactLocal._make(e.field, e._a, e._b, e._d * p)
-    return ResidueElem(e.field, e.m - 1, e.a // p, e.b // p)
 
 
 def j_matrix(field, size, prec=None):
@@ -559,20 +415,11 @@ def j_matrix(field, size, prec=None):
     return LocalMatrix.from_values(field, vals, 0, prec)
 
 
-def _is_unit(e: ResidueElem) -> bool:
-    """Valuation 0: some component is prime to p."""
-    p = e.field.p
-    return e.a % p != 0 or e.b % p != 0
-
-
 def assert_unitary(g: LocalMatrix):
     """Check g* j g = j at the working precision; internal invariant for every
     generator and sampled element."""
-    j = j_matrix(g.field, g.size, g.precision)
-    lhs = (g.star() @ j) @ g
-    if lhs.shift:
-        lhs = lhs.normalized()
-    if lhs != j:
+    pairs, c, mod = g._numerators()
+    if not pair_unitary(pairs, g.field.eps, c * c, mod):
         raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
 
@@ -600,43 +447,38 @@ def is_member_X(x: LocalMatrix) -> bool:
 
     Once (xj)^2 = I, xj is diagonalizable with eigenvalues +-1, so its
     characteristic polynomial is (t^2-1)^n (t-1) exactly when its trace is 1.
-    Both models decide on the stored entries M = p^s x: M is hermitian,
-    (MJ)^2 = p^(2s) and tr(MJ) = p^s, a residue matrix at its precision."""
-    size = x.size
-    if size % 2 == 0:
+    Both models decide on the numerators M = c x, c = p^s times the common
+    denominator: M is hermitian, M* J M = MJM = c^2 J and tr(MJ) = c, a
+    residue matrix at its precision."""
+    if x.size % 2 == 0:
         return False
-    rows = x.rows
-    if any(rows[i][j] != rows[j][i].conj() for i in range(size) for j in range(size)):
+    m, c, mod = x._numerators()
+    star = pstar(m)
+    if not all(
+        pzero((a - e, b - f), mod) for r, t in zip(m, star) for (a, b), (e, f) in zip(r, t)
+    ):
         return False
-    ps = x.field.p**x.shift
-    mj = LocalMatrix(x.field, [row[::-1] for row in rows])
-    square = (mj @ mj).rows
-    if any(square[i][j] != (ps * ps if i == j else 0) for i in range(size) for j in range(size)):
-        return False
-    return sum(mj.rows[i][i] for i in range(size)) == ps
+    trace = [sum(v) for v in zip(*(row[-1 - i] for i, row in enumerate(m)))]
+    return pair_unitary(m, x.field.eps, c * c, mod) and pzero((trace[0] - c, trace[1]), mod)
 
 
 # -- norm equations ----------------------------------------------------------------
 
 
-def hensel_norm_solve(target: ResidueElem) -> ResidueElem:
-    """Solve N(alpha) = target in the residue ring, at the target's precision,
-    for a unit target of the base ring.  A solution mod p always exists (the
+def hensel_norm_solve(field, t: int, prec: int):
+    """Solve N(alpha) = t mod p^prec for an int t prime to p; alpha comes
+    back as a pair reduced mod p^prec.  A solution mod p always exists (the
     norm is surjective onto units) and lifts by Newton iteration because the
     gradient (2a, -2*eps*b) cannot vanish at a unit."""
-    field, prec = target.field, target.m
     p, eps = field.p, field.eps
     mod = p**prec
-    if not target.is_real():
-        raise ValueError("norm targets live in the base ring")
-    t = target.a
     if t % p == 0:
         raise ValueError("target must be a unit")
 
     a0 = b0 = None
     for a in range(p):
         rem = (a * a - t) % p
-        # need rem == eps * b^2, i.e. rem/eps a square
+        # need rem = eps b^2, i.e. rem/eps a square
         cand = rem * pow(eps, -1, p) % p
         if _legendre(cand, p) in (0, 1):
             a0, b0 = a, _sqrt_mod_p(cand, p)
@@ -644,18 +486,18 @@ def hensel_norm_solve(target: ResidueElem) -> ResidueElem:
     assert a0 is not None, "norm surjectivity violated"
 
     a, b = a0, b0
-    f = (a * a - eps * b * b - t) % mod
+    f = (pnorm((a, b), eps) - t) % mod
     steps = 0
     while f != 0:
         if a % p != 0:
             a = (a - f * pow(2 * a, -1, mod)) % mod
         else:
             b = (b + f * pow(2 * eps * b, -1, mod)) % mod
-        f = (a * a - eps * b * b - t) % mod
+        f = (pnorm((a, b), eps) - t) % mod
         steps += 1
         if steps > 4 * prec:
             raise AssertionError("norm lifting failed to converge")
-    return ResidueElem(field, prec, a, b)
+    return a, b
 
 
 # -- group elements ----------------------------------------------------------------
@@ -792,13 +634,15 @@ def invariant_factors(x: LocalMatrix):
     in increasing valuation.
 
     A residue matrix mod p^m is read through the exact lift of its stored
-    digits, each a + b*u becoming a + b*sqrt(eps).  Matrices congruent mod
+    digits, each pair (a, b) becoming a + b*sqrt(eps).  Matrices congruent mod
     p^m have the same Smith form over the residue ring, whose diagonal
     valuations are min(v_i, m).  So when every invariant of the lift is below
     m, every matrix with these digits shares it; a pivot at valuation m or
     more cannot be certified and raises PrecisionError.
 
     >>> x = x_lambda(LocalField(3), 1, (2,))
+    >>> x.to_residue(5)
+    <p^-2 * [(81, 0), (0, 0), (0, 0); (0, 0), (9, 0), (0, 0); (0, 0), (0, 0), (1, 0)] mod 3^5>
     >>> invariant_factors(x), invariant_factors(x.to_residue(5))
     ([2, 0, -2], [2, 0, -2])
     """
@@ -806,7 +650,7 @@ def invariant_factors(x: LocalMatrix):
     if m is None:
         rows = [list(r) for r in x.rows]
     else:
-        rows = [[ExactLocal._make(x.field, e.a, e.b, 1) for e in r] for r in x.rows]
+        rows = [[ExactLocal._make(x.field, a, b, 1) for a, b in r] for r in x.rows]
     vals = []
     for top in range(n):
         v, bi, bj = min(
@@ -890,30 +734,37 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
         raise ValueError("the constructive reduction is rank-one only")
     x = x.normalized()
     field, m, ell = x.field, x.precision, x.shift
-    pl = field.p**ell
+    p, eps, mod = field.p, field.eps, field.p**m
+    pl = p**ell
     # p^ell (x - J), column by column
-    cols = [[x.rows[t][i] - (pl if t + i == 2 else 0) for t in range(3)] for i in range(3)]
-    i = next((i for i in range(3) if _is_unit(cols[i][i])), None)
+    cols = [
+        [(a - (pl if t + i == 2 else 0), b) for t, (a, b) in enumerate(col)]
+        for i, col in enumerate(zip(*x.rows))
+    ]
+    i = next((i for i in range(3) if pval(cols[i][i], p) == 0), None)
     if i is None:
         raise ValueError("no diagonal entry of p^s (x - J) is a unit; input is not in the space")
-    beta = hensel_norm_solve(cols[i][i].unit_inverse())
-    w0, w1, w2 = (e * beta for e in cols[i])
+    beta = hensel_norm_solve(field, punit_inverse(cols[i][i], eps, mod)[0], m)
+    w0, w1, w2 = (pmul(e, beta, eps) for e in cols[i])
     k = LocalMatrix.identity(field, 3, m)
-    if not _is_unit(w2) and not _is_unit(w0):
+    if pval(w2, p) and pval(w0, p):
         k = LocalMatrix.from_values(field, [[1, -1, Fraction(-1, 2)], [0, 1, 1], [0, 0, 1]], prec=m)
-        w0, w1 = w0 - w1 - w2 * Fraction(1, 2), w1 + w2
-    zero = ResidueElem(field, m, 0)
-    if _is_unit(w2):
-        c0 = [-w2.conj().unit_inverse(), zero, zero]
+        half = pow(2, -1, mod)
+        w0, w1 = [a - b - c * half for a, b, c in zip(w0, w1, w2)], [b + c for b, c in zip(w1, w2)]
+    # c0 carries -conj(w)^-1 = (-a, b)^-1 of a unit end w = (a, b)
+    zero = (0, 0)
+    if pval(w2, p) == 0:
+        c0 = [punit_inverse((-w2[0], w2[1]), eps, mod), zero, zero]
     else:
-        c0 = [zero, zero, -w0.conj().unit_inverse()]
-    c2 = [c * pl - e for c, e in zip(c0, (w0, w1, w2))]
+        c0 = [zero, zero, punit_inverse((-w0[0], w0[1]), eps, mod)]
+    c2 = [(c[0] * pl - e[0], c[1] * pl - e[1]) for c, e in zip(c0, (w0, w1, w2))]
     # c1 = J conj(c0 x c2)
-    c1 = [
-        (c0[(t + 1) % 3] * c2[(t + 2) % 3] - c0[(t + 2) % 3] * c2[(t + 1) % 3]).conj()
-        for t in (2, 1, 0)
-    ]
-    g = LocalMatrix(field, zip(c0, c1, c2))
+    c1 = []
+    for t in (2, 1, 0):
+        a, b = pmul(c0[(t + 1) % 3], c2[(t + 2) % 3], eps)
+        c, d = pmul(c0[(t + 2) % 3], c2[(t + 1) % 3], eps)
+        c1.append(pconj((a - c, b - d)))
+    g = LocalMatrix(field, zip(c0, c1, c2), 0, m)
     J = j_matrix(field, 3, m)
     k = (J @ g.star()) @ J @ k
     assert_unitary(k)

@@ -2,11 +2,12 @@
 
 The measure is the absolutely continuous one with density
 
-    (1/(2^n n!)) * w_n(-1/q) w_m'(-1/q) / (1+1/q)^m' *
+    (W_0(q) / (2^n n!)) *
         prod over positive roots a of |1 - x^a|^2 / |1 - t_a x^a|^2
 
-against the normalized Haar measure of the n-torus (m' is the half-size of
-the space: n + 1 in the odd case, n in the even case).  Pairings of
+against the normalized Haar measure of the n-torus, W_0 being the Poincare
+series of the signed permutations at the parity specialization
+(``whole_group_value``), 2^n n! their order.  Pairings of
 W-invariant Laurent polynomials against it are exact constant terms
 (``pairing_matrix``); the uniform grid remains for the float check of the
 density itself (``total_mass``).
@@ -30,10 +31,9 @@ from .hall_littlewood import (
     q_poly,
     spec_params,
     w_lambda_value,
-    w_poly,
     whole_group_value,
 )
-from .scalars import QF_ZERO, GaussianRational, QFraction, QLaurent
+from .scalars import QF_ZERO, GaussianRational, QFraction
 from .spherical import (
     PhasedScalar,
     SphericalValue,
@@ -75,15 +75,11 @@ class QuadratureGrid:
 
 
 def measure_constant(n: int, parity: str, q0: Fraction) -> Fraction:
-    """The exact front constant of the density."""
-    q = QLaurent.gen()
-    t = -(q**-1)
-    mp = n + 1 if parity == "odd" else n
-    w_n = w_poly(n, t).eval(Fraction(q0)).re
-    w_mp = w_poly(mp, t).eval(Fraction(q0)).re
-    return (
-        Fraction(1, 2**n * math.factorial(n)) * w_n * w_mp / (1 + Fraction(1, q0)) ** mp
-    )
+    """The exact front constant of the density: W_0(q0) / |W|, the Poincare
+    series of the signed permutations at the parity specialization over
+    their order 2^n n!."""
+    w0 = whole_group_value(n, parity).eval(Fraction(q0)).re
+    return w0 / (2**n * math.factorial(n))
 
 
 def _root_factor(w, t: float):

@@ -1,11 +1,14 @@
 """Residue-ring kernels of the p-adic laboratory, on Python ints.
 
 The local field is an odd prime p with the unramified quadratic extension by
-sqrt(eps).  Everything here counts or samples in the residue rings mod p^m
-without the matrix layer of ``padic``: the norm-class counts, the cell counts
-of the integral unitary 3x3 group mod p, built entry by entry on pairs of
-ints, and the rank-one Monte-Carlo of the defining integral with its closed
-form.
+sqrt(eps).  Arithmetic in its ring of integers O_E = Z_p[sqrt(eps)] is one
+kernel on int pairs (a, b) = a + b*sqrt(eps): product, conjugate, norm, unit
+inverse mod p^m, valuation, matrix product and star, and the one unitarity
+check g* J g = c J, mod p^m or exactly.  Both models of ``padic`` run on it.
+Everything else here counts or samples in the residue rings mod p^m without
+the matrix layer of ``padic``: the norm-class counts, the cell counts of the
+integral unitary 3x3 group mod p, and the rank-one Monte-Carlo of the
+defining integral with its closed form.
 
 The Monte-Carlo draws rows, not matrices.  At rank one the integrand reads
 only the bottom row of k, a primitive isotropic row; Haar measure on K pushes
@@ -160,69 +163,120 @@ def norm_residual(p: int, xi: int, R: int) -> Fraction:
     return Fraction(_norm_hits(eps, P, [xi]), P * P)
 
 
+# -- the pair kernel: O_E = Z_p[sqrt(eps)] on pairs of ints -----------------------
+
+# An element a + b*sqrt(eps) is the pair (a, b), and a matrix over O_E is a
+# list of rows of pairs.  The product and the norm are returned unreduced, so
+# the exact model uses them on numerators and the residue model reduces them
+# mod p^m where it needs to; a modulus of 0 below means "exactly".
+
+
+def pmul(x, y, eps: int):
+    """The product of two pairs, unreduced."""
+    a, b = x
+    c, d = y
+    return a * c + eps * b * d, a * d + b * c
+
+
+def pconj(x):
+    return x[0], -x[1]
+
+
+def pnorm(x, eps: int) -> int:
+    """N(a + b*sqrt(eps)) = a^2 - eps b^2, unreduced."""
+    a, b = x
+    return a * a - eps * b * b
+
+
+def punit_inverse(x, eps: int, mod: int):
+    """The inverse of a unit mod `mod`, reduced: conj(x) / N(x)."""
+    ninv = pow(pnorm(x, eps) % mod, -1, mod)
+    return x[0] * ninv % mod, -x[1] * ninv % mod
+
+
+def pval(x, p: int) -> float:
+    """min(v(a), v(b)), +inf for (0, 0).  Read off a pair reduced mod p^m,
+    a value of m or more (zero included) is not certified."""
+    g = math.gcd(*x)
+    return _vp_int(g, p) if g else math.inf
+
+
+def pmatmul(x, y, eps: int):
+    """The product of two pair matrices, unreduced."""
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        out.append([])
+        for col in cols:
+            re = im = 0
+            for e, f in zip(row, col):
+                a, b = pmul(e, f, eps)
+                re += a
+                im += b
+            out[-1].append((re, im))
+    return out
+
+
+def pstar(g):
+    """The conjugate transpose of a pair matrix, unreduced."""
+    return [[pconj(e) for e in col] for col in zip(*g)]
+
+
+def pzero(x, mod: int = 0) -> bool:
+    """Whether the pair x is 0 mod `mod`, or exactly when mod is 0."""
+    return not (x[0] % mod or x[1] % mod) if mod else not (x[0] or x[1])
+
+
+def pair_unitary(g, eps: int, c: int = 1, mod: int = 0) -> bool:
+    """Whether g* J g = c J for a square pair matrix g of any size, J the
+    antidiagonal form: mod `mod`, or exactly when mod is 0.
+
+    g* J g is hermitian, so its entries on and above the diagonal decide."""
+    n = len(g)
+    h = pmatmul(pstar(g), g[::-1], eps)
+    for k in range(n):
+        for l in range(k, n):
+            re, im = h[k][l]
+            if not pzero((re - (c if k + l == n - 1 else 0), im), mod):
+                return False
+    return True
+
+
 # -- the cells of the rank-one maximal compact ---------------------------------------
 
-# The residue kernel: a 3x3 matrix over the residue ring mod `mod` is the
-# tuple of its nine entries in row order, each a pair (re, im) of ints standing
-# for re + im*sqrt(eps).  The cell counts build their matrices mod p as
-# g = D N, D diagonal and N written out in closed form, and check them unitary.
-
-
-def _pmul(x, y, eps: int, mod: int):
-    """The product of two residues (re, im), reduced."""
-    return (x[0] * y[0] + eps * x[1] * y[1]) % mod, (x[0] * y[1] + x[1] * y[0]) % mod
-
-
-def _assert_unitary_entries(g, eps: int, mod: int):
-    """assert_unitary for nine entries in row order: g* j g = j mod `mod`.
-
-    g* j g is hermitian, so its entries on and above the diagonal decide."""
-    cols = (g[0::3], g[1::3], g[2::3])
-    for k in range(3):
-        (a0, b0), (a1, b1), (a2, b2) = cols[k]
-        for l in range(k, 3):
-            # (g* j g)_kl, the sum over i of conj(g_ik) g_(2-i)l
-            (c0, d0), (c1, d1), (c2, d2) = cols[l]
-            re = a0 * c2 + a1 * c1 + a2 * c0 - eps * (b0 * d2 + b1 * d1 + b2 * d0)
-            im = a0 * d2 + a1 * d1 + a2 * d0 - b0 * c2 - b1 * c1 - b2 * c0
-            if re % mod != (k + l == 2) or im % mod:
-                raise AssertionError("constructed element is not unitary for the antidiagonal form")
+# The cell counts build 3x3 matrices mod p as g = D N, D diagonal and N
+# written out in closed form, and check them unitary.
 
 
 def _diag_units(alpha, w, eps: int, mod: int):
-    """conj(alpha)^-1 and u = w / conj(w), the units on the diagonal factor;
-    for a unit z, conj(z)^-1 = z / N(z)."""
-    ainv = pow((alpha[0] ** 2 - eps * alpha[1] ** 2) % mod, -1, mod)
-    winv = pow((w[0] ** 2 - eps * w[1] ** 2) % mod, -1, mod)
-    return (
-        (alpha[0] * ainv % mod, alpha[1] * ainv % mod),
-        ((w[0] ** 2 + eps * w[1] ** 2) * winv % mod, 2 * w[0] * w[1] * winv % mod),
-    )
+    """conj(alpha)^-1 and u = w / conj(w), the units on the diagonal factor."""
+    re, im = pmul(w, punit_inverse(pconj(w), eps, mod), eps)
+    return punit_inverse(pconj(alpha), eps, mod), (re % mod, im % mod)
 
 
 def _cell_factor(d, f0, b, c0, big_cell, eps: int, mod: int):
-    """N of g = D N, D = diag(alpha, u, conj(alpha)^-1), written out in row
-    order, entries not all reduced.  With f = (-N(d)/2, f0), c = (-N(b)/2, c0)
-    it is [[1, -d*, f], [0, 1, d], [0, 0, 1]] [[0, 0, 1], [0, 1, -b*], [1, b, c]]
+    """N of g = D N, D = diag(alpha, u, conj(alpha)^-1), as three rows,
+    entries not all reduced.  With f = (-N(d)/2, f0), c = (-N(b)/2, c0) it is
+    [[1, -d*, f], [0, 1, d], [0, 0, 1]] [[0, 0, 1], [0, 1, -b*], [1, b, c]]
     in the big cell, [[1, 0, 0], [b, 1, 0], [c, -b*, 1]] [[1, d, f],
     [0, 1, -d*], [0, 0, 1]] in the small cell."""
     half = -pow(2, -1, mod) % mod
-    f = ((d[0] * d[0] - eps * d[1] * d[1]) * half % mod, f0)
-    c = ((b[0] * b[0] - eps * b[1] * b[1]) * half % mod, c0)
-    db = _pmul(d, b, eps, mod)
+    f = (pnorm(d, eps) * half % mod, f0)
+    c = (pnorm(b, eps) * half % mod, c0)
+    db = pmul(d, b, eps)
     one = (1, 0)
     if big_cell:
-        fb, fc, dc = _pmul(f, b, eps, mod), _pmul(f, c, eps, mod), _pmul(d, c, eps, mod)
+        fb, fc, dc = pmul(f, b, eps), pmul(f, c, eps), pmul(d, c, eps)
         return (
-            f, (fb[0] - d[0], fb[1] + d[1]), (1 + db[0] + fc[0], fc[1] - db[1]),
-            d, (1 + db[0], db[1]), (dc[0] - b[0], dc[1] + b[1]),
-            one, b, c,
+            (f, (fb[0] - d[0], fb[1] + d[1]), (1 + db[0] + fc[0], fc[1] - db[1])),
+            (d, (1 + db[0], db[1]), (dc[0] - b[0], dc[1] + b[1])),
+            (one, b, c),
         )
-    bf, cd, cf = _pmul(b, f, eps, mod), _pmul(c, d, eps, mod), _pmul(c, f, eps, mod)
+    bf, cd, cf = pmul(b, f, eps), pmul(c, d, eps), pmul(c, f, eps)
     return (
-        one, d, f,
-        b, (1 + db[0], db[1]), (bf[0] - d[0], bf[1] + d[1]),
-        c, (cd[0] - b[0], cd[1] + b[1]), (1 + cf[0] + db[0], cf[1] - db[1]),
+        (one, d, f),
+        (b, (1 + db[0], db[1]), (bf[0] - d[0], bf[1] + d[1])),
+        (c, (cd[0] - b[0], cd[1] + b[1]), (1 + cf[0] + db[0], cf[1] - db[1])),
     )
 
 
@@ -250,8 +304,13 @@ def k1_cell_counts(p: int):
             ainv, u = _diag_units(alpha, w, eps, p)
             diags.add((alpha, u, ainv))
     zero = (0, 0)
+
+    def check(g):
+        if not pair_unitary(g, eps, 1, p):
+            raise AssertionError("constructed element is not unitary for the antidiagonal form")
+
     for alpha, u, ainv in diags:
-        _assert_unitary_entries((alpha, zero, zero, zero, u, zero, zero, zero, ainv), eps, p)
+        check(((alpha, zero, zero), (zero, u, zero), (zero, zero, ainv)))
     # the entries of D that multiply row r of N
     scalars = [{diag[r] for diag in diags} for r in range(3)]
 
@@ -259,18 +318,16 @@ def k1_cell_counts(p: int):
         # s times a row of N, its six digits mod p as one int below p^6
         key = 0
         for e in reversed(row):
-            re, im = _pmul(s, e, eps, p)
-            key = (key * p + im) * p + re
+            re, im = pmul(s, e, eps)
+            key = (key * p + im % p) * p + re % p
         return key
 
     def keys(cells):
         out = set()
         for d, f0, b, c0, big_cell in cells:
             n = _cell_factor(d, f0, b, c0, big_cell, eps, p)
-            _assert_unitary_entries(n, eps, p)
-            k0, k1, k2 = (
-                {s: row_key(s, n[3 * r : 3 * r + 3]) for s in scalars[r]} for r in range(3)
-            )
+            check(n)
+            k0, k1, k2 = ({s: row_key(s, n[r]) for s in scalars[r]} for r in range(3))
             out.update(k0[a] + (k1[u] + k2[i] * p**6) * p**6 for a, u, i in diags)
         return out
 
@@ -304,7 +361,7 @@ def _isotropic_row(k: int, p: int, eps: int, mod: int):
         b0, b1 = divmod(b, low)
         b0, b1, c0 = p * b0, p * b1, p * c0
     # -N(b)/2, (mod + 1) // 2 being the inverse of 2
-    c = ((eps * b1 * b1 - b0 * b0) * ((mod + 1) // 2) % mod, c0)
+    c = (-pnorm((b0, b1), eps) * ((mod + 1) // 2) % mod, c0)
     if k < big:
         return (1, 0), (b0, b1), c
     return c, (-b0 % mod, b1), (1, 0)
@@ -313,10 +370,10 @@ def _isotropic_row(k: int, p: int, eps: int, mod: int):
 def _assert_isotropic_row(r, p: int, eps: int, mod: int):
     """Refuse a row that is not primitive or not isotropic mod `mod`:
     Tr(r0 conj(r2)) + N(r1) must vanish and some digit must be a unit."""
-    (a0, b0), (a1, b1), (a2, b2) = r
-    if (2 * (a0 * a2 - eps * b0 * b2) + a1 * a1 - eps * b1 * b1) % mod:
+    r0, r1, r2 = r
+    if (2 * pmul(r0, pconj(r2), eps)[0] + pnorm(r1, eps)) % mod:
         raise AssertionError("drawn row is not isotropic")
-    if not (a0 % p or b0 % p or a1 % p or b1 % p or a2 % p or b2 % p):
+    if all(pval(e, p) for e in r):
         raise AssertionError("drawn row is not primitive")
 
 
@@ -358,9 +415,8 @@ def _mc_valuation_histogram(p: int, ell: int, samples: int, prec: int, seed):
         row = _isotropic_row(rng.randrange(total), p, eps, mod)
         _assert_isotropic_row(row, p, eps, mod)
         i += 1
-        (a0, b0), (a1, b1), (a2, b2) = row
-        w = (w2 * (a0 * a0 - eps * b0 * b0) + w1 * (a1 * a1 - eps * b1 * b1)
-             + a2 * a2 - eps * b2 * b2) % mod
+        r0, r1, r2 = row
+        w = (w2 * pnorm(r0, eps) + w1 * pnorm(r1, eps) + pnorm(r2, eps)) % mod
         # valuations from prec - 1 up (zero included) are not certified
         if w % uncertified == 0:
             saturated += 1

@@ -150,9 +150,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     # -- misc -----------------------------------------------------------
     def __eq__(self, other):
         o = self._coerce(other)

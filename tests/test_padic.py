@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 
 from hermlab import padic
-from hermlab.errors import PrecisionError, ResourceLimit
+from hermlab.errors import InexactDivision, PrecisionError, ResourceLimit
 from hermlab.padic import (
     ExactLocal,
     LocalMatrix,
-    ResidueElem,
     assert_unitary,
     classify_g_orbit,
     classify_k_orbit,
@@ -28,17 +27,24 @@ from hermlab.residue import (
     ENUMERATION_BOUND,
     LocalField,
     _assert_isotropic_row,
-    _assert_unitary_entries,
     _cell_factor,
     _diag_units,
     _isotropic_row,
     _mc_valuation_histogram,
-    _pmul,
     k1_cell_counts,
     monte_carlo_omega1,
     norm_count,
     norm_residual,
     omega_n1_closed,
+    pair_unitary,
+    pconj,
+    pmatmul,
+    pmul,
+    pnorm,
+    pstar,
+    punit_inverse,
+    pval,
+    pzero,
     smallest_nonresidue,
 )
 from hermlab.scalars import QFraction, QLaurent
@@ -240,7 +246,7 @@ def test_exact_matrices_match_reference():
                     shift, digits = ref_to_residue(ref, field, prec)
                     r = prod.to_residue(prec)
                     assert r.shift == shift and r.precision == prec
-                    assert [[(e.a, e.b) for e in row] for row in r.rows] == digits
+                    assert [list(row) for row in r.rows] == digits
 
 
 # -- scalar models ----------------------------------------------------------------
@@ -280,16 +286,65 @@ def test_exact_valuation():
     assert ExactLocal(F3, 0).valuation() == math.inf
 
 
-def test_residue_arithmetic_and_precision():
-    a = ResidueElem(F3, 6, 5, 1)
-    b = ResidueElem(F3, 4, 2, 7)
-    assert (a * b).m == 4  # precision caps at the weaker operand
-    assert (a + b).m == 4
-    u = a.unit_inverse()
-    assert (a * u) == ResidueElem(F3, 6, 1)
-    assert ResidueElem(F3, 6, 9).val() == 2
-    with pytest.raises(PrecisionError):
-        ResidueElem(F3, 3, 27).val()  # reads 0 mod 27: could hide deeper divisibility
+# -- the pair kernel, against the Fraction reference reduced mod p^m ----------------
+
+
+def _ref_mod(x, mod):
+    """A RefExactLocal with unit denominators as a pair reduced mod `mod`."""
+    return tuple(v.numerator * pow(v.denominator, -1, mod) % mod for v in (x.a, x.b))
+
+
+def _reduced(x, mod):
+    return tuple(v % mod for v in x)
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["p3", "p5"])
+@pytest.mark.parametrize("m", [1, 8, 30])
+def test_pair_kernel_matches_reference(field, m):
+    # at m = 30 the pairs reach p^60, past int64
+    p, eps, mod = field.p, field.eps, field.p**m
+    rng = random.Random(f"kernel:{p}:{m}")
+
+    def draw():
+        x = RefExactLocal(field, rng.randrange(mod), rng.randrange(mod))
+        return x, (int(x.a), int(x.b))
+
+    for _ in range(200):
+        (rx, x), (ry, y) = draw(), draw()
+        assert _reduced(pmul(x, y, eps), mod) == _ref_mod(rx * ry, mod)
+        assert _reduced(pconj(x), mod) == _ref_mod(rx.conj(), mod)
+        assert pnorm(x, eps) % mod == rx.norm() % mod
+        assert pzero(pmul(x, y, eps), mod) == (_ref_mod(rx * ry, mod) == (0, 0))
+        assert pval(x, p) == rx.valuation()
+        if rx.valuation() == 0:
+            inv = punit_inverse(x, eps, mod)
+            assert inv == _ref_mod(rx.inverse(), mod)
+            assert _reduced(pmul(x, inv, eps), mod) == (1, 0)
+    for size in (1, 3, 5):
+        cells = [[[draw() for _ in range(size)] for _ in range(size)] for _ in range(2)]
+        (rg, g), (rh, h) = ([[[e[k] for e in row] for row in c] for k in (0, 1)] for c in cells)
+        ref = [
+            [sum((rg[i][t] * rh[t][j] for t in range(size)), RefExactLocal(field, 0))
+             for j in range(size)]
+            for i in range(size)
+        ]
+        got = pmatmul(g, h, eps)
+        assert [[_reduced(e, mod) for e in row] for row in got] == [
+            [_ref_mod(e, mod) for e in row] for row in ref
+        ]
+        assert [[_reduced(e, mod) for e in row] for row in pstar(g)] == [
+            [_ref_mod(rg[j][i].conj(), mod) for j in range(size)] for i in range(size)
+        ]
+
+
+def test_pair_kernel_is_exact_without_a_modulus():
+    x, y = (5, -7), (-3, 11)
+    assert pmul(x, y, 2) == (5 * -3 + 2 * -7 * 11, 5 * 11 + -7 * -3)
+    assert pnorm(x, 2) == 25 - 2 * 49 and pconj(x) == (5, 7)
+    assert pval((0, 0), 3) == math.inf and pval((9, -27), 3) == 2 and pval((2, 0), 3) == 0
+    assert pzero((0, 0)) and not pzero((9, 0)) and pzero((9, 0), 9)
+    j = [[(0, 0), (1, 0)], [(1, 0), (0, 0)]]
+    assert pair_unitary(j, 2) and not pair_unitary(j, 2, c=4) and pair_unitary(j, 2, 4, 3)
 
 
 def test_norm_counts_frozen():
@@ -374,24 +429,14 @@ def test_hensel_norm_solve():
             t = rng.randrange(1, p**4)
             if t % p == 0:
                 t += 1
-            alpha = hensel_norm_solve(ResidueElem(field, 6, t))
-            assert alpha.m == 6
-            assert alpha.norm() == ResidueElem(field, 6, t)
-    # a target read from a Fraction with unit denominator
-    target = ResidueElem(F3, 8, Fraction(5, 7))
-    assert hensel_norm_solve(target).norm() == target
+            a, b = hensel_norm_solve(field, t, 6)
+            assert 0 <= a < p**6 and 0 <= b < p**6
+            assert pnorm((a, b), field.eps) % p**6 == t
 
 
-@pytest.mark.parametrize(
-    "target, message",
-    [
-        (ResidueElem(F3, 4, 3), "target must be a unit"),
-        (ResidueElem(F3, 4, 1, 1), "norm targets live in the base ring"),
-    ],
-)
-def test_hensel_norm_solve_refuses(target, message):
-    with pytest.raises(ValueError, match=message):
-        hensel_norm_solve(target)
+def test_hensel_norm_solve_refuses_a_non_unit():
+    with pytest.raises(ValueError, match="target must be a unit"):
+        hensel_norm_solve(F3, 3, 4)
 
 
 # -- matrices ---------------------------------------------------------------------
@@ -437,22 +482,14 @@ def test_exact_matrix_normalization():
     assert y == x
 
 
-def test_matmul_keeps_one_precision():
-    # an entry known only mod 3^2 brings the whole matrix down to 2 digits,
-    # and so every entry of a product with it
-    a = LocalMatrix.from_values(
-        F3, [[ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)],
-             [ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)]])
-    b = LocalMatrix.from_values(
-        F3, [[ResidueElem(F3, 9, 1), ResidueElem(F3, 9, 0)],
-             [ResidueElem(F3, 9, 0), ResidueElem(F3, 9, 1)]])
-    assert a.precision == 2 and b.precision == 9
-    for mat in (a, a @ b, b @ a):
-        assert [[e.m for e in row] for row in mat.rows] == [[2, 2], [2, 2]]
-    assert a @ b == a
-    with pytest.raises(ValueError, match="mixed precisions"):
-        LocalMatrix(F3, [[ResidueElem(F3, 9, 1), ResidueElem(F3, 2, 0)],
-                         [ResidueElem(F3, 2, 0), ResidueElem(F3, 9, 1)]])
+def test_matmul_keeps_the_lesser_precision():
+    # a product with a matrix known mod 3^2 is known mod 3^2, reduced there
+    a = LocalMatrix.from_values(F3, [[0, 10], [10, 0]], prec=2)
+    b = LocalMatrix.identity(F3, 2, prec=9)
+    assert a.precision == 2 and b.precision == 9 and a.rows[0][1] == (1, 0)
+    for mat in (a @ b, b @ a):
+        assert mat.precision == 2 and mat.rows == a.rows
+    assert a @ b == a == LocalMatrix.from_values(F3, [[0, 1], [1, 0]], prec=9)
 
 
 def test_matrix_json_roundtrip():
@@ -472,24 +509,19 @@ def test_prec_alone_selects_the_residue_model():
     assert j_matrix(F3, 3, prec=6).precision == 6
 
 
-def test_from_values_takes_a_carried_precision():
-    x = LocalMatrix.from_values(
-        F3, [[ResidueElem(F3, 7, 2), 0], [Fraction(1, 2), ResidueElem(F3, 5, 1)]]
-    )
-    assert x.precision == 5
-    assert [[e.m for e in row] for row in x.rows] == [[5, 5], [5, 5]]
-    assert x.rows[1][0] * 2 == 1
-    # a given prec above the carried one cannot add digits
-    y = LocalMatrix.from_values(F3, [[ResidueElem(F3, 3, 2)]], prec=6)
-    assert y.precision == 3
-
-
 def test_json_residue_entries_share_the_least_precision():
     d = x_lambda(F3, 1, (1,)).to_residue(6).to_json_dict()
     d["entries"][1][1][2] = 4
+    d["entries"][0][0][0] += 3**5
     x = LocalMatrix.from_json_dict(d)
     assert x.precision == 4
-    assert {e.m for row in x.rows for e in row} == {4}
+    assert x.to_json_dict()["entries"][0][0] == [9, 0, 4]
+    assert all(e[2] == 4 for row in x.to_json_dict()["entries"] for e in row)
+
+
+def test_from_values_refuses_a_denominator_divisible_by_p():
+    with pytest.raises(InexactDivision, match="negative valuation"):
+        LocalMatrix.from_values(F3, [[Fraction(1, 3)]], prec=4)
 
 
 def test_matmul_refuses_mixed_models_and_sizes():
@@ -511,9 +543,8 @@ def ref_x_lambda_residue(field, lam, prec):
     s = lam[0] if lam else 0
     ent = [p ** (l + s) for l in lam] + [p**s] + [p ** (s - l) for l in reversed(lam)]
     size = len(ent)
-    rows = [[ResidueElem(field, prec, ent[i] if i == j else 0) for j in range(size)]
-            for i in range(size)]
-    return LocalMatrix(field, rows, s)
+    rows = [[(ent[i] % p**prec if i == j else 0, 0) for j in range(size)] for i in range(size)]
+    return LocalMatrix(field, rows, s, prec)
 
 
 def test_x_lambda_residue_matches_hand_construction():
@@ -726,7 +757,7 @@ def test_row_index_is_a_bijection_onto_row_classes(p, m):
         _assert_isotropic_row(r, p, eps, mod)
     units = [(a, b) for a in range(mod) for b in range(mod) if a % p or b % p]
     # a class is the set of unit multiples of a row; its least member names it
-    classes = {min(tuple(_pmul(u, e, eps, mod) for e in r) for u in units) for r in rows}
+    classes = {min(tuple(_ref_pmul(u, e, eps, mod) for e in r) for u in units) for r in rows}
     count, unit_count = _brute_force_counts(p, m)
     assert unit_count == len(units) == (p * p - 1) * p ** (2 * (m - 1))
     assert count == (p**3 + 1) * (p * p - 1) * p ** (5 * (m - 1))
@@ -804,18 +835,24 @@ def test_mc_histogram_refuses_a_bad_row(monkeypatch):
             _mc_valuation_histogram(3, 1, 40, 6, f"bad-row:{message}")
 
 
-def test_pair_unitarity_check_rejects_corruption():
-    mod = 3**6
-    for big_cell in (True, False):
-        n = _cell_factor((5, 7), 11, (4, 2), 13, big_cell, F3.eps, mod)
-        g = [(a % mod, b % mod) for a, b in n]
-        _assert_unitary_entries(g, F3.eps, mod)
-        for k in range(9):
+def test_pair_unitarity_check_rejects_a_corrupted_digit():
+    # a cell factor N of k1_cell_counts and a 5x5 residue element of random_k
+    eps, mod = F3.eps, 3**6
+    elements = [
+        [[_reduced(e, mod) for e in row] for row in _cell_factor((5, 7), 11, (4, 2), 13, big, eps, mod)]
+        for big in (True, False)
+    ]
+    k = random_k(F3, 2, seed=9).to_residue(6)
+    assert k.shift == 0
+    elements.append(k.rows)
+    for g in elements:
+        size = len(g)
+        assert pair_unitary(g, eps, 1, mod)
+        for k in range(size * size):
             for part in (0, 1):
-                bad = [list(e) for e in g]
-                bad[k][part] = (bad[k][part] + 1) % mod
-                with pytest.raises(AssertionError):
-                    _assert_unitary_entries(bad, F3.eps, mod)
+                bad = [[list(e) for e in row] for row in g]
+                bad[k // size][k % size][part] = (bad[k // size][k % size][part] + 1) % mod
+                assert not pair_unitary(bad, eps, 1, mod)
 
 
 # 27 * 27 factors N in the big cell of k1_cell_counts(3), 27 in the small one
@@ -835,7 +872,7 @@ def test_cell_counts_check_every_cell_factor(monkeypatch, big_cell, index):
         if big == big_cell:
             seen.append(n)
             if len(seen) == index + 1:
-                return tuple(_pmul((1, 1), e, eps, mod) for e in n)
+                return tuple(tuple(_ref_pmul((1, 1), e, eps, mod) for e in row) for row in n)
         return n
 
     monkeypatch.setattr(residue, "_cell_factor", corrupted)
@@ -975,7 +1012,12 @@ def kernel_element(row, eps, mod):
     row r of _cell_factor's N times the r-th diagonal entry of D."""
     diag = (row[0:2], row[2:4], row[4:6])
     n = _cell_factor(row[6:8], row[8], row[9:11], row[11], bool(row[12]), eps, mod)
-    return tuple(_pmul(diag[k // 3], e, eps, mod) for k, e in enumerate(n))
+    return tuple(_ref_pmul(diag[r], e, eps, mod) for r, n_row in enumerate(n) for e in n_row)
+
+
+def _rows(g):
+    """Nine entries in row order as three rows."""
+    return [g[0:3], g[3:6], g[6:9]]
 
 
 def test_kernel_matches_stack_reference_on_random_rows():
@@ -983,7 +1025,7 @@ def test_kernel_matches_stack_reference_on_random_rows():
     rows = [kernel_row(random.Random(f"row:{i}"), p, 8)[0] for i in range(2000)]
     got = [kernel_element(row, eps, mod) for row in rows]
     for g in got:
-        _assert_unitary_entries(g, eps, mod)
+        assert pair_unitary(_rows(g), eps, 1, mod)
     assert got == ref_entries(rows, eps, mod)
     assert sum(not row[-1] for row in rows) >= 30  # the small cell is covered
 
@@ -1063,11 +1105,11 @@ def test_kernel_matches_pair_reference_past_int64():
             row, w = kernel_row(random.Random(f"wide:{prec}:{i}"), 3, prec)
             small += not row[-1]
             g = kernel_element(row, F3.eps, mod)
-            _assert_unitary_entries(g, F3.eps, mod)
+            assert pair_unitary(_rows(g), F3.eps, 1, mod)
             want = ref_group_element(
                 F3, prec, row[0:2], w, row[6:8], row[8], bool(row[12]), row[9:11], row[11]
             )
-            assert [list(g[3 * r : 3 * r + 3]) for r in range(3)] == want
+            assert [list(r) for r in _rows(g)] == want
         assert small >= 3
 
 
@@ -1087,7 +1129,7 @@ def ref_row_parameters(index, p, prec):
 def ref_mc_valuation_histogram(p, ell, samples, prec, seed):
     """The Monte-Carlo on the bottom row of the reference group element with
     alpha = w = 1 and d = f0 = 0, whose cell parameters one row-class index
-    gives; valuations read with ResidueElem.val()."""
+    gives; valuations read with the reference's own."""
     if prec < 2:
         raise PrecisionError("sampling needs at least two digits", required=2)
     field = LocalField(p)
@@ -1103,13 +1145,10 @@ def ref_mc_valuation_histogram(p, ell, samples, prec, seed):
         big_cell, b, c0 = ref_row_parameters(rng.randrange(classes), p, prec)
         g = ref_group_element(field, prec, (1, 0), (1, 0), (0, 0), 0, big_cell, b, c0)
         i += 1
-        bottom = [ResidueElem(field, prec, x, y) for x, y in g[2]]
+        bottom = [RefExactLocal(field, x, y) for x, y in g[2]]
         w = bottom[0].norm() * p ** (2 * ell) + bottom[1].norm() * p**ell + bottom[2].norm()
-        try:
-            v_raw = w.val()
-        except PrecisionError:
-            saturated += 1
-            continue
+        # 0 mod p^prec has no certified valuation
+        v_raw = RefExactLocal(field, w % p**prec).valuation()
         if v_raw > prec - 2:
             saturated += 1
             continue
@@ -1301,7 +1340,7 @@ def test_diagonalize_needs_no_precision_retry(field):
 def test_diagonalize_certifies_the_norm_equation(monkeypatch):
     # with the norm equation answered wrongly, h(w, w) misses -2 p^ell and
     # the reduction must refuse rather than return a non-unitary k
-    monkeypatch.setattr(padic, "hensel_norm_solve", lambda target: 1)
+    monkeypatch.setattr(padic, "hensel_norm_solve", lambda field, t, prec: (1, 0))
     for trial in range(10):
         x = random_k(F3, 1, seed=f"mutant:{trial}").act(x_lambda(F3, 1, (1,)))
         with pytest.raises(AssertionError):

@@ -24,7 +24,7 @@ from hermlab.plancherel import (
     transform_ch,
     volume,
 )
-from hermlab.scalars import QFraction
+from hermlab.scalars import QFraction, QLaurent
 from hermlab.spherical import SphericalValue, omega_explicit, phase_power, psi
 from hermlab.torus import FactoredRational, TorusPoly
 from hermlab.hall_littlewood import (
@@ -32,6 +32,7 @@ from hermlab.hall_littlewood import (
     q_poly,
     spec_params,
     w_lambda_value,
+    w_poly,
     whole_group_value,
 )
 from hermlab.weyl import long_positive_roots, short_positive_roots
@@ -83,6 +84,23 @@ def test_measure_density_frozen_point():
 def test_measure_constant_rank1():
     # (1/2) * w1 w2 / (1+1/q)^2 at q=3: (1/2)(4/3)(32/27)/(16/9) = 4/9
     assert measure_constant(1, "odd", Fraction(3)) == Fraction(4, 9)
+
+
+def ref_measure_constant(n, parity, q0):
+    """The front constant as a product: w_n(-1/q0) w_m'(-1/q0) / (1 + 1/q0)^m'
+    / (2^n n!), with m' = n + 1 in the odd case and n in the even case."""
+    t = -(QLaurent.gen() ** -1)
+    mp = n + 1 if parity == "odd" else n
+    w_n = w_poly(n, t).eval(Fraction(q0)).re
+    w_mp = w_poly(mp, t).eval(Fraction(q0)).re
+    return Fraction(1, 2**n * math.factorial(n)) * w_n * w_mp / (1 + Fraction(1, q0)) ** mp
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_measure_constant_matches_the_product_formula(n):
+    for parity in ("odd", "even"):
+        for q0 in (Fraction(3), Fraction(5), Fraction(7, 2)):
+            assert measure_constant(n, parity, q0) == ref_measure_constant(n, parity, q0)
 
 
 def test_total_mass_is_one():
