@@ -373,7 +373,7 @@ def _assert_isotropic_row(r, p: int, eps: int, mod: int):
     r0, r1, r2 = r
     if (2 * pmul(r0, pconj(r2), eps)[0] + pnorm(r1, eps)) % mod:
         raise AssertionError("drawn row is not isotropic")
-    if all(pval(e, p) for e in r):
+    if math.gcd(*r0, *r1, *r2) % p == 0:
         raise AssertionError("drawn row is not primitive")
 
 
