@@ -1,18 +1,18 @@
 """Finite-precision laboratory over a p-adic field with a quadratic extension.
 
-Two number models coexist.  Exact elements of Q(sqrt(eps)) are carried as
-two int numerators over one int denominator (``ExactLocal``).  A residue
-matrix holds its entries as int pairs (a, b), standing for a + b*sqrt(eps)
-mod p^m, all at the one precision m of the matrix.  Both models compute on
-the pair kernel of ``residue`` (product, conjugate, norm, unit inverse,
-valuation, matrix product and star, and one unitarity check): the exact
-model on numerators over a common denominator, the residue model on its
-stored pairs, reduced mod p^m.  Membership is decided in both models, a
-residue matrix at its precision.  Orbit classification eliminates exact
-entries only: a residue matrix is read through the exact lift of its stored
-digits, which is certified when every invariant of the lift is below m,
-because matrices congruent mod p^m share their Smith form over the residue
-ring, whose valuations are min(v_i, m).  The residue model carries the
+A matrix over Q(sqrt(eps)) is stored one way in both number models: int
+pairs (a, b), standing for a + b*sqrt(eps), over one positive int scale c.
+The models differ only in their modulus.  Exact matrices keep the pairs and
+c in lowest terms; a residue matrix keeps c = p^shift and its pairs reduced
+mod p^m, all at the one precision m of the matrix.  So products, stars,
+equality, membership and the unitarity check run once for both models on
+the pair kernel of ``residue``, a residue matrix decided at its precision.
+``ExactLocal`` is the exact scalar: the constructors build entries from it
+and the orbit elimination divides with it.  Orbit classification
+eliminates the exact lift of the stored digits, which for a residue matrix
+is certified when every invariant of the lift is below m, because
+matrices congruent mod p^m share their Smith form over the residue ring,
+whose valuations are min(v_i, m).  The residue model carries the
 constructive rank-one reduction: it must solve a norm equation N(b) = t,
 which has solutions in every residue ring but usually none in
 Q(sqrt(eps)).  The reduction reads the reflection vector of x off
@@ -24,9 +24,8 @@ live in ``residue``.
 
 The constructors build exact matrices unless given prec=, which asks for
 the residue model mod p^prec; a precision below 1 raises PrecisionError.
-Matrices remember a global power of p pulled out of all entries ("shift"),
-so entry arithmetic stays integral even for matrices like
-diag(p^l, 1, p^-l).
+The power of p in the scale is the "shift" of a matrix, so a residue matrix
+like diag(p^l, 1, p^-l) keeps integral digits.
 
 Throughout, the hermitian conjugate of a matrix is written star(), the fixed
 antidiagonal involution is j_matrix(), and the group action on hermitian
@@ -62,12 +61,12 @@ from .residue import (
 from .residue import _MC_HISTOGRAMS  # noqa: F401
 
 
-# -- exact model -----------------------------------------------------------------
+# -- the exact scalar ------------------------------------------------------------
 
 
 class ExactLocal:
     """a + b*sqrt(eps) with rational a, b.  Valuations are exact; conjugation
-    flips the sign of b; the norm a^2 - eps*b^2 lands in the base field.
+    flips the sign of b, so x conj(x) = a^2 - eps*b^2 lies in the base field.
 
     Stored as two int numerators over one positive int denominator, in lowest
     terms (the gcd of all three is 1), so equal values have equal fields and
@@ -154,9 +153,6 @@ class ExactLocal:
     def conj(self):
         return ExactLocal._make(self.field, self._a, -self._b, self._d)
 
-    def norm(self) -> Fraction:
-        return Fraction(pnorm((self._a, self._b), self.field.eps), self._d**2)
-
     def inverse(self):
         n = pnorm((self._a, self._b), self.field.eps)
         if n == 0:
@@ -206,30 +202,48 @@ def _modulus(field, prec) -> int:
 
 
 class LocalMatrix:
-    """Square matrix of local-field elements with a global shift: the value is
-    p^(-shift) times the stored entries, which are always integral in the
-    residue model.
+    """Square matrix over the local field, stored as int pairs (a, b) over
+    one positive int scale c: the value is rows / c, each pair standing for
+    a + b*sqrt(eps).
 
-    A matrix is in one of two models.  Exact (precision None): its entries
-    are ExactLocal.  Residue: its entries are int pairs (a, b), standing for
-    a + b*sqrt(eps) mod p^m, reduced, all at the one precision m."""
+    The two models differ only in their modulus.  Exact (precision None,
+    modulus 0): the pairs and c are in lowest terms, the gcd of every digit
+    and c being 1, so equal values have equal fields.  Residue (precision
+    m, modulus p^m): c = p^shift and every pair is reduced mod p^m, so the
+    stored digits are always integral; the unit part of a scale given to
+    a residue matrix is divided into its digits."""
 
-    __slots__ = ("field", "rows", "shift", "precision")
+    __slots__ = ("field", "rows", "scale", "precision")
 
-    def __init__(self, field, rows, shift=0, precision=None):
-        if shift < 0:
-            raise ValueError("shift must be nonnegative")
-        if precision is not None:
+    def __init__(self, field, rows, scale=1, precision=None):
+        if precision is None:
+            g = math.gcd(scale, *(v for row in rows for e in row for v in e))
+            rows = [[(a // g, b // g) for a, b in row] for row in rows]
+            scale //= g
+        else:
             mod = _modulus(field, precision)
-            rows = [[(a % mod, b % mod) for a, b in row] for row in rows]
+            unit = scale // field.p ** _vp_int(scale, field.p)
+            inv = pow(unit, -1, mod)
+            rows = [[(a * inv % mod, b * inv % mod) for a, b in row] for row in rows]
+            scale //= unit
         self.field = field
         self.rows = tuple(tuple(r) for r in rows)
-        self.shift = shift
+        self.scale = scale
         self.precision = precision
 
     @property
     def size(self):
         return len(self.rows)
+
+    @property
+    def shift(self) -> int:
+        """The power of p in the scale."""
+        return _vp_int(self.scale, self.field.p)
+
+    @property
+    def modulus(self) -> int:
+        """p^m for a residue matrix at precision m, 0 for an exact one."""
+        return 0 if self.precision is None else self.field.p**self.precision
 
     def _compatible(self, other):
         """Same size, same field and the same model."""
@@ -241,8 +255,8 @@ class LocalMatrix:
 
     @staticmethod
     def from_values(field, values, shift=0, prec=None):
-        """A matrix from ints, Fractions and ExactLocal values: exact, or
-        given prec, reduced mod p^prec.
+        """p^-shift times a matrix of ints, Fractions and ExactLocal values:
+        exact, or given prec, reduced mod p^prec.
 
         >>> F = LocalField(3)
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]]).precision is None
@@ -250,19 +264,17 @@ class LocalMatrix:
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]], prec=2)
         <[(1, 0), (0, 0); (0, 0), (5, 0)] mod 3^2>
         """
+        if shift < 0:
+            raise ValueError("shift must be nonnegative")
         rows = [
             [v if isinstance(v, ExactLocal) else ExactLocal(field, v) for v in row]
             for row in values
         ]
-        if prec is None:
-            return LocalMatrix(field, rows, shift)
-        mod = _modulus(field, prec)
-        den, pairs = _int_pairs(rows)
-        if den % field.p == 0:
+        den = math.lcm(*(e._d for row in rows for e in row))
+        if prec is not None and den % field.p == 0:
             raise InexactDivision("entry has negative valuation; use a matrix shift")
-        dinv = pow(den, -1, mod)
-        pairs = [[(a * dinv, b * dinv) for a, b in row] for row in pairs]
-        return LocalMatrix(field, pairs, shift, prec)
+        pairs = [[(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows]
+        return LocalMatrix(field, pairs, den * field.p**shift, prec)
 
     @staticmethod
     def identity(field, size, prec=None):
@@ -276,111 +288,71 @@ class LocalMatrix:
         return LocalMatrix.from_values(field, vals)
 
     def __matmul__(self, other):
-        """One pair kernel for both models: the numerators over one common
-        denominator per factor (exact), or the stored pairs reduced at the
-        lesser precision of the factors (residue)."""
+        """The pair product over the product of the scales, known to the
+        lesser precision of the factors."""
         if not self._compatible(other):
             raise ValueError("incompatible matrices")
-        field, shift = self.field, self.shift + other.shift
-        if self.precision is not None:
-            m = min(self.precision, other.precision)
-            return LocalMatrix(field, pmatmul(self.rows, other.rows, field.eps), shift, m)
-        dx, x = _int_pairs(self.rows)
-        dy, y = _int_pairs(other.rows)
-        rows = pmatmul(x, y, field.eps)
-        rows = [[ExactLocal._make(field, a, b, dx * dy) for a, b in row] for row in rows]
-        return LocalMatrix(field, rows, shift)
+        prec = None if self.precision is None else min(self.precision, other.precision)
+        rows = pmatmul(self.rows, other.rows, self.field.eps)
+        return LocalMatrix(self.field, rows, self.scale * other.scale, prec)
 
     def star(self):
-        if self.precision is None:
-            rows = [[e.conj() for e in col] for col in zip(*self.rows)]
-        else:
-            rows = pstar(self.rows)
-        return LocalMatrix(self.field, rows, self.shift, self.precision)
+        return LocalMatrix(self.field, pstar(self.rows), self.scale, self.precision)
 
     def act(self, x):
         """The hermitian action: self x self*."""
         return (self @ x) @ self.star()
 
     def __eq__(self, other):
+        """Equal values; a residue matrix compared at the lesser precision,
+        after both sides have shed the powers of p their digits share."""
         if not isinstance(other, LocalMatrix):
             return NotImplemented
         if not self._compatible(other):
             return False
-        if self.shift != other.shift:
+        if self.scale != other.scale:
             a, b = self.normalized(), other.normalized()
-            return a.shift == b.shift and a == b
-        if self.precision == other.precision:
-            return self.rows == other.rows
-        mod = self.field.p ** min(self.precision, other.precision)
+            return a.scale == b.scale and a == b
+        mod = min(self.modulus, other.modulus)
         return all(
-            (a - c) % mod == 0 and (b - d) % mod == 0
+            pzero((a - c, b - d), mod)
             for r, s in zip(self.rows, other.rows)
             for (a, b), (c, d) in zip(r, s)
         )
 
-    def __hash__(self):
-        return hash((LocalMatrix, self.shift, self.rows))
-
     def normalized(self):
-        """Strip p-divisibility common to all entries into the shift; a
+        """Strip p-divisibility common to all digits out of the scale; a
         residue matrix loses a digit with each division and keeps at least
-        one."""
+        one.  An exact matrix is in lowest terms, so it comes back as is."""
         x, p = self, self.field.p
-        while x.shift > 0:
-            m = x.precision
-            if m is None:
-                if any(e.valuation() < 1 for row in x.rows for e in row):
-                    break
-                rows = [
-                    [ExactLocal._make(x.field, e._a, e._b, e._d * p) for e in row]
-                    for row in x.rows
-                ]
-            else:
-                if m < 2 or any(a % p or b % p for row in x.rows for a, b in row):
-                    break
-                rows = [[(a // p, b // p) for a, b in row] for row in x.rows]
-                m -= 1
-            x = LocalMatrix(x.field, rows, x.shift - 1, m)
+        while (
+            x.scale % p == 0
+            and x.precision != 1
+            and not any(a % p or b % p for row in x.rows for a, b in row)
+        ):
+            rows = [[(a // p, b // p) for a, b in row] for row in x.rows]
+            x = LocalMatrix(x.field, rows, x.scale // p, x.precision - 1)
         return x
 
-    def _numerators(self):
-        """(M, c, mod): the entries as int pairs M with self = M / c, and the
-        modulus p^m they are known to, 0 when exact."""
-        p = self.field.p
-        if self.precision is None:
-            den, pairs = _int_pairs(self.rows)
-            return pairs, den * p**self.shift, 0
-        return self.rows, p**self.shift, p**self.precision
-
     def to_residue(self, prec: int):
-        """Exact -> residue conversion.  The shift absorbs every negative
-        entry valuation, so the absolute precision is prec - shift digits."""
+        """Exact -> residue conversion: the power of p in the scale becomes
+        the shift, so the absolute precision is prec - shift digits."""
         if self.precision is not None:
             raise TypeError("already a residue matrix")
-        worst = 0
-        for row in self.rows:
-            for e in row:
-                if not e.is_zero():
-                    worst = min(worst, int(e.valuation()))
-        s = -worst
-        scale = self.field.p**s
-        vals = [
-            [ExactLocal._make(self.field, e._a * scale, e._b * scale, e._d) for e in row]
-            for row in self.rows
-        ]
-        return LocalMatrix.from_values(self.field, vals, self.shift + s, prec)
+        return LocalMatrix(self.field, self.rows, self.scale, prec)
 
     def to_json_dict(self):
-        m = self.precision
+        m, c = self.precision, self.scale
+        exact = m is None
         return {
-            "model": "exact" if m is None else "residue",
+            "model": "exact" if exact else "residue",
             "p": self.field.p,
             "eps": self.field.eps,
             "size": self.size,
-            "shift": self.shift,
+            "shift": 0 if exact else self.shift,
             "entries": [
-                [[str(e.a), str(e.b)] if m is None else [*e, m] for e in row] for row in self.rows
+                [[str(Fraction(a, c)), str(Fraction(b, c))] if exact else [a, b, m] for a, b in row]
+                for row in self.rows
             ],
         }
 
@@ -392,22 +364,21 @@ class LocalMatrix:
                 [ExactLocal(field, Fraction(e[0]), Fraction(e[1])) for e in row]
                 for row in d["entries"]
             ]
-            return LocalMatrix(field, rows, d["shift"])
+            return LocalMatrix.from_values(field, rows, d["shift"])
         m = min(e[2] for row in d["entries"] for e in row)
-        return LocalMatrix(field, [[e[:2] for e in row] for row in d["entries"]], d["shift"], m)
+        rows = [[e[:2] for e in row] for row in d["entries"]]
+        return LocalMatrix(field, rows, field.p ** d["shift"], m)
 
     def __repr__(self):
+        if self.precision is None:
+            body = "; ".join(
+                ", ".join(repr(ExactLocal._make(self.field, a, b, self.scale)) for a, b in row)
+                for row in self.rows
+            )
+            return f"<[{body}]>"
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         pre = f"p^-{self.shift} * " if self.shift else ""
-        post = "" if self.precision is None else f" mod {self.field.p}^{self.precision}"
-        return f"<{pre}[{body}]{post}>"
-
-
-def _int_pairs(rows):
-    """(den, pairs): every exact entry as an int pair (a, b) over the common
-    denominator den."""
-    den = math.lcm(*(e._d for row in rows for e in row))
-    return den, [[(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows]
+        return f"<{pre}[{body}] mod {self.field.p}^{self.precision}>"
 
 
 def j_matrix(field, size, prec=None):
@@ -418,8 +389,7 @@ def j_matrix(field, size, prec=None):
 def assert_unitary(g: LocalMatrix):
     """Check g* j g = j at the working precision; internal invariant for every
     generator and sampled element."""
-    pairs, c, mod = g._numerators()
-    if not pair_unitary(pairs, g.field.eps, c * c, mod):
+    if not pair_unitary(g.rows, g.field.eps, g.scale**2, g.modulus):
         raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
 
@@ -447,12 +417,12 @@ def is_member_X(x: LocalMatrix) -> bool:
 
     Once (xj)^2 = I, xj is diagonalizable with eigenvalues +-1, so its
     characteristic polynomial is (t^2-1)^n (t-1) exactly when its trace is 1.
-    Both models decide on the numerators M = c x, c = p^s times the common
-    denominator: M is hermitian, M* J M = MJM = c^2 J and tr(MJ) = c, a
-    residue matrix at its precision."""
+    Both models decide on the stored pairs M = c x, c the scale: M is
+    hermitian, M* J M = MJM = c^2 J and tr(MJ) = c, a residue matrix at its
+    precision."""
     if x.size % 2 == 0:
         return False
-    m, c, mod = x._numerators()
+    m, c, mod = x.rows, x.scale, x.modulus
     star = pstar(m)
     if not all(
         pzero((a - e, b - f), mod) for r, t in zip(m, star) for (a, b), (e, f) in zip(r, t)
@@ -547,7 +517,7 @@ def _upper_unipotent(field, n, beta, H):
     )
     for i in range(n):
         rows.append([zero] * (n + 1) + [one if t == i else zero for t in range(n)])
-    g = LocalMatrix(field, rows)
+    g = LocalMatrix.from_values(field, rows)
     assert_unitary(g)
     return g
 
@@ -633,12 +603,14 @@ def invariant_factors(x: LocalMatrix):
     column leaves the invariants of the remaining block; the pivots come out
     in increasing valuation.
 
-    A residue matrix mod p^m is read through the exact lift of its stored
-    digits, each pair (a, b) becoming a + b*sqrt(eps).  Matrices congruent mod
-    p^m have the same Smith form over the residue ring, whose diagonal
-    valuations are min(v_i, m).  So when every invariant of the lift is below
-    m, every matrix with these digits shares it; a pivot at valuation m or
-    more cannot be certified and raises PrecisionError.
+    Both models eliminate the exact lift of the stored digits, each pair
+    (a, b) becoming a + b*sqrt(eps), and the shift moves each invariant of
+    the lift to one of x (the unit part of the scale changes no valuation).
+    For a residue matrix mod p^m: matrices congruent mod p^m have the same
+    Smith form over the residue ring, whose diagonal valuations are
+    min(v_i, m).  So when every invariant of the lift is below m, every
+    matrix with these digits shares it; a pivot at valuation m or more
+    cannot be certified and raises PrecisionError.
 
     >>> x = x_lambda(LocalField(3), 1, (2,))
     >>> x.to_residue(5)
@@ -647,10 +619,7 @@ def invariant_factors(x: LocalMatrix):
     ([2, 0, -2], [2, 0, -2])
     """
     n, m = x.size, x.precision
-    if m is None:
-        rows = [list(r) for r in x.rows]
-    else:
-        rows = [[ExactLocal._make(x.field, a, b, 1) for a, b in r] for r in x.rows]
+    rows = [[ExactLocal._make(x.field, a, b, 1) for a, b in r] for r in x.rows]
     vals = []
     for top in range(n):
         v, bi, bj = min(
@@ -764,7 +733,7 @@ def diagonalize_x1(x: LocalMatrix, prec: int | None = None):
         a, b = pmul(c0[(t + 1) % 3], c2[(t + 2) % 3], eps)
         c, d = pmul(c0[(t + 2) % 3], c2[(t + 1) % 3], eps)
         c1.append(pconj((a - c, b - d)))
-    g = LocalMatrix(field, zip(c0, c1, c2), 0, m)
+    g = LocalMatrix(field, zip(c0, c1, c2), 1, m)
     J = j_matrix(field, 3, m)
     k = (J @ g.star()) @ J @ k
     assert_unitary(k)

@@ -231,12 +231,17 @@ def pair_unitary(g, eps: int, c: int = 1, mod: int = 0) -> bool:
     """Whether g* J g = c J for a square pair matrix g of any size, J the
     antidiagonal form: mod `mod`, or exactly when mod is 0.
 
-    g* J g is hermitian, so its entries on and above the diagonal decide."""
+    g* J g is hermitian, so its entries on and above the diagonal decide,
+    and only those are formed: row k of g* times column l of Jg, l >= k."""
     n = len(g)
-    h = pmatmul(pstar(g), g[::-1], eps)
+    star, jcols = pstar(g), list(zip(*g[::-1]))
     for k in range(n):
         for l in range(k, n):
-            re, im = h[k][l]
+            re = im = 0
+            for e, f in zip(star[k], jcols[l]):
+                a, b = pmul(e, f, eps)
+                re += a
+                im += b
             if not pzero((re - (c if k + l == n - 1 else 0), im), mod):
                 return False
     return True

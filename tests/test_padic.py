@@ -196,7 +196,7 @@ def test_exact_local_matches_reference():
             assert _same(x * y, rx * ry) and _same(-x, -rx) and _same(x.conj(), rx.conj())
             assert _same(x + n, rx + n) and _same(x * fr, rx * fr) and _same(n + x, rx + n)
             assert _same(n - x, -rx + n) and _same(fr * x, rx * fr)
-            assert x.norm() == rx.norm() and 2 * x.a == rx.trace()
+            assert x * x.conj() == rx.norm() and 2 * x.a == rx.trace()
             assert x.valuation() == rx.valuation()
             assert (x == y) == (rx == ry) and (x == x.a) == (rx == rx.a)
             assert x == ExactLocal(field, rx.a, rx.b)
@@ -228,7 +228,7 @@ def test_exact_matrices_match_reference():
                     for _ in range(2)
                 ]
                 x, y = (
-                    LocalMatrix(field, [[ExactLocal(field, *v) for v in row] for row in m])
+                    LocalMatrix.from_values(field, [[ExactLocal(field, *v) for v in row] for row in m])
                     for m in vals
                 )
                 rx, ry = (
@@ -240,7 +240,8 @@ def test_exact_matrices_match_reference():
                      for j in range(size)]
                     for i in range(size)
                 ]
-                for got, want in zip(prod.rows, ref):
+                assert math.gcd(prod.scale, *(v for row in prod.rows for e in row for v in e)) == 1
+                for got, want in zip(_values(prod), ref):
                     assert all(_same(e, re) for e, re in zip(got, want))
                 for prec in (4, 9):
                     shift, digits = ref_to_residue(ref, field, prec)
@@ -271,8 +272,9 @@ def test_exact_local_algebra():
     assert x * y == y * x
     assert (x * y) * x.inverse() == y * (x * x.inverse())
     assert x * x.inverse() == ExactLocal(F3, 1)
-    # norm is multiplicative and real
-    assert (x * y).norm() == x.norm() * y.norm()
+    # the norm x conj(x) is multiplicative and real
+    assert (x * y) * (x * y).conj() == (x * x.conj()) * (y * y.conj())
+    assert (x * x.conj()).b == 0
     assert 2 * x.a == Fraction(1)
     assert x.conj().conj() == x
     # valuation of a product adds
@@ -442,6 +444,11 @@ def test_hensel_norm_solve_refuses_a_non_unit():
 # -- matrices ---------------------------------------------------------------------
 
 
+def _values(x):
+    """The entries of an exact matrix as ExactLocal values."""
+    return [[ExactLocal._make(x.field, a, b, x.scale) for a, b in row] for row in x.rows]
+
+
 def _det(rows):
     """Determinant of a square array of entries, by cofactors along the
     first row."""
@@ -470,16 +477,16 @@ def test_matrix_shift_normalization():
     r = x.to_residue(8)
     assert r.shift == 2
     assert r == x.to_residue(10)  # equality sees through different shifts
-    assert _det(x.rows) == ExactLocal(F3, 1)
+    assert _det(_values(x)) == ExactLocal(F3, 1)
 
 
 def test_exact_matrix_normalization():
+    # p^-2 [[3, 9/2], [0, 6 + 3 sqrt(2)]] = [[2, 3], [0, 4 + 2 sqrt(2)]] / 6 in
+    # lowest terms: the shift is already the least, and normalized keeps it
     x = LocalMatrix.from_values(F3, [[3, Fraction(9, 2)], [0, ExactLocal(F3, 6, 3)]], 2)
-    y = x.normalized()
-    assert y.shift == 1
-    assert y.rows == ((ExactLocal(F3, 1), ExactLocal(F3, Fraction(3, 2))),
-                      (ExactLocal(F3, 0), ExactLocal(F3, 2, 1)))
-    assert y == x
+    assert x.scale == 6 and x.shift == 1
+    assert x.rows == (((2, 0), (3, 0)), ((0, 0), (4, 2)))
+    assert x.normalized() == x and x.normalized().rows == x.rows
 
 
 def test_matmul_keeps_the_lesser_precision():
@@ -524,6 +531,47 @@ def test_from_values_refuses_a_denominator_divisible_by_p():
         LocalMatrix.from_values(F3, [[Fraction(1, 3)]], prec=4)
 
 
+def test_exact_json_with_a_shift_loads():
+    # older versions wrote an exact matrix as p^-shift times its entries
+    d = {"model": "exact", "p": 3, "eps": 2, "size": 1, "shift": 2, "entries": [[["9/2", "3"]]]}
+    x = LocalMatrix.from_json_dict(d)
+    assert x == LocalMatrix.from_values(F3, [[ExactLocal(F3, Fraction(1, 2), Fraction(1, 3))]])
+    assert x.to_json_dict()["shift"] == 0 and x.to_json_dict()["entries"] == [[["1/2", "1/3"]]]
+
+
+def test_exact_equality_sees_through_the_shift():
+    # 1/3 and p^-1 * 1 are one value, stored alike
+    x = LocalMatrix.from_values(F3, [[Fraction(1, 3)]])
+    y = LocalMatrix.from_values(F3, [[1]], shift=1)
+    assert x.to_residue(4) == y.to_residue(4)
+    assert x == y and (x.rows, x.scale) == (y.rows, y.scale)
+
+
+def test_matrices_are_unhashable():
+    # equal matrices may carry different precisions, so no hash agrees with ==
+    a = LocalMatrix.from_values(F3, [[Fraction(1, 2)]], prec=2)
+    b = LocalMatrix.from_values(F3, [[Fraction(1, 2)]], prec=4)
+    assert a == b
+    for x in (a, x_lambda(F3, 1, (1,))):
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["p3", "p5"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_commute_with_reduction(field, n):
+    # @ and star run one path in both models: the exact product reduced mod
+    # p^m is the product of the reductions, x_lambda carrying p^-l entries
+    for lam in [(0,) * n, (2,) + (0,) * (n - 1), tuple(range(n, 0, -1))]:
+        x = x_lambda(field, n, lam)
+        for seed in (0, 1):
+            k = random_k(field, n, seed=seed)
+            for m in (3, 7):
+                want = k.act(x).to_residue(m)
+                got = k.to_residue(m).act(x.to_residue(m))
+                assert got == want and got.to_json_dict() == want.to_json_dict()
+
+
 def test_matmul_refuses_mixed_models_and_sizes():
     exact, residue = LocalMatrix.identity(F3, 3), LocalMatrix.identity(F3, 3, prec=4)
     for a, b in ((exact, residue), (residue, exact)):
@@ -544,7 +592,7 @@ def ref_x_lambda_residue(field, lam, prec):
     ent = [p ** (l + s) for l in lam] + [p**s] + [p ** (s - l) for l in reversed(lam)]
     size = len(ent)
     rows = [[(ent[i] % p**prec if i == j else 0, 0) for j in range(size)] for i in range(size)]
-    return LocalMatrix(field, rows, s, prec)
+    return LocalMatrix(field, rows, p**s, prec)
 
 
 def test_x_lambda_residue_matches_hand_construction():
@@ -581,22 +629,22 @@ def test_membership():
 
 
 def _negated(x):
-    return LocalMatrix(x.field, [[-e for e in row] for row in x.rows], x.shift)
+    return LocalMatrix(x.field, [[(-a, -b) for a, b in row] for row in x.rows], x.scale)
 
 
 def _charpoly(m):
     """Faddeev-LeVerrier: the coefficients of t^n + c1 t^(n-1) + ... + cn of
-    an unshifted exact matrix, highest power first."""
-    assert m.shift == 0
+    an exact matrix, highest power first."""
     n = m.size
     M = LocalMatrix.identity(m.field, n)
     coeffs = [ExactLocal(m.field, 1)]
     for k in range(1, n + 1):
         AM = m @ M
-        c = sum((AM.rows[i][i] for i in range(n)), ExactLocal(m.field, 0)) * Fraction(-1, k)
+        am = _values(AM)
+        c = sum((am[i][i] for i in range(n)), ExactLocal(m.field, 0)) * Fraction(-1, k)
         coeffs.append(c)
-        M = LocalMatrix(
-            m.field, [[e + c if i == j else e for j, e in enumerate(row)] for i, row in enumerate(AM.rows)]
+        M = LocalMatrix.from_values(
+            m.field, [[e + c if i == j else e for j, e in enumerate(row)] for i, row in enumerate(am)]
         )
     return coeffs
 
@@ -605,7 +653,8 @@ def _member_by_charpoly(x):
     """Membership decided by the whole characteristic polynomial of x j
     against (t^2 - 1)^n (t - 1), the reference for the trace decision."""
     size = x.size
-    if any(x.rows[i][j] != x.rows[j][i].conj() for i in range(size) for j in range(size)):
+    v = _values(x)
+    if any(v[i][j] != v[j][i].conj() for i in range(size) for j in range(size)):
         return False
     xj = x @ j_matrix(x.field, size)
     if xj @ xj != LocalMatrix.identity(x.field, size):
@@ -626,9 +675,9 @@ def test_membership_trace_matches_charpoly():
             for seed in (None, 0, 1):
                 if seed is not None:  # twisted members
                     x = random_k(F3, n, seed=seed + 10 * sum(lam)).act(x)
-                corner = [list(row) for row in x.rows]
+                corner = _values(x)
                 corner[-1][-1] = corner[-1][-1] + 3
-                cases += [x, _negated(x), LocalMatrix(F3, corner)]
+                cases += [x, _negated(x), LocalMatrix.from_values(F3, corner)]
         for x in cases:
             member = is_member_X(x)
             assert member == _member_by_charpoly(x)
@@ -641,7 +690,8 @@ def test_random_k_is_unitary_with_trivial_factors():
         k = random_k(field, n, seed=seed)
         assert_unitary(k)
         assert invariant_factors(k) == [0] * (2 * n + 1)
-        assert _det(k.rows).norm() == 1
+        det = _det(_values(k))
+        assert det * det.conj() == 1
 
 
 def test_classification_roundtrip():
