@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -41,6 +42,12 @@ VERIFY_MAX_N = 3
 # n = 4 in under a minute each on a 2-core machine (`plancherel rank` about
 # 45 s, the others under 3 s); larger n exits EXIT_RESOURCE up front.
 QPOLY_MAX_N = 4
+
+# `padic classify` at n = 20 takes 1-3 s from the CLI on a 2-core machine
+# (seeds 1, 2 and 7; lambda (1) and (4, 3, 2, 1)), nearly all of it in
+# building the `random_k` word and its products; n = 30 takes 2-7.5 s.
+# Larger n exits EXIT_RESOURCE up front.
+CLASSIFY_MAX_N = 20
 
 
 def _parse_partition(text: str, check):
@@ -488,9 +495,15 @@ def _not_a_member(x) -> bool:
 def _cmd_padic(args) -> int:
     # every range is checked before the matrix layer loads
     field = _local_field(args.p, "--p")
-    for flag, least in (("n", 1), ("r", 0), ("ell", 0), ("s", 0), ("samples", 1)):
+    if args.subcommand == "mc-omega" and not math.isfinite(args.s):
+        raise _usage_error(f"--s must be finite, got {args.s}")
+    for flag, least in (("r", 0), ("ell", 0), ("s", 0), ("samples", 1)):
         if getattr(args, flag, None) is not None:
             _at_least(getattr(args, flag), least, f"--{flag}")
+    if args.subcommand == "classify":
+        refused = _refuse_n(args.n, "padic classify", CLASSIFY_MAX_N)
+        if refused is not None:
+            return refused
     if args.subcommand == "count-norm":
         from .residue import norm_count
 

@@ -27,4 +27,5 @@ ENUMERATION_BOUND = 4_000_000
 
 
 class ResourceLimit(RuntimeError):
-    """An input would take more enumeration than the package allows."""
+    """An input would take more enumeration than the package allows, or
+    leave the float range."""

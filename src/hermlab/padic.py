@@ -7,20 +7,20 @@ c in lowest terms; a residue matrix keeps c = p^shift and its pairs reduced
 mod p^m, all at the one precision m of the matrix.  So products, stars,
 equality, membership and the unitarity check run once for both models on
 the pair kernel of ``residue``, a residue matrix decided at its precision.
-``ExactLocal`` is the exact scalar: the constructors build entries from it
-and the orbit elimination divides with it.  Orbit classification
-eliminates the exact lift of the stored digits, which for a residue matrix
-is certified when every invariant of the lift is below m, because
-matrices congruent mod p^m share their Smith form over the residue ring,
-whose valuations are min(v_i, m).  The residue model carries the
-constructive rank-one reduction: it must solve a norm equation N(b) = t,
-which has solutions in every residue ring but usually none in
-Q(sqrt(eps)).  The reduction reads the reflection vector of x off
-p^l (x - J) and builds one element of the integral unitary group around it,
-so every member reduces at any precision m >= 1 with the reducing element
-certified mod p^m.  The kernels that need no matrix layer (the field, the
-pair kernel, the norm counts, the cell counts and the rank-one Monte-Carlo)
-live in ``residue``.
+Q(sqrt(eps)) values exist only as such pairs: the constructors take ints,
+Fractions or pairs of them, and the orbit elimination runs fraction-free on
+the stored pairs.  Orbit classification eliminates the exact lift of the
+stored digits, which for a residue matrix is certified when every invariant
+of the lift is below m, because matrices congruent mod p^m share their
+Smith form over the residue ring, whose valuations are min(v_i, m).  The
+residue model carries the constructive rank-one reduction: it must solve a
+norm equation N(b) = t, which has solutions in every residue ring but
+usually none in Q(sqrt(eps)).  The reduction reads the reflection vector of
+x off p^l (x - J) and builds one element of the integral unitary group
+around it, so every member reduces at any precision m >= 1 with the
+reducing element certified mod p^m.  The kernels that need no matrix layer
+(the field, the pair kernel, the norm counts, the cell counts and the
+rank-one Monte-Carlo) live in ``residue``.
 
 The constructors build exact matrices unless given prec=, which asks for
 the residue model mod p^prec; a precision below 1 raises PrecisionError.
@@ -61,136 +61,6 @@ from .residue import (
 from .residue import _MC_HISTOGRAMS  # noqa: F401
 
 
-# -- the exact scalar ------------------------------------------------------------
-
-
-class ExactLocal:
-    """a + b*sqrt(eps) with rational a, b.  Valuations are exact; conjugation
-    flips the sign of b, so x conj(x) = a^2 - eps*b^2 lies in the base field.
-
-    Stored as two int numerators over one positive int denominator, in lowest
-    terms (the gcd of all three is 1), so equal values have equal fields and
-    the arithmetic runs on ints; a and b are read back as Fractions."""
-
-    __slots__ = ("field", "_a", "_b", "_d")
-
-    def __init__(self, field: LocalField, a, b=0):
-        self.field = field
-        if type(a) is int and type(b) is int:
-            self._a, self._b, self._d = a, b, 1
-            return
-        a, b = Fraction(a), Fraction(b)
-        d = math.lcm(a.denominator, b.denominator)
-        self._a = a.numerator * (d // a.denominator)
-        self._b = b.numerator * (d // b.denominator)
-        self._d = d
-
-    @classmethod
-    def _make(cls, field, a: int, b: int, d: int):
-        """(a + b*sqrt(eps)) / d for ints a, b and a nonzero int d."""
-        if d < 0:
-            a, b, d = -a, -b, -d
-        g = math.gcd(a, b, d)
-        if g != 1:
-            a, b, d = a // g, b // g, d // g
-        e = object.__new__(cls)
-        e.field, e._a, e._b, e._d = field, a, b, d
-        return e
-
-    @property
-    def a(self) -> Fraction:
-        return Fraction(self._a, self._d)
-
-    @property
-    def b(self) -> Fraction:
-        return Fraction(self._b, self._d)
-
-    def _coerce(self, other):
-        if isinstance(other, ExactLocal):
-            if other.field is not self.field and other.field != self.field:
-                raise ValueError("mixed fields")
-            return other
-        if isinstance(other, int):
-            return ExactLocal._make(self.field, other, 0, 1)
-        if isinstance(other, Fraction):
-            return ExactLocal(self.field, other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d1, d2 = self._d, o._d
-        if d1 == d2:
-            return ExactLocal._make(self.field, self._a + o._a, self._b + o._b, d1)
-        return ExactLocal._make(
-            self.field, self._a * d2 + o._a * d1, self._b * d2 + o._b * d1, d1 * d2
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return ExactLocal._make(self.field, -self._a, -self._b, self._d)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        a, b = pmul((self._a, self._b), (o._a, o._b), self.field.eps)
-        return ExactLocal._make(self.field, a, b, self._d * o._d)
-
-    __rmul__ = __mul__
-
-    def conj(self):
-        return ExactLocal._make(self.field, self._a, -self._b, self._d)
-
-    def inverse(self):
-        n = pnorm((self._a, self._b), self.field.eps)
-        if n == 0:
-            raise ZeroDivisionError("inverting zero")
-        return ExactLocal._make(self.field, self._a * self._d, -self._b * self._d, n)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self.inverse()
-
-    def valuation(self) -> float:
-        """min of the component valuations; +inf for zero (unramified basis)."""
-        return pval((self._a, self._b), self.field.p) - _vp_int(self._d, self.field.p)
-
-    def is_zero(self):
-        return self._a == 0 and self._b == 0
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b and self._d == o._d
-
-    def __hash__(self):
-        return hash((ExactLocal, self.field.p, self.a, self.b))
-
-    def __repr__(self):
-        if self._b == 0:
-            return str(self.a)
-        return f"{self.a}+{self.b}*sqrt({self.field.eps})"
-
-
 # -- matrices --------------------------------------------------------------------
 
 
@@ -199,6 +69,13 @@ def _modulus(field, prec) -> int:
     if prec < 1:
         raise PrecisionError("residue precision must be at least 1", required=1)
     return field.p**prec
+
+
+def _pair(v):
+    """An int, a Fraction or a pair (a, b) of them as a pair of ints and
+    Fractions."""
+    a, b = v if isinstance(v, tuple) else (v, 0)
+    return (a if type(a) is int else Fraction(a)), (b if type(b) is int else Fraction(b))
 
 
 class LocalMatrix:
@@ -255,25 +132,25 @@ class LocalMatrix:
 
     @staticmethod
     def from_values(field, values, shift=0, prec=None):
-        """p^-shift times a matrix of ints, Fractions and ExactLocal values:
-        exact, or given prec, reduced mod p^prec.
+        """p^-shift times a matrix of values, each an int, a Fraction or a
+        pair (a, b) of them standing for a + b*sqrt(eps): exact, or given
+        prec, reduced mod p^prec.
 
         >>> F = LocalField(3)
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]]).precision is None
         True
         >>> LocalMatrix.from_values(F, [[1, 0], [0, Fraction(1, 2)]], prec=2)
         <[(1, 0), (0, 0); (0, 0), (5, 0)] mod 3^2>
+        >>> LocalMatrix.from_values(F, [[(Fraction(2, 6), Fraction(-1, 3))]])
+        <[1/3+-1/3*sqrt(2)]>
         """
         if shift < 0:
             raise ValueError("shift must be nonnegative")
-        rows = [
-            [v if isinstance(v, ExactLocal) else ExactLocal(field, v) for v in row]
-            for row in values
-        ]
-        den = math.lcm(*(e._d for row in rows for e in row))
+        rows = [[_pair(v) for v in row] for row in values]
+        den = math.lcm(*(x.denominator for row in rows for e in row for x in e))
         if prec is not None and den % field.p == 0:
             raise InexactDivision("entry has negative valuation; use a matrix shift")
-        pairs = [[(e._a * (den // e._d), e._b * (den // e._d)) for e in row] for row in rows]
+        pairs = [[(int(a * den), int(b * den)) for a, b in row] for row in rows]
         return LocalMatrix(field, pairs, den * field.p**shift, prec)
 
     @staticmethod
@@ -360,10 +237,7 @@ class LocalMatrix:
     def from_json_dict(d):
         field = LocalField(d["p"], d["eps"])
         if d["model"] == "exact":
-            rows = [
-                [ExactLocal(field, Fraction(e[0]), Fraction(e[1])) for e in row]
-                for row in d["entries"]
-            ]
+            rows = [[tuple(e) for e in row] for row in d["entries"]]
             return LocalMatrix.from_values(field, rows, d["shift"])
         m = min(e[2] for row in d["entries"] for e in row)
         rows = [[e[:2] for e in row] for row in d["entries"]]
@@ -371,10 +245,12 @@ class LocalMatrix:
 
     def __repr__(self):
         if self.precision is None:
-            body = "; ".join(
-                ", ".join(repr(ExactLocal._make(self.field, a, b, self.scale)) for a, b in row)
-                for row in self.rows
-            )
+
+            def text(a, b):
+                a, b = Fraction(a, self.scale), Fraction(b, self.scale)
+                return f"{a}+{b}*sqrt({self.field.eps})" if b else str(a)
+
+            body = "; ".join(", ".join(text(a, b) for a, b in row) for row in self.rows)
             return f"<[{body}]>"
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.rows)
         pre = f"p^-{self.shift} * " if self.shift else ""
@@ -406,9 +282,11 @@ def x_lambda(field, n, lam):
     if any(lam[n:]):
         raise ValueError(f"partition {lam} has more than {n} nonzero parts")
     lam = (lam + (0,) * n)[:n]
-    p = Fraction(field.p)
-    ent = [p**l for l in lam] + [1] + [p**-l for l in reversed(lam)]
-    return LocalMatrix.diagonal(field, ent)
+    # over the scale p^l1 the entries are p^(l1 + li), p^l1 and p^(l1 - li)
+    top = max(lam, default=0)
+    exps = [top + l for l in lam] + [top] + [top - l for l in reversed(lam)]
+    rows = [[(field.p**e if i == j else 0, 0) for j in range(len(exps))] for i, e in enumerate(exps)]
+    return LocalMatrix(field, rows, field.p**top)
 
 
 def is_member_X(x: LocalMatrix) -> bool:
@@ -478,53 +356,43 @@ def _rand_exact_unit(field, rng):
         a = rng.randrange(-9, 10)
         b = rng.randrange(-9, 10)
         if a % field.p or b % field.p:
-            return ExactLocal(field, a, b)
+            return a, b
 
 
 def _norm_one_unit(field, rng):
+    """w / conj(w) = w^2 / N(w) for a random unit w, a pair of Fractions."""
     w = _rand_exact_unit(field, rng)
-    return w / w.conj()
+    n = pnorm(w, field.eps)
+    return tuple(Fraction(c, n) for c in pmul(w, w, field.eps))
 
 
 def _upper_unipotent(field, n, beta, H):
     """[[1, beta, C], [0, 1, -beta* j], [0, 0, 1]] with C = (-beta beta*/2
     + sqrt(eps) H) j for hermitian H: the constraint beta beta* + Cj + jC* = 0
-    then holds identically."""
-    size = 2 * n + 1
-    one = ExactLocal(field, 1)
-    zero = ExactLocal(field, 0)
-    root = ExactLocal(field, 0, 1)
-    half = Fraction(1, 2)
-    # M = -beta beta^T-conj / 2 + sqrt(eps) H, then C = M j
-    M = [
-        [
-            beta[i] * beta[j].conj() * (-half) + root * H[i][j]
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    C = [[M[i][n - 1 - j] for j in range(n)] for i in range(n)]
+    then holds identically.  beta and H hold int pairs, and the matrix is
+    built as twice itself over the scale 2."""
+    eps = field.eps
+    one, zero = (2, 0), (0, 0)
     rows = []
     for i in range(n):
-        rows.append(
-            [one if t == i else zero for t in range(n)]
-            + [beta[i]]
-            + list(C[i])
-        )
-    # middle row: -beta* j reversed: entry t = -conj(beta[n-1-t])
-    rows.append(
-        [zero] * n + [one] + [-beta[n - 1 - t].conj() for t in range(n)]
-    )
+        # row i of 2M = -beta beta* + 2 sqrt(eps) H, reversed into row i of 2C = 2M j
+        bb = [pmul(beta[i], pconj(beta[j]), eps) for j in range(n)]
+        c = [(2 * eps * h1 - a, 2 * h0 - b) for (a, b), (h0, h1) in zip(bb, H[i])]
+        b0, b1 = beta[i]
+        rows.append([one if t == i else zero for t in range(n)] + [(2 * b0, 2 * b1)] + c[::-1])
+    # middle row: -beta* j, entry t = -conj(beta[n-1-t])
+    rows.append([zero] * n + [one] + [(-2 * a, 2 * b) for a, b in reversed(beta)])
     for i in range(n):
         rows.append([zero] * (n + 1) + [one if t == i else zero for t in range(n)])
-    g = LocalMatrix.from_values(field, rows)
+    g = LocalMatrix(field, rows, 2)
     assert_unitary(g)
     return g
 
 
 def _diag_element(field, alphas, u):
-    ent = list(alphas) + [u] + [a.conj().inverse() for a in reversed(alphas)]
-    g = LocalMatrix.diagonal(field, ent)
+    """diag(alphas, u, conj(alphas)^-1 reversed), with conj(a)^-1 = a / N(a)."""
+    inv = [tuple(Fraction(c) / pnorm(a, field.eps) for c in a) for a in reversed(alphas)]
+    g = LocalMatrix.diagonal(field, [*alphas, u, *inv])
     assert_unitary(g)
     return g
 
@@ -567,13 +435,13 @@ def random_k(field, n, seed):
             alphas = [_rand_exact_unit(field, rng) for _ in range(n)]
             step = _diag_element(field, alphas, _norm_one_unit(field, rng))
         elif kind == 1 or kind == 2:
-            beta = [ExactLocal(field, rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)]
-            H = [[ExactLocal(field, 0) for _ in range(n)] for _ in range(n)]
+            beta = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)]
+            H = [[(0, 0)] * n for _ in range(n)]
             for i in range(n):
-                H[i][i] = ExactLocal(field, rng.randrange(-4, 5))
+                H[i][i] = (rng.randrange(-4, 5), 0)
                 for j in range(i + 1, n):
-                    H[i][j] = ExactLocal(field, rng.randrange(-4, 5), rng.randrange(-4, 5))
-                    H[j][i] = H[i][j].conj()
+                    H[i][j] = (rng.randrange(-4, 5), rng.randrange(-4, 5))
+                    H[j][i] = pconj(H[i][j])
             step = _upper_unipotent(field, n, beta, H)
             if kind == 2:
                 step = (J @ step) @ J
@@ -587,9 +455,8 @@ def random_k(field, n, seed):
 def t_diag(field, bs):
     """The non-compact diagonal diag(b1..bn, 1, conj(bn)^-1 .. conj(b1)^-1);
     it preserves the hermitian space under the g x g* action without being
-    integral."""
-    bs = [b if isinstance(b, ExactLocal) else ExactLocal(field, b) for b in bs]
-    return _diag_element(field, bs, ExactLocal(field, 1))
+    integral.  Each b is an int, a Fraction or a pair of them."""
+    return _diag_element(field, [_pair(b) for b in bs], 1)
 
 
 # -- orbit classification -----------------------------------------------------------
@@ -602,6 +469,16 @@ def invariant_factors(x: LocalMatrix):
     A pivot of least valuation divides its row and column, so clearing its
     column leaves the invariants of the remaining block; the pivots come out
     in increasing valuation.
+
+    The elimination is fraction-free on the stored pairs.  With the pivot
+    piv at valuation v, the pivot row and column leave the block and each
+    other row becomes u row - f pivot_row, where u = N(piv) / p^(2v) is an
+    int prime to p and f = e conj(piv) / p^(2v) has integral digits, e
+    being the row's entry in the pivot column; that is u times the field
+    step row - (e / piv) pivot_row.  The new row is then divided by the
+    part prime to p of the gcd of its digits, which keeps the digits from
+    growing.  Both factors are units of the local ring, so every entry
+    keeps its valuation.
 
     Both models eliminate the exact lift of the stored digits, each pair
     (a, b) becoming a + b*sqrt(eps), and the shift moves each invariant of
@@ -618,12 +495,12 @@ def invariant_factors(x: LocalMatrix):
     >>> invariant_factors(x), invariant_factors(x.to_residue(5))
     ([2, 0, -2], [2, 0, -2])
     """
-    n, m = x.size, x.precision
-    rows = [[ExactLocal._make(x.field, a, b, 1) for a, b in r] for r in x.rows]
+    m, p, eps = x.precision, x.field.p, x.field.eps
+    block = [list(row) for row in x.rows]
     vals = []
-    for top in range(n):
+    while block:
         v, bi, bj = min(
-            (rows[i][j].valuation(), i, j) for i in range(top, n) for j in range(top, n)
+            (pval(e, p), i, j) for i, row in enumerate(block) for j, e in enumerate(row)
         )
         if m is not None and v >= m:
             raise PrecisionError(
@@ -632,15 +509,25 @@ def invariant_factors(x: LocalMatrix):
             )
         if math.isinf(v):
             raise ValueError("matrix is singular")
-        rows[top], rows[bi] = rows[bi], rows[top]
-        for row in rows:
-            row[top], row[bj] = row[bj], row[top]
-        pivot_row = rows[top]
-        for i in range(top + 1, n):
-            e = rows[i][top]
-            if not e.is_zero():
-                fac = e / pivot_row[top]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], pivot_row)]
+        pivot_row = block.pop(bi)
+        piv = pivot_row.pop(bj)
+        p2v = p ** (2 * v)
+        u, cpiv = pnorm(piv, eps) // p2v, pconj(piv)
+        for i, row in enumerate(block):
+            e = row.pop(bj)
+            if pzero(e):
+                continue
+            f = [d // p2v for d in pmul(e, cpiv, eps)]
+            new = []
+            for (a, b), t in zip(row, pivot_row):
+                c, d = pmul(f, t, eps)
+                new.append((u * a - c, u * b - d))
+            g = math.gcd(*(d for t in new for d in t))
+            if g:
+                g //= p ** _vp_int(g, p)
+            if g > 1:
+                new = [(a // g, b // g) for a, b in new]
+            block[i] = new
         vals.append(v)
     return sorted((v - x.shift for v in vals), reverse=True)
 

@@ -456,7 +456,8 @@ def monte_carlo_omega1(ell: int, s: float, samples: int, prec: int, seed, p: int
     histogram and the saturation count.  The standard error is the one the
     closed form predicts, sqrt(Var / samples) with Var[q^(-s v)] =
     omega(x_ell; 2s) - omega(x_ell; s)^2, so a sample that shows no spread
-    of its own still gets a band.
+    of its own still gets a band.  Raises ResourceLimit when the estimate or
+    the closed form leaves the float range.
     """
     if s < 0:
         raise ValueError("the exponent must be nonnegative")
@@ -467,10 +468,16 @@ def monte_carlo_omega1(ell: int, s: float, samples: int, prec: int, seed, p: int
     hist, saturated = _mc_valuation_histogram(p, ell, samples, prec, seed)
     q = float(p)
     total = sum(hist.values())
-    est = sum(cnt * q ** (-s * v) for v, cnt in hist.items()) / total
-    closed = omega_n1_closed(ell, s, p)
+    try:
+        est = sum(cnt * q ** (-s * v) for v, cnt in hist.items()) / total
+        closed, second = omega_n1_closed(ell, s, p), omega_n1_closed(ell, 2 * s, p)
+        finite = all(map(math.isfinite, (est, closed * closed, second)))
+    except (OverflowError, ZeroDivisionError):
+        finite = False
+    if not finite:
+        raise ResourceLimit(f"the rank-one estimate at ell = {ell}, s = {s} leaves the float range")
     # rounding leaves about 1e-16 at s = 0, where the variance is 0
-    var = max(0.0, omega_n1_closed(ell, 2 * s, p) - closed * closed)
+    var = max(0.0, second - closed * closed)
     return {
         "estimate": est,
         "stderr": math.sqrt(var / total),

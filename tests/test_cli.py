@@ -247,6 +247,9 @@ OUT_OF_RANGE = [
     (["verify", "all", "--workers", "0"], "--workers must be at least 1, got 0"),
     (["verify", "norm-volume", "--workers", "-2"], "--workers must be at least 1, got -2"),
     (["sph", "omega", "--ell", "-1", "--s", "1"], "--ell must be at least 0, got -1"),
+    (["padic", "mc-omega", "--ell", "1", "--s", "nan"], "--s must be finite, got nan"),
+    (["padic", "mc-omega", "--ell", "1", "--s", "inf"], "--s must be finite, got inf"),
+    (["padic", "mc-omega", "--ell", "0", "--s=-inf"], "--s must be finite, got -inf"),
 ] + [
     (verb + ["--p", p], f"--p must be an odd prime, got {p}")
     for verb in (
@@ -928,6 +931,34 @@ def test_verify_n_out_of_range_refused_before_the_layers_load(n, code):
         text=True,
     )
     assert r.stdout == f"{code} False\n", r.stderr
+
+
+@pytest.mark.parametrize("n, code", [(0, 2), (21, 3), (80, 3)])
+def test_classify_n_out_of_range_refused_before_padic_loads(n, code):
+    argv = ["padic", "classify", "--n", str(n)]
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "hermlab.padic", *argv], capture_output=True, text=True
+    )
+    assert r.stdout == f"{code} False\n"
+    if code == 2:
+        assert r.stderr == f"--n must be at least 1, got {n}\n"
+    else:
+        assert r.stderr == f"resource: padic classify supports --n up to 20, got {n}\n"
+
+
+@pytest.mark.parametrize(
+    "ell, s",
+    [("1", "800"), ("700", "1"), ("1", "600"), ("3", "300")],
+)
+def test_mc_omega_outside_the_float_range_is_a_resource_limit(capsys, ell, s):
+    # finite input whose estimate or closed form overflows a float
+    code = run(["padic", "mc-omega", "--ell", ell, "--s", s, "--samples", "200"])
+    got = capsys.readouterr()
+    assert code == 3 and got.out == ""
+    assert got.err == (
+        f"resource/precision: the rank-one estimate at ell = {ell}, s = {float(s)} "
+        "leaves the float range\n"
+    )
 
 
 QPOLY_VERBS = [

@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 from hermlab import padic
 from hermlab.errors import InexactDivision, PrecisionError, ResourceLimit
 from hermlab.padic import (
-    ExactLocal,
     LocalMatrix,
     assert_unitary,
     classify_g_orbit,
@@ -55,7 +55,7 @@ F5 = LocalField(5)
 F7 = LocalField(7)
 
 
-# -- the Fraction-pair ExactLocal, kept as the reference ----------------------------
+# -- the Fraction-pair exact scalar, kept as the reference --------------------------
 
 
 def _vp_fraction(x, p):
@@ -70,7 +70,8 @@ def _vp_fraction(x, p):
 
 
 class RefExactLocal:
-    """a + b*sqrt(eps) with a, b stored as Fractions, as ExactLocal was."""
+    """a + b*sqrt(eps) with a, b stored as Fractions: the exact scalar the
+    package used before its Q(sqrt(eps)) values became int pairs."""
 
     __slots__ = ("field", "a", "b")
 
@@ -110,9 +111,6 @@ class RefExactLocal:
     def norm(self):
         return self.a * self.a - self.field.eps * self.b * self.b
 
-    def trace(self):
-        return 2 * self.a
-
     def inverse(self):
         n = self.norm()
         if n == 0:
@@ -135,10 +133,6 @@ class RefExactLocal:
     def __eq__(self, other):
         o = self._coerce(other)
         return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        # the key ExactLocal hashed before its integer storage
-        return hash((ExactLocal, self.field.p, self.a, self.b))
 
     def __repr__(self):
         if self.b == 0:
@@ -168,53 +162,62 @@ def _rand_fraction(rng):
     return Fraction(num * rng.choice([1, 3, 9, 5]), den)
 
 
-def _pair_of_models(field, rng):
-    a, b = _rand_fraction(rng), _rand_fraction(rng)
-    return ExactLocal(field, a, b), RefExactLocal(field, a, b)
-
-
 def _same(x, ref):
-    return (
-        x.a == ref.a
-        and x.b == ref.b
-        and type(x.a) is Fraction
-        and repr(x) == repr(ref)
-        and hash(x) == hash(ref)
-    )
+    return x.a == ref.a and x.b == ref.b and repr(x) == repr(ref)
 
 
-def test_exact_local_matches_reference():
+def _numerators(x):
+    """A RefExactLocal as an int pair over one positive int denominator."""
+    d = math.lcm(x.a.denominator, x.b.denominator)
+    return (int(x.a * d), int(x.b * d)), d
+
+
+def _over(pair, d, field):
+    return RefExactLocal(field, Fraction(pair[0], d), Fraction(pair[1], d))
+
+
+def test_exact_pair_kernel_matches_reference():
+    # the pair kernel with modulus 0 on numerators over one denominator, and
+    # 1x1 exact matrices built from pairs of Fractions, on rational draws
     rng = random.Random(2024)
     for field in (F3, F5):
+        p, eps = field.p, field.eps
         for _ in range(400):
-            x, rx = _pair_of_models(field, rng)
-            y, ry = _pair_of_models(field, rng)
+            rx = RefExactLocal(field, _rand_fraction(rng), _rand_fraction(rng))
+            ry = RefExactLocal(field, _rand_fraction(rng), _rand_fraction(rng))
             n = rng.randrange(-5, 6)
             fr = Fraction(rng.randrange(-9, 10), rng.randrange(1, 10))
-            assert _same(x, rx)
-            assert _same(x + y, rx + ry) and _same(x - y, rx - ry)
-            assert _same(x * y, rx * ry) and _same(-x, -rx) and _same(x.conj(), rx.conj())
-            assert _same(x + n, rx + n) and _same(x * fr, rx * fr) and _same(n + x, rx + n)
-            assert _same(n - x, -rx + n) and _same(fr * x, rx * fr)
-            assert x * x.conj() == rx.norm() and 2 * x.a == rx.trace()
-            assert x.valuation() == rx.valuation()
-            assert (x == y) == (rx == ry) and (x == x.a) == (rx == rx.a)
-            assert x == ExactLocal(field, rx.a, rx.b)
-            if rx.norm() == 0:
-                with pytest.raises(ZeroDivisionError):
-                    x.inverse()
-                continue
-            assert _same(x.inverse(), rx.inverse())
-            assert _same(y / x, ry / rx) and _same(n / x, RefExactLocal(field, n) / rx)
+            (x, dx), (y, dy) = _numerators(rx), _numerators(ry)
+            assert _same(_over(x, dx, field), rx)
+            assert _same(_over(pmul(x, y, eps), dx * dy, field), rx * ry)
+            assert _same(_over(pconj(x), dx, field), rx.conj())
+            assert Fraction(pnorm(x, eps), dx * dx) == rx.norm()
+            assert pval(x, p) - _vp_fraction(Fraction(dx), p) == rx.valuation()
+            assert pzero(x) == (rx == 0) and pzero(pmul(x, y, eps)) == (rx * ry == 0)
+            if rx.norm():
+                # y / x = y conj(x) / N(x)
+                q = [c * dx for c in pmul(y, pconj(x), eps)]
+                assert _same(_over(q, dy * pnorm(x, eps), field), ry / rx)
+            X, Y = (LocalMatrix.from_values(field, [[(r.a, r.b)]]) for r in (rx, ry))
+            assert repr(X) == f"<[{rx!r}]>" and _values(X) == [[rx]]
+            assert _values(X @ Y) == [[rx * ry]] and _values(X.star()) == [[rx.conj()]]
+            for c in (n, fr):
+                C = LocalMatrix.from_values(field, [[c]])
+                assert _values(C @ X) == _values(X @ C) == [[rx * c]]
+            assert (X == Y) == (rx == ry)
 
 
-def test_exact_local_equal_values_hash_equal():
+def test_equal_exact_values_are_stored_alike():
     # equal values built along different roads agree in every field
-    x = ExactLocal(F3, Fraction(2, 6), Fraction(-4, 12))
-    y = ExactLocal(F3, 1, 2) * ExactLocal(F3, Fraction(1, 3)) - ExactLocal(F3, 0, 1)
-    assert x == y and hash(x) == hash(y) and repr(x) == repr(y) == "1/3+-1/3*sqrt(2)"
-    assert hash(ExactLocal(F3, 5)) == hash((ExactLocal, 3, Fraction(5), Fraction(0)))
-    assert ExactLocal(F3, 5) == 5 and ExactLocal(F3, Fraction(5, 2)) == Fraction(5, 2)
+    x = LocalMatrix.from_values(F3, [[(Fraction(2, 6), Fraction(-4, 12))]])
+    third = LocalMatrix.from_values(F3, [[Fraction(1, 3)]])
+    y = LocalMatrix.from_values(F3, [[(1, -1)]]) @ third
+    z = LocalMatrix.from_values(F3, [[(1, -1)]], shift=1)
+    for w in (y, z):
+        assert x == w and (x.rows, x.scale) == (w.rows, w.scale)
+        assert repr(w) == "<[1/3+-1/3*sqrt(2)]>"
+    five = LocalMatrix.from_values(F3, [[5]])
+    assert five.rows == (((5, 0),),) and five == LocalMatrix.from_values(F3, [[(5, 0)]])
 
 
 def test_exact_matrices_match_reference():
@@ -227,10 +230,7 @@ def test_exact_matrices_match_reference():
                      for _ in range(size)]
                     for _ in range(2)
                 ]
-                x, y = (
-                    LocalMatrix.from_values(field, [[ExactLocal(field, *v) for v in row] for row in m])
-                    for m in vals
-                )
+                x, y = (LocalMatrix.from_values(field, m) for m in vals)
                 rx, ry = (
                     [[RefExactLocal(field, *v) for v in row] for row in m] for m in vals
                 )
@@ -263,29 +263,6 @@ def test_field_validation():
     assert smallest_nonresidue(3) == 2
     assert smallest_nonresidue(5) == 2
     assert smallest_nonresidue(7) == 3
-
-
-def test_exact_local_algebra():
-    x = ExactLocal(F3, Fraction(1, 2), 3)
-    y = ExactLocal(F3, 2, Fraction(-1, 5))
-    assert (x + y) - y == x
-    assert x * y == y * x
-    assert (x * y) * x.inverse() == y * (x * x.inverse())
-    assert x * x.inverse() == ExactLocal(F3, 1)
-    # the norm x conj(x) is multiplicative and real
-    assert (x * y) * (x * y).conj() == (x * x.conj()) * (y * y.conj())
-    assert (x * x.conj()).b == 0
-    assert 2 * x.a == Fraction(1)
-    assert x.conj().conj() == x
-    # valuation of a product adds
-    assert (x * y).valuation() == x.valuation() + y.valuation()
-
-
-def test_exact_valuation():
-    assert ExactLocal(F3, 9, 27).valuation() == 2
-    assert ExactLocal(F3, Fraction(1, 3)).valuation() == -1
-    assert ExactLocal(F3, 0, 6).valuation() == 1
-    assert ExactLocal(F3, 0).valuation() == math.inf
 
 
 # -- the pair kernel, against the Fraction reference reduced mod p^m ----------------
@@ -445,8 +422,13 @@ def test_hensel_norm_solve_refuses_a_non_unit():
 
 
 def _values(x):
-    """The entries of an exact matrix as ExactLocal values."""
-    return [[ExactLocal._make(x.field, a, b, x.scale) for a, b in row] for row in x.rows]
+    """The entries of an exact matrix as RefExactLocal values."""
+    return [[_over(e, x.scale, x.field) for e in row] for row in x.rows]
+
+
+def _from_ref(field, rows):
+    """The exact matrix of an array of RefExactLocal values."""
+    return LocalMatrix.from_values(field, [[(e.a, e.b) for e in row] for row in rows])
 
 
 def _det(rows):
@@ -477,13 +459,13 @@ def test_matrix_shift_normalization():
     r = x.to_residue(8)
     assert r.shift == 2
     assert r == x.to_residue(10)  # equality sees through different shifts
-    assert _det(_values(x)) == ExactLocal(F3, 1)
+    assert _det(_values(x)) == 1
 
 
 def test_exact_matrix_normalization():
     # p^-2 [[3, 9/2], [0, 6 + 3 sqrt(2)]] = [[2, 3], [0, 4 + 2 sqrt(2)]] / 6 in
     # lowest terms: the shift is already the least, and normalized keeps it
-    x = LocalMatrix.from_values(F3, [[3, Fraction(9, 2)], [0, ExactLocal(F3, 6, 3)]], 2)
+    x = LocalMatrix.from_values(F3, [[3, Fraction(9, 2)], [0, (6, 3)]], 2)
     assert x.scale == 6 and x.shift == 1
     assert x.rows == (((2, 0), (3, 0)), ((0, 0), (4, 2)))
     assert x.normalized() == x and x.normalized().rows == x.rows
@@ -535,7 +517,7 @@ def test_exact_json_with_a_shift_loads():
     # older versions wrote an exact matrix as p^-shift times its entries
     d = {"model": "exact", "p": 3, "eps": 2, "size": 1, "shift": 2, "entries": [[["9/2", "3"]]]}
     x = LocalMatrix.from_json_dict(d)
-    assert x == LocalMatrix.from_values(F3, [[ExactLocal(F3, Fraction(1, 2), Fraction(1, 3))]])
+    assert x == LocalMatrix.from_values(F3, [[(Fraction(1, 2), Fraction(1, 3))]])
     assert x.to_json_dict()["shift"] == 0 and x.to_json_dict()["entries"] == [[["1/2", "1/3"]]]
 
 
@@ -637,13 +619,13 @@ def _charpoly(m):
     an exact matrix, highest power first."""
     n = m.size
     M = LocalMatrix.identity(m.field, n)
-    coeffs = [ExactLocal(m.field, 1)]
+    coeffs = [RefExactLocal(m.field, 1)]
     for k in range(1, n + 1):
         AM = m @ M
         am = _values(AM)
-        c = sum((am[i][i] for i in range(n)), ExactLocal(m.field, 0)) * Fraction(-1, k)
+        c = sum((am[i][i] for i in range(n)), RefExactLocal(m.field, 0)) * Fraction(-1, k)
         coeffs.append(c)
-        M = LocalMatrix.from_values(
+        M = _from_ref(
             m.field, [[e + c if i == j else e for j, e in enumerate(row)] for i, row in enumerate(am)]
         )
     return coeffs
@@ -677,7 +659,7 @@ def test_membership_trace_matches_charpoly():
                     x = random_k(F3, n, seed=seed + 10 * sum(lam)).act(x)
                 corner = _values(x)
                 corner[-1][-1] = corner[-1][-1] + 3
-                cases += [x, _negated(x), LocalMatrix.from_values(F3, corner)]
+                cases += [x, _negated(x), _from_ref(F3, corner)]
         for x in cases:
             member = is_member_X(x)
             assert member == _member_by_charpoly(x)
@@ -741,6 +723,92 @@ def test_g_orbit_parity_survives_torus_mixing():
     assert classify_g_orbit(y) == 1
     assert classify_k_orbit(y) != classify_k_orbit(x)
     assert classify_g_orbit(x_lambda(F3, 2, (2, 0))) == 0
+
+
+# -- the field elimination, kept as the reference -------------------------------
+
+
+def ref_invariant_factors(x):
+    """invariant_factors as it was before it went fraction-free: the exact
+    lift of the stored digits as RefExactLocal values, each lower row less
+    (e / pivot) times the pivot row, over the field."""
+    n, m = x.size, x.precision
+    rows = [[RefExactLocal(x.field, a, b) for a, b in r] for r in x.rows]
+    vals = []
+    for top in range(n):
+        v, bi, bj = min(
+            (rows[i][j].valuation(), i, j) for i in range(top, n) for j in range(top, n)
+        )
+        if m is not None and v >= m:
+            raise PrecisionError("an invariant factor reaches p^m", required=m + 1)
+        if math.isinf(v):
+            raise ValueError("matrix is singular")
+        rows[top], rows[bi] = rows[bi], rows[top]
+        for row in rows:
+            row[top], row[bj] = row[bj], row[top]
+        pivot_row = rows[top]
+        for i in range(top + 1, n):
+            e = rows[i][top]
+            if e != 0:
+                fac = e / pivot_row[top]
+                rows[i] = [a - fac * b for a, b in zip(rows[i], pivot_row)]
+        vals.append(v)
+    return sorted((v - x.shift for v in vals), reverse=True)
+
+
+def _elimination_outcome(fn, x):
+    """The invariants fn finds for x, or the PrecisionError it raises."""
+    try:
+        return fn(x)
+    except PrecisionError as e:
+        return "PrecisionError", e.required
+
+
+def _within(seconds, fn, *args):
+    """fn(*args), or TimeoutError once `seconds` of wall time have passed."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} took more than {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+ELIMINATION_PRECISIONS = (1, 3, 5, 7, 9)
+
+
+@pytest.mark.parametrize("field", [F3, F5, F7], ids=["p3", "p5", "p7"])
+def test_elimination_matches_the_field_reference(field):
+    # x_lambda and two twists of it for every lambda of weight <= 4 at
+    # n <= 3, exact and at five precisions: 450 inputs for each p, every
+    # PrecisionError outcome included
+    outcomes = set()
+    for n in (1, 2, 3):
+        for lam in partitions(n, 4):
+            x = x_lambda(field, n, lam)
+            for y in (x, *(random_k(field, n, seed=s + 10 * sum(lam)).act(x) for s in (0, 1))):
+                for z in (y, *(y.to_residue(m) for m in ELIMINATION_PRECISIONS)):
+                    got = _elimination_outcome(invariant_factors, z)
+                    assert got == _elimination_outcome(ref_invariant_factors, z), (n, lam, z.precision)
+                    outcomes.add(type(got))
+    assert outcomes == {list, tuple}
+
+
+def test_elimination_keeps_the_digits_small_at_n6():
+    # without dividing each new row by the part of its content prime to p,
+    # the digits of this twisted 13x13 member grow until the elimination
+    # takes minutes; the field reference takes a fraction of a second
+    lam = (3, 2, 1, 1, 0, 0)
+    x = random_k(F3, 6, seed=5).act(x_lambda(F3, 6, lam))
+    for z in (x, x.to_residue(6), x.to_residue(7)):
+        want = _elimination_outcome(ref_invariant_factors, z)
+        assert _within(5, _elimination_outcome, invariant_factors, z) == want
+    assert want == [3, 2, 1, 1, 0, 0, 0, 0, 0, -1, -1, -2, -3]
 
 
 # -- the cells of the small unitary group ---------------------------------------
