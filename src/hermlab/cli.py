@@ -29,24 +29,36 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 all 22 checks pass when run in-process, in 36-39 s on a 2-core
-# machine.  `basis-rank` takes 31-33 s of it, in its 32 `q_poly` builds and
-# the exact evaluations on the sign flips (ROADMAP direction 2 evaluates
-# through alternants instead); `gram-orthogonality` and
-# `functional-equation` take under 2.2 s each, and `measure-total-mass`
-# 0.1 s.  Until `verify all --n 4` runs within a stated budget, larger n
-# exits EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, in 13.7 s on a 2-core
+# machine.  `basis-rank` takes 10.1 s of it, nearly all in its 32 `q_poly`
+# builds (ROADMAP direction 2 evaluates through alternants instead);
+# `gram-orthogonality` and `functional-equation` take under 1.4 s each, and
+# `measure-total-mass` 0.1 s.  Until `verify all --n 4` runs within a
+# stated budget, larger n exits EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 # The verbs that build `q_poly` (`hl qpoly`, `sph`, `plancherel`) run at
-# n = 4 in under a minute each on a 2-core machine (`plancherel rank` about
-# 45 s, the others under 3 s); larger n exits EXIT_RESOURCE up front.
+# n = 4 in under 10 s each on a 2-core machine: `plancherel rank` in
+# 5.7-8.0 s, nearly all of it its 16 `q_poly` builds; the others in under
+# 1.1 s at their default sizes.  Larger n exits EXIT_RESOURCE up front.
 QPOLY_MAX_N = 4
 
-# `padic classify` at n = 20 takes 1-3 s from the CLI on a 2-core machine
-# (seeds 1, 2 and 7; lambda (1) and (4, 3, 2, 1)), nearly all of it in
-# building the `random_k` word and its products; n = 30 takes 2-7.5 s.
-# Larger n exits EXIT_RESOURCE up front.
+# `plancherel gram|check|inversion` pair every partition of weight up to
+# --weight with every other, and build each one's `q_poly`.  From the CLI on
+# a 2-core machine the three verbs take, in both cases, at the bound (in
+# parentheses another weight, odd case)
+#   n = 1, weight 128: 2.2-3.3 s   (weight 64: 0.4-0.6 s)
+#   n = 2, weight 14:  2.7-4.5 s   (weight 16: 6.5-6.8 s)
+#   n = 3, weight 6:   2.3-3.9 s   (weight 7: 4.7-6.2 s)
+#   n = 4, weight 3:   3.3-4.6 s   (weight 4: 16-18 s, nearly all `q_poly`)
+# A larger --weight exits EXIT_RESOURCE before any layer loads.
+PLANCHEREL_MAX_WEIGHT = {1: 128, 2: 14, 3: 6, 4: 3}
+
+# `padic classify` at n = 20 takes 0.55-1.1 s from the CLI on a 2-core
+# machine (seeds 1, 2 and 7; lambda (1) and (4, 3, 2, 1)): 0.1-0.6 s in its
+# one elimination, the rest in start-up and in building the `random_k` word
+# and its products.  At n = 30 the word and the elimination take 0.8-3.1 s
+# in-process.  Larger n exits EXIT_RESOURCE up front.
 CLASSIFY_MAX_N = 20
 
 
@@ -398,11 +410,18 @@ def _cmd_sph_parity_sign(args) -> int:
 
 
 def _cmd_plancherel(args) -> int:
+    q0 = _above(_parse_fraction(args.q0, "--q0"), 1, "--q0")
+    weight = _at_least(args.weight, 0, "--weight")
+    bound = PLANCHEREL_MAX_WEIGHT[args.n]
+    if weight > bound:
+        sys.stderr.write(
+            f"resource: plancherel {args.subcommand} supports --weight up to {bound} "
+            f"at --n {args.n}, got {weight}\n"
+        )
+        return EXIT_RESOURCE
     from .hall_littlewood import partitions
     from .plancherel import check_inversion, check_plancherel, gram_matrix
 
-    q0 = _above(_parse_fraction(args.q0, "--q0"), 1, "--q0")
-    weight = _at_least(args.weight, 0, "--weight")
     lams = sorted(partitions(args.n, weight), key=lambda t: (sum(t), t))
     header = ["partition"] + [",".join(map(str, lam)) or "0" for lam in lams]
     if args.subcommand == "gram":
@@ -527,10 +546,10 @@ def _cmd_padic(args) -> int:
         print("agreement:", "pass" if ok else "fail")
         return EXIT_PASS if ok else EXIT_MATH_FAIL
     from .padic import (
-        classify_g_orbit,
-        classify_k_orbit,
         diagonalize_x1,
+        full_group_class,
         invariant_factors,
+        orbit_label,
         random_k,
         x_lambda,
     )
@@ -543,10 +562,12 @@ def _cmd_padic(args) -> int:
             x = k.act(_parse_partition(args.lam or "1", lambda lam: x_lambda(field, args.n, lam)))
         if _not_a_member(x):
             return EXIT_MATH_FAIL
+        # one elimination gives the factors, the label and the class
         facs = invariant_factors(x)
         print("invariant factors:", ",".join(map(str, facs)))
-        print("orbit:", ",".join(map(str, classify_k_orbit(x))))
-        print("full-group class:", classify_g_orbit(x))
+        label = orbit_label(facs)
+        print("orbit:", ",".join(map(str, label)))
+        print("full-group class:", full_group_class(label))
         return EXIT_PASS
     if args.subcommand == "diagonalize1":
         if args.infile:

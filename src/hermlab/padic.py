@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import InexactDivision, PrecisionError
 from .residue import (
@@ -397,7 +398,10 @@ def _diag_element(field, alphas, u):
     return g
 
 
-def _perm_generators(field, n):
+@lru_cache(maxsize=None)
+def _perm_generators(field, n) -> tuple:
+    """The n + 1 signed-permutation representatives of ``random_k``, each
+    checked unitary once per (field, n); shared, so never mutated."""
     size = 2 * n + 1
     gens = []
 
@@ -414,7 +418,7 @@ def _perm_generators(field, n):
         gens.append(from_pairs([(i, i + 1), (size - 1 - i, size - 2 - i)]))
     gens.append(from_pairs([(n - 1, n + 1)]))
     gens.append(j_matrix(field, size))
-    return gens
+    return tuple(gens)
 
 
 RANDOM_K_WORD_LENGTH = 6  # generators multiplied into one random_k element
@@ -428,7 +432,7 @@ def random_k(field, n, seed):
     size = 2 * n + 1
     g = LocalMatrix.identity(field, size)
     perms = _perm_generators(field, n)
-    J = j_matrix(field, size)
+    J = perms[-1]  # the j_matrix generator
     for _ in range(RANDOM_K_WORD_LENGTH):
         kind = rng.randrange(4)
         if kind == 0:
@@ -532,10 +536,10 @@ def invariant_factors(x: LocalMatrix):
     return sorted((v - x.shift for v in vals), reverse=True)
 
 
-def classify_k_orbit(x: LocalMatrix):
-    """The partition labelling the K-orbit of a hermitian member: invariant
-    factors must come in inverse pairs around a zero."""
-    facs = invariant_factors(x)
+def orbit_label(facs) -> tuple[int, ...]:
+    """The partition labelling the K-orbit of a hermitian member with these
+    invariant factors, largest first: they must come in inverse pairs around
+    a zero."""
     size = len(facs)
     if size % 2 == 0:
         raise ValueError("expected odd size")
@@ -545,10 +549,20 @@ def classify_k_orbit(x: LocalMatrix):
     return tuple(facs[:n])
 
 
-def classify_g_orbit(x: LocalMatrix) -> int:
-    """0 or 1: the weight parity of the K-orbit label, constant on orbits of
+def classify_k_orbit(x: LocalMatrix):
+    """The partition labelling the K-orbit of a hermitian member."""
+    return orbit_label(invariant_factors(x))
+
+
+def full_group_class(label) -> int:
+    """0 or 1: the weight parity of a K-orbit label, constant on orbits of
     the full unitary group."""
-    return sum(classify_k_orbit(x)) % 2
+    return sum(label) % 2
+
+
+def classify_g_orbit(x: LocalMatrix) -> int:
+    """The full-group class of a hermitian member."""
+    return full_group_class(classify_k_orbit(x))
 
 
 # -- constructive rank-one diagonalization -------------------------------------------

@@ -8,9 +8,10 @@ The measure is the absolutely continuous one with density
 against the normalized Haar measure of the n-torus, W_0 being the Poincare
 series of the signed permutations at the parity specialization
 (``whole_group_value``), 2^n n! their order.  Pairings of
-W-invariant Laurent polynomials against it are exact constant terms
-(``pairing_matrix``); the uniform grid remains for the float check of the
-density itself (``total_mass``).
+W-invariant Laurent polynomials against it are exact constant terms, taken
+at the one q0 > 1 that every check compares at (``pairing_at``); the
+uniform grid remains for the float check of the density itself
+(``total_mass``).
 """
 
 from __future__ import annotations
@@ -27,13 +28,12 @@ from typing import Sequence
 from .errors import ENUMERATION_BOUND, ResourceLimit
 from .hall_littlewood import (
     check_partition,
-    p_poly,
     q_poly,
     spec_params,
     w_lambda_value,
     whole_group_value,
 )
-from .scalars import QF_ZERO, GaussianRational, QFraction
+from .scalars import GR_ZERO, QL_ONE, GaussianRational, QFraction
 from .spherical import (
     PhasedScalar,
     SphericalValue,
@@ -41,7 +41,7 @@ from .spherical import (
     phase_power,
     psi,
 )
-from .torus import FactoredRational, TorusPoly
+from .torus import FactoredRational, TorusPoly, TorusPolyAt
 from .weyl import long_positive_roots, short_positive_roots
 
 
@@ -182,71 +182,125 @@ def _height(e: Sequence[int]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _delta_plus(n: int, parity: str, height: int) -> TorusPoly:
+def _delta_plus_at(n: int, parity: str, height: int, q0: Fraction) -> TorusPolyAt:
     """prod over positive roots a of (1 - x^a) / (1 - t_a x^a)
-        = prod (1 + sum_{k >= 1} (t_a^k - t_a^(k-1)) x^(ka)),
-    expanded through the given height.  Every exponent in the product has
-    height >= 0, so x^(ka) multiplies only the part of height <= height - k<rho, a>."""
+        = prod (1 + sum_{k >= 1} (t_a^k - t_a^(k-1)) x^(ka))
+    at q = q0, expanded through the given height.  Every exponent in the
+    product has height >= 0, so x^(ka) multiplies only the part of height
+    <= height - k<rho, a>.  With t_a = u/v at q0 and K = height // <rho, a>,
+    the factor of a is sum_k s_k x^(ka) over v^K, s_0 = v^K and
+    s_k = u^(k-1) (u - v) v^(K-k), all of them ints."""
+    q0 = Fraction(q0)
     ts, tl = spec_params(parity)
-    out = TorusPoly.const(n, 1)
+    out, den = {(0,) * n: 1}, 1
     for t, roots in ((ts, short_positive_roots(n)), (tl, long_positive_roots(n))):
+        u, _, v = t.value_at(q0.numerator, q0.denominator)
         for a in roots:
             ha = _height(a)
-            heights = {e: _height(e) for e in out.support()}
-            step = out
-            for k in range(1, height // ha + 1):
-                low = TorusPoly(n, {e: c for e, c in out.terms() if heights[e] <= height - k * ha})
-                step = step + TorusPoly.monomial(n, [k * v for v in a], t**k - t ** (k - 1)) * low
-            out = step
-    return out
+            top = height // ha
+            series = [v**top] + [u ** (k - 1) * (u - v) * v ** (top - k) for k in range(1, top + 1)]
+            step: dict = {}
+            for e, c in out.items():
+                for k in range((height - _height(e)) // ha + 1):
+                    e2 = tuple(x + k * y for x, y in zip(e, a))
+                    step[e2] = step.get(e2, 0) + c * series[k]
+            out, den = step, den * v**top
+    return TorusPolyAt.of_ints(n, {e: (c, 0) for e, c in out.items() if c}, den)
 
 
-def _split(v) -> tuple[PhasedScalar, TorusPoly]:
-    if isinstance(v, TorusPoly):
-        return PhasedScalar.one(), v
+@lru_cache(maxsize=None)
+def _q_poly_at(n: int, parity: str, lam: tuple[int, ...], q0: Fraction) -> TorusPolyAt:
+    """q_poly at q0, for a partition padded to n parts."""
+    return TorusPolyAt(q_poly(n, parity, lam), q0)
+
+
+def _split(v, q0: Fraction) -> tuple[PhasedScalar, TorusPolyAt]:
+    """A SphericalValue prefactor * q_poly(lam) / boundary as its exact
+    prefactor and its orbit sum at q0; the boundary must be a constant."""
     if v.boundary.num or v.boundary.den:
         raise ValueError("the exact pairing needs a trivial boundary factor")
-    return v.prefactor / v.boundary.front, v.numerator
+    if v.numerator is not q_poly(v.n, v.parity, v.lam):
+        raise ValueError("the exact pairing needs the orbit sum q_poly(lam) as numerator")
+    return v.prefactor / v.boundary.front, _q_poly_at(v.n, v.parity, v.lam, q0)
 
 
-def pairing_matrix(fs: Sequence, gs: Sequence, parity: str, conjugate: bool = True) -> list:
-    """Exact pairings <f, g> against the density of total mass 1: the
-    integral of f * conj(g), or of f * g when not ``conjugate``.  Entries
-    are PhasedScalar values, symbolic in q.
+def _pairings(left: list, right: list, parity: str, q0: Fraction, conjugate: bool) -> list:
+    """The pairings of ``pairing_at`` for (prefactor, polynomial at q0) pairs.
 
-    Each f and g is a W-invariant TorusPoly, or a SphericalValue with a
-    trivial boundary factor.  For W-invariant h, Macdonald's constant-term
-    identity (Affine Hecke Algebras and Orthogonal Polynomials, ch. 5)
-    gives the integral of h as CT[h * Delta+], Delta+ the series above; it
-    lives in the positive cone, so it is cut at the height of h's support.
-    Since -1 lies in W, conj(g) on the torus is g with conjugated
-    coefficients.
-
-    >>> m = pairing_matrix([TorusPoly.const(1, 1)], [q_poly(1, "odd", (1,))], "odd")
-    >>> m[0][0].is_zero()
-    True
-    """
-    left = [_split(f) for f in fs]
-    right = [_split(g) for g in gs]
+    Each entry is the prefactors' product, exact in q and then taken at q0,
+    times CT[f * g * Delta+] = sum over the terms f_e1 x^e1 of f and g_e2 x^e2
+    of g of f_e1 * g_e2 * Delta+_(-(e1 + e2)), summed over Gaussian
+    integers.  For each g the inner sum over e2 is formed once per exponent
+    e1 of the left polynomials."""
     if not left or not right:
         return [[] for _ in left]
     if conjugate:
-        right = [(c.conjugate(), g.map_coeffs(QFraction.conjugate_coeffs)) for c, g in right]
-    products = [[f * g for _, g in right] for _, f in left]
-    height = max((-_height(e) for row in products for h in row for e in h.support()), default=0)
-    delta = _delta_plus(left[0][1].n, parity, max(height, 0))
-    return [
-        [
-            cf * cg * sum((c * delta.coeff([-v for v in e]) for e, c in h.terms()), QF_ZERO)
-            for (cg, _), h in zip(right, row)
-        ]
-        for (cf, _), row in zip(left, products)
-    ]
+        right = [(c.conjugate(), g.conjugate()) for c, g in right]
+    low_f = min((_height(e) for _, f in left for e in f._c), default=0)
+    low_g = min((_height(e) for _, g in right for e in g._c), default=0)
+    height = max(0, -low_f - low_g)
+    delta = _delta_plus_at(left[0][1].n, parity, height, q0)
+    dc = delta._c
+    exps = set().union(*(f._c for _, f in left))
+    cols = []
+    for _, g in right:
+        col = {}
+        for e1 in exps:
+            keys = (tuple(-a - b for a, b in zip(e1, e2)) for e2 in g._c)
+            v = _gauss_dot(g._c.values(), map(dc.get, keys))
+            if v != (0, 0):
+                col[e1] = v
+        cols.append(col)
+    out = []
+    for cf, f in left:
+        row = []
+        for (cg, g), col in zip(right, cols):
+            re, im = _gauss_dot(f._c.values(), map(col.get, f._c))
+            if re or im:
+                den = f._d * g._d * delta._d
+                scale = (cf * cg).as_qfraction().eval(q0)
+                row.append(scale * GaussianRational(Fraction(re, den), Fraction(im, den)))
+            else:
+                row.append(GR_ZERO)
+        out.append(row)
+    return out
 
 
-def _at(mat: list, q0: Fraction) -> list:
-    """Exact values at q0; an entry with an odd power of sqrt(q) raises ValueError."""
-    return [[v.as_qfraction().eval(Fraction(q0)) for v in row] for row in mat]
+def _gauss_dot(xs, ys) -> tuple[int, int]:
+    """sum of x * y over Gaussian integers (re, im), skipping a y of None."""
+    re = im = 0
+    for (xr, xi), y in zip(xs, ys):
+        if y is not None:
+            re += xr * y[0] - xi * y[1]
+            im += xr * y[1] + xi * y[0]
+    return re, im
+
+
+def pairing_at(
+    fs: Sequence, gs: Sequence, parity: str, q0: Fraction, conjugate: bool = True
+) -> list:
+    """Exact pairings <f, g> at q = q0 against the density of total mass 1:
+    the integral of f * conj(g), or of f * g when not ``conjugate``, as
+    GaussianRational values.  An entry that is nonzero with an odd power of
+    sqrt(q0) raises ValueError.
+
+    Each f and g is a SphericalValue prefactor * q_poly(lam) over a constant
+    boundary factor, as ``transform_ch`` and ``psi`` build them.  For
+    W-invariant h, Macdonald's constant-term identity (Affine Hecke Algebras
+    and Orthogonal Polynomials, ch. 5) gives the integral of h as
+    CT[h * Delta+], Delta+ the series above; it lives in the positive cone,
+    so it is cut at the height of the products' support.  Since -1 lies in
+    W, conj(g) on the torus is g with conjugated coefficients.  The identity
+    holds for each q, so it holds at q0: every polynomial is taken at q0
+    first, and paired on Gaussian integers.
+
+    >>> m = pairing_at([psi(1, "odd", ())], [psi(1, "odd", (1,))], "odd", Fraction(3))
+    >>> m[0][0].is_zero()
+    True
+    """
+    left = [_split(f, q0) for f in fs]
+    right = [_split(g, q0) for g in gs]
+    return _pairings(left, right, parity, q0, conjugate)
 
 
 def pairing_misses(mat: list, diagonal: Sequence) -> list:
@@ -259,10 +313,16 @@ def pairing_misses(mat: list, diagonal: Sequence) -> list:
     ]
 
 
+def _normalizer(lam: tuple[int, ...], n: int, parity: str) -> PhasedScalar:
+    """1 / W_lam, the factor that makes q_poly(lam) the orbit sum p_poly(lam)."""
+    return PhasedScalar(0, 0, QFraction(QL_ONE, w_lambda_value(lam, n, parity)))
+
+
 def gram_matrix(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> list:
     """Exact pairwise inner products of the normalized orbit sums at q0."""
-    polys = [p_poly(n, parity, lam) for lam in lams]
-    return _at(pairing_matrix(polys, polys, parity), q0)
+    lams = [check_partition(lam, n) for lam in lams]
+    sums = [(_normalizer(lam, n, parity), _q_poly_at(n, parity, lam, q0)) for lam in lams]
+    return _pairings(sums, sums, parity, q0, conjugate=True)
 
 
 def volume(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
@@ -282,21 +342,21 @@ def volume(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
 def transform_ch(lam: Sequence[int], n: int, parity: str) -> SphericalValue:
     """The transform of the orbit indicator, exactly:
 
-        q ** (-<lam, z0>)  *  p_poly(lam).
+        q ** (-<lam, z0>)  *  p_poly(lam)  =  q ** (-<lam, z0>) / W_lam  *  q_poly(lam).
 
     The W-invariant polynomial part is the normalized orbit sum; the phased
-    prefactor undoes the base-point power.
+    prefactor undoes the base-point power and carries its normalizer 1/W_lam.
     """
     lam = check_partition(lam, n)
-    pre = phase_power(lam, n, parity).inverse()
-    return SphericalValue(n, parity, lam, pre, p_poly(n, parity, lam), FactoredRational(1))
+    pre = phase_power(lam, n, parity).inverse() * _normalizer(lam, n, parity)
+    return SphericalValue(n, parity, lam, pre, q_poly(n, parity, lam), FactoredRational(1))
 
 
 def check_plancherel(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> dict:
     """Exact pairings of transforms at q0, against the orbit masses on the
     diagonal and zero off it: the matrix and its misses."""
     vals = [transform_ch(lam, n, parity) for lam in lams]
-    mat = _at(pairing_matrix(vals, vals, parity), q0)
+    mat = pairing_at(vals, vals, parity, q0)
     masses = [volume(lam, n, parity, q0) for lam in lams]
     return {"matrix": mat, "misses": pairing_misses(mat, masses)}
 
@@ -306,38 +366,44 @@ def check_inversion(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Frac
     kernel at q0; the result must be the identity matrix."""
     fs = [transform_ch(lam, n, parity) for lam in lams]
     ks = [psi(n, parity, lam) for lam in lams]
-    mat = _at(pairing_matrix(fs, ks, parity, conjugate=False), q0)
+    mat = pairing_at(fs, ks, parity, q0, conjugate=False)
     return {"matrix": mat, "misses": pairing_misses(mat, [1] * len(lams))}
 
 
-def _flip_rows(polys: Sequence[TorusPoly], xs: Sequence[Fraction], q0: Fraction) -> list[list]:
-    """Exact values of each polynomial at q = q0 on the 2^n sign flips of xs
-    (the half-period shifts of the point)."""
-    flips = [
-        [s * x for s, x in zip(signs, xs)]
-        for signs in itertools.product((1, -1), repeat=len(xs))
-    ]
-    return [[f.eval_exact(x).eval(q0) for x in flips] for f in polys]
-
-
 def _det(rows: Sequence[Sequence[GaussianRational]]) -> GaussianRational:
-    """The determinant of a square matrix over Q(i) by fraction-free
-    (Bareiss) elimination; zero when singular."""
-    m = [list(r) for r in rows]
-    prev, flipped = GaussianRational(1), False
-    for col in range(len(m)):
-        piv = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+    """The determinant of a square matrix over Q(i); zero when singular.
+
+    Each row is scaled to Gaussian integers by the lcm of its denominators,
+    and Bareiss' fraction-free elimination runs on those: each step's
+    division by the previous pivot P is exact in Z[i], as the product with
+    conj(P) over |P|^2."""
+    m, scale = [], 1
+    for r in rows:
+        d = math.lcm(*(x.denominator for v in r for x in (v.re, v.im)))
+        scale *= d
+        m.append([(int(v.re * d), int(v.im * d)) for v in r])
+    size = len(m)
+    (pr, pi), sign = (1, 0), 1
+    for col in range(size):
+        piv = next((r for r in range(col, size) if m[r][col] != (0, 0)), None)
         if piv is None:
-            return GaussianRational(0)
+            return GR_ZERO
         if piv != col:
             m[col], m[piv] = m[piv], m[col]
-            flipped = not flipped
+            sign = -sign
         top = m[col]
-        for r in range(col + 1, len(m)):
-            row = m[r]
-            m[r] = [(row[c] * top[col] - row[col] * top[c]) / prev for c in range(len(m))]
-        prev = top[col]
-    return -prev if flipped else prev
+        tr, ti = top[col]
+        norm = pr * pr + pi * pi
+        for row in m[col + 1 :]:
+            er, ei = row[col]
+            for c in range(col + 1, size):
+                (ar, ai), (br, bi) = row[c], top[c]
+                # row[c] * top[col] - row[col] * top[c], then times conj(P) / |P|^2
+                xr = ar * tr - ai * ti - er * br + ei * bi
+                xi = ar * ti + ai * tr - er * bi - ei * br
+                row[c] = ((xr * pr + xi * pi) // norm, (xi * pr - xr * pi) // norm)
+        pr, pi = tr, ti
+    return GaussianRational(Fraction(sign * pr, scale), Fraction(sign * pi, scale))
 
 
 def basis_partitions(n: int) -> list[tuple[int, ...]]:
@@ -370,12 +436,12 @@ def basis_rank_check(
     if trials < 1:
         raise ValueError("at least one trial is needed")
     rng = random.Random(seed)
-    polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
+    polys = [_q_poly_at(n, parity, lam, q0) for lam in basis_partitions(n)]
     dets = []
     for _ in range(trials):
         for _ in range(8):
             xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
-            det = _det(_flip_rows(polys, xs, q0))
+            det = _det([f.flip_values(xs) for f in polys])
             if not det.is_zero():
                 dets.append(math.sqrt(det.abs2()))
                 break

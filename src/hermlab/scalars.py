@@ -32,6 +32,14 @@ def _as_fraction(x) -> Fraction:
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
+def _nonzero_point(q0) -> tuple[int, int]:
+    """(a, b) with q0 = a/b in lowest terms, b > 0; ValueError at q0 = 0."""
+    q0 = _as_fraction(q0)
+    if not q0:
+        raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
+    return q0.numerator, q0.denominator
+
+
 class GaussianRational:
     """An exact complex number with rational real and imaginary parts.
 
@@ -211,8 +219,9 @@ def _mono_pow(re: int, im: int, d: int, k: int) -> tuple[int, int, int]:
 _set = object.__setattr__
 
 
-def _ql(c: dict[int, tuple[int, int]], d: int) -> "QLaurent":
-    """Wrap nonzero numerators ``c`` over ``d > 0``, cancelling common factors."""
+def _reduced(c: dict, d: int) -> tuple[dict, int]:
+    """Gaussian-integer numerators ``c`` (key -> (re, im), none zero) over
+    ``d > 0``, with the common factor of d and every numerator cancelled."""
     if d != 1:
         if c:
             g = d
@@ -225,6 +234,12 @@ def _ql(c: dict[int, tuple[int, int]], d: int) -> "QLaurent":
                 d //= g
         else:
             d = 1
+    return c, d
+
+
+def _ql(c: dict[int, tuple[int, int]], d: int) -> "QLaurent":
+    """Wrap nonzero numerators ``c`` over ``d > 0``, cancelling common factors."""
+    c, d = _reduced(c, d)
     out = object.__new__(QLaurent)
     _set(out, "_c", c)
     _set(out, "_d", d)
@@ -305,10 +320,6 @@ class QLaurent:
 
     def is_one(self) -> bool:
         return self._d == 1 and self._c == {0: (1, 0)}
-
-    def coeff(self, e: int) -> GaussianRational:
-        t = self._c.get(e)
-        return GR_ZERO if t is None else self._gr(*t)
 
     # -- arithmetic -------------------------------------------------------
     def _coerce(self, other):
@@ -483,16 +494,14 @@ class QLaurent:
         return _ql(c, self._d * norm**scalings)
 
     # -- evaluation ---------------------------------------------------------
-    def eval(self, q0) -> GaussianRational:
-        """Exact substitution q <- q0 for a nonzero rational q0."""
-        q0 = _as_fraction(q0)
-        if not q0:
-            raise ValueError("cannot evaluate a Laurent polynomial at q = 0")
+    def value_at(self, a: int, b: int) -> tuple[int, int, int]:
+        """``(re, im, den)``, ``den > 0``, not reduced: the value at q = a/b,
+        a != 0 < b, is ``(re + im*I) / den``.
+
+        The integer numerators are summed scaled by a^(e-lo) b^(hi-e), and
+        a^lo / (b^hi d) is applied once."""
         if not self._c:
-            return GR_ZERO
-        # q0 = a/b: sum the integer numerators scaled by a^(e-lo) b^(hi-e),
-        # then apply a^lo / (b^hi d) once
-        a, b = q0.numerator, q0.denominator
+            return 0, 0, 1
         lo, hi = min(self._c), max(self._c)
         re = im = 0
         for e, (r, i) in self._c.items():
@@ -501,7 +510,14 @@ class QLaurent:
             im += i * w
         num = a ** max(lo, 0) * b ** max(-hi, 0)
         den = a ** max(-lo, 0) * b ** max(hi, 0) * self._d
-        return GaussianRational(Fraction(re * num, den), Fraction(im * num, den))
+        if den < 0:
+            num, den = -num, -den
+        return re * num, im * num, den
+
+    def eval(self, q0) -> GaussianRational:
+        """Exact substitution q <- q0 for a nonzero rational q0."""
+        re, im, den = self.value_at(*_nonzero_point(q0))
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def eval_float(self, q0: float) -> complex:
         """Float value at q0, summed in ascending exponent order so that
@@ -695,11 +711,22 @@ class QFraction:
         return (self.num * o.den - o.num * self.den).is_zero()
 
     # -- evaluation -------------------------------------------------------------
+    def value_at(self, a: int, b: int) -> tuple[int, int, int]:
+        """``(re, im, den)`` as ``QLaurent.value_at`` gives them, here of
+        num / den: (nr + ni*I)/nd times dd/(dr + di*I) is
+        (nr + ni*I)(dr - di*I) dd / (nd (dr^2 + di^2))."""
+        nr, ni, nd = self.num.value_at(a, b)
+        if self.den.is_one():
+            return nr, ni, nd
+        dr, di, dd = self.den.value_at(a, b)
+        norm = dr * dr + di * di
+        if not norm:
+            raise ZeroDivisionError(f"denominator vanishes at q = {Fraction(a, b)}")
+        return (nr * dr + ni * di) * dd, (ni * dr - nr * di) * dd, nd * norm
+
     def eval(self, q0) -> GaussianRational:
-        d = self.den.eval(q0)
-        if d.is_zero():
-            raise ZeroDivisionError(f"denominator vanishes at q = {q0}")
-        return self.num.eval(q0) / d
+        re, im, den = self.value_at(*_nonzero_point(q0))
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def eval_float(self, q0: float) -> complex:
         return self.num.eval_float(q0) / self.den.eval_float(q0)

@@ -9,17 +9,25 @@ which underpins every orbit-sum normalization downstream.
 Exact evaluation takes points whose coordinates are nonzero monomials
 ``c*q^k`` (c Gaussian rational), such as the paper's x_i = q^(z_i); each
 point is read once into integers and each x^e is one monomial.
+
+``TorusPolyAt`` is a polynomial taken at one nonzero rational q0, its
+coefficients Gaussian integers over one denominator.  Evaluation at q0 is a
+ring homomorphism, so whatever is computed from it equals the value at q0
+of the same computation in q, whenever every denominator met stays nonzero.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
 
 from .errors import InexactDivision
 from .scalars import (
+    GR_ZERO,
     GaussianRational,
     QF_ONE,
     QF_ZERO,
@@ -27,7 +35,9 @@ from .scalars import (
     QLaurent,
     _mono_pow,
     _monomial,
+    _nonzero_point,
     _ql,
+    _reduced,
 )
 from .weyl import SignedPerm, is_positive_vec
 
@@ -105,9 +115,6 @@ class TorusPoly:
 
     def num_terms(self) -> int:
         return len(self._t)
-
-    def coeff(self, exp: Sequence[int]) -> QFraction:
-        return self._t.get(tuple(exp), QF_ZERO)
 
     def terms(self):
         return self._t.items()
@@ -274,6 +281,100 @@ class TorusPoly:
                 for e, c in self.sorted_terms()
             ],
         }
+
+
+class TorusPolyAt:
+    """A TorusPoly at q = q0: ``_c`` maps each exponent to the (re, im) pair
+    of its Gaussian-integer numerator, the coefficient there being
+    (re + im*I) / ``_d``.  As in QLaurent, zero numerators are not stored,
+    ``_d > 0``, and ``_d`` is coprime to the numerators taken together.
+
+    >>> f = TorusPoly.monomial(1, (1,), QLaurent.gen()) + TorusPoly.monomial(1, (-1,))
+    >>> f = TorusPolyAt(f, Fraction(7, 2))
+    >>> f._c, f._d
+    ({(1,): (7, 0), (-1,): (2, 0)}, 2)
+    >>> [str(v) for v in f.flip_values([Fraction(2)])]
+    ['15/2', '-15/2']
+    """
+
+    __slots__ = ("n", "_c", "_d")
+
+    def __init__(self, f: TorusPoly, q0):
+        a, b = _nonzero_point(q0)
+        vals = [(e, *c.value_at(a, b)) for e, c in f.terms()]
+        d = math.lcm(*(den for *_, den in vals))
+        c = {e: (re * (d // den), im * (d // den)) for e, re, im, den in vals if re or im}
+        self._set(f.n, *_reduced(c, d))
+
+    @staticmethod
+    def of_ints(n: int, c: dict, d: int) -> "TorusPolyAt":
+        """Nonzero Gaussian-integer numerators ``c`` over ``d > 0``, common
+        factors cancelled."""
+        return object.__new__(TorusPolyAt)._set(n, *_reduced(c, d))
+
+    def _set(self, n: int, c: dict, d: int) -> "TorusPolyAt":
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_c", c)
+        object.__setattr__(self, "_d", d)
+        return self
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("TorusPolyAt is immutable")
+
+    def conjugate(self) -> "TorusPolyAt":
+        """Every coefficient conjugated."""
+        c = {e: (re, -im) for e, (re, im) in self._c.items()}
+        return TorusPolyAt.of_ints(self.n, c, self._d)
+
+    def flip_values(self, xs: Sequence) -> list[GaussianRational]:
+        """Exact values at the 2^n sign flips of a point of nonzero rational
+        coordinates, the flips in the order of itertools.product((1, -1)).
+
+        At x_i = a_i / b_i the numerators are summed scaled by
+        prod a_i^(e_i - lo_i) b_i^(hi_i - e_i), lo_i and hi_i bounding the
+        exponents of x_i, and the rest is applied once, as in
+        QLaurent.value_at.  Flipping the signs of the coordinates in a set S
+        multiplies x^e by (-1)^(sum of e_i over S), so the terms are summed
+        once per parity pattern e mod 2, and each flip signs those sums."""
+        n = self.n
+        if len(xs) != n:
+            raise ValueError("wrong number of coordinates")
+        pts = [(x.numerator, x.denominator) for x in map(Fraction, xs)]
+        if not all(a for a, _ in pts):
+            raise ValueError("cannot evaluate at a zero coordinate")
+        if not self._c:
+            return [GR_ZERO] * 2**n
+        cols = list(zip(*self._c))
+        los, his = [min(col) for col in cols], [max(col) for col in cols]
+        tables = [
+            ([a**k for k in range(hi - lo + 1)], [b**k for k in range(hi - lo + 1)])
+            for (a, b), lo, hi in zip(pts, los, his)
+        ]
+        sums = [[0, 0] for _ in range(2**n)]
+        for e, (re, im) in self._c.items():
+            w, mask = 1, 0
+            for i, (v, lo, hi, (pa, pb)) in enumerate(zip(e, los, his, tables)):
+                w *= pa[v - lo] * pb[hi - v]
+                mask |= (v & 1) << i
+            s = sums[mask]
+            s[0] += re * w
+            s[1] += im * w
+        num = den = 1
+        for (a, b), lo, hi in zip(pts, los, his):
+            num *= a ** max(lo, 0) * b ** max(-hi, 0)
+            den *= a ** max(-lo, 0) * b ** max(hi, 0)
+        num, den = (num, den * self._d) if den > 0 else (-num, -den * self._d)
+        out = []
+        for signs in itertools.product((0, 1), repeat=n):
+            flip = sum(s << i for i, s in enumerate(signs))
+            re = im = 0
+            for mask, (r, i) in enumerate(sums):
+                if (mask & flip).bit_count() % 2:
+                    re, im = re - r, im - i
+                else:
+                    re, im = re + r, im + i
+            out.append(GaussianRational(Fraction(re * num, den), Fraction(im * num, den)))
+        return out
 
 
 def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:

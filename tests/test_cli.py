@@ -599,6 +599,18 @@ def test_classify_pads_the_partition(capsys):
     assert "orbit: 1,0" in out
 
 
+@pytest.mark.parametrize("argv", [["--n", "3", "--lambda", "2,1"], ["--n", "1", "--seed", "4"]])
+def test_classify_eliminates_once(monkeypatch, capsys, argv):
+    from hermlab import padic
+
+    calls = []
+    eliminate = padic.invariant_factors
+    monkeypatch.setattr(padic, "invariant_factors", lambda x: calls.append(x) or eliminate(x))
+    code, out = invoke(capsys, "padic", "classify", *argv)
+    assert code == 0 and len(calls) == 1
+    assert "orbit: " in out and "full-group class: " in out
+
+
 def test_classify_refuses_too_many_parts(capsys):
     code = run(["padic", "classify", "--n", "1", "--lambda", "2,1"])
     got = capsys.readouterr()
@@ -983,6 +995,41 @@ def test_qpoly_verbs_bound_n(capsys, verb, n, code):
         assert got.err == f"--n must be at least 1, got {n}\n"
     else:
         assert got.err == f"resource: {verb[0]} {verb[1]} supports --n up to 4, got {n}\n"
+
+
+PLANCHEREL_WEIGHT_BOUNDS = {1: 128, 2: 14, 3: 6, 4: 3}
+
+
+@pytest.mark.parametrize("verb", ["gram", "check", "inversion"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plancherel_weight_above_its_bound_is_a_resource_limit(capsys, verb, n):
+    weight = PLANCHEREL_WEIGHT_BOUNDS[n] + 1
+    code = run(["plancherel", verb, "--n", str(n), "--parity", "even", "--weight", str(weight)])
+    got = capsys.readouterr()
+    assert code == 3 and got.out == ""
+    assert got.err == (
+        f"resource: plancherel {verb} supports --weight up to {weight - 1} "
+        f"at --n {n}, got {weight}\n"
+    )
+
+
+def test_plancherel_weight_is_refused_before_the_layers_load():
+    layers = "hermlab.scalars,hermlab.hall_littlewood,hermlab.plancherel"
+    argv = ["plancherel", "check", "--n", "2", "--parity", "odd", "--weight", "10000"]
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, layers, *argv], capture_output=True, text=True
+    )
+    assert r.stdout == "3 False\n"
+    assert r.stderr == "resource: plancherel check supports --weight up to 14 at --n 2, got 10000\n"
+
+
+def test_plancherel_usage_errors_come_before_the_weight_bound(capsys):
+    for extra, err in (
+        (["--weight", "-1"], "--weight must be at least 0, got -1\n"),
+        (["--weight", "999", "--q0", "1"], "--q0 must be above 1, got 1\n"),
+    ):
+        assert run(["plancherel", "gram", "--n", "1", "--parity", "odd", *extra]) == 2
+        assert capsys.readouterr().err == err
 
 
 def test_qpoly_verbs_refuse_n_before_the_layers_load():

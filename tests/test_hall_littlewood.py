@@ -84,7 +84,7 @@ def test_qpoly_top_coefficient_is_stabilizer_series():
     for n, lam in [(1, (1,)), (2, (1, 1)), (2, (2, 0)), (3, (2, 1, 0))]:
         for parity in ("odd", "even"):
             f = q_poly(n, parity, lam)
-            top = f.coeff(check_partition(lam, n))
+            top = dict(f.terms())[check_partition(lam, n)]
             assert top == QFraction(w_lambda_value(lam, n, parity))
 
 
@@ -105,7 +105,7 @@ def test_ppoly_normalization():
                 if lam is None:
                     continue
                 f = p_poly(n, parity, lam)
-                assert f.coeff(lam) == QFraction(1)
+                assert dict(f.terms())[lam] == QFraction(1)
 
 
 def test_degeneracy_at_unit_parameters():

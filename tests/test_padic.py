@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import signal
@@ -674,6 +676,30 @@ def test_random_k_is_unitary_with_trivial_factors():
         assert invariant_factors(k) == [0] * (2 * n + 1)
         det = _det(_values(k))
         assert det * det.conj() == 1
+
+
+def test_random_k_words_are_pinned():
+    # the repr and JSON of every word for p 3, 5, 7, n 1..4 and seeds 0..14:
+    # the generators are built once per (field, n), and the words read the
+    # same draws as when they were built on each call
+    h = hashlib.sha256()
+    for field in (F3, F5, LocalField(7)):
+        for n in (1, 2, 3, 4):
+            for seed in range(15):
+                k = random_k(field, n, seed=seed)
+                h.update(repr(k).encode())
+                h.update(json.dumps(k.to_json_dict(), sort_keys=True).encode())
+    assert h.hexdigest() == "5324026c20e9feeb4cf4ee4fc7575cbde7209ecbbcf1b1a4173dda6925686eda"
+
+
+def test_random_k_leaves_its_shared_generators_alone():
+    gens = padic._perm_generators(F5, 3)
+    before = [(g.rows, g.scale, g.precision) for g in gens]
+    assert len(gens) == 4 and gens[-1] == j_matrix(F5, 7)
+    for seed in range(10):
+        random_k(F5, 3, seed=seed).to_residue(4)
+    assert padic._perm_generators(F5, 3) is gens
+    assert [(g.rows, g.scale, g.precision) for g in gens] == before
 
 
 def test_classification_roundtrip():

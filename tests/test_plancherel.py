@@ -1,5 +1,8 @@
+import itertools
 import math
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ import pytest
 from hermlab.errors import ENUMERATION_BOUND, ResourceLimit
 from hermlab.plancherel import (
     QuadratureGrid,
-    _delta_plus,
+    _delta_plus_at,
     _height,
     _root_factor,
     _root_params,
@@ -18,17 +21,18 @@ from hermlab.plancherel import (
     expected_gram_diagonal,
     gram_matrix,
     measure_constant,
-    pairing_matrix,
+    pairing_at,
     pairing_misses,
     total_mass,
     transform_ch,
     volume,
 )
-from hermlab.scalars import QFraction, QLaurent
-from hermlab.spherical import SphericalValue, omega_explicit, phase_power, psi
-from hermlab.torus import FactoredRational, TorusPoly
+from hermlab.scalars import QF_ZERO, GaussianRational, QFraction, QLaurent
+from hermlab.spherical import PhasedScalar, SphericalValue, omega_explicit, phase_power, psi
+from hermlab.torus import FactoredRational, TorusPoly, TorusPolyAt
 from hermlab.hall_littlewood import (
     p_poly,
+    partitions,
     q_poly,
     spec_params,
     w_lambda_value,
@@ -36,6 +40,138 @@ from hermlab.hall_littlewood import (
     whole_group_value,
 )
 from hermlab.weyl import long_positive_roots, short_positive_roots
+
+
+# -- the symbolic reference for the pairings at q0 ------------------------------------
+
+
+def ref_split(v):
+    if isinstance(v, TorusPoly):
+        return PhasedScalar.one(), v
+    if v.boundary.num or v.boundary.den:
+        raise ValueError("the exact pairing needs a trivial boundary factor")
+    return v.prefactor / v.boundary.front, v.numerator
+
+
+def pairing_matrix(fs, gs, parity, conjugate=True):
+    """Exact pairings <f, g> against the density of total mass 1, symbolic
+    in q: the integral of f * conj(g), or of f * g when not ``conjugate``,
+    as PhasedScalar values.  Each f and g is a W-invariant TorusPoly, or a
+    SphericalValue with a trivial boundary factor; each product f * g is
+    formed over QFraction coefficients and paired with Delta+ by its
+    constant term, the identity ``pairing_at`` takes at q0."""
+    left = [ref_split(f) for f in fs]
+    right = [ref_split(g) for g in gs]
+    if not left or not right:
+        return [[] for _ in left]
+    if conjugate:
+        right = [(c.conjugate(), g.map_coeffs(QFraction.conjugate_coeffs)) for c, g in right]
+    products = [[f * g for _, g in right] for _, f in left]
+    height = max((-_height(e) for row in products for h in row for e in h.support()), default=0)
+    delta = dict(ref_delta_plus(left[0][1].n, parity, max(height, 0)).terms())
+
+    def ct(h):
+        return sum((c * delta.get(tuple(-v for v in e), QF_ZERO) for e, c in h.terms()), QF_ZERO)
+
+    return [[cf * cg * ct(h) for (cg, _), h in zip(right, row)] for (cf, _), row in zip(left, products)]
+
+
+def at_q0(mat, q0):
+    """Exact values at q0; an entry with an odd power of sqrt(q) raises ValueError."""
+    return [[v.as_qfraction().eval(Fraction(q0)) for v in row] for row in mat]
+
+
+def ref_transform(lam, n, parity):
+    """The transform as q ** (-<lam, z0>) times the normalized orbit sum p_poly."""
+    pre = phase_power(lam, n, parity).inverse()
+    return SphericalValue(n, parity, lam, pre, p_poly(n, parity, lam), FactoredRational(1))
+
+
+@lru_cache(maxsize=None)
+def ref_pairings(n, parity, weight):
+    """The gram, plancherel and inversion matrices of partitions(n, weight),
+    symbolic in q."""
+    lams = partitions(n, weight)
+    sums = [p_poly(n, parity, lam) for lam in lams]
+    vals = [ref_transform(lam, n, parity) for lam in lams]
+    kernels = [psi(n, parity, lam) for lam in lams]
+    return (
+        pairing_matrix(sums, sums, parity),
+        pairing_matrix(vals, vals, parity),
+        pairing_matrix(vals, kernels, parity, conjugate=False),
+    )
+
+
+def ref_det(rows):
+    """The determinant over Q(i) by Bareiss elimination on GaussianRational."""
+    m = [list(r) for r in rows]
+    prev, flipped = GaussianRational(1), False
+    for col in range(len(m)):
+        piv = next((r for r in range(col, len(m)) if not m[r][col].is_zero()), None)
+        if piv is None:
+            return GaussianRational(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            flipped = not flipped
+        top = m[col]
+        for r in range(col + 1, len(m)):
+            row = m[r]
+            m[r] = [(row[c] * top[col] - row[col] * top[c]) / prev for c in range(len(m))]
+        prev = top[col]
+    return -prev if flipped else prev
+
+
+def ref_basis_rank(n, parity, q0, seed, trials):
+    """``basis_rank_check`` with each orbit sum evaluated symbolically in q
+    on the sign flips and only then at q0."""
+    rng = random.Random(seed)
+    polys = [q_poly(n, parity, lam) for lam in basis_partitions(n)]
+    dets = []
+    for _ in range(trials):
+        for _ in range(8):
+            xs = [Fraction(rng.randrange(2, 60), rng.randrange(2, 60)) for _ in range(n)]
+            flips = [
+                [s * x for s, x in zip(signs, xs)]
+                for signs in itertools.product((1, -1), repeat=n)
+            ]
+            det = ref_det([[f.eval_exact(x).eval(q0) for x in flips] for f in polys])
+            if not det.is_zero():
+                dets.append(math.sqrt(det.abs2()))
+                break
+        else:
+            return {"ok": False, "dets": dets}
+    return {"ok": True, "dets": dets}
+
+
+REF_Q0 = (Fraction(3), Fraction(7, 2), Fraction(5))
+
+
+@pytest.mark.parametrize(
+    "n, parity, weight",
+    [(n, parity, w) for n in (1, 2, 3) for parity in ("odd", "even") for w in (2, 4)
+     if n <= 2 or w == 2],
+)
+def test_pairings_at_q0_equal_the_symbolic_reference(n, parity, weight):
+    lams = partitions(n, weight)
+    gram, plan, inv = ref_pairings(n, parity, weight)
+    for q0 in REF_Q0:
+        assert gram_matrix(lams, n, parity, q0) == at_q0(gram, q0)
+        want = at_q0(plan, q0)
+        got = check_plancherel(lams, n, parity, q0)
+        masses = [volume(lam, n, parity, q0) for lam in lams]
+        assert got == {"matrix": want, "misses": pairing_misses(want, masses)}
+        want = at_q0(inv, q0)
+        got = check_inversion(lams, n, parity, q0)
+        assert got == {"matrix": want, "misses": pairing_misses(want, [1] * len(lams))}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_basis_rank_equals_the_symbolic_reference(n):
+    trials = 3 if n < 3 else 1
+    for parity in ("odd", "even"):
+        for q0 in REF_Q0:
+            got = basis_rank_check(n, parity, q0, seed=11, trials=trials)
+            assert got == ref_basis_rank(n, parity, q0, seed=11, trials=trials)
 
 
 def ref_total_mass(n, parity, q0, N):
@@ -52,6 +188,7 @@ def ref_total_mass(n, parity, q0, N):
     return float(np.mean(out))
 
 
+@lru_cache(maxsize=None)
 def ref_delta_plus(n, parity, height):
     """Delta+ from the full product of the root series, cut afterwards."""
     ts, tl = spec_params(parity)
@@ -223,15 +360,42 @@ def test_pairing_misses_reads_both_diagonal_and_off_diagonal():
 
 
 def test_pairing_refuses_a_boundary_factor():
-    with pytest.raises(ValueError):
-        pairing_matrix([omega_explicit(1, "odd", (1,))], [psi(1, "odd", (1,))], "odd")
+    with pytest.raises(ValueError, match="trivial boundary factor"):
+        pairing_at([omega_explicit(1, "odd", (1,))], [psi(1, "odd", (1,))], "odd", Fraction(3))
+
+
+def test_pairing_refuses_a_numerator_other_than_the_orbit_sum():
+    lam = (1,)
+    normalized = SphericalValue(
+        1, "odd", lam, PhasedScalar.one(), p_poly(1, "odd", lam), FactoredRational(1)
+    )
+    with pytest.raises(ValueError, match="q_poly"):
+        pairing_at([normalized], [psi(1, "odd", lam)], "odd", Fraction(3))
+
+
+def test_pairing_refuses_a_nonzero_odd_half_power_only():
+    # sqrt(q) * q_poly(()) pairs to a nonzero multiple of sqrt(q0) with the
+    # constant kernel, which is not in Q(i), and to 0 with the kernel of (1,)
+    root = SphericalValue(
+        1, "odd", (0,), PhasedScalar(0, 1, 1), q_poly(1, "odd", ()), FactoredRational(1)
+    )
+    with pytest.raises(ValueError, match="odd half-power"):
+        pairing_at([root], [psi(1, "odd", ())], "odd", Fraction(3))
+    with pytest.raises(ValueError, match="odd half-power"):
+        at_q0(pairing_matrix([root], [psi(1, "odd", ())], "odd"), Fraction(3))
+    assert pairing_at([root], [psi(1, "odd", (1,))], "odd", Fraction(3)) == [[0]]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_delta_plus_equals_full_product_cut(n):
+    # Delta+ built at q0 on ints against the full symbolic product, cut and
+    # then taken at q0
     for parity in ("odd", "even"):
         for height in range(13):
-            assert _delta_plus(n, parity, height) == ref_delta_plus(n, parity, height)
+            want = ref_delta_plus(n, parity, height)
+            for q0 in (Fraction(3), Fraction(7, 2)):
+                got, at = _delta_plus_at(n, parity, height, q0), TorusPolyAt(want, q0)
+                assert (got._c, got._d) == (at._c, at._d)
 
 
 def test_volume_frozen_values():
@@ -252,9 +416,12 @@ def test_volume_positive_and_increasing_in_weight():
 
 
 def test_transform_structure():
+    # q ** (-<lam, z0>) p_poly(lam), with 1/W_lam carried in the prefactor
     t = transform_ch((1,), 1, "odd")
-    assert t.prefactor == phase_power((1,), 1, "odd").inverse()
-    assert t.numerator == p_poly(1, "odd", (1,))
+    w = QFraction(1, w_lambda_value((1,), 1, "odd"))
+    assert t.prefactor == phase_power((1,), 1, "odd").inverse() * w
+    assert t.numerator is q_poly(1, "odd", (1,))
+    assert t.numerator * w == p_poly(1, "odd", (1,))
     assert t.boundary.num == () and t.boundary.den == ()
 
 
@@ -289,11 +456,10 @@ def test_inversion_rank2():
 # rescales the inversion diagonal by the squared power, here (i/q)^2 = -1/9
 def test_inversion_phase_orientation_matters():
     lam = (1,)
-    wrong = SphericalValue(
-        1, "odd", lam, phase_power(lam, 1, "odd"), p_poly(1, "odd", lam), FactoredRational(1)
-    )
-    got = pairing_matrix([wrong], [psi(1, "odd", lam)], "odd", conjugate=False)[0][0]
-    assert got.as_qfraction().eval(Fraction(3)) == Fraction(-1, 9)
+    pre = phase_power(lam, 1, "odd") * QFraction(1, w_lambda_value(lam, 1, "odd"))
+    wrong = SphericalValue(1, "odd", lam, pre, q_poly(1, "odd", lam), FactoredRational(1))
+    got = pairing_at([wrong], [psi(1, "odd", lam)], "odd", Fraction(3), conjugate=False)[0][0]
+    assert got == Fraction(-1, 9)
 
 
 def test_basis_partitions_frozen():

@@ -61,7 +61,7 @@ def test_qlaurent_ring_identities():
     assert (f + g) * h == f * h + g * h
     assert f * g == g * f
     assert f - f == QLaurent()
-    assert (f * g).coeff(-1) == f.coeff(2) * g.coeff(-3)
+    assert dict((f * g).items())[-1] == dict(f.items())[2] * dict(g.items())[-3]
 
 
 def test_qlaurent_divexact():
@@ -120,7 +120,7 @@ def test_qfraction_unhashable():
 def test_conjugate_coeffs():
     f = QFraction(QLaurent({1: GaussianRational(0, 1), 0: GR_ONE}), 1 - Q)
     g = f.conjugate_coeffs()
-    assert g.num.coeff(1) == GaussianRational(0, -1)
+    assert dict(g.num.items())[1] == GaussianRational(0, -1)
     assert g.den == 1 - Q
 
 

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hermlab.torus import (
     Binomial,
     FactoredRational,
     TorusPoly,
+    TorusPolyAt,
     binomial_div_exact,
 )
 from hermlab.weyl import enumerate_group
@@ -44,8 +46,7 @@ def test_ring_basics():
 def test_laurent_coeff_mixing():
     f = mono(1, (1,), Q) + mono(1, (-1,), 1 - Q**-1)
     g = f * QFraction(1, Q)
-    assert g.coeff((1,)) == QFraction(1)
-    assert g.coeff((-1,)) == QFraction(1 - Q**-1, Q)
+    assert dict(g.terms()) == {(1,): QFraction(1), (-1,): QFraction(1 - Q**-1, Q)}
 
 
 def test_weyl_act_is_action():
@@ -339,3 +340,17 @@ def test_eval_refuses_a_coordinate_that_is_not_a_nonzero_monomial(x):
     for evaluable in (mono(2, (1, 1)), b, FactoredRational(1, [b])):
         with pytest.raises(ValueError, match="not a nonzero monomial"):
             evaluable.eval_exact(xs)
+
+
+@pytest.mark.parametrize("n, lam", [(1, (3,)), (2, (2, 1)), (3, (2, 1, 1))])
+def test_flip_values_are_the_values_at_q0_of_the_sign_flips(n, lam):
+    # in the order of itertools.product((1, -1)); a coefficient with a
+    # denominator and a Gaussian one make the denominators and I matter
+    f = q_poly(n, "even", lam) * QFraction(1 + Q, 1 - Q**-3)
+    f = f + mono(n, (1,) + (0,) * (n - 1), GaussianRational(0, 2))
+    xs = [Fraction(-3, 2), Fraction(5, 7), Fraction(2)][:n]
+    flips = [[s * x for s, x in zip(signs, xs)] for signs in itertools.product((1, -1), repeat=n)]
+    for q0 in (Fraction(3), Fraction(7, 2)):
+        want = [f.eval_exact(x).eval(q0) for x in flips]
+        assert TorusPolyAt(f, q0).flip_values(xs) == want
+        assert TorusPolyAt(f, q0).conjugate().flip_values(xs) == [v.conjugate() for v in want]
