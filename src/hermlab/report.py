@@ -488,6 +488,30 @@ CHECKS = {
 }
 
 
+# A parallel run hands these checks out first, in this order, and the rest
+# after them in the order given, so that no long check starts when the other
+# workers are nearly done (longest processing time first).  The order is the
+# time each check takes in one process at n = 4, where the checks differ most,
+# except that k1-cell-counts, the longest at n = 2, goes second; the checks
+# left out take under 7 ms at each of n = 2, 3 and 4.  BENCH_long_first.json
+# holds the measured times.
+LONGEST_FIRST = (
+    "basis-rank",
+    "k1-cell-counts",
+    "functional-equation",
+    "gram-orthogonality",
+    "identity-value",
+    "macdonald-constant",
+    "cartan-membership",
+    "measure-total-mass",
+    "stabilizer-closed-form",
+    "plancherel-diagonal",
+    "inversion",
+    "rank1-closed-form",
+    "diagonalization-roundtrip",
+)
+
+
 def _run_one(check_id: str, cfg: RunConfig) -> CheckResult:
     # looked up at call time: a profiler may have replaced the function
     return CheckResult(check_id, *CHECKS[check_id](cfg))
@@ -563,8 +587,9 @@ class _RemoteTraceback(Exception):
 
 def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
     """The (index, result) pairs of every check, run by ``workers - 1``
-    forked children and this process.  The indices wait in one pipe, so a
-    process takes the next check when it is free.  Each child pickles its
+    forked children and this process.  The indices wait in one pipe, those
+    of ``LONGEST_FIRST`` first, so a process takes the next check when it is
+    free and the long checks do not start last.  Each child pickles its
     results into a pipe of its own and leaves through ``os._exit``, so it
     never returns into the caller nor flushes the stdio buffers it inherited.
     An exception from a child gets the child's traceback as its ``__cause__``.
@@ -572,7 +597,9 @@ def _run_forked(ids: list, cfg: RunConfig, workers: int) -> list:
     import pickle  # only a parallel run needs it
 
     width = len(str(len(ids) - 1))
-    blob = "".join(f"{i:0{width}d}" for i in range(len(ids))).encode()
+    rank = {check_id: r for r, check_id in enumerate(LONGEST_FIRST)}
+    order = sorted(range(len(ids)), key=lambda i: rank.get(ids[i], len(rank)))
+    blob = "".join(f"{i:0{width}d}" for i in order).encode()
     tasks, feed = os.pipe()
     children: dict[int, int] = {}  # pid -> read end of its result pipe
     sent: dict[int, bytes] = {}

@@ -202,18 +202,19 @@ def pval(x, p: int) -> float:
 
 
 def pmatmul(x, y, eps: int):
-    """The product of two pair matrices, unreduced."""
+    """The product of two pair matrices, unreduced.  Each entry sums its
+    pair products inline, with eps applied once to the sum of the b*d."""
     cols = list(zip(*y))
     out = []
     for row in x:
         out.append([])
         for col in cols:
-            re = im = 0
-            for e, f in zip(row, col):
-                a, b = pmul(e, f, eps)
-                re += a
-                im += b
-            out[-1].append((re, im))
+            re = im = bd = 0
+            for (a, b), (c, d) in zip(row, col):
+                re += a * c
+                bd += b * d
+                im += a * d + b * c
+            out[-1].append((re + eps * bd, im))
     return out
 
 
@@ -232,17 +233,18 @@ def pair_unitary(g, eps: int, c: int = 1, mod: int = 0) -> bool:
     antidiagonal form: mod `mod`, or exactly when mod is 0.
 
     g* J g is hermitian, so its entries on and above the diagonal decide,
-    and only those are formed: row k of g* times column l of Jg, l >= k."""
+    and only those are formed: row k of g* times column l of Jg, l >= k,
+    that is conj(column k of g) times column l read from the bottom."""
     n = len(g)
-    star, jcols = pstar(g), list(zip(*g[::-1]))
+    cols = list(zip(*g))
     for k in range(n):
         for l in range(k, n):
-            re = im = 0
-            for e, f in zip(star[k], jcols[l]):
-                a, b = pmul(e, f, eps)
-                re += a
-                im += b
-            if not pzero((re - (c if k + l == n - 1 else 0), im), mod):
+            re = im = bd = 0
+            for (a, b), (x, y) in zip(cols[k], reversed(cols[l])):
+                re += a * x
+                bd += b * y
+                im += a * y - b * x
+            if not pzero((re - eps * bd - (c if k + l == n - 1 else 0), im), mod):
                 return False
     return True
 
@@ -296,6 +298,8 @@ def k1_cell_counts(p: int):
     Every D and every N of g = D N is built and checked unitary once; each
     D N is then unitary too, (D N)* j (D N) = N* (D* j D) N.  D N is formed
     row by row, row r of N times the r-th entry of D, and counted as one int.
+    The products of an entry of D with a digit pair mod p are read from a
+    table built once from ``pmul``, indexed by the digits of the entry of N.
     """
     order = p**3 * (p + 1) * (p**2 - 1) * (p**3 + 1)
     if order > ENUMERATION_BOUND:
@@ -303,37 +307,47 @@ def k1_cell_counts(p: int):
     eps = smallest_nonresidue(p)
     pairs = [(x, y) for x in range(p) for y in range(p)]
     units = pairs[1:]
-    diags = set()
+    # D = diag(alpha, u, conj(alpha)^-1): the corners depend on alpha alone
+    # and the middle u = w / conj(w) on w alone
+    corners, middles = set(), set()
     for alpha in units:
         for w in units:
             ainv, u = _diag_units(alpha, w, eps, p)
-            diags.add((alpha, u, ainv))
+            corners.add((alpha, ainv))
+            middles.add(u)
     zero = (0, 0)
 
     def check(g):
         if not pair_unitary(g, eps, 1, p):
             raise AssertionError("constructed element is not unitary for the antidiagonal form")
 
-    for alpha, u, ainv in diags:
-        check(((alpha, zero, zero), (zero, u, zero), (zero, zero, ainv)))
+    for alpha, ainv in corners:
+        for u in middles:
+            check(((alpha, zero, zero), (zero, u, zero), (zero, zero, ainv)))
     # the entries of D that multiply row r of N
-    scalars = [{diag[r] for diag in diags} for r in range(3)]
+    scalars = [{a for a, _ in corners}, middles, {i for _, i in corners}]
+    # for each entry s of D, the digit code re + im p of s e mod p, listed by
+    # the index x p + y of e = (x, y) in pairs
+    times = {s: [re % p + im % p * p for re, im in (pmul(s, e, eps) for e in pairs)]
+             for s in units}
+    tables = [[(s, times[s]) for s in scalars[r]] for r in range(3)]
+    p2, p6 = p * p, p**6
 
-    def row_key(s, row):
-        # s times a row of N, its six digits mod p as one int below p^6
-        key = 0
-        for e in reversed(row):
-            re, im = pmul(s, e, eps)
-            key = (key * p + im % p) * p + re % p
-        return key
+    def row_keys(r, row):
+        # s times row r of N, its six digits mod p as one int below p^6,
+        # moved up by p^(6 r)
+        i0, i1, i2 = (x % p * p + y % p for x, y in row)
+        up = p6**r
+        return {s: (t[i0] + (t[i1] + t[i2] * p2) * p2) * up for s, t in tables[r]}
 
     def keys(cells):
         out = set()
         for d, f0, b, c0, big_cell in cells:
             n = _cell_factor(d, f0, b, c0, big_cell, eps, p)
             check(n)
-            k0, k1, k2 = ({s: row_key(s, n[r]) for s in scalars[r]} for r in range(3))
-            out.update(k0[a] + (k1[u] + k2[i] * p**6) * p**6 for a, u, i in diags)
+            k0, k1, k2 = (row_keys(r, row) for r, row in enumerate(n))
+            ends = [k0[a] + k2[i] for a, i in corners]
+            out.update(e + m for e in ends for m in k1.values())
         return out
 
     # in the small cell b and c0 are divisible by p, so mod p they are zero

@@ -1200,6 +1200,7 @@ def _ref_punit_inverse(z, eps, mod):
 
 
 def _ref_pmatmul(x, y, eps, mod):
+    # reduced mod `mod`, or exact when mod is 0
     cols = tuple(zip(*y))
     out = []
     for row in x:
@@ -1209,7 +1210,7 @@ def _ref_pmatmul(x, y, eps, mod):
             for (a, b), (c, d) in zip(row, col):
                 re += a * c + eps * b * d
                 im += a * d + b * c
-            r.append((re % mod, im % mod))
+            r.append((re % mod, im % mod) if mod else (re, im))
         out.append(tuple(r))
     return tuple(out)
 
@@ -1256,6 +1257,71 @@ def test_kernel_matches_pair_reference_past_int64():
             assert [list(r) for r in _rows(g)] == want
         assert small >= 3
 
+
+
+def _ref_pair_unitary(g, eps, c, mod):
+    """Whether g* J g = c J, with the whole of g* J g formed through
+    _ref_pmatmul, mod `mod` or exactly when mod is 0."""
+    n = len(g)
+    star = [[(a, -b) for a, b in col] for col in zip(*g)]
+    j = [[(int(i + k == n - 1), 0) for k in range(n)] for i in range(n)]
+    want = tuple(
+        tuple((c % mod if mod else c, 0) if i + k == n - 1 else (0, 0) for k in range(n))
+        for i in range(n)
+    )
+    return _ref_pmatmul(_ref_pmatmul(star, j, eps, mod), g, eps, mod) == want
+
+
+@pytest.mark.parametrize("field", [F3, F5], ids=["p3", "p5"])
+@pytest.mark.parametrize("m", [0, 1, 4], ids=["exact", "mod-p", "mod-p4"])
+def test_pair_unitary_matches_the_whole_product(field, m):
+    # inputs g with g* J g = c0 J: sizes 1, 3 and 5, the two cells of
+    # k1_cell_counts and random_k; each also times s with N(s) = -1 and
+    # times p, and each with one digit moved; c is 1, p or -1 times c0
+    p, eps = field.p, field.eps
+    mod = p**m if m else 0
+    assert pnorm((1, 1), eps) == -1  # eps = 2
+    cells = [_cell_factor((5, 7), 11, (4, 2), 13, big, eps, mod or p**4) for big in (True, False)]
+    inputs = [([[(1, 0)]], 1), ([[(3, 2)]], 1), ([[(2, 1)]], 2)] + [(n, 1) for n in cells]
+    for n, seed in ((1, 3), (1, 8), (2, 5), (2, 9)):
+        k = random_k(field, n, seed=seed)
+        if mod:
+            k = k.to_residue(m)
+        inputs.append((k.rows, k.scale**2))
+    rng = random.Random(f"pair-unitary:{p}:{m}")
+    agreed = unitary = 0
+    for g, c0 in inputs:
+        size = len(g)
+        for s, factor in (((1, 0), 1), ((1, 1), -1), ((p, 0), p * p)):
+            sg = [[pmul(s, e, eps) for e in row] for row in g]
+            variants = [sg]
+            for _ in range(4):
+                bad = [[list(e) for e in row] for row in sg]
+                bad[rng.randrange(size)][rng.randrange(size)][rng.randrange(2)] += 1
+                variants.append([[tuple(e) for e in row] for row in bad])
+            for h in variants:
+                for c in (c0 * factor, p * c0 * factor, -c0 * factor):
+                    want = _ref_pair_unitary(h, eps, c, mod)
+                    assert pair_unitary(h, eps, c, mod) == want
+                    agreed += 1
+                    unitary += want
+    assert unitary >= 20 and agreed - unitary >= 20
+
+
+@pytest.mark.parametrize("eps", [2, 3])
+def test_pmatmul_is_exact_on_negative_unreduced_entries(eps):
+    rng = random.Random(f"pmatmul:{eps}")
+    negative = 0
+    for size in (1, 3, 5):
+        g, h = (
+            [[(rng.randint(-10**6, 10**6), rng.randint(-10**6, 10**6)) for _ in range(size)]
+             for _ in range(size)]
+            for _ in range(2)
+        )
+        want = _ref_pmatmul(g, h, eps, 0)
+        assert [tuple(row) for row in pmatmul(g, h, eps)] == list(want)
+        negative += sum(e[0] < 0 for row in want for e in row)
+    assert negative >= 5
 
 def ref_row_parameters(index, p, prec):
     """(big_cell, b, c0) of a row-class index: the big cell takes the first

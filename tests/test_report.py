@@ -32,6 +32,39 @@ def raising(label, delay=0.0):
     return check
 
 
+def recording(label, delay=0.01):
+    def check(cfg):
+        start = time.perf_counter()
+        time.sleep(delay)
+        return True, label, {"pid": os.getpid(), "start": start}
+
+    return check
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_long_checks_are_handed_out_first(monkeypatch, workers):
+    # a worker reads the pipe front to back, so the checks it ran, by start
+    # time, follow the hand-out order: LONGEST_FIRST, then the rest as given
+    ids = list(report.CHECKS)
+    monkeypatch.setattr(report, "CHECKS", {c: recording(c) for c in ids})
+    results = run_checks(ids, CFG, workers=workers).results
+    assert [r.check_id for r in results] == ids
+    handed = [*report.LONGEST_FIRST, *(c for c in ids if c not in report.LONGEST_FIRST)]
+    position = {c: i for i, c in enumerate(handed)}
+    by_worker = {}
+    for r in sorted(results, key=lambda r: r.data["start"]):
+        by_worker.setdefault(r.data["pid"], []).append(position[r.check_id])
+    assert len(by_worker) >= 2
+    for seen in by_worker.values():
+        assert seen == sorted(seen)
+
+
+def test_every_long_check_is_registered():
+    # an id renamed in CHECKS but not here would silently lose its place
+    assert set(report.LONGEST_FIRST) <= set(report.CHECKS)
+    assert len(set(report.LONGEST_FIRST)) == len(report.LONGEST_FIRST)
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_first_exception_in_id_order_is_raised(monkeypatch, workers):
     # index 3 raises at once and index 1 after a pause, so the index-1
