@@ -29,28 +29,30 @@ EXIT_MATH_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-# At n = 4 all 22 checks pass when run in-process, in 13.7 s on a 2-core
-# machine.  `basis-rank` takes 10.1 s of it, nearly all in its 32 `q_poly`
-# builds (ROADMAP direction 2 evaluates through alternants instead);
-# `gram-orthogonality` and `functional-equation` take under 1.4 s each, and
-# `measure-total-mass` 0.1 s.  Until `verify all --n 4` runs within a
-# stated budget, larger n exits EXIT_RESOURCE up front.
+# At n = 4 all 22 checks pass when run in-process, in 2.9 s on a 2-core
+# machine.  `basis-rank` takes 1.6-1.7 s of it, most of that in dividing
+# out the integer basis of its 32 `q_poly` (ROADMAP direction 2 evaluates
+# through alternants instead); `functional-equation` takes 0.6 s,
+# `gram-orthogonality` 0.16 s and `measure-total-mass` 0.06 s.  Until
+# `verify all --n 4` runs within a stated budget, larger n exits
+# EXIT_RESOURCE up front.
 VERIFY_MAX_N = 3
 
 # The verbs that build `q_poly` (`hl qpoly`, `sph`, `plancherel`) run at
-# n = 4 in under 10 s each on a 2-core machine: `plancherel rank` in
-# 5.7-8.0 s, nearly all of it its 16 `q_poly` builds; the others in under
-# 1.1 s at their default sizes.  Larger n exits EXIT_RESOURCE up front.
+# n = 4 in under 2 s each on a 2-core machine: `plancherel rank` in
+# 1.5-1.6 s, most of it dividing out the integer basis of its 16 orbit
+# sums; the others in under 0.5 s at their default sizes.  Larger n exits
+# EXIT_RESOURCE up front.
 QPOLY_MAX_N = 4
 
 # `plancherel gram|check|inversion` pair every partition of weight up to
 # --weight with every other, and build each one's `q_poly`.  From the CLI on
 # a 2-core machine the three verbs take, in both cases, at the bound (in
 # parentheses another weight, odd case)
-#   n = 1, weight 128: 2.2-3.3 s   (weight 64: 0.4-0.6 s)
-#   n = 2, weight 14:  2.7-4.5 s   (weight 16: 6.5-6.8 s)
-#   n = 3, weight 6:   2.3-3.9 s   (weight 7: 4.7-6.2 s)
-#   n = 4, weight 3:   3.3-4.6 s   (weight 4: 16-18 s, nearly all `q_poly`)
+#   n = 1, weight 128: 1.8-2.3 s   (weight 64: 0.3 s)
+#   n = 2, weight 14:  2.1-2.6 s   (weight 16: 4.2-4.4 s)
+#   n = 3, weight 6:   0.8-1.1 s   (weight 7: 2.2-2.6 s)
+#   n = 4, weight 3:   0.4-0.5 s   (weight 4: 1.3-1.7 s)
 # A larger --weight exits EXIT_RESOURCE before any layer loads.
 PLANCHEREL_MAX_WEIGHT = {1: 128, 2: 14, 3: 6, 4: 3}
 

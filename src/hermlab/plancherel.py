@@ -27,8 +27,10 @@ from typing import Sequence
 
 from .errors import ENUMERATION_BOUND, ResourceLimit
 from .hall_littlewood import (
+    _alternant_sum,
     check_partition,
     q_poly,
+    q_poly_coefficients,
     spec_params,
     w_lambda_value,
     whole_group_value,
@@ -210,8 +212,15 @@ def _delta_plus_at(n: int, parity: str, height: int, q0: Fraction) -> TorusPolyA
 
 @lru_cache(maxsize=None)
 def _q_poly_at(n: int, parity: str, lam: tuple[int, ...], q0: Fraction) -> TorusPolyAt:
-    """q_poly at q0, for a partition padded to n parts."""
-    return TorusPolyAt(q_poly(n, parity, lam), q0)
+    """q_poly at q0, for a partition padded to n parts: sum_mu C_mu(q0) Q_mu
+    over the common denominator of the C_mu(q0), summed on Gaussian
+    integers.  The symbolic q_poly is never built."""
+    q0 = Fraction(q0)
+    coefs = q_poly_coefficients(n, lam, *spec_params(parity))
+    vals = [(mu, *c.value_at(q0.numerator, q0.denominator)) for mu, c in coefs.items()]
+    den = math.lcm(*(d for *_, d in vals))
+    part = [(mu, re * (den // d), im * (den // d)) for mu, re, im, d in vals if re or im]
+    return TorusPolyAt.of_ints(n, _alternant_sum(n, part), den)
 
 
 def _split(v, q0: Fraction) -> tuple[PhasedScalar, TorusPolyAt]:

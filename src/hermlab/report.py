@@ -15,7 +15,6 @@ import json
 import os
 import random
 import sys
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import ResourceLimit
@@ -72,26 +71,76 @@ from .weyl import coordinate_flip, enumerate_group, poincare_poly, stabilizer
 MATRIX_CHECKS = ("cartan-membership", "orbit-classification", "diagonalization-roundtrip")
 
 
-@dataclass(frozen=True)
 class RunConfig:
-    """Everything a check is allowed to depend on."""
+    """Everything a check is allowed to depend on; immutable.
 
-    n: int = 1
-    q0: Fraction = Fraction(3)
-    p: int = 3
-    seed: int = 7
-    grid_n: int = 64
-    prec: int = 8
-    samples: int = 2000
-    tol: float = 1e-8
+    A plain slotted class rather than a dataclass, so that importing the
+    report does not load ``dataclasses`` and the ``inspect`` it pulls in."""
+
+    _FIELDS = ("n", "q0", "p", "seed", "grid_n", "prec", "samples", "tol")
+    __slots__ = _FIELDS
+
+    def __init__(
+        self,
+        n: int = 1,
+        q0: Fraction = Fraction(3),
+        p: int = 3,
+        seed: int = 7,
+        grid_n: int = 64,
+        prec: int = 8,
+        samples: int = 2000,
+        tol: float = 1e-8,
+    ):
+        for name, value in zip(self._FIELDS, (n, q0, p, seed, grid_n, prec, samples, tol)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):  # pragma: no cover - defensive
+        raise AttributeError("RunConfig is immutable")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._FIELDS)
+
+    def as_dict(self) -> dict:
+        return dict(zip(self._FIELDS, self._values()))
+
+    def __eq__(self, other):
+        if not isinstance(other, RunConfig):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return RunConfig, self._values()
+
+    def __repr__(self):
+        return "RunConfig(" + ", ".join(f"{k}={v!r}" for k, v in self.as_dict().items()) + ")"
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    passed: bool
-    detail: str
-    data: dict = field(default_factory=dict)
+    """One check's outcome, as run_checks reports it."""
+
+    __slots__ = ("check_id", "passed", "detail", "data")
+
+    def __init__(self, check_id: str, passed: bool, detail: str, data: dict | None = None):
+        self.check_id = check_id
+        self.passed = passed
+        self.detail = detail
+        self.data = {} if data is None else data
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if not isinstance(other, CheckResult):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None  # mutable, as a dataclass with eq
+
+    def __repr__(self):
+        return "CheckResult(" + ", ".join(f"{k}={v!r}" for k, v in zip(self.__slots__, self._fields())) + ")"
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -493,7 +542,7 @@ CHECKS = {
 # workers are nearly done (longest processing time first).  The order is the
 # time each check takes in one process at n = 4, where the checks differ most,
 # except that k1-cell-counts, the longest at n = 2, goes second; the checks
-# left out take under 7 ms at each of n = 2, 3 and 4.  BENCH_long_first.json
+# left out take under 7 ms at each of n = 2, 3 and 4.  BENCH_int_basis.json
 # holds the measured times.
 LONGEST_FIRST = (
     "basis-rank",
@@ -501,13 +550,13 @@ LONGEST_FIRST = (
     "functional-equation",
     "gram-orthogonality",
     "identity-value",
-    "macdonald-constant",
     "cartan-membership",
     "measure-total-mass",
     "stabilizer-closed-form",
+    "macdonald-constant",
     "plancherel-diagonal",
-    "inversion",
     "rank1-closed-form",
+    "inversion",
     "diagonalization-roundtrip",
 )
 
@@ -539,7 +588,7 @@ class Report:
 
     def to_json(self) -> str:
         payload = {
-            "config": dict(asdict(self.cfg), q0=str(self.cfg.q0)),
+            "config": dict(self.cfg.as_dict(), q0=str(self.cfg.q0)),
             "results": [
                 {"id": r.check_id, "passed": r.passed, "detail": r.detail, "data": r.data}
                 for r in self.results

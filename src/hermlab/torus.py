@@ -2,9 +2,10 @@
 
 Exponents are integer n-vectors; coefficients are :class:`QFraction`
 values, so a polynomial here is really a family over the parameter q.
-The signed-permutation group acts by relabeling exponents, and the one
-nontrivial algorithm is exact division by a binomial ``1 - c*x^alpha``,
-which underpins every orbit-sum normalization downstream.
+The signed-permutation group acts by relabeling exponents.  The one
+nontrivial algorithm, exact division by a binomial ``1 - x^alpha``, works
+on integer coefficients; it builds the integer basis of the orbit sums
+downstream.
 
 Exact evaluation takes points whose coordinates are nonzero monomials
 ``c*q^k`` (c Gaussian rational), such as the paper's x_i = q^(z_i); each
@@ -18,9 +19,9 @@ of the same computation in q, whenever every denominator met stays nonzero.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Sequence, Tuple
@@ -71,10 +72,10 @@ def _x_power(pt: Sequence[tuple[int, int, int, int]], e: Vec) -> QLaurent:
 class TorusPoly:
     """A Laurent polynomial in x_1..x_n with QFraction coefficients.
 
-    >>> f = TorusPoly.monomial(1, (1,)) + TorusPoly.monomial(1, (-1,))
+    >>> f = TorusPoly(1, {(1,): 1}) + TorusPoly(1, {(-1,): 1})
     >>> str(f)
     'x + x^{-1}'
-    >>> (f * f) == TorusPoly.monomial(1, (2,)) + TorusPoly.monomial(1, (-2,)) + TorusPoly.const(1, 2)
+    >>> (f * f) == TorusPoly(1, {(2,): 1}) + TorusPoly(1, {(-2,): 1}) + TorusPoly.const(1, 2)
     True
     """
 
@@ -101,13 +102,6 @@ class TorusPoly:
     @staticmethod
     def const(n: int, c) -> "TorusPoly":
         return TorusPoly(n, {(0,) * n: _as_qfraction(c)})
-
-    @staticmethod
-    def monomial(n: int, exp: Sequence[int], coef=1) -> "TorusPoly":
-        e = tuple(exp)
-        if len(e) != n:
-            raise ValueError(f"exponent of length {len(e)} in {n} variables")
-        return TorusPoly(n, {e: _as_qfraction(coef)})
 
     # -- queries --------------------------------------------------------------
     def is_zero(self) -> bool:
@@ -289,7 +283,7 @@ class TorusPolyAt:
     (re + im*I) / ``_d``.  As in QLaurent, zero numerators are not stored,
     ``_d > 0``, and ``_d`` is coprime to the numerators taken together.
 
-    >>> f = TorusPoly.monomial(1, (1,), QLaurent.gen()) + TorusPoly.monomial(1, (-1,))
+    >>> f = TorusPoly(1, {(1,): QLaurent.gen()}) + TorusPoly(1, {(-1,): 1})
     >>> f = TorusPolyAt(f, Fraction(7, 2))
     >>> f._c, f._d
     ({(1,): (7, 0), (-1,): (2, 0)}, 2)
@@ -377,61 +371,54 @@ class TorusPolyAt:
         return out
 
 
-def binomial_div_exact(f: TorusPoly, coef, alpha: Sequence[int]) -> TorusPoly:
-    """Exact quotient f / (1 - coef * x^alpha); raises InexactDivision otherwise.
+def binomial_div_exact(f: Mapping[Vec, int], alpha: Sequence[int]) -> dict[Vec, int]:
+    """Exact quotient f / (1 - x^alpha) of a Laurent polynomial with int
+    coefficients, given and returned as {exponent: int}; raises
+    InexactDivision otherwise.
 
-    Terms are peeled in increasing order of the key <e, alpha>; each peel
-    moves mass strictly upward by <alpha, alpha>, and in an exact division
-    no intermediate key can exceed the maximum key of f.  Since keys only
-    grow, no exponent is peeled twice or re-enters the remainder once it
-    has left it, so each exponent gets one quotient term and one heap entry.
+    The binomial acts on each line e + Z*alpha apart.  Walked upward, the
+    quotient at a point of a line is the sum of f over the line up to that
+    point: it is constant between two terms of f, and the division is exact
+    when every line sums to zero.  Each quotient term is written once.
 
-    >>> f = TorusPoly.monomial(1, (0,)) - TorusPoly.monomial(1, (2,))
-    >>> str(binomial_div_exact(f, 1, (1,)))
-    'x + 1'
+    >>> binomial_div_exact({(0,): 1, (2,): -1}, (1,))
+    {(0,): 1, (1,): 1}
+    >>> binomial_div_exact({(0, 0): 1, (1, 1): -1}, (1, 1))
+    {(0, 0): 1}
     """
     alpha = tuple(int(a) for a in alpha)
-    if len(alpha) != f.n:
+    if f and len(next(iter(f))) != len(alpha):
         raise ValueError("root length does not match variable count")
     aa = _dot(alpha, alpha)
     if aa == 0:
         raise ValueError("division direction must be a nonzero vector")
-    c0 = _as_qfraction(coef)
-    if f.is_zero():
-        return TorusPoly(f.n)
 
-    rem = dict(f.terms())
-    heap = [(_dot(e, alpha), e) for e in rem]
-    max_key = max(heap)[0]
-    heapq.heapify(heap)
-    quot: dict[Vec, QFraction] = {}
-    unit = c0 == QF_ONE
-
-    while rem:
-        k, e = heapq.heappop(heap)
-        c = rem.pop(e, None)
-        if c is None:
-            continue  # its remainder cancelled to zero
-        if k > max_key:
-            raise InexactDivision("remainder survives binomial division")
-        quot[e] = c
-        if not unit:
-            c = c * c0
-            if c.is_zero():
-                continue
-        e2 = tuple(a + b for a, b in zip(e, alpha))
-        s = rem.get(e2)
-        if s is None:
-            rem[e2] = c
-            heapq.heappush(heap, (k + aa, e2))
+    # a line's foot is its point e - k*alpha with 0 <= <e - k*alpha, alpha> < aa
+    mul, add, sub = operator.mul, operator.add, operator.sub
+    ks = [sum(map(mul, e, alpha)) // aa for e in f]
+    steps = {k: tuple([k * a for a in alpha]) for k in range(min(ks, default=0), max(ks, default=0) + 1)}
+    lines: dict[Vec, list[tuple[int, int]]] = {}  # foot -> (step k, coefficient)
+    for (e, c), k in zip(f.items(), ks):
+        foot = tuple(map(sub, e, steps[k]))
+        line = lines.get(foot)
+        if line is None:
+            lines[foot] = [(k, c)]
         else:
-            s = s + c
-            if s.is_zero():
-                del rem[e2]
-            else:
-                rem[e2] = s
+            line.append((k, c))
 
-    return TorusPoly(f.n, quot)
+    quot: dict[Vec, int] = {}
+    for foot, line in lines.items():
+        line.sort()  # the steps on a line differ
+        s = 0  # the quotient from the last step on
+        for k, c in line:
+            if s:
+                for j in range(last, k):
+                    quot[tuple(map(add, foot, steps[j]))] = s
+            s += c
+            last = k
+        if s:
+            raise InexactDivision("remainder survives binomial division")
+    return quot
 
 
 class Binomial:
@@ -445,10 +432,6 @@ class Binomial:
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Binomial is immutable")
-
-    def as_poly(self) -> TorusPoly:
-        n = len(self.alpha)
-        return TorusPoly.const(n, 1) - TorusPoly.monomial(n, self.alpha, self.coef)
 
     def eval_exact(self, xs: Sequence) -> QFraction:
         """Value at a point of nonzero monomials, as in TorusPoly.eval_exact."""

@@ -935,6 +935,23 @@ def test_report_does_not_load_numpy():
     assert r.stdout == "False\n"
 
 
+def test_report_does_not_load_the_introspection_modules():
+    # RunConfig and CheckResult are plain classes: no dataclasses, and none
+    # of the modules it pulls in, at the cold start of every verify
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    r = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys, hermlab.report; print([m for m in {heavy!r} if m in sys.modules])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("n, code", [(0, 2), (4, 3)])
 def test_verify_n_out_of_range_refused_before_the_layers_load(n, code):
     r = subprocess.run(

@@ -12,6 +12,7 @@ from hermlab.plancherel import (
     QuadratureGrid,
     _delta_plus_at,
     _height,
+    _q_poly_at,
     _root_factor,
     _root_params,
     basis_partitions,
@@ -34,6 +35,7 @@ from hermlab.hall_littlewood import (
     p_poly,
     partitions,
     q_poly,
+    q_poly_coefficients,
     spec_params,
     w_lambda_value,
     w_poly,
@@ -398,6 +400,21 @@ def test_delta_plus_equals_full_product_cut(n):
                 assert (got._c, got._d) == (at._c, at._d)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_sums_at_q0_equal_the_symbolic_ones_taken_at_q0(n):
+    # sum_mu C_mu(q0) Q_mu on Gaussian integers against q_poly built in q
+    # and then taken at q0, for every partition up to weight 6
+    for parity in ("odd", "even"):
+        for lam in partitions(n, 6):
+            for q0 in (Fraction(3), Fraction(7, 2)):
+                got, at = _q_poly_at(n, parity, lam, q0), TorusPolyAt(q_poly(n, parity, lam), q0)
+                assert (got._c, got._d) == (at._c, at._d)
+    if n == 3:
+        # among them a sum with a coefficient C_mu that vanishes at q0 = 3
+        coefs = q_poly_coefficients(3, (4, 2, 0), *spec_params("even")).values()
+        assert any(c.eval(Fraction(3)).is_zero() for c in coefs)
+
+
 def test_volume_frozen_values():
     assert volume((), 1, "odd", Fraction(3)) == 1
     assert volume((1,), 1, "odd", Fraction(3)) == 8
@@ -533,5 +550,5 @@ def test_grid_integrates_exactly():
     grid = QuadratureGrid(1, 16)
     vals = np.exp(1j * grid.thetas[:, 0] * 3)
     assert abs(np.mean(vals)) < 1e-14
-    f = TorusPoly.monomial(1, (3,), 5) + TorusPoly.monomial(1, (-2,)) + 2
+    f = TorusPoly(1, {(3,): 5}) + TorusPoly(1, {(-2,): 1}) + 2
     assert abs(np.mean(grid.poly_values(f, 3.0)) - 2) < 1e-14

@@ -3,9 +3,11 @@ forked children take the checks from one pipe.  No test here starts more
 than three processes."""
 
 import os
+import pickle
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -154,3 +156,17 @@ def test_more_checks_than_the_task_pipe_holds_are_refused_before_the_fork(monkey
         run_checks(["a"] * 20_000, CFG, workers=2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_config_and_results_behave_as_records():
+    cfg = RunConfig(n=2, q0=Fraction(7, 2))
+    assert (cfg.n, cfg.q0, cfg.p, cfg.seed, cfg.tol) == (2, Fraction(7, 2), 3, 7, 1e-8)
+    assert cfg == RunConfig(2, Fraction(7, 2)) != CFG
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    assert hash(cfg) == hash(RunConfig(n=2, q0=Fraction(7, 2)))
+    with pytest.raises(AttributeError):
+        cfg.n = 3
+    r = report.CheckResult("x", True, "fine")
+    assert r.data == {} and r.data is not report.CheckResult("x", True, "fine").data
+    assert pickle.loads(pickle.dumps(r)) == r != report.CheckResult("x", False, "fine")
+    assert repr(r) == "CheckResult(check_id='x', passed=True, detail='fine', data={})"

@@ -194,7 +194,7 @@ def _bare_value(*exponents):
     sum of x^e over the exponents; the base point has x = q^(-1/2)."""
     num = TorusPoly.zero(1)
     for e in exponents:
-        num = num + TorusPoly.monomial(1, (e,))
+        num = num + TorusPoly(1, {(e,): 1})
     return SphericalValue(1, "even", (0,), PhasedScalar.one(), num, FactoredRational(1))
 
 
@@ -292,7 +292,7 @@ def test_functional_equation_refuses_a_wrong_twist(monkeypatch, twist):
 def test_functional_equation_refuses_a_numerator_that_is_not_invariant(monkeypatch):
     true_q_poly = sph.q_poly
     monkeypatch.setattr(
-        sph, "q_poly", lambda n, p, lam: true_q_poly(n, p, lam) + TorusPoly.monomial(n, (1,) + (0,) * (n - 1))
+        sph, "q_poly", lambda n, p, lam: true_q_poly(n, p, lam) + TorusPoly(n, {(1,) + (0,) * (n - 1): 1})
     )
     for n, parity, lam, seed in FEQ_CASES:
         assert not check_functional_equation(n, parity, lam)

@@ -21,8 +21,14 @@ from hermlab.weyl import enumerate_group
 Q = QLaurent.gen()
 
 
+def expand(b):
+    """The binomial 1 - coef * x^alpha as a TorusPoly."""
+    n = len(b.alpha)
+    return TorusPoly.const(n, 1) - TorusPoly(n, {b.alpha: b.coef})
+
+
 def mono(n, e, c=1):
-    return TorusPoly.monomial(n, e, c)
+    return TorusPoly(n, {e: c})
 
 
 def unit_torus_value(f, q0, thetas):
@@ -81,71 +87,65 @@ def test_symmetric_detection():
     assert not is_symmetric(mono(n, (1, 0)), enumerate_group(n))
 
 
+def times_binomial(f, alpha):
+    """(1 - x^alpha) * f for an int polynomial {exponent: int}, zeros dropped."""
+    out = dict(f)
+    for e, c in f.items():
+        e2 = tuple(a + b for a, b in zip(e, alpha))
+        out[e2] = out.get(e2, 0) - c
+    return {e: c for e, c in out.items() if c}
+
+
 def test_binomial_division_geometric():
     # (1 - x^4) / (1 - x) = 1 + x + x^2 + x^3
-    f = mono(1, (0,)) - mono(1, (4,))
-    g = binomial_div_exact(f, 1, (1,))
-    assert g == mono(1, (0,)) + mono(1, (1,)) + mono(1, (2,)) + mono(1, (3,))
+    g = binomial_div_exact({(0,): 1, (4,): -1}, (1,))
+    assert g == {(0,): 1, (1,): 1, (2,): 1, (3,): 1}
 
 
 def test_binomial_division_inexact():
     # (1 + x) / (1 - x) leaves a remainder
-    f = mono(1, (0,)) + mono(1, (1,))
     with pytest.raises(InexactDivision):
-        binomial_div_exact(f, 1, (1,))
+        binomial_div_exact({(0,): 1, (1,): 1}, (1,))
 
 
 def test_binomial_division_negative_direction():
     # divide by (1 - x^{-1}) : (x - x^{-1})/(1 - x^{-1}) = x + 1
-    f = mono(1, (1,)) - mono(1, (-1,))
-    g = binomial_div_exact(f, 1, (-1,))
-    assert g == mono(1, (1,)) + mono(1, (0,))
-
-
-def test_binomial_division_with_parameter_coeff():
-    # f = (1 - q^{-1} x1 x2)(x1 - x2^{-1}); dividing back must recover the cofactor
-    b = Binomial(Q**-1, (1, 1))
-    cof = mono(2, (1, 0)) - mono(2, (0, -1))
-    f = b.as_poly() * cof
-    assert binomial_div_exact(f, Q**-1, (1, 1)) == cof
+    g = binomial_div_exact({(1,): 1, (-1,): -1}, (-1,))
+    assert g == {(1,): 1, (0,): 1}
 
 
 def test_binomial_division_randomized_roundtrip():
     rng = random.Random(11)
     for _ in range(20):
         n = rng.choice((1, 2, 3))
-        cof = TorusPoly(
-            n,
-            {
-                tuple(rng.randrange(-2, 3) for _ in range(n)): Fraction(
-                    rng.randrange(-5, 6) or 1
-                )
-                for _ in range(4)
-            },
-        )
+        cof = {
+            tuple(rng.randrange(-2, 3) for _ in range(n)): rng.randrange(-5, 6) or 1
+            for _ in range(4)
+        }
         alpha = tuple(rng.randrange(-2, 3) for _ in range(n))
         if not any(alpha):
             alpha = (1,) + (0,) * (n - 1)
-        c = Fraction(rng.randrange(-3, 4))
-        f = Binomial(c, alpha).as_poly() * cof
-        assert binomial_div_exact(f, c, alpha) == cof
+        assert binomial_div_exact(times_binomial(cof, alpha), alpha) == cof
 
 
-@pytest.mark.parametrize("c", [1, 2, Q**-1, QFraction(2, 1 + Q)])
-def test_binomial_division_remainder_cancels(c):
-    # f = (1 - c x^alpha) * cof, where no term of cof sits one step of alpha
-    # above another: peeling each term of cof cancels the remainder one step
-    # up to zero, and the division must go on past that exponent
-    for n, alpha, cof in [
-        (1, (1,), mono(1, (0,)) + mono(1, (2,))),
-        (2, (1, -1), mono(2, (0, 1)) + mono(2, (2, -1))),
-        (2, (0, -2), mono(2, (1, 3)) - mono(2, (1, -1)) + mono(2, (0, 0))),
+def test_binomial_division_remainder_cancels():
+    # f = (1 - x^alpha) * cof, where no term of cof sits one step of alpha
+    # above another: the walk up a line returns to zero between the terms
+    # of cof, and the division must go on past that exponent
+    for alpha, cof in [
+        ((1,), {(0,): 1, (2,): 1}),
+        ((1, -1), {(0, 1): 1, (2, -1): 1}),
+        ((0, -2), {(1, 3): 1, (1, -1): -1, (0, 0): 1}),
     ]:
-        b = Binomial(c, alpha).as_poly()
-        f = b * cof
-        g = binomial_div_exact(f, c, alpha)
-        assert b * g == f
-        assert g == cof
+        f = times_binomial(cof, alpha)
+        assert binomial_div_exact(f, alpha) == cof
+
+
+def test_binomial_division_refuses_a_zero_or_mismatched_direction():
+    with pytest.raises(ValueError):
+        binomial_div_exact({(0, 0): 1}, (0, 0))
+    with pytest.raises(ValueError):
+        binomial_div_exact({(0, 0): 1}, (1,))
 
 
 def test_eval_exact_symbolic_q():
@@ -209,7 +209,7 @@ def test_factored_rational_pole():
 def test_factored_weyl_relabels_like_the_polynomial():
     fr = FactoredRational(Q, [Binomial(2, (1, 1)), Binomial(Q**-1, (0, 2))], [Binomial(Q, (1, -1))])
     top = FactoredRational(Q, fr.num)
-    expanded = Q * fr.num[0].as_poly() * fr.num[1].as_poly()
+    expanded = Q * expand(fr.num[0]) * expand(fr.num[1])
     xs = [Fraction(3, 7), Fraction(5, 2)]
     for s in enumerate_group(2):
         w = fr.weyl(s)
@@ -217,7 +217,7 @@ def test_factored_weyl_relabels_like_the_polynomial():
         assert [b.alpha for b in w.num + w.den] == [s.act_vector(b.alpha) for b in fr.num + fr.den]
         assert w.eval_exact(xs) == fr.eval_exact(_act_point(s.inverse(), xs))
         w_top = top.weyl(s)
-        assert Q * w_top.num[0].as_poly() * w_top.num[1].as_poly() == expanded.weyl(s)
+        assert Q * expand(w_top.num[0]) * expand(w_top.num[1]) == expanded.weyl(s)
 
 
 NEG = (-1, 1)  # a negative root; -NEG is positive
