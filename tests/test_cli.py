@@ -1063,3 +1063,63 @@ def test_qpoly_verbs_refuse_n_before_the_layers_load():
     )
     r = subprocess.run([sys.executable, "-c", script, layers], capture_output=True, text=True)
     assert r.stdout == f"{[2, 3] * len(QPOLY_VERBS)} False\n", r.stderr
+
+
+# Usage, help and error text of the front end, for every verb and sub-verb,
+# as sha256 of "exit code NUL stdout NUL stderr" at 80 columns; recorded
+# before the verbs moved into modules of their own.  argparse lays its text
+# out differently from one Python minor version to the next; these are 3.11's.
+ARGPARSE_PINNED = {
+    "": "e701996199364de865853a840f0eb3cb64344558607b3f37c4759b00c198a5fe",
+    "--help": "1e8a46621ccd91f27e1a41b583202b9c5eed1603476822c50a6fde3dd761c57c",
+    "frob": "64f60fc0929f69e2a7a97b2c6fcb78dba4328717cc4f587a52373a7d988035cc",
+    "verify": "cffc4c4df21b7b184fbdccfa3da12d4df6a7b6bbde22e3a76a1d9be6ad0bd126",
+    "verify --help": "c764c69037025c562d8b73b90e9e867a9485abedd2bc1d7a29f0b3607f74ca45",
+    "verify all --format xml": "363f8f440fef4f69af82723c5ab125d2656441c888c359e888734afa0694aa6c",
+    "verify all --n x": "306951a0a6c792e9674091908f67b0d92421cc54271241a1fa44183cdc18c8fa",
+    "hl": "aafba467b1a4eebcc4ac308203f4a2547bd198f600a4fcc93fe60f3e0b4cd825",
+    "hl --help": "d3394bbae72dc3a38e5fb60894c4f61978afbe68f26221a7855cf044806e3118",
+    "hl frob": "8018754aa37879665cb00bf03ee86358d7758eb35916d9a126b395c61e4171f2",
+    "hl qpoly": "ee167ac6603b64bbfacfdecd9389222f5bc52e386d850975a5ea91c8be0d49f1",
+    "hl qpoly --help": "421c4df66d0e11da3cc0dcf7ffc758ac4cc9291e89afecc03933cc526d532afd",
+    "sph": "41556d170671e1708e881e1807d934feea2a8d20a6f94ef45cfdac66707e9fd1",
+    "sph --help": "183cd5b92059d3a21d89ab109aa1b07243e31a909f1cf5b6539eb4d0bf8b5e6a",
+    "sph omega --ell": "4d829e227a33cd9b12cd314dfe9db9a17a38f233990552a274e1da1b2799ca50",
+    "sph omega --help": "a182c208967b6869d93fb646ef31d530c1002479825404e5a43979823a65e380",
+    "sph verify-feq": "afbf57e70a6637c9633dfaad7b0c25dd0cd67e14855af8058961a0c0e3513537",
+    "sph verify-feq --help": "55d9ccfdb2c7c86c9f62948cc4a12049497f67ba966891e4d7400d1e96732a06",
+    "sph parity-sign": "5b6f80b9b9a9411f5e0cac2da13c4510bbec0891856287de92bc7d7897f04338",
+    "sph parity-sign --help": "1d40f84de430bf18a6e18990ae5cb106f91d34cc98ce4e35fc90d4f6bd0f5c13",
+    "plancherel": "e42dedc7cf9be67182bee973030a44b553c2999fac06acf7f2453a5bf72e89a2",
+    "plancherel --help": "32d1c21d07ebea34ba0ee75502b31d6c17372cc89f9a3c2d4a8a9faaf0a852a3",
+    "plancherel gram": "4aac6f9f68611fe415f56f7dcf564d9c890068c7dd4b1dbb90d56ba538807291",
+    "plancherel gram --help": "3ec175784da20c21c50d3148aaec2367b72f65f8a83b0e6d24890c65066b3ffb",
+    "plancherel check": "5cc13c3fe8e3fa518c215976629e0c6612e2b9c9b757c9cb2391840378cefd77",
+    "plancherel check --help": "312e57ff61907ad55d35e4cac5f98417c09a6c659653582585304724f3406cd3",
+    "plancherel inversion": "74429fc22c7d5a514b15d3a1267ea5f867dd2f587adb573d9020462a29b1154d",
+    "plancherel inversion --help": "10263896f30b3458fc6152c7e755f622d9d1109e69d87cae96dbbfac05d9fdda",
+    "plancherel rank": "1302e3c9bb4edf9c8e6c8a8ee5b71197136353538dc1927d7fbe7f9565c59e11",
+    "plancherel rank --help": "3d96196ad4d0a761b9933a0111f6583fb972996c9370667c103f00905eb1c1fd",
+    "padic": "72592d426a3cd30b99b1b2b2ca28f9c5973df7d98587aaa18c9a3445a17721d5",
+    "padic --help": "ead361646fa875e73eadf6a1b3885f03342d0e6650c2c8ee80c216f3837dfe8a",
+    "padic frob": "900c23aa5c660f3a67966b6b389294c21571a2278a4be0e6f2aae9510474d989",
+    "padic count-norm": "09f134dc2b7f6dd333579cffa77d542cee6b64c06ba3645af6695aea2724c2b3",
+    "padic count-norm --help": "462ad0072d6ed740ef7861eccdfb2768bd7a8e18c8a9f38dfdfaa8f51b4ab5dd",
+    "padic classify --p": "36902f8042108b4fd6258b5f309bc98720d0da43c2e1c2c9c5837211750942cc",
+    "padic classify --help": "a6b644baf56210bd7bebb64e98d03c648d079c8dd310f68d8c8160814e3c7936",
+    "padic diagonalize1 --in": "e15b17efa17dd3e3ce1549cc2acf91e2dbaa37bfd2bc9f4f831206ea715e0422",
+    "padic diagonalize1 --help": "1215b080b80e62ec5617709fb7878aec0cb4e7503c3d04ab5336aed6084c0ee9",
+    "padic mc-omega": "a711666fc74842f00906650b412780c939231da964039e210e4f0eac14e1b052",
+    "padic mc-omega --help": "f956e305e80832a0afc1a0539e756a75f5df55add7eec7a7ab00ad8b00b1c139",
+    "padic mc-omega --ell 1 --s x": "8bb2b85eea52e323e9c137cbb0805b174f7fc2759b9c6b3ae850f9e1cb6d4511",
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="pinned on 3.11's argparse layout")
+@pytest.mark.parametrize("argv", list(ARGPARSE_PINNED), ids=lambda a: a or "(no arguments)")
+def test_argparse_output_bytes_pinned(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    code = run(argv.split())
+    got = capsys.readouterr()
+    record = f"{code}\0{got.out}\0{got.err}".encode()
+    assert hashlib.sha256(record).hexdigest() == ARGPARSE_PINNED[argv], (code, got)
