@@ -18,7 +18,10 @@ Layers (bottom up):
   Haar-random rows.
 * ``padic`` -- finite-precision local-field matrices: membership tests,
   orbit invariants, diagonalization.
-* ``cli`` -- the ``hermlab`` command-line entry point.
+* ``cli`` -- the ``hermlab`` command-line entry point: the verb table, the
+  shared argument helpers and the dispatch.
+* ``cmd_verify``, ``cmd_hl``, ``cmd_sph``, ``cmd_plancherel``,
+  ``cmd_padic`` -- one module per verb, imported only for that verb.
 """
 
 __version__ = "0.1.0"

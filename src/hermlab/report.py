@@ -9,65 +9,19 @@ identical configurations produce identical bytes in every output format.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import os
 import random
 import sys
 from fractions import Fraction
 
 from .errors import ResourceLimit
-from .hall_littlewood import (
-    PARITIES,
-    p_poly,
-    partitions,
-    q_poly,
-    spec_params,
-    w_lambda_value,
-    whole_group_value,
-)
-from .plancherel import (
-    basis_rank_check,
-    check_inversion,
-    check_plancherel,
-    expected_gram_diagonal,
-    gram_matrix,
-    pairing_misses,
-    total_mass,
-    volume,
-)
-from .residue import (
-    LocalField,
-    k1_cell_counts,
-    mc_band,
-    monte_carlo_omega1,
-    norm_count,
-    norm_residual,
-    smallest_nonresidue,
-)
-from .scalars import QFraction, QLaurent
-from .spherical import (
-    base_point,
-    base_point_exponent,
-    check_functional_equation,
-    check_gamma_cocycle,
-    gamma_factor,
-    identity_value_closed_form,
-    identity_value_constant,
-    omega_explicit,
-    omega_rank1_s_form,
-    omega_rank1_s_form_printed_variant,
-    omega_rank1_z_form,
-    parity_sign_relation,
-    phase_power,
-    rank1_substitution,
-)
-from .torus import TorusPoly
-from .weyl import coordinate_flip, enumerate_group, poincare_poly, stabilizer
 
-# The matrix layer, padic, is imported inside the three checks that use it,
-# so a run without them never compiles it.
+# Each check imports the layers it runs, so that a check run alone compiles
+# only its own (with no bytecode cached every imported module is compiled
+# again on each start).  Three checks run on the residue kernels alone; the
+# others run on the exact core, which `plancherel` imports whole, and three
+# of those on the matrix layer, `padic`, as well.
+RESIDUE_CHECKS = ("norm-volume", "defining-integral-mc", "k1-cell-counts")
 MATRIX_CHECKS = ("cartan-membership", "orbit-classification", "diagonalization-roundtrip")
 
 
@@ -154,6 +108,8 @@ class CheckResult:
 
 
 def check_norm_volume(cfg: RunConfig) -> tuple:
+    from .residue import norm_count, norm_residual, smallest_nonresidue
+
     p = cfg.p
     q = Fraction(p)
     bad = []
@@ -176,7 +132,9 @@ def check_norm_volume(cfg: RunConfig) -> tuple:
 
 
 def check_cartan_membership(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import partitions
     from .padic import classify_k_orbit, is_member_X, random_k, x_lambda
+    from .residue import LocalField
 
     field_ = LocalField(cfg.p)
     n = cfg.n
@@ -199,6 +157,14 @@ def check_cartan_membership(cfg: RunConfig) -> tuple:
 
 
 def check_rank1_closed_form(cfg: RunConfig) -> tuple:
+    from .scalars import QFraction, QLaurent
+    from .spherical import (
+        omega_explicit,
+        omega_rank1_s_form,
+        omega_rank1_z_form,
+        rank1_substitution,
+    )
+
     rng = random.Random(f"{cfg.seed}:rank1")
     worst_ell = 0
     for ell in range(5):
@@ -221,6 +187,13 @@ def check_rank1_closed_form(cfg: RunConfig) -> tuple:
 
 
 def check_rank1_sign(cfg: RunConfig) -> tuple:
+    from .spherical import (
+        omega_explicit,
+        omega_rank1_s_form,
+        omega_rank1_s_form_printed_variant,
+        rank1_substitution,
+    )
+
     rng = random.Random(f"{cfg.seed}:rank1sign")
     for ell in (1, 3):
         x = Fraction(rng.randrange(2, 30), rng.randrange(31, 60))
@@ -244,6 +217,8 @@ def check_rank1_sign(cfg: RunConfig) -> tuple:
 
 
 def check_defining_integral_mc(cfg: RunConfig) -> tuple:
+    from .residue import mc_band, monte_carlo_omega1
+
     out = monte_carlo_omega1(1, 1.0, cfg.samples, cfg.prec, seed=cfg.seed, p=cfg.p)
     err = abs(out["estimate"] - out["closed_form"])
     band = mc_band(out)
@@ -255,6 +230,10 @@ def check_defining_integral_mc(cfg: RunConfig) -> tuple:
 
 
 def check_functional_equation_all(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .spherical import check_functional_equation
+    from .weyl import enumerate_group
+
     lam = (1,) + (0,) * (cfg.n - 1)
     for parity in PARITIES:
         if not check_functional_equation(cfg.n, parity, lam):
@@ -267,6 +246,11 @@ def check_functional_equation_all(cfg: RunConfig) -> tuple:
 
 
 def check_tau_functional_equation(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .scalars import QFraction, QLaurent
+    from .spherical import check_functional_equation, gamma_factor
+    from .weyl import coordinate_flip
+
     n = cfg.n
     flip = coordinate_flip(n)
     rng = random.Random(f"{cfg.seed}:tau")
@@ -292,6 +276,9 @@ def check_tau_functional_equation(cfg: RunConfig) -> tuple:
 
 
 def check_gamma_cocycle_all(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .spherical import check_gamma_cocycle
+
     for parity in PARITIES:
         if not check_gamma_cocycle(cfg.n, parity, seed=cfg.seed):
             return False, f"cocycle identity fails ({parity} case)"
@@ -299,6 +286,11 @@ def check_gamma_cocycle_all(cfg: RunConfig) -> tuple:
 
 
 def check_macdonald_constant(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES, p_poly, q_poly, spec_params, whole_group_value
+    from .scalars import QLaurent
+    from .torus import TorusPoly
+    from .weyl import enumerate_group, poincare_poly
+
     for n in range(1, cfg.n + 1):
         for parity in PARITIES:
             zero = (0,) * n
@@ -316,6 +308,9 @@ def check_macdonald_constant(cfg: RunConfig) -> tuple:
 
 
 def check_stabilizer_closed_form(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import partitions, spec_params, w_lambda_value
+    from .weyl import poincare_poly, stabilizer
+
     # the enumerated stabilizer is the reference for the closed form of W_lam
     forms = {"odd": "corrected closed form", "even": "closed form"}
     for n in range(1, cfg.n + 1):
@@ -331,6 +326,9 @@ def check_stabilizer_closed_form(cfg: RunConfig) -> tuple:
 
 
 def check_identity_value(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .spherical import identity_value_closed_form, identity_value_constant, omega_explicit
+
     for n in range(1, cfg.n + 1):
         for parity in PARITIES:
             if identity_value_constant(n, parity) != identity_value_closed_form(n, parity):
@@ -345,6 +343,9 @@ def check_identity_value(cfg: RunConfig) -> tuple:
 
 
 def check_measure_total_mass(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .plancherel import total_mass
+
     worst = 0.0
     for parity in PARITIES:
         m = total_mass(cfg.n, parity, cfg.q0, cfg.grid_n)
@@ -357,6 +358,8 @@ def check_measure_total_mass(cfg: RunConfig) -> tuple:
 
 
 def _pairing_check(cfg: RunConfig, misses_of, passed: str) -> tuple:
+    from .hall_littlewood import PARITIES, partitions
+
     lams = partitions(cfg.n, 2)
     for parity in PARITIES:
         for i, j, got, want in misses_of(lams, parity)[:1]:
@@ -365,6 +368,8 @@ def _pairing_check(cfg: RunConfig, misses_of, passed: str) -> tuple:
 
 
 def check_gram_orthogonality(cfg: RunConfig) -> tuple:
+    from .plancherel import expected_gram_diagonal, gram_matrix, pairing_misses
+
     def misses(lams, parity):
         diag = [expected_gram_diagonal(lam, cfg.n, parity, cfg.q0) for lam in lams]
         return pairing_misses(gram_matrix(lams, cfg.n, parity, cfg.q0), diag)
@@ -377,6 +382,8 @@ def check_gram_orthogonality(cfg: RunConfig) -> tuple:
 
 
 def check_plancherel_diagonal(cfg: RunConfig) -> tuple:
+    from .plancherel import check_plancherel
+
     return _pairing_check(
         cfg,
         lambda lams, parity: check_plancherel(lams, cfg.n, parity, cfg.q0)["misses"],
@@ -385,6 +392,8 @@ def check_plancherel_diagonal(cfg: RunConfig) -> tuple:
 
 
 def check_inversion_identity(cfg: RunConfig) -> tuple:
+    from .plancherel import check_inversion
+
     return _pairing_check(
         cfg,
         lambda lams, parity: check_inversion(lams, cfg.n, parity, cfg.q0)["misses"],
@@ -393,6 +402,9 @@ def check_inversion_identity(cfg: RunConfig) -> tuple:
 
 
 def check_volume_prefactor_power(cfg: RunConfig) -> tuple:
+    from .plancherel import check_plancherel, expected_gram_diagonal, volume
+    from .spherical import base_point_exponent
+
     n, q0 = cfg.n, cfg.q0
     lam = (1,) + (0,) * (n - 1)
     measured = check_plancherel([lam], n, "odd", q0)["matrix"][0][0]
@@ -408,6 +420,9 @@ def check_volume_prefactor_power(cfg: RunConfig) -> tuple:
 
 
 def check_basis_rank(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES
+    from .plancherel import basis_rank_check
+
     dets = []
     for parity in PARITIES:
         out = basis_rank_check(cfg.n, parity, cfg.q0, seed=cfg.seed, trials=3)
@@ -423,6 +438,9 @@ def check_basis_rank(cfg: RunConfig) -> tuple:
 
 
 def check_parity_sign(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import partitions
+    from .spherical import parity_sign_relation
+
     for lam in partitions(cfg.n, 3):
         want = -1 if sum(lam) % 2 else 1
         got = parity_sign_relation(lam, cfg.n)
@@ -435,6 +453,9 @@ def check_parity_sign(cfg: RunConfig) -> tuple:
 
 
 def check_height_phase(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import PARITIES, partitions
+    from .spherical import base_point, phase_power
+
     for parity in PARITIES:
         for n in range(1, cfg.n + 1):
             z0 = base_point(n, parity)
@@ -454,7 +475,9 @@ def check_height_phase(cfg: RunConfig) -> tuple:
 
 
 def check_orbit_classification(cfg: RunConfig) -> tuple:
+    from .hall_littlewood import partitions
     from .padic import classify_g_orbit, t_diag, x_lambda
+    from .residue import LocalField
 
     field_ = LocalField(cfg.p)
     n = cfg.n
@@ -475,6 +498,8 @@ def check_orbit_classification(cfg: RunConfig) -> tuple:
 
 
 def check_k1_cell_counts(cfg: RunConfig) -> tuple:
+    from .residue import k1_cell_counts
+
     q = cfg.p
     big, small, union = k1_cell_counts(q)
     ok = (
@@ -491,6 +516,7 @@ def check_k1_cell_counts(cfg: RunConfig) -> tuple:
 
 def check_diagonalization_roundtrip(cfg: RunConfig) -> tuple:
     from .padic import diagonalize_x1, random_k, x_lambda
+    from .residue import LocalField
 
     field_ = LocalField(cfg.p)
     hits = 0
@@ -587,6 +613,8 @@ class Report:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         payload = {
             "config": dict(self.cfg.as_dict(), q0=str(self.cfg.q0)),
             "results": [
@@ -597,6 +625,9 @@ class Report:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def to_csv(self) -> str:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["check", "status", "detail"])
@@ -703,8 +734,12 @@ def run_checks(check_ids, cfg: RunConfig, workers: int = 1) -> Report:
     here, after every check has run."""
     ids = list(check_ids)
     if workers > 1 and len(ids) > 1:
-        # padic is imported before the fork when a check needs it, else each
-        # worker that runs one would compile it again
+        # the layers of the given checks are imported before the fork, else
+        # each worker that runs one would compile them again
+        if any(i in RESIDUE_CHECKS for i in ids):
+            from . import residue  # noqa: F401
+        if any(i not in RESIDUE_CHECKS for i in ids):
+            from . import plancherel  # noqa: F401
         if any(i in MATRIX_CHECKS for i in ids):
             from . import padic  # noqa: F401
 

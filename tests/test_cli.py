@@ -10,6 +10,7 @@ import pytest
 
 from hermlab.cli import run
 from hermlab.padic import LocalMatrix, assert_unitary, random_k, x_lambda
+from hermlab.report import CHECKS, MATRIX_CHECKS, RESIDUE_CHECKS
 from hermlab.residue import LocalField
 
 
@@ -221,6 +222,7 @@ def test_config_file_unreadable_is_a_usage_error(tmp_path, capsys):
         ("p = 9\n", "config value for p must be an odd prime, got 9"),
         ("tol = 0\n", "config value for tol must be above 0, got 0.0"),
         ("workers = 0\n", "config value for workers must be at least 1, got 0"),
+        ("format = xml\n", "config value for format must be one of text, json, csv, got 'xml'"),
     ],
 )
 def test_config_file_bad_line_is_a_usage_error(tmp_path, capsys, text, message):
@@ -426,6 +428,43 @@ def test_sph_omega_reports_a_pole(capsys):
     got = capsys.readouterr()
     assert code == 2
     assert got.err == "omega has a pole at x = (1, -1)\n" and got.out == ""
+
+
+@pytest.mark.parametrize("ell", ["0", "3"])
+def test_sph_omega_reports_the_rank_one_pole(capsys, ell):
+    # at s = -1, u = q and the factor 1 - q^-4 u^4 of the closed form vanishes
+    code = run(["sph", "omega", "--ell", ell, "--s", "-1"])
+    got = capsys.readouterr()
+    assert code == 2
+    assert got.err == "omega has a pole at s = -1\n" and got.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "norm-volume", "--workers", "1"],
+        ["hl", "qpoly", "--n", "1", "--parity", "odd", "--lambda", "1"],
+        ["sph", "omega", "--ell", "1", "--s", "1"],
+        ["plancherel", "gram", "--n", "1", "--parity", "odd"],
+        ["plancherel", "check", "--n", "1", "--parity", "odd"],
+        ["plancherel", "inversion", "--n", "1", "--parity", "odd"],
+        ["padic", "diagonalize1", "--ell", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_an_out_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    assert run([*argv, "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"cannot write {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("verb", ["check", "inversion"])
+def test_plancherel_pairing_verbs_write_their_line_to_out(tmp_path, capsys, verb):
+    path = tmp_path / "line.txt"
+    assert run(["plancherel", verb, "--n", "1", "--parity", "odd", "--out", str(path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert path.read_text().endswith(" pass (0 of 9 exact pairings miss their targets)\n")
 
 
 # The printed form of an exact evaluation (QFraction is not canonical), as
@@ -811,8 +850,6 @@ def test_classify_residue_file_bytes_pinned(tmp_path, capsys):
 def test_report_checks_are_the_benchmark_tallies():
     # perfbench/run.py keeps its own list of the check ids for its per-check
     # tallies; a renamed or reordered check must not drop out of them
-    from hermlab.report import CHECKS
-
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         bench = importlib.import_module("run")
@@ -873,6 +910,13 @@ def test_light_verbs_do_not_load_numpy(argv):
     assert r.stdout.splitlines()[-1] == "0 False"
 
 
+# the residue verbs load neither the report, the exact scalars, the matrix
+# layer, json nor the modules of the other verbs
+RESIDUE_VERB_UNLOADED = (
+    "json,hermlab.report,hermlab.scalars,hermlab.padic,"
+    "hermlab.cmd_verify,hermlab.cmd_hl,hermlab.cmd_sph,hermlab.cmd_plancherel"
+)
+
 VERIFY_N3_CHECKS = (
     "norm-volume,rank1-closed-form,rank1-closed-form-sign,gamma-cocycle,"
     "stabilizer-closed-form,measure-total-mass,volume-prefactor-power,height-phase"
@@ -883,11 +927,11 @@ VERIFY_N3_CHECKS = (
     "unloaded, argv",
     [
         (
-            "hermlab.scalars,hermlab.padic",
+            RESIDUE_VERB_UNLOADED,
             ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
         ),
         (
-            "hermlab.scalars,hermlab.padic",
+            RESIDUE_VERB_UNLOADED,
             ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "50"],
         ),
         ("hermlab.padic", ["verify", VERIFY_N3_CHECKS, "--n", "3", "--workers", "1"]),
@@ -922,6 +966,127 @@ def test_parallel_verify_loads_the_matrix_layer_before_it_forks(checks, loaded):
     )
     assert r.returncode == 0, r.stderr
     assert r.stdout.splitlines()[-1] == f"0 {loaded}"
+
+
+VERB_ARGV = {
+    "verify": ["verify", "height-phase", "--workers", "1"],
+    "hl": ["hl", "qpoly", "--n", "1", "--parity", "odd", "--lambda", "1"],
+    "sph": ["sph", "omega", "--ell", "1", "--s", "1"],
+    "plancherel": ["plancherel", "rank", "--n", "1", "--parity", "odd"],
+    "padic": ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
+}
+
+
+@pytest.mark.parametrize("verb", list(VERB_ARGV))
+def test_a_verb_loads_its_own_module_and_no_other(verb):
+    others = ",".join(f"hermlab.cmd_{v}" for v in VERB_ARGV if v != verb)
+    for unloaded, loaded in ((others, False), (f"hermlab.cmd_{verb}", True)):
+        r = subprocess.run(
+            [sys.executable, "-c", LOADED_AFTER_RUN, unloaded, *VERB_ARGV[verb]],
+            capture_output=True,
+            text=True,
+        )
+        assert r.stdout.splitlines()[-1] == f"0 {loaded}", r.stderr
+
+
+def test_the_module_run_as_main_is_compiled_once():
+    # the verb modules import their helpers from hermlab.cli, which must find
+    # the running module under that name instead of compiling it again
+    argv = ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"]
+    r = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "hermlab.cli", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0 and r.stdout == "8/27\n", r.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in r.stderr.splitlines()]
+    assert "hermlab.residue" in imported
+    assert "hermlab.cli" not in imported
+
+
+EXACT_CORE = ",".join(
+    f"hermlab.{m}"
+    for m in ("scalars", "weyl", "torus", "hall_littlewood", "spherical", "plancherel")
+)
+
+
+def _layer_set_unloaded(check_id: str) -> str:
+    # a residue check loads no exact-core module and no matrix layer; an
+    # exact-core check neither residue nor padic; a matrix check, which
+    # reads its partitions from hall_littlewood, neither spherical nor
+    # plancherel
+    if check_id in RESIDUE_CHECKS:
+        return EXACT_CORE + ",hermlab.padic"
+    if check_id in MATRIX_CHECKS:
+        return "hermlab.spherical,hermlab.plancherel"
+    return "hermlab.residue,hermlab.padic"
+
+
+@pytest.mark.parametrize("check_id", list(CHECKS))
+def test_a_check_run_alone_loads_only_its_layers(check_id):
+    argv = ["verify", check_id, "--n", "1", "--workers", "1"]
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, _layer_set_unloaded(check_id), *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[-1] == "0 False"
+
+
+def test_norm_volume_loads_the_residue_kernels():
+    argv = ["verify", "norm-volume", "--workers", "1"]
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_AFTER_RUN, "hermlab.residue", *argv],
+        capture_output=True,
+        text=True,
+    )
+    assert r.stdout.splitlines()[-1] == "0 True", r.stderr
+
+
+# a fresh interpreter runs `verify` with every check wrapped, as
+# test_the_long_checks_are_handed_out_first wraps them, so that each result
+# carries its process and the hermlab modules that process imported after
+# the fork (the ones it holds when it starts its first check)
+WATCHED_VERIFY = (
+    "import os, sys, time\n"
+    "from hermlab import report\n"
+    "from hermlab.cli import run\n"
+    "def hermlab_modules():\n"
+    "    return {m for m in sys.modules if m.startswith('hermlab')}\n"
+    "at_fork = {}\n"
+    "def watched(check):\n"
+    "    def run_watched(cfg):\n"
+    "        before = at_fork.setdefault(os.getpid(), hermlab_modules())\n"
+    "        time.sleep(0.05)  # so that both processes take checks\n"
+    "        check(cfg)\n"
+    "        new = sorted(hermlab_modules() - before)\n"
+    "        return True, '', {'pid': os.getpid(), 'new': new}\n"
+    "    return run_watched\n"
+    "report.CHECKS = {c: watched(f) for c, f in report.CHECKS.items()}\n"
+    "sys.exit(run(sys.argv[1:]))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "checks",
+    [
+        "all",
+        "norm-volume,k1-cell-counts,defining-integral-mc",
+        "height-phase,parity-sign,measure-total-mass",
+        "orbit-classification,diagonalization-roundtrip,cartan-membership",
+        "norm-volume,height-phase,diagonalization-roundtrip",
+    ],
+)
+def test_a_parallel_run_imports_no_layer_after_the_fork(checks):
+    argv = ["verify", checks, "--n", "1", "--workers", "2", "--format", "json"]
+    r = subprocess.run(
+        [sys.executable, "-c", WATCHED_VERIFY, *argv], capture_output=True, text=True
+    )
+    assert r.returncode == 0, r.stderr
+    results = json.loads(r.stdout)["results"]
+    assert len({res["data"]["pid"] for res in results}) == 2
+    assert [res["data"]["new"] for res in results] == [[]] * len(results)
 
 
 def test_report_does_not_load_numpy():
