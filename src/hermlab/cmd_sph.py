@@ -8,7 +8,9 @@ import sys
 from .cli import (
     EXIT_MATH_FAIL,
     EXIT_PASS,
+    EXIT_RESOURCE,
     EXIT_USAGE,
+    RANK1_MAX_SPAN,
     _at_least,
     _emit,
     _parse_fraction,
@@ -46,13 +48,19 @@ def handle(args) -> int:
 def _omega(args) -> int:
     if args.ell is not None:
         _at_least(args.ell, 0, "--ell")
+        if args.s is None:
+            sys.stderr.write("rank-one closed form needs --s\n")
+            return EXIT_USAGE
+        span = 2 * (args.ell + 3) * abs(args.s)
+        if span > RANK1_MAX_SPAN:
+            sys.stderr.write(
+                f"resource: sph omega supports 2 (ell + 3) |s| up to {RANK1_MAX_SPAN}, got {span}\n"
+            )
+            return EXIT_RESOURCE
     from .hall_littlewood import check_partition
     from .spherical import omega_explicit, omega_rank1_s_form
 
     if args.ell is not None:
-        if args.s is None:
-            sys.stderr.write("rank-one closed form needs --s\n")
-            return EXIT_USAGE
         from .scalars import QFraction, QLaurent
 
         q = QLaurent.gen()

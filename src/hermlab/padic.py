@@ -95,9 +95,10 @@ class LocalMatrix:
 
     def __init__(self, field, rows, scale=1, precision=None):
         if precision is None:
-            g = math.gcd(scale, *(v for row in rows for e in row for v in e))
-            rows = [[(a // g, b // g) for a, b in row] for row in rows]
-            scale //= g
+            g = math.gcd(scale, *[v for row in rows for e in row for v in e])
+            if g != 1:
+                rows = [[(a // g, b // g) for a, b in row] for row in rows]
+                scale //= g
         else:
             mod = _modulus(field, precision)
             unit = scale // field.p ** _vp_int(scale, field.p)
@@ -429,10 +430,8 @@ def random_k(field, n, seed):
     verified generators (diagonal units, constrained unipotents and their
     transposes, signed-permutation representatives)."""
     rng = random.Random(seed)
-    size = 2 * n + 1
-    g = LocalMatrix.identity(field, size)
     perms = _perm_generators(field, n)
-    J = perms[-1]  # the j_matrix generator
+    g = None
     for _ in range(RANDOM_K_WORD_LENGTH):
         kind = rng.randrange(4)
         if kind == 0:
@@ -448,10 +447,11 @@ def random_k(field, n, seed):
                     H[j][i] = pconj(H[i][j])
             step = _upper_unipotent(field, n, beta, H)
             if kind == 2:
-                step = (J @ step) @ J
+                # J step J, J the antidiagonal 1s: step read backwards in both indices
+                step = LocalMatrix(field, [row[::-1] for row in reversed(step.rows)], step.scale)
         else:
             step = perms[rng.randrange(len(perms))]
-        g = g @ step
+        g = step if g is None else g @ step
     assert_unitary(g)
     return g
 

@@ -565,11 +565,12 @@ CHECKS = {
 
 # A parallel run hands these checks out first, in this order, and the rest
 # after them in the order given, so that no long check starts when the other
-# workers are nearly done (longest processing time first).  The order is the
-# time each check takes in one process at n = 4, where the checks differ most,
-# except that k1-cell-counts, the longest at n = 2, goes second; the checks
-# left out take under 7 ms at each of n = 2, 3 and 4.  BENCH_int_basis.json
-# holds the measured times.
+# workers are nearly done (longest processing time first).  The order is
+# about the time each check takes in one process at n = 4, where the checks
+# differ most, except that k1-cell-counts, still the longest at n = 2 (12 ms,
+# as rank1-closed-form), goes second; the checks left out take under 11 ms at
+# each of n = 2, 3 and 4.  The order by the n = 4 times alone was not faster
+# at n = 2, 3 or 4.  BENCH_kernels.json holds the measured times.
 LONGEST_FIRST = (
     "basis-rank",
     "k1-cell-counts",

@@ -10,6 +10,11 @@ the matrix layer of ``padic``: the norm-class counts, the cell counts of the
 integral unitary 3x3 group mod p, and the rank-one Monte-Carlo of the
 defining integral with its closed form.
 
+The cell counts count orbits, not products.  The diagonal torus T of the
+factor D in g = D N acts freely on the left, so the products D N number |T|
+times the T-orbits among the N, and each orbit is counted once by a member
+read off any N in it (see ``k1_cell_counts``).
+
 The Monte-Carlo draws rows, not matrices.  At rank one the integrand reads
 only the bottom row of k, a primitive isotropic row; Haar measure on K pushes
 forward to the uniform law on those rows mod p^m (K acts transitively on
@@ -203,14 +208,17 @@ def pval(x, p: int) -> float:
 
 def pmatmul(x, y, eps: int):
     """The product of two pair matrices, unreduced.  Each entry sums its
-    pair products inline, with eps applied once to the sum of the b*d."""
-    cols = list(zip(*y))
+    pair products inline over the nonzero entries of its column of y, with
+    eps applied once to the sum of the b*d; diagonal, permutation and
+    unipotent factors are mostly zeros."""
+    cols = [[(k, c, d) for k, (c, d) in enumerate(col) if c or d] for col in zip(*y)]
     out = []
     for row in x:
         out.append([])
         for col in cols:
             re = im = bd = 0
-            for (a, b), (c, d) in zip(row, col):
+            for k, c, d in col:
+                a, b = row[k]
                 re += a * c
                 bd += b * d
                 im += a * d + b * c
@@ -234,13 +242,15 @@ def pair_unitary(g, eps: int, c: int = 1, mod: int = 0) -> bool:
 
     g* J g is hermitian, so its entries on and above the diagonal decide,
     and only those are formed: row k of g* times column l of Jg, l >= k,
-    that is conj(column k of g) times column l read from the bottom."""
+    that is conj(column k of g) times column l read from the bottom, summed
+    over the nonzero entries of column k."""
     n = len(g)
-    cols = list(zip(*g))
+    cols = [[(n - 1 - i, a, b) for i, (a, b) in enumerate(col) if a or b] for col in zip(*g)]
     for k in range(n):
         for l in range(k, n):
             re = im = bd = 0
-            for (a, b), (x, y) in zip(cols[k], reversed(cols[l])):
+            for i, a, b in cols[k]:
+                x, y = g[i][l]
                 re += a * x
                 bd += b * y
                 im += a * y - b * x
@@ -296,10 +306,17 @@ def k1_cell_counts(p: int):
     ENUMERATION_BOUND (p = 5 runs, p = 7 does not).
 
     Every D and every N of g = D N is built and checked unitary once; each
-    D N is then unitary too, (D N)* j (D N) = N* (D* j D) N.  D N is formed
-    row by row, row r of N times the r-th entry of D, and counted as one int.
-    The products of an entry of D with a digit pair mod p are read from a
-    table built once from ``pmul``, indexed by the digits of the entry of N.
+    D N is then unitary too, (D N)* j (D N) = N* (D* j D) N.  The D form the
+    diagonal torus T = {diag(alpha, u, conj(alpha)^-1)}, alpha any of the
+    p^2 - 1 units and u any of the p + 1 units of norm 1; a T short of that
+    is refused.  T acts freely on the left (D N = N only for D = 1, N being
+    invertible), so the distinct products D N of a set of N number |T|
+    times the distinct T-orbits among those N.  An orbit is counted by one
+    member, read off any N in it: row 0 scaled so that its first unit is 1,
+    which fixes alpha and so the scale of row 2, and row 1 scaled by the u
+    that takes its first unit to the first unit, in digit order, of the same
+    norm.  The products of a unit with a digit pair mod p are read from a
+    table built once from ``pmul``, and the member is counted as one int.
     """
     order = p**3 * (p + 1) * (p**2 - 1) * (p**3 + 1)
     if order > ENUMERATION_BOUND:
@@ -324,37 +341,53 @@ def k1_cell_counts(p: int):
     for alpha, ainv in corners:
         for u in middles:
             check(((alpha, zero, zero), (zero, u, zero), (zero, zero, ainv)))
-    # the entries of D that multiply row r of N
-    scalars = [{a for a, _ in corners}, middles, {i for _, i in corners}]
-    # for each entry s of D, the digit code re + im p of s e mod p, listed by
-    # the index x p + y of e = (x, y) in pairs
-    times = {s: [re % p + im % p * p for re, im in (pmul(s, e, eps) for e in pairs)]
+    # each alpha has one corner pair once every D is unitary
+    if len(corners) != p * p - 1 or len(middles) != p + 1:
+        raise AssertionError(
+            f"the diagonal factors give {len(corners)} values of alpha and {len(middles)} of u,"
+            f" not the {p * p - 1} and {p + 1} of the torus"
+        )
+    corner = dict(corners)
+    # for each unit s, the index of s e mod p in pairs, listed by the index
+    # x p + y of e = (x, y)
+    times = {s: [re % p * p + im % p for re, im in (pmul(s, e, eps) for e in pairs)]
              for s in units}
-    tables = [[(s, times[s]) for s in scalars[r]] for r in range(3)]
+    # by the index of a unit e: the alpha with alpha e = 1 (at index p), and
+    # the u that takes e to the first unit of its norm, conj(u) taking that
+    # unit to u e
+    inverse = {times[s].index(p): s for s in units}
+    toward = {}
+    for i in range(1, p * p):
+        if i not in toward:
+            for u in middles:
+                toward[times[u][i]] = (u[0], -u[1] % p)
     p2, p6 = p * p, p**6
 
-    def row_keys(r, row):
-        # s times row r of N, its six digits mod p as one int below p^6,
-        # moved up by p^(6 r)
-        i0, i1, i2 = (x % p * p + y % p for x, y in row)
-        up = p6**r
-        return {s: (t[i0] + (t[i1] + t[i2] * p2) * p2) * up for s, t in tables[r]}
+    def member(n):
+        # the orbit member of N, its digits mod p as one int below p^18
+        i0, i1, i2 = ([x % p * p + y % p for x, y in row] for row in n)
+        alpha = inverse[next(i for i in i0 if i)]
+        u = toward[next(i for i in i1 if i)]
+        key = 0
+        for s, (a, b, c) in ((alpha, i0), (u, i1), (corner[alpha], i2)):
+            t = times[s]
+            key = key * p6 + t[a] * p2 * p2 + t[b] * p2 + t[c]
+        return key
 
-    def keys(cells):
+    def members(cells):
         out = set()
         for d, f0, b, c0, big_cell in cells:
             n = _cell_factor(d, f0, b, c0, big_cell, eps, p)
             check(n)
-            k0, k1, k2 = (row_keys(r, row) for r, row in enumerate(n))
-            ends = [k0[a] + k2[i] for a, i in corners]
-            out.update(e + m for e in ends for m in k1.values())
+            out.add(member(n))
         return out
 
     # in the small cell b and c0 are divisible by p, so mod p they are zero
     triples = [(z, t) for z in pairs for t in range(p)]
-    big = keys((d, f0, b, c0, True) for d, f0 in triples for b, c0 in triples)
-    small = keys((d, f0, zero, 0, False) for d, f0 in triples)
-    return len(big), len(small), len(big | small)
+    big = members((d, f0, b, c0, True) for d, f0 in triples for b, c0 in triples)
+    small = members((d, f0, zero, 0, False) for d, f0 in triples)
+    torus = len(corners) * len(middles)
+    return torus * len(big), torus * len(small), torus * len(big | small)
 
 
 # -- the defining integral, by Monte-Carlo -------------------------------------------

@@ -193,6 +193,10 @@ _I_POWERS = (GR_ONE, GR_I, GaussianRational(-1), GaussianRational(0, -1))
 
 def _gaussian_ints(x) -> tuple[int, int, int]:
     """``(re, im, d)`` with ``x = (re + im*I) / d``, ``d > 0``, in lowest terms."""
+    if type(x) is int:
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
     if not isinstance(x, GaussianRational):
         x = GaussianRational(x)
     dr, di = x.re.denominator, x.im.denominator
@@ -214,9 +218,6 @@ def _mono_pow(re: int, im: int, d: int, k: int) -> tuple[int, int, int]:
         if k:
             re, im = re * re - im * im, 2 * re * im
     return pr, pi, dk
-
-
-_set = object.__setattr__
 
 
 def _reduced(c: dict, d: int) -> tuple[dict, int]:
@@ -241,9 +242,9 @@ def _ql(c: dict[int, tuple[int, int]], d: int) -> "QLaurent":
     """Wrap nonzero numerators ``c`` over ``d > 0``, cancelling common factors."""
     c, d = _reduced(c, d)
     out = object.__new__(QLaurent)
-    _set(out, "_c", c)
-    _set(out, "_d", d)
-    _set(out, "_hash", None)
+    _set_c(out, c)
+    _set_d(out, d)
+    _set_hash(out, None)
     return out
 
 
@@ -282,9 +283,9 @@ class QLaurent:
                 if re or im:
                     parts.append((int(e), re, im, dc))
                     d = d * dc // gcd(d, dc)
-        _set(self, "_c", {e: (re * (d // dc), im * (d // dc)) for e, re, im, dc in parts})
-        _set(self, "_d", d)
-        _set(self, "_hash", None)
+        _set_c(self, {e: (re * (d // dc), im * (d // dc)) for e, re, im, dc in parts})
+        _set_d(self, d)
+        _set_hash(self, None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("QLaurent is immutable")
@@ -538,7 +539,7 @@ class QLaurent:
         h = self._hash
         if h is None:
             h = hash((self._d, tuple(sorted(self._c.items()))))
-            _set(self, "_hash", h)
+            _set_hash(self, h)
         return h
 
     def __repr__(self):
@@ -576,6 +577,10 @@ class QLaurent:
         return {str(e): str(v) for e, v in self.sorted_items()}
 
 
+# QLaurent refuses attribute assignment; its slots are set through their
+# descriptors, which skips the attribute lookup of object.__setattr__
+_set_c, _set_d, _set_hash = (getattr(QLaurent, name).__set__ for name in QLaurent.__slots__)
+
 QL_ZERO = QLaurent()
 QL_ONE = QLaurent.const(1)
 
@@ -609,7 +614,9 @@ class QFraction:
         den = QL_ONE if den is None else _as_qlaurent(den)
         if den.is_zero():
             raise ZeroDivisionError("QFraction with zero denominator")
-        if not den.is_one() and not num.is_zero():
+        # a quotient that is a Laurent polynomial spans at least the divisor,
+        # so a shorter numerator is not tried
+        if not den.is_one() and num._c and max(num._c) - min(num._c) >= max(den._c) - min(den._c):
             try:
                 num = num.divexact(den)
                 den = QL_ONE

@@ -166,12 +166,30 @@ def negated_positive_set(sigma: SignedPerm, include_long: bool) -> list[Vec]:
     return [a for a in roots if not is_positive_vec(sigma.act_vector(a))]
 
 
+_INVERSIONS: dict[tuple[Vec, Vec], tuple[int, int]] = {}
+
+
 def inversion_counts(sigma: SignedPerm) -> tuple[int, int]:
-    """(#short positive roots negated, #long positive roots negated)."""
-    n = sigma.n
-    s = sum(1 for a in short_positive_roots(n) if not is_positive_vec(sigma.act_vector(a)))
-    l = sum(1 for a in long_positive_roots(n) if not is_positive_vec(sigma.act_vector(a)))
-    return s, l
+    """(#short positive roots negated, #long positive roots negated), counted
+    once per element.
+
+    sigma sends e_i to s_i e_k, k = k_i the place that perm holds i at and
+    s_i the sign there.  So 2 e_i is negated when s_i = -1, and for i < j
+    both of e_i - e_j, e_i + e_j are negated when k_i < k_j and s_i = -1,
+    exactly one of them when k_i > k_j.
+    """
+    key = (sigma.perm, sigma.signs)
+    counts = _INVERSIONS.get(key)
+    if counts is None:
+        place = [0] * sigma.n
+        for k, i in enumerate(sigma.perm):
+            place[i] = k
+        short = 0
+        for i, k in enumerate(place):
+            for l in place[i + 1:]:
+                short += 1 if k > l else 2 if sigma.signs[k] < 0 else 0
+        counts = _INVERSIONS[key] = (short, sigma.signs.count(-1))
+    return counts
 
 
 def length(sigma: SignedPerm) -> int:
@@ -193,15 +211,19 @@ def stabilizer(lam: Sequence[int], n: int) -> list[SignedPerm]:
 
 
 def poincare_poly(elems: Iterable[SignedPerm], t_short: QLaurent, t_long: QLaurent) -> QLaurent:
-    """Sum of t_short^(short inversions) * t_long^(long inversions).
+    """Sum of t_short^(short inversions) * t_long^(long inversions), one
+    term per pair of counts times the elements that have it.
 
     >>> from fractions import Fraction
     >>> w = poincare_poly(enumerate_group(1), QLaurent.const(0), QLaurent.gen())
     >>> str(w)
     'q + 1'
     """
-    total = QLaurent()
+    pairs: dict[tuple[int, int], int] = {}
     for g in elems:
-        s, l = inversion_counts(g)
-        total = total + t_short**s * t_long**l
+        key = inversion_counts(g)
+        pairs[key] = pairs.get(key, 0) + 1
+    total = QLaurent()
+    for (s, l), count in pairs.items():
+        total = total + count * t_short**s * t_long**l
     return total

@@ -459,6 +459,59 @@ def test_an_out_file_that_cannot_be_written_is_a_usage_error(tmp_path, capsys, a
     assert err == f"cannot write {path}: No such file or directory\n"
 
 
+def test_an_out_file_is_refused_before_any_check_runs(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("run_checks ran before the --out path was tried")
+
+    monkeypatch.setattr("hermlab.report.run_checks", no_work)
+    path = tmp_path / "missing" / "report.json"
+    for workers in ("1", "2"):
+        argv = ["verify", "all", "--n", "3", "--workers", workers, "--out", str(path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err == f"cannot write {path}: No such file or directory\n"
+
+
+def test_diagonalize1_prints_nothing_before_refusing_its_out_file(tmp_path, capsys):
+    path = tmp_path / "missing" / "k.json"
+    assert run(["padic", "diagonalize1", "--ell", "1", "--out", str(path)]) == 2
+    got = capsys.readouterr()
+    assert got.out == "" and got.err == f"cannot write {path}: No such file or directory\n"
+
+
+def test_an_out_file_is_created_before_the_work(tmp_path, capsys):
+    # as a shell redirection: a run refused after the arguments parse
+    # leaves the file empty
+    path = tmp_path / "report.txt"
+    path.write_text("stale\n")
+    assert run(["verify", "all", "--n", "4", "--out", str(path)]) == 3
+    assert path.read_text() == ""
+    assert run(["verify", "norm-volume", "--workers", "1", "--out", str(path)]) == 0
+    assert path.read_text().startswith("PASS  norm-volume")
+
+
+@pytest.mark.parametrize(
+    "ell, s, span",
+    [("1", "-3000000", 24000000), ("0", "33334", 200004), ("99998", "1", 200002), ("1", "25001", 200008)],
+)
+def test_sph_omega_refuses_a_span_above_the_bound(capsys, monkeypatch, ell, s, span):
+    # refused before the exact layers load: building the value would fail
+    def no_work(*args, **kwargs):
+        raise AssertionError("the rank-one value was built")
+
+    monkeypatch.setattr("hermlab.spherical.omega_rank1_s_form", no_work)
+    assert run(["sph", "omega", "--ell", ell, "--s", s]) == 3
+    got = capsys.readouterr()
+    assert got.out == ""
+    assert got.err == f"resource: sph omega supports 2 (ell + 3) |s| up to 200000, got {span}\n"
+
+
+@pytest.mark.parametrize("ell, s", [("1", "-25000"), ("0", "33333"), ("99997", "1")])
+def test_sph_omega_runs_at_the_span_bound(capsys, ell, s):
+    assert run(["sph", "omega", "--ell", ell, "--s", s]) == 0
+    got = capsys.readouterr()
+    assert got.err == "" and got.out.endswith(")\n")
+
+
 @pytest.mark.parametrize("verb", ["check", "inversion"])
 def test_plancherel_pairing_verbs_write_their_line_to_out(tmp_path, capsys, verb):
     path = tmp_path / "line.txt"

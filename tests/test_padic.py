@@ -692,6 +692,86 @@ def test_random_k_words_are_pinned():
     assert h.hexdigest() == "5324026c20e9feeb4cf4ee4fc7575cbde7209ecbbcf1b1a4173dda6925686eda"
 
 
+def ref_random_k(field, n, seed):
+    """random_k as it multiplied its words out: from the identity, with
+    J U J as two products, every product through _ref_pmatmul."""
+
+    def times(x, y):
+        rows = _ref_pmatmul(x.rows, y.rows, field.eps, 0)
+        return LocalMatrix(field, [list(row) for row in rows], x.scale * y.scale)
+
+    rng = random.Random(seed)
+    g = LocalMatrix.identity(field, 2 * n + 1)
+    perms = padic._perm_generators(field, n)
+    J = perms[-1]
+    for _ in range(padic.RANDOM_K_WORD_LENGTH):
+        kind = rng.randrange(4)
+        if kind == 0:
+            alphas = [padic._rand_exact_unit(field, rng) for _ in range(n)]
+            step = padic._diag_element(field, alphas, padic._norm_one_unit(field, rng))
+        elif kind == 1 or kind == 2:
+            beta = [(rng.randrange(-4, 5), rng.randrange(-4, 5)) for _ in range(n)]
+            H = [[(0, 0)] * n for _ in range(n)]
+            for i in range(n):
+                H[i][i] = (rng.randrange(-4, 5), 0)
+                for j in range(i + 1, n):
+                    H[i][j] = (rng.randrange(-4, 5), rng.randrange(-4, 5))
+                    H[j][i] = pconj(H[i][j])
+            step = padic._upper_unipotent(field, n, beta, H)
+            if kind == 2:
+                step = times(times(J, step), J)
+        else:
+            step = perms[rng.randrange(len(perms))]
+        g = times(g, step)
+    return g
+
+
+def test_random_k_words_match_the_dense_products():
+    # J U J read off U backwards, the word started at its first step and
+    # the products that skip zeros against the dense products from 1
+    kinds = set()
+    for field in (F3, F5):
+        for n in (1, 2, 3):
+            for seed in range(12):
+                k, want = random_k(field, n, seed=seed), ref_random_k(field, n, seed)
+                assert (k.rows, k.scale) == (want.rows, want.scale)
+                rng = random.Random(seed)
+                kinds.update(rng.randrange(4) for _ in range(padic.RANDOM_K_WORD_LENGTH))
+    assert kinds == {0, 1, 2, 3}
+
+
+def test_pmatmul_and_pair_unitary_skip_zeros_exactly():
+    # sparse inputs, whole zero columns among them, against the dense
+    # references; and the sparse generators of random_k with one zero digit
+    # made nonzero
+    rng = random.Random("sparse")
+    for size in (1, 3, 5, 7):
+        for _ in range(20):
+            g, h = (
+                [[(rng.randint(-9, 9), rng.randint(-9, 9)) if rng.random() < 0.3 else (0, 0)
+                  for _ in range(size)] for _ in range(size)]
+                for _ in range(2)
+            )
+            want = _ref_pmatmul(g, h, 2, 0)
+            assert [tuple(row) for row in pmatmul(g, h, 2)] == list(want)
+    gens = [g for n in (1, 2, 3) for g in padic._perm_generators(F3, n)]
+    u = padic._norm_one_unit(F3, random.Random(0))
+    gens += [padic._diag_element(F3, [(1, 2)] * n, u) for n in (1, 2)]
+    gens += [padic._upper_unipotent(F3, 2, [(1, 2), (0, 3)], [[(1, 0), (2, 1)], [(2, -1), (0, 0)]])]
+    broken = 0
+    for g in gens:
+        c = g.scale**2
+        assert pair_unitary(g.rows, F3.eps, c) and _ref_pair_unitary(g.rows, F3.eps, c, 0)
+        zeros = [(i, j) for i, row in enumerate(g.rows) for j, e in enumerate(row) if e == (0, 0)]
+        for i, j in rng.sample(zeros, min(3, len(zeros))):
+            bad = [list(row) for row in g.rows]
+            bad[i][j] = (0, 1)
+            want = _ref_pair_unitary(bad, F3.eps, c, 0)
+            assert pair_unitary(bad, F3.eps, c) == want
+            broken += not want
+    assert broken >= 20
+
+
 def test_random_k_leaves_its_shared_generators_alone():
     gens = padic._perm_generators(F5, 3)
     before = [(g.rows, g.scale, g.precision) for g in gens]
@@ -1038,6 +1118,22 @@ def test_cell_counts_check_the_diagonal_factor(monkeypatch):
 
     monkeypatch.setattr(residue, "_diag_units", bad_u)
     with pytest.raises(AssertionError, match="not unitary for the antidiagonal form"):
+        k1_cell_counts(3)
+
+
+def test_cell_counts_refuse_a_torus_short_of_a_unit(monkeypatch):
+    # every D is still unitary, but u = -1 is never built: the counts would
+    # hold 3 of the 4 products D N of each torus orbit
+    from hermlab import residue
+
+    diag_units = residue._diag_units
+
+    def drop(alpha, w, eps, mod):
+        ainv, u = diag_units(alpha, w, eps, mod)
+        return ainv, (1, 0) if u == (mod - 1, 0) else u
+
+    monkeypatch.setattr(residue, "_diag_units", drop)
+    with pytest.raises(AssertionError, match="give 8 values of alpha and 3 of u, not the 8 and 4"):
         k1_cell_counts(3)
 
 

@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from hermlab.errors import InexactDivision
-from hermlab.scalars import GR_ONE, GaussianRational, QFraction, QLaurent
+from hermlab.scalars import GR_ONE, GaussianRational, QFraction, QLaurent, _gaussian_ints
 
 Q = QLaurent.gen()
 
@@ -389,3 +390,53 @@ def test_monomial_power_is_reduced():
     x = QLaurent.const(GaussianRational(Fraction(1, 2), Fraction(1, 2)))
     assert ((x**2)._c, (x**2)._d) == ({0: (0, 1)}, 2)
     assert ((x**-2)._c, (x**-2)._d) == ({0: (0, -2)}, 1)
+
+
+def test_gaussian_ints_reads_ints_and_fractions_directly():
+    # the GaussianRational that an int or a Fraction stands for is the
+    # reference; a GaussianRational still takes that path
+    rng = random.Random(41)
+    values = [0, 1, -1, 10**30, *(rng.randint(-(10**6), 10**6) for _ in range(100))]
+    values += [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(100)]
+    for x in values:
+        gr = GaussianRational(x)
+        assert _gaussian_ints(x) == _gaussian_ints(gr)
+        got, want = QLaurent.const(x), QLaurent.const(gr)
+        assert (got._c, got._d, got._hash) == (want._c, want._d, None)
+        assert hash(got) == hash(want) == got._hash
+    for _ in range(100):
+        x = _random_coeff(rng, True)
+        re, im, d = _gaussian_ints(x)
+        assert d > 0 and gcd(gcd(re, im), d) == 1
+        assert GaussianRational(Fraction(re, d), Fraction(im, d)) == x
+
+
+def ref_qfraction_parts(num, den):
+    """The numerator and denominator that QFraction kept when it tried the
+    exact division on every pair."""
+    if not den.is_one() and not num.is_zero():
+        try:
+            return num.divexact(den), QLaurent.const(1)
+        except InexactDivision:
+            pass
+    return num, (QLaurent.const(1) if num.is_zero() else den)
+
+
+def test_qfraction_tries_the_division_only_where_it_can_be_exact():
+    rng = random.Random(8128)
+    short = exact = 0
+    for _ in range(400):
+        den, _ = _random_divisor(rng)
+        num, _ = _random_pair(rng)
+        if rng.random() < 0.3:
+            num = num * den
+        f = QFraction(num, den)
+        want_num, want_den = ref_qfraction_parts(num, den)
+        assert (f.num._c, f.num._d) == (want_num._c, want_num._d)
+        assert (f.den._c, f.den._d) == (want_den._c, want_den._d)
+        if num._c and max(num._c) - min(num._c) < max(den._c) - min(den._c):
+            short += 1
+            with pytest.raises(InexactDivision):
+                num.divexact(den)
+        exact += f.den.is_one() and not den.is_one()
+    assert short > 50 and exact > 50

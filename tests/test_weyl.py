@@ -9,6 +9,7 @@ from hermlab.weyl import (
     coordinate_flip,
     enumerate_group,
     inversion_counts,
+    is_positive_vec,
     length,
     long_positive_roots,
     negated_positive_set,
@@ -144,3 +145,37 @@ def test_enumerate_bounds():
         enumerate_group(0)
     with pytest.raises(ValueError):
         enumerate_group(7)
+
+
+# The root scan, kept as the reference for the cached counts: every positive
+# root is moved by the element and tested for sign.
+
+
+def ref_inversion_counts(sigma):
+    def negated(roots):
+        return sum(not is_positive_vec(sigma.act_vector(a)) for a in roots)
+
+    return negated(short_positive_roots(sigma.n)), negated(long_positive_roots(sigma.n))
+
+
+def test_inversion_counts_match_the_root_scan():
+    for n in (1, 2, 3, 4):
+        for g in enumerate_group(n):
+            want = ref_inversion_counts(g)
+            assert inversion_counts(g) == want
+            # the second call reads the cache and a new equal element too
+            assert inversion_counts(SignedPerm(g.perm, g.signs)) == want
+            assert length(g) == sum(want)
+
+
+def test_poincare_poly_matches_the_root_scan_sum():
+    # distinct, non-monomial parameters, so that every (short, long) pair
+    # of counts weighs differently
+    ts, tl = 2 + Q, Fraction(1, 3) - GaussianRational(0, 1) * Q**-1
+    for n in (1, 2, 3, 4):
+        for elems in (enumerate_group(n), stabilizer((1,) + (0,) * (n - 1), n)):
+            want = QLaurent()
+            for g in elems:
+                s, l = ref_inversion_counts(g)
+                want = want + ts**s * tl**l
+            assert poincare_poly(elems, ts, tl) == want
