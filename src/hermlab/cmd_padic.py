@@ -11,11 +11,13 @@ from .cli import (
     EXIT_MATH_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    RESIDUE_MAX_PREC,
     _at_least,
     _emit,
     _local_field,
     _parse_partition,
     _read_text,
+    _refuse_above,
     _refuse_n,
     _usage_error,
 )
@@ -26,6 +28,13 @@ from .cli import (
 # and its products.  At n = 30 the word and the elimination take 0.8-3.1 s
 # in-process.  Larger n exits EXIT_RESOURCE up front.
 CLASSIFY_MAX_N = 20
+
+# `padic diagonalize1 --ell L` reduces a conjugate of x_L, whose entries
+# carry p^L, so its time grows about as L^2.  At L = DIAGONALIZE_MAX_ELL it
+# takes 0.3 s from the CLI on a 2-core machine at p = 3 (0.9 s at p = 97,
+# also with --prec 1000); L = 30,000 took 1.9 s and L = 100,000 ran past
+# 20 s.  Larger L exits EXIT_RESOURCE up front.
+DIAGONALIZE_MAX_ELL = 10_000
 
 
 def add_arguments(pa) -> None:
@@ -127,6 +136,10 @@ def handle(args) -> int:
         refused = _refuse_n(args.n, "padic classify", CLASSIFY_MAX_N)
         if refused is not None:
             return refused
+    if args.subcommand == "diagonalize1" and args.ell is not None:
+        _refuse_above(args.ell, DIAGONALIZE_MAX_ELL, "--ell", "padic diagonalize1")
+    if args.subcommand in ("diagonalize1", "mc-omega"):
+        _refuse_above(args.prec, RESIDUE_MAX_PREC, "--prec", f"padic {args.subcommand}")
     if args.subcommand == "count-norm":
         from .residue import norm_count
 

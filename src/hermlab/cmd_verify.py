@@ -10,11 +10,13 @@ from .cli import (
     EXIT_MATH_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    RESIDUE_MAX_PREC,
     _above,
     _at_least,
     _emit,
     _local_field,
     _read_text,
+    _refuse_above,
     _refuse_n,
     _usage_error,
 )
@@ -125,6 +127,8 @@ def handle(args) -> int:
     refused = _refuse_n(merged.get("n", 1), "verify", VERIFY_MAX_N)
     if refused is not None:
         return refused
+    if "prec" in merged:
+        _refuse_above(merged["prec"], RESIDUE_MAX_PREC, "--prec", "verify")
     from .report import CHECKS, RunConfig, run_checks
 
     cfg = RunConfig(**merged)

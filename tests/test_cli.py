@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import importlib
 import json
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from hermlab.cli import run
+from hermlab.cli import RESIDUE_MAX_PREC, run
+from hermlab.cmd_padic import DIAGONALIZE_MAX_ELL
 from hermlab.padic import LocalMatrix, assert_unitary, random_k, x_lambda
 from hermlab.report import CHECKS, MATRIX_CHECKS, RESIDUE_CHECKS
 from hermlab.residue import LocalField
@@ -771,23 +773,89 @@ def test_mc_omega_rejects_bad_input(capsys, flag, value, message):
     assert got.err == f"{message}\n" and got.out == ""
 
 
+def _codes_and_loaded(verbs, modules: str):
+    """A fresh interpreter runs each argv of verbs, then prints the exit
+    codes and whether any of the comma-separated modules loaded."""
+    script = (
+        "import sys\n"
+        "from hermlab.cli import run\n"
+        f"verbs = {verbs!r}\n"
+        "print([run(v) for v in verbs],\n"
+        "      any(m in sys.modules for m in sys.argv[1].split(',')))\n"
+    )
+    return subprocess.run([sys.executable, "-c", script, modules], capture_output=True, text=True)
+
+
 def test_out_of_range_input_is_refused_before_the_layers_load():
     # verify refuses before the report loads, padic before the matrix layer,
     # sph before the spherical layer
     refused = [argv for argv, _ in OUT_OF_RANGE if argv[0] in ("verify", "padic", "sph")]
-    script = (
-        "import sys\n"
-        "from hermlab.cli import run\n"
-        f"verbs = {refused!r}\n"
-        "print([run(v) for v in verbs],\n"
-        "      any(m in sys.modules for m in sys.argv[1].split(',')))\n"
-    )
-    r = subprocess.run(
-        [sys.executable, "-c", script, "hermlab.report,hermlab.padic,hermlab.spherical"],
-        capture_output=True,
-        text=True,
-    )
+    r = _codes_and_loaded(refused, "hermlab.report,hermlab.padic,hermlab.spherical")
     assert r.stdout == f"{[2] * len(refused)} False\n", r.stderr
+
+
+# inputs above a resource bound, each refused with exit 3 and one line on
+# stderr before the matrix layer or the report loads
+ABOVE_BOUND = [
+    (
+        ["padic", "diagonalize1", "--ell", str(DIAGONALIZE_MAX_ELL + 1)],
+        f"padic diagonalize1 supports --ell up to {DIAGONALIZE_MAX_ELL}, "
+        f"got {DIAGONALIZE_MAX_ELL + 1}",
+    ),
+    (
+        ["padic", "diagonalize1", "--ell", "3", "--prec", "20000"],
+        f"padic diagonalize1 supports --prec up to {RESIDUE_MAX_PREC}, got 20000",
+    ),
+    (
+        ["padic", "mc-omega", "--ell", "1", "--s", "1", "--prec", str(RESIDUE_MAX_PREC + 1)],
+        f"padic mc-omega supports --prec up to {RESIDUE_MAX_PREC}, got {RESIDUE_MAX_PREC + 1}",
+    ),
+    (
+        ["verify", "defining-integral-mc", "--workers", "1", "--prec", str(RESIDUE_MAX_PREC + 1)],
+        f"verify supports --prec up to {RESIDUE_MAX_PREC}, got {RESIDUE_MAX_PREC + 1}",
+    ),
+    (
+        ["verify", "all", "--n", "2", "--prec", "20000"],
+        f"verify supports --prec up to {RESIDUE_MAX_PREC}, got 20000",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", ABOVE_BOUND)
+def test_input_above_a_resource_bound_exits_3(capsys, argv, message):
+    assert run(argv) == 3
+    got = capsys.readouterr()
+    assert (got.out, got.err) == ("", f"resource: {message}\n")
+
+
+def test_a_config_prec_above_the_bound_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"prec = {RESIDUE_MAX_PREC + 1}\n")
+    assert run(["verify", "diagonalization-roundtrip", "--config", str(cfg)]) == 3
+    got = capsys.readouterr()
+    assert got.err == f"resource: verify supports --prec up to {RESIDUE_MAX_PREC}, got {RESIDUE_MAX_PREC + 1}\n"
+
+
+def test_input_above_a_resource_bound_is_refused_before_the_layers_load():
+    r = _codes_and_loaded([argv for argv, _ in ABOVE_BOUND], "hermlab.report,hermlab.padic")
+    assert r.stdout == f"{[3] * len(ABOVE_BOUND)} False\n", r.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "diagonalize1", "--ell", str(DIAGONALIZE_MAX_ELL)],
+        ["padic", "diagonalize1", "--ell", "3", "--prec", str(RESIDUE_MAX_PREC)],
+        ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", "200",
+         "--prec", str(RESIDUE_MAX_PREC)],
+        ["verify", "defining-integral-mc,diagonalization-roundtrip", "--workers", "1",
+         "--prec", str(RESIDUE_MAX_PREC)],
+    ],
+    ids=["diagonalize1-ell", "diagonalize1-prec", "mc-omega-prec", "verify-prec"],
+)
+def test_input_at_a_resource_bound_runs(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 PADIC_CHECKS = (
@@ -929,6 +997,57 @@ def test_console_script_end_to_end():
     )
     assert r.returncode == 0
     assert "x1*x2" in r.stdout
+
+
+# a fresh interpreter registers an atexit hook, then runs the verb through
+# main(), the entry point of `hermlab` and `python -m hermlab.cli`; the hook
+# prints whether the heap was frozen by the time the process exits
+FROZEN_AT_EXIT = (
+    "import atexit, gc\n"
+    "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+    "from hermlab.cli import main\n"
+    "main()\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"], "8/27"),
+        (["verify", "norm-volume,k1-cell-counts", "--workers", "2"], "all 2 checks passed"),
+    ],
+    ids=["count-norm", "verify-forked"],
+)
+def test_a_command_freezes_the_heap_before_it_exits(argv, last):
+    # the shutdown collection skips the frozen heap; the hook still runs,
+    # once: the forked worker leaves through os._exit
+    r = subprocess.run([sys.executable, "-c", FROZEN_AT_EXIT, *argv], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.endswith(f"{last}\nfrozen True\n") and r.stdout.count("frozen") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["padic", "count-norm", "--p", "3", "--xi", "1", "--r", "1"],
+        ["verify", "norm-volume,k1-cell-counts", "--workers", "2"],
+    ],
+)
+def test_run_in_process_leaves_the_heap_collectable(capsys, argv):
+    frozen = gc.get_freeze_count()
+    assert run(argv) == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_an_out_file_holds_the_bytes_stdout_gets(tmp_path):
+    # the report file is closed before the heap is frozen at exit
+    argv = [sys.executable, "-m", "hermlab.cli", "verify", "norm-volume,height-phase",
+            "--workers", "2", "--format", "json"]
+    printed = subprocess.run(argv, capture_output=True)
+    path = tmp_path / "report.json"
+    written = subprocess.run([*argv, "--out", str(path)], capture_output=True)
+    assert (printed.returncode, written.returncode, written.stdout) == (0, 0, b""), written.stderr
+    assert path.read_bytes() == printed.stdout
 
 
 # a fresh interpreter runs the verb given after comma-separated module names,
