@@ -901,14 +901,46 @@ def test_padic_report_bytes_pinned(capsys, extra, digest):
             "291e538dd7ad7409e183cbdcb325f68440c672091f849397028e7519384a7fb9",
             id="n2-json",
         ),
+        pytest.param(
+            ("--n", "3", "--format", "json"),
+            "1b92498cd2dfe36915e130e11b05cb4bc0580649e476771ef065e97bcbcb5807",
+            id="n3-json",
+        ),
     ],
 )
 def test_full_report_bytes_pinned(capsys, extra, digest):
     # all 22 checks; n1 recorded when the Monte-Carlo began to draw isotropic
-    # rows, n2 when the total mass began to sum one node per W-orbit
+    # rows, n2 when the total mass began to sum one node per W-orbit, n3
+    # while the Plancherel pairings still took SphericalValue arguments
     code, out = invoke(capsys, "verify", "all", *extra, "--workers", "1")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the pairing verbs' stdout at the default weight 2; check and inversion
+# print one count line, the same at n = 2 and 3 (four partitions each)
+PLANCHEREL_PINNED = {
+    ("gram", "2", "odd"): "aabefe93acfb857030d2f744bf0511fdbc80b02a4843935b6ea2fee9c0385d2c",
+    ("gram", "2", "even"): "e5fa81519f84f67aa33d295be3461109075e7cb75ffff6faa33965d78f2b5a87",
+    ("gram", "3", "odd"): "b1c6edaf18c642f1cfa182fb28b83077720aea479b84f48f02bf198feed98cd0",
+    ("gram", "3", "even"): "37a03d4745fe92c6dd2447a7f465c518d83c8ca59c2dc7f22fcbb94fc1e5e217",
+    **{
+        (verb, n, parity): digest
+        for verb, digest in (
+            ("check", "7fb2688c10304ad5198e877e6323bcf0a838b287e6c0160892ca862ae7a22a53"),
+            ("inversion", "a6ff74c70af24ff749d2a3408c8b8971c5267bc8b6b01e7110cbc1006b6c0a11"),
+        )
+        for n in ("2", "3")
+        for parity in ("odd", "even")
+    },
+}
+
+
+@pytest.mark.parametrize("verb, n, parity", sorted(PLANCHEREL_PINNED))
+def test_plancherel_pairing_bytes_pinned(capsys, verb, n, parity):
+    code, out = invoke(capsys, "plancherel", verb, "--n", n, "--parity", parity)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PLANCHEREL_PINNED[verb, n, parity]
 
 
 @pytest.mark.parametrize(
