@@ -51,11 +51,40 @@ QPOLY_MAX_N = 4
 RANK1_MAX_SPAN = 200_000
 
 # The residue model works mod p^prec, so its integers grow with --prec.  At
-# RESIDUE_MAX_PREC and p = 3, on a 2-core machine: `padic mc-omega` at its
-# default 10,000 samples takes 0.7-1.0 s, `verify all --n 2` 0.3 s and
-# `padic diagonalize1 --ell 10000` 0.3 s.  At --prec 20000 the Monte-Carlo
-# ran past 30 s.  A larger --prec exits EXIT_RESOURCE up front.
+# RESIDUE_MAX_PREC and p = 3, on a 2-core machine: `padic mc-omega` at
+# 10,000 samples took 0.7-1.0 s (MC_MAX_DRAW_WORK admits 2,500 there),
+# `verify all --n 2` takes 0.3 s and `padic diagonalize1 --ell 10000` 0.3 s.
+# At --prec 20000 the Monte-Carlo ran past 30 s.  A larger --prec exits
+# EXIT_RESOURCE up front.
 RESIDUE_MAX_PREC = 1000
+
+# Two steps walk the integers up to p: LocalField tests p for primality by
+# trial division up to sqrt(p), and `padic diagonalize1` takes a square root
+# mod p by trying every residue.  On a 2-core machine the field takes 0.005 s
+# at p ~ 10^9 and 0.15 s at p ~ 10^12, but `diagonalize1 --ell 3` takes
+# 0.2-0.6 s just below 10^7, 1.7 s at p ~ 10^8 and 13 s at p ~ 10^9, and ran
+# past 4 minutes at p ~ 10^12.  A larger --p exits EXIT_RESOURCE before the
+# field is built.
+LOCAL_FIELD_MAX_P = 10**7
+
+# A Monte-Carlo draw works on integers mod p^prec.  On a 2-core machine one
+# takes 5-15 us up to a few hundred bits of p^prec, and about the square of
+# the bits above that: 80 us at 1,300 bits, 0.5 ms at 4,000, 33 ms at
+# 40,000.  So --samples times max(bits, 256)^2, the bits counted as prec
+# times the bit length of p, may be up to MC_MAX_DRAW_WORK; more exits
+# EXIT_RESOURCE before any draw.  The largest runs it admits take 0.3-1.2 s
+# from the CLI (152,587 draws at the default prec 8, 2,500 at p = 3 and
+# prec 1000, 17 at p = 9,999,991 and prec 1000), where 200,000 draws at the
+# default prec took 1.1 s and 10,000 at p = 97, prec 1000 took 8.8 s.
+MC_MAX_DRAW_WORK = 10**10
+
+# `plancherel rank` evaluates its 2^n orbit sums at one sampled point per
+# trial: 0.1 / 0.4 / 2 / 28 ms a trial at n = 1 / 2 / 3 / 4 on a 2-core
+# machine, where 2,000 trials at n = 3 took 3.3 s and 200 at n = 4 6.4 s.
+# At RANK_MAX_TRIALS the verb takes 1.9-2.2 s at n = 4, most of it building
+# the orbit sums, and 0.15 s at n = 3; more trials exit EXIT_RESOURCE before
+# any trial runs.
+RANK_MAX_TRIALS = 20
 
 # the verbs in the order the help lists them, with their help text
 VERBS = {
@@ -95,7 +124,11 @@ def _above(value, bound: int, flag: str):
 
 
 def _local_field(p: int, flag: str):
-    """The LocalField of p, or a usage error unless p is an odd prime."""
+    """The LocalField of p, or a usage error unless p is an odd prime; above
+    LOCAL_FIELD_MAX_P a resource limit, before the residue layer loads."""
+    if p > LOCAL_FIELD_MAX_P:
+        sys.stderr.write(f"resource: {flag} must be at most {LOCAL_FIELD_MAX_P}, got {p}\n")
+        raise SystemExit(EXIT_RESOURCE)
     from .residue import LocalField
 
     try:
@@ -161,6 +194,13 @@ def _refuse_above(value: int, bound: int, flag: str, verb: str) -> None:
     if value > bound:
         sys.stderr.write(f"resource: {verb} supports {flag} up to {bound}, got {value}\n")
         raise SystemExit(EXIT_RESOURCE)
+
+
+def _refuse_draws(samples: int, p: int, prec: int, verb: str) -> None:
+    """Exit with EXIT_RESOURCE, after one line on stderr, when `samples`
+    Monte-Carlo draws at p and prec exceed MC_MAX_DRAW_WORK."""
+    most = MC_MAX_DRAW_WORK // max(prec * p.bit_length(), 256) ** 2
+    _refuse_above(samples, most, "--samples", f"{verb} at p = {p}, prec = {prec}")
 
 
 def run(argv=None) -> int:

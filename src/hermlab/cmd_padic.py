@@ -18,6 +18,7 @@ from .cli import (
     _parse_partition,
     _read_text,
     _refuse_above,
+    _refuse_draws,
     _refuse_n,
     _usage_error,
 )
@@ -140,6 +141,8 @@ def handle(args) -> int:
         _refuse_above(args.ell, DIAGONALIZE_MAX_ELL, "--ell", "padic diagonalize1")
     if args.subcommand in ("diagonalize1", "mc-omega"):
         _refuse_above(args.prec, RESIDUE_MAX_PREC, "--prec", f"padic {args.subcommand}")
+    if args.subcommand == "mc-omega":
+        _refuse_draws(args.samples, args.p, args.prec, "padic mc-omega")
     if args.subcommand == "count-norm":
         from .residue import norm_count
 

@@ -9,16 +9,18 @@ from .cli import (
     EXIT_MATH_FAIL,
     EXIT_PASS,
     EXIT_RESOURCE,
+    RANK_MAX_TRIALS,
     _above,
     _at_least,
     _emit,
     _parse_fraction,
+    _refuse_above,
 )
 
 # `plancherel gram|check|inversion` pair every partition of weight up to
-# --weight with every other, and build each one's `q_poly`.  From the CLI on
-# a 2-core machine the three verbs take, in both cases, at the bound (in
-# parentheses another weight, odd case)
+# --weight with every other, each one's orbit sum taken at q0 from its
+# coefficients.  From the CLI on a 2-core machine the three verbs take, in
+# both cases, at the bound (in parentheses another weight, odd case)
 #   n = 1, weight 128: 1.8-2.3 s   (weight 64: 0.3 s)
 #   n = 2, weight 14:  2.1-2.6 s   (weight 16: 4.2-4.4 s)
 #   n = 3, weight 6:   0.8-1.1 s   (weight 7: 2.2-2.6 s)
@@ -87,9 +89,10 @@ def handle(args) -> int:
 
 
 def _rank(args, q0) -> int:
+    trials = _at_least(args.trials, 1, "--trials")
+    _refuse_above(trials, RANK_MAX_TRIALS, "--trials", "plancherel rank")
     from .plancherel import basis_rank_check
 
-    trials = _at_least(args.trials, 1, "--trials")
     out = basis_rank_check(args.n, args.parity, q0, seed=args.seed, trials=trials)
     if out["ok"]:
         print(f"basis-rank: pass (least |det| {min(out['dets']):.3e})")

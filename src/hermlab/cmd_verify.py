@@ -17,6 +17,7 @@ from .cli import (
     _local_field,
     _read_text,
     _refuse_above,
+    _refuse_draws,
     _refuse_n,
     _usage_error,
 )
@@ -123,12 +124,14 @@ def handle(args) -> int:
         except ValueError:
             raise _usage_error(f"HERMLAB_WORKERS must be an integer, got {env!r}")
         _VERIFY_RANGES["workers"](workers, "HERMLAB_WORKERS")
-    # refused before the layers load; an absent n takes RunConfig's default 1
+    # refused before the layers load; an absent setting takes RunConfig's
+    # default: n = 1, p = 3, prec = 8, samples = 2000
     refused = _refuse_n(merged.get("n", 1), "verify", VERIFY_MAX_N)
     if refused is not None:
         return refused
     if "prec" in merged:
         _refuse_above(merged["prec"], RESIDUE_MAX_PREC, "--prec", "verify")
+    _refuse_draws(merged.get("samples", 2000), merged.get("p", 3), merged.get("prec", 8), "verify")
     from .report import CHECKS, RunConfig, run_checks
 
     cfg = RunConfig(**merged)

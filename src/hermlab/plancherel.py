@@ -9,7 +9,7 @@ against the normalized Haar measure of the n-torus, W_0 being the Poincare
 series of the signed permutations at the parity specialization
 (``whole_group_value``), 2^n n! their order.  Pairings of
 W-invariant Laurent polynomials against it are exact constant terms, taken
-at the one q0 > 1 that every check compares at (``pairing_at``); the
+at the one q0 > 1 that every check compares at (``_pairings``); the
 uniform grid remains for the float check of the density itself
 (``total_mass``).
 """
@@ -29,21 +29,14 @@ from .errors import ENUMERATION_BOUND, ResourceLimit
 from .hall_littlewood import (
     _alternant_sum,
     check_partition,
-    q_poly,
     q_poly_coefficients,
     spec_params,
     w_lambda_value,
     whole_group_value,
 )
 from .scalars import GR_ZERO, QL_ONE, GaussianRational, QFraction
-from .spherical import (
-    PhasedScalar,
-    SphericalValue,
-    base_point_exponent,
-    phase_power,
-    psi,
-)
-from .torus import FactoredRational, TorusPoly, TorusPolyAt
+from .spherical import PhasedScalar, base_point_exponent, phase_power
+from .torus import TorusPoly, TorusPolyAt
 from .weyl import long_positive_roots, short_positive_roots
 
 
@@ -207,7 +200,7 @@ def _delta_plus_at(n: int, parity: str, height: int, q0: Fraction) -> TorusPolyA
                     e2 = tuple(x + k * y for x, y in zip(e, a))
                     step[e2] = step.get(e2, 0) + c * series[k]
             out, den = step, den * v**top
-    return TorusPolyAt.of_ints(n, {e: (c, 0) for e, c in out.items() if c}, den)
+    return TorusPolyAt(n, {e: (c, 0) for e, c in out.items() if c}, den)
 
 
 @lru_cache(maxsize=None)
@@ -220,27 +213,37 @@ def _q_poly_at(n: int, parity: str, lam: tuple[int, ...], q0: Fraction) -> Torus
     vals = [(mu, *c.value_at(q0.numerator, q0.denominator)) for mu, c in coefs.items()]
     den = math.lcm(*(d for *_, d in vals))
     part = [(mu, re * (den // d), im * (den // d)) for mu, re, im, d in vals if re or im]
-    return TorusPolyAt.of_ints(n, _alternant_sum(n, part), den)
-
-
-def _split(v, q0: Fraction) -> tuple[PhasedScalar, TorusPolyAt]:
-    """A SphericalValue prefactor * q_poly(lam) / boundary as its exact
-    prefactor and its orbit sum at q0; the boundary must be a constant."""
-    if v.boundary.num or v.boundary.den:
-        raise ValueError("the exact pairing needs a trivial boundary factor")
-    if v.numerator is not q_poly(v.n, v.parity, v.lam):
-        raise ValueError("the exact pairing needs the orbit sum q_poly(lam) as numerator")
-    return v.prefactor / v.boundary.front, _q_poly_at(v.n, v.parity, v.lam, q0)
+    return TorusPolyAt(n, _alternant_sum(n, part), den)
 
 
 def _pairings(left: list, right: list, parity: str, q0: Fraction, conjugate: bool) -> list:
-    """The pairings of ``pairing_at`` for (prefactor, polynomial at q0) pairs.
+    """Exact pairings <f, g> at q = q0 against the density of total mass 1:
+    the integral of f * conj(g), or of f * g when not ``conjugate``, as
+    GaussianRational values.  Each f and g is a (prefactor, polynomial)
+    pair: a PhasedScalar exact in q, and a W-invariant polynomial taken at
+    q0.  An entry that is nonzero with an odd power of sqrt(q0) raises
+    ValueError.
+
+    For W-invariant h, Macdonald's constant-term identity (Affine Hecke
+    Algebras and Orthogonal Polynomials, ch. 5) gives the integral of h as
+    CT[h * Delta+], Delta+ the series above; it lives in the positive cone,
+    so it is cut at the height of the products' support.  Since -1 lies in
+    W, conj(g) on the torus is g with conjugated coefficients.  The identity
+    holds for each q, so it holds at q0: every polynomial is taken at q0
+    first, and paired on Gaussian integers.
 
     Each entry is the prefactors' product, exact in q and then taken at q0,
     times CT[f * g * Delta+] = sum over the terms f_e1 x^e1 of f and g_e2 x^e2
     of g of f_e1 * g_e2 * Delta+_(-(e1 + e2)), summed over Gaussian
     integers.  For each g the inner sum over e2 is formed once per exponent
-    e1 of the left polynomials."""
+    e1 of the left polynomials.
+
+    >>> q0 = Fraction(3)
+    >>> one = PhasedScalar.one()
+    >>> f, g = ((one, _q_poly_at(1, "odd", lam, q0)) for lam in ((0,), (1,)))
+    >>> _pairings([f], [g], "odd", q0, conjugate=True)[0][0].is_zero()
+    True
+    """
     if not left or not right:
         return [[] for _ in left]
     if conjugate:
@@ -285,33 +288,6 @@ def _gauss_dot(xs, ys) -> tuple[int, int]:
     return re, im
 
 
-def pairing_at(
-    fs: Sequence, gs: Sequence, parity: str, q0: Fraction, conjugate: bool = True
-) -> list:
-    """Exact pairings <f, g> at q = q0 against the density of total mass 1:
-    the integral of f * conj(g), or of f * g when not ``conjugate``, as
-    GaussianRational values.  An entry that is nonzero with an odd power of
-    sqrt(q0) raises ValueError.
-
-    Each f and g is a SphericalValue prefactor * q_poly(lam) over a constant
-    boundary factor, as ``transform_ch`` and ``psi`` build them.  For
-    W-invariant h, Macdonald's constant-term identity (Affine Hecke Algebras
-    and Orthogonal Polynomials, ch. 5) gives the integral of h as
-    CT[h * Delta+], Delta+ the series above; it lives in the positive cone,
-    so it is cut at the height of the products' support.  Since -1 lies in
-    W, conj(g) on the torus is g with conjugated coefficients.  The identity
-    holds for each q, so it holds at q0: every polynomial is taken at q0
-    first, and paired on Gaussian integers.
-
-    >>> m = pairing_at([psi(1, "odd", ())], [psi(1, "odd", (1,))], "odd", Fraction(3))
-    >>> m[0][0].is_zero()
-    True
-    """
-    left = [_split(f, q0) for f in fs]
-    right = [_split(g, q0) for g in gs]
-    return _pairings(left, right, parity, q0, conjugate)
-
-
 def pairing_misses(mat: list, diagonal: Sequence) -> list:
     """(i, j, got, want) for each entry off the given diagonal and zero elsewhere."""
     return [
@@ -325,6 +301,22 @@ def pairing_misses(mat: list, diagonal: Sequence) -> list:
 def _normalizer(lam: tuple[int, ...], n: int, parity: str) -> PhasedScalar:
     """1 / W_lam, the factor that makes q_poly(lam) the orbit sum p_poly(lam)."""
     return PhasedScalar(0, 0, QFraction(QL_ONE, w_lambda_value(lam, n, parity)))
+
+
+def _transforms(lams: list, n: int, parity: str, q0: Fraction) -> list:
+    """The transform of each orbit indicator, as (prefactor, orbit sum at q0):
+
+        q ** (-<lam, z0>)  *  p_poly(lam)  =  q ** (-<lam, z0>) / W_lam  *  q_poly(lam).
+
+    The phased prefactor undoes the base-point power and carries the
+    normalizer 1/W_lam of the orbit sum."""
+    return [
+        (
+            phase_power(lam, n, parity).inverse() * _normalizer(lam, n, parity),
+            _q_poly_at(n, parity, lam, q0),
+        )
+        for lam in lams
+    ]
 
 
 def gram_matrix(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> list:
@@ -348,34 +340,24 @@ def volume(lam: Sequence[int], n: int, parity: str, q0: Fraction) -> Fraction:
     return Fraction(q0) ** int(expo) * expected_gram_diagonal(lam, n, parity, q0)
 
 
-def transform_ch(lam: Sequence[int], n: int, parity: str) -> SphericalValue:
-    """The transform of the orbit indicator, exactly:
-
-        q ** (-<lam, z0>)  *  p_poly(lam)  =  q ** (-<lam, z0>) / W_lam  *  q_poly(lam).
-
-    The W-invariant polynomial part is the normalized orbit sum; the phased
-    prefactor undoes the base-point power and carries its normalizer 1/W_lam.
-    """
-    lam = check_partition(lam, n)
-    pre = phase_power(lam, n, parity).inverse() * _normalizer(lam, n, parity)
-    return SphericalValue(n, parity, lam, pre, q_poly(n, parity, lam), FactoredRational(1))
-
-
 def check_plancherel(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> dict:
     """Exact pairings of transforms at q0, against the orbit masses on the
     diagonal and zero off it: the matrix and its misses."""
-    vals = [transform_ch(lam, n, parity) for lam in lams]
-    mat = pairing_at(vals, vals, parity, q0)
+    lams = [check_partition(lam, n) for lam in lams]
+    vals = _transforms(lams, n, parity, q0)
+    mat = _pairings(vals, vals, parity, q0, conjugate=True)
     masses = [volume(lam, n, parity, q0) for lam in lams]
     return {"matrix": mat, "misses": pairing_misses(mat, masses)}
 
 
 def check_inversion(lams: Sequence[Sequence[int]], n: int, parity: str, q0: Fraction) -> dict:
     """Unconjugated exact pairing of each transform against each plain
-    kernel at q0; the result must be the identity matrix."""
-    fs = [transform_ch(lam, n, parity) for lam in lams]
-    ks = [psi(n, parity, lam) for lam in lams]
-    mat = pairing_at(fs, ks, parity, q0, conjugate=False)
+    kernel q ** <lam, z0> / W_0 * q_poly(lam) at q0; the result must be the
+    identity matrix."""
+    lams = [check_partition(lam, n) for lam in lams]
+    w0 = PhasedScalar(0, 0, QFraction(QL_ONE, whole_group_value(n, parity)))
+    ks = [(phase_power(lam, n, parity) * w0, _q_poly_at(n, parity, lam, q0)) for lam in lams]
+    mat = _pairings(_transforms(lams, n, parity, q0), ks, parity, q0, conjugate=False)
     return {"matrix": mat, "misses": pairing_misses(mat, [1] * len(lams))}
 
 

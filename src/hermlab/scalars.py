@@ -415,10 +415,6 @@ class QLaurent:
             k >>= 1
         return out
 
-    def shift(self, k: int) -> "QLaurent":
-        """Multiply by q**k."""
-        return _ql({e + k: v for e, v in self._c.items()}, self._d)
-
     def stretch(self, k: int) -> "QLaurent":
         """Reinterpret q as the k-th power of a finer base: q -> r^k."""
         if k <= 0:

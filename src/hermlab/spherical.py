@@ -391,15 +391,6 @@ def omega_explicit(n: int, parity: str, lam: Sequence[int]) -> SphericalValue:
     return SphericalValue(n, parity, lam, pre, q_poly(n, parity, lam), g_factor(n, parity))
 
 
-def psi(n: int, parity: str, lam: Sequence[int]) -> SphericalValue:
-    """The plain normalized kernel: q**<lam, z0> * orbit_sum / whole-group
-    series, with no boundary factor."""
-    lam = check_partition(lam, n)
-    w0 = QFraction(whole_group_value(n, parity))
-    pre = PhasedScalar(0, 0, w0.inverse()) * phase_power(lam, n, parity)
-    return SphericalValue(n, parity, lam, pre, q_poly(n, parity, lam), FactoredRational(1))
-
-
 # -- rank-one closed forms -------------------------------------------------------
 
 

@@ -20,7 +20,6 @@ of the same computation in q, whenever every denominator met stays nonzero.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -36,7 +35,6 @@ from .scalars import (
     QLaurent,
     _mono_pow,
     _monomial,
-    _nonzero_point,
     _ql,
     _reduced,
 )
@@ -96,10 +94,6 @@ class TorusPoly:
 
     # -- constructors -------------------------------------------------------
     @staticmethod
-    def zero(n: int) -> "TorusPoly":
-        return TorusPoly(n)
-
-    @staticmethod
     def const(n: int, c) -> "TorusPoly":
         return TorusPoly(n, {(0,) * n: _as_qfraction(c)})
 
@@ -116,9 +110,6 @@ class TorusPoly:
     def sorted_terms(self) -> list[tuple[Vec, QFraction]]:
         """Graded-lex, highest first: sort by (total degree, exponent) desc."""
         return sorted(self._t.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
-    def support(self):
-        return self._t.keys()
 
     # -- arithmetic --------------------------------------------------------------
     def _check(self, other: "TorusPoly"):
@@ -283,8 +274,7 @@ class TorusPolyAt:
     (re + im*I) / ``_d``.  As in QLaurent, zero numerators are not stored,
     ``_d > 0``, and ``_d`` is coprime to the numerators taken together.
 
-    >>> f = TorusPoly(1, {(1,): QLaurent.gen()}) + TorusPoly(1, {(-1,): 1})
-    >>> f = TorusPolyAt(f, Fraction(7, 2))
+    >>> f = TorusPolyAt(1, {(1,): (14, 0), (-1,): (4, 0)}, 4)
     >>> f._c, f._d
     ({(1,): (7, 0), (-1,): (2, 0)}, 2)
     >>> [str(v) for v in f.flip_values([Fraction(2)])]
@@ -293,24 +283,13 @@ class TorusPolyAt:
 
     __slots__ = ("n", "_c", "_d")
 
-    def __init__(self, f: TorusPoly, q0):
-        a, b = _nonzero_point(q0)
-        vals = [(e, *c.value_at(a, b)) for e, c in f.terms()]
-        d = math.lcm(*(den for *_, den in vals))
-        c = {e: (re * (d // den), im * (d // den)) for e, re, im, den in vals if re or im}
-        self._set(f.n, *_reduced(c, d))
-
-    @staticmethod
-    def of_ints(n: int, c: dict, d: int) -> "TorusPolyAt":
+    def __init__(self, n: int, c: dict, d: int):
         """Nonzero Gaussian-integer numerators ``c`` over ``d > 0``, common
         factors cancelled."""
-        return object.__new__(TorusPolyAt)._set(n, *_reduced(c, d))
-
-    def _set(self, n: int, c: dict, d: int) -> "TorusPolyAt":
+        c, d = _reduced(c, d)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_c", c)
         object.__setattr__(self, "_d", d)
-        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("TorusPolyAt is immutable")
@@ -318,7 +297,7 @@ class TorusPolyAt:
     def conjugate(self) -> "TorusPolyAt":
         """Every coefficient conjugated."""
         c = {e: (re, -im) for e, (re, im) in self._c.items()}
-        return TorusPolyAt.of_ints(self.n, c, self._d)
+        return TorusPolyAt(self.n, c, self._d)
 
     def flip_values(self, xs: Sequence) -> list[GaussianRational]:
         """Exact values at the 2^n sign flips of a point of nonzero rational

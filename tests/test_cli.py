@@ -9,7 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from hermlab.cli import RESIDUE_MAX_PREC, run
+from hermlab.cli import (
+    LOCAL_FIELD_MAX_P,
+    MC_MAX_DRAW_WORK,
+    RANK_MAX_TRIALS,
+    RESIDUE_MAX_PREC,
+    run,
+)
 from hermlab.cmd_padic import DIAGONALIZE_MAX_ELL
 from hermlab.padic import LocalMatrix, assert_unitary, random_k, x_lambda
 from hermlab.report import CHECKS, MATRIX_CHECKS, RESIDUE_CHECKS
@@ -794,8 +800,13 @@ def test_out_of_range_input_is_refused_before_the_layers_load():
     assert r.stdout == f"{[2] * len(refused)} False\n", r.stderr
 
 
+# the most Monte-Carlo draws admitted at p = 3: the default prec 8 weighs
+# 256^2 a draw, prec 1000 (2,000 bits counted) 2000^2
+MC_DEFAULT_MOST = MC_MAX_DRAW_WORK // 256**2
+MC_PREC_1000_MOST = MC_MAX_DRAW_WORK // 2000**2
+
 # inputs above a resource bound, each refused with exit 3 and one line on
-# stderr before the matrix layer or the report loads
+# stderr before the matrix layer, the report or the Plancherel layer loads
 ABOVE_BOUND = [
     (
         ["padic", "diagonalize1", "--ell", str(DIAGONALIZE_MAX_ELL + 1)],
@@ -818,6 +829,37 @@ ABOVE_BOUND = [
         ["verify", "all", "--n", "2", "--prec", "20000"],
         f"verify supports --prec up to {RESIDUE_MAX_PREC}, got 20000",
     ),
+    (
+        ["padic", "count-norm", "--p", "1000000000000000003", "--xi", "1", "--r", "0"],
+        f"--p must be at most {LOCAL_FIELD_MAX_P}, got 1000000000000000003",
+    ),
+    (
+        ["verify", "norm-volume", "--p", str(LOCAL_FIELD_MAX_P + 19)],
+        f"--p must be at most {LOCAL_FIELD_MAX_P}, got {LOCAL_FIELD_MAX_P + 19}",
+    ),
+    (
+        ["padic", "mc-omega", "--ell", "1", "--s", "1", "--samples", str(MC_DEFAULT_MOST + 1)],
+        f"padic mc-omega at p = 3, prec = 8 supports --samples up to {MC_DEFAULT_MOST}, "
+        f"got {MC_DEFAULT_MOST + 1}",
+    ),
+    (
+        ["padic", "mc-omega", "--p", "97", "--ell", "2", "--s", "1", "--prec", "1000"],
+        f"padic mc-omega at p = 97, prec = 1000 supports --samples up to "
+        f"{MC_MAX_DRAW_WORK // 7000**2}, got 10000",
+    ),
+    (
+        ["verify", "defining-integral-mc", "--workers", "1", "--samples", "100000000"],
+        f"verify at p = 3, prec = 8 supports --samples up to {MC_DEFAULT_MOST}, got 100000000",
+    ),
+    (
+        ["verify", "all", "--prec", "1000", "--samples", str(MC_PREC_1000_MOST + 1)],
+        f"verify at p = 3, prec = 1000 supports --samples up to {MC_PREC_1000_MOST}, "
+        f"got {MC_PREC_1000_MOST + 1}",
+    ),
+    (
+        ["plancherel", "rank", "--n", "3", "--parity", "odd", "--trials", "2000"],
+        f"plancherel rank supports --trials up to {RANK_MAX_TRIALS}, got 2000",
+    ),
 ]
 
 
@@ -837,8 +879,35 @@ def test_a_config_prec_above_the_bound_exits_3(tmp_path, capsys):
 
 
 def test_input_above_a_resource_bound_is_refused_before_the_layers_load():
-    r = _codes_and_loaded([argv for argv, _ in ABOVE_BOUND], "hermlab.report,hermlab.padic")
+    r = _codes_and_loaded(
+        [argv for argv, _ in ABOVE_BOUND], "hermlab.report,hermlab.padic,hermlab.plancherel"
+    )
     assert r.stdout == f"{[3] * len(ABOVE_BOUND)} False\n", r.stderr
+
+
+def test_a_large_p_is_refused_before_the_field_is_built():
+    # the refusal comes before the residue layer loads, whose LocalField
+    # tests p for primality by trial division up to sqrt(p)
+    huge = str(10**200 + 1)
+    verbs = [
+        ["padic", "count-norm", "--p", huge, "--xi", "1", "--r", "0"],
+        ["padic", "mc-omega", "--p", huge, "--ell", "1", "--s", "1"],
+        ["verify", "all", "--p", huge],
+    ]
+    r = _codes_and_loaded(verbs, "hermlab.residue")
+    assert r.stdout == "[3, 3, 3] False\n", r.stderr
+
+
+def test_a_config_sample_count_above_the_bound_exits_3(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"samples = {MC_DEFAULT_MOST + 1}\np = 3\n")
+    assert run(["verify", "defining-integral-mc", "--config", str(cfg)]) == 3
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (
+        "",
+        f"resource: verify at p = 3, prec = 8 supports --samples up to {MC_DEFAULT_MOST}, "
+        f"got {MC_DEFAULT_MOST + 1}\n",
+    )
 
 
 @pytest.mark.parametrize(
@@ -850,8 +919,13 @@ def test_input_above_a_resource_bound_is_refused_before_the_layers_load():
          "--prec", str(RESIDUE_MAX_PREC)],
         ["verify", "defining-integral-mc,diagonalization-roundtrip", "--workers", "1",
          "--prec", str(RESIDUE_MAX_PREC)],
+        ["padic", "diagonalize1", "--ell", "3", "--seed", "2", "--p", "9999991"],
+        ["padic", "mc-omega", "--ell", "1", "--s", "1", "--prec", "1000",
+         "--samples", str(MC_PREC_1000_MOST)],
+        ["plancherel", "rank", "--n", "2", "--parity", "odd", "--trials", str(RANK_MAX_TRIALS)],
     ],
-    ids=["diagonalize1-ell", "diagonalize1-prec", "mc-omega-prec", "verify-prec"],
+    ids=["diagonalize1-ell", "diagonalize1-prec", "mc-omega-prec", "verify-prec",
+         "diagonalize1-p", "mc-omega-samples", "rank-trials"],
 )
 def test_input_at_a_resource_bound_runs(capsys, argv):
     assert run(argv) == 0

@@ -159,7 +159,7 @@ def test_degeneracy_at_unit_parameters():
     for n, lam in [(1, (2,)), (2, (1, 0)), (2, (2, 1)), (3, (1, 1, 0))]:
         f = _q_poly_cached(n, lam, one, one)
         k = len(stabilizer(lam, n))
-        expect = TorusPoly.zero(n)
+        expect = TorusPoly(n)
         for e in orbit(lam, n):
             expect = expect + TorusPoly(n, {e: k})
         assert f == expect
@@ -329,7 +329,7 @@ def factored_alternating_q_poly(n, lam, t_short, t_long):
     for i in range(n):
         A = A - A.weyl(SignedPerm(ident, tuple(-1 if j == i else 1 for j in ident)))
     for k in range(1, n):
-        swaps = TorusPoly.zero(n)
+        swaps = TorusPoly(n)
         for i in range(k):
             perm = list(ident)
             perm[i], perm[k] = k, i

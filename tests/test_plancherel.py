@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 from hermlab.errors import ENUMERATION_BOUND, ResourceLimit
+import hermlab.hall_littlewood as hl
 from hermlab.plancherel import (
     QuadratureGrid,
     _delta_plus_at,
     _height,
+    _pairings,
     _q_poly_at,
     _root_factor,
     _root_params,
+    _transforms,
     basis_partitions,
     basis_rank_check,
     check_inversion,
@@ -22,16 +25,15 @@ from hermlab.plancherel import (
     expected_gram_diagonal,
     gram_matrix,
     measure_constant,
-    pairing_at,
     pairing_misses,
     total_mass,
-    transform_ch,
     volume,
 )
 from hermlab.scalars import QF_ZERO, GaussianRational, QFraction, QLaurent
-from hermlab.spherical import PhasedScalar, SphericalValue, omega_explicit, phase_power, psi
+from hermlab.spherical import PhasedScalar, SphericalValue, phase_power
 from hermlab.torus import FactoredRational, TorusPoly, TorusPolyAt
 from hermlab.hall_littlewood import (
+    check_partition,
     p_poly,
     partitions,
     q_poly,
@@ -61,7 +63,7 @@ def pairing_matrix(fs, gs, parity, conjugate=True):
     as PhasedScalar values.  Each f and g is a W-invariant TorusPoly, or a
     SphericalValue with a trivial boundary factor; each product f * g is
     formed over QFraction coefficients and paired with Delta+ by its
-    constant term, the identity ``pairing_at`` takes at q0."""
+    constant term, the identity ``_pairings`` takes at q0."""
     left = [ref_split(f) for f in fs]
     right = [ref_split(g) for g in gs]
     if not left or not right:
@@ -69,7 +71,7 @@ def pairing_matrix(fs, gs, parity, conjugate=True):
     if conjugate:
         right = [(c.conjugate(), g.map_coeffs(QFraction.conjugate_coeffs)) for c, g in right]
     products = [[f * g for _, g in right] for _, f in left]
-    height = max((-_height(e) for row in products for h in row for e in h.support()), default=0)
+    height = max((-_height(e) for row in products for h in row for e, _ in h.terms()), default=0)
     delta = dict(ref_delta_plus(left[0][1].n, parity, max(height, 0)).terms())
 
     def ct(h):
@@ -83,10 +85,36 @@ def at_q0(mat, q0):
     return [[v.as_qfraction().eval(Fraction(q0)) for v in row] for row in mat]
 
 
+def ref_at_q0(f, q0):
+    """A TorusPoly taken at q0: each coefficient's value there, over the
+    common denominator."""
+    a, b = Fraction(q0).numerator, Fraction(q0).denominator
+    vals = [(e, *c.value_at(a, b)) for e, c in f.terms()]
+    d = math.lcm(*(den for *_, den in vals))
+    c = {e: (re * (d // den), im * (d // den)) for e, re, im, den in vals if re or im}
+    return TorusPolyAt(f.n, c, d)
+
+
+def pair_at_q0(v, q0):
+    """A reference value as the (prefactor, polynomial at q0) pair that
+    ``_pairings`` takes."""
+    pre, f = ref_split(v)
+    return pre, ref_at_q0(f, q0)
+
+
 def ref_transform(lam, n, parity):
     """The transform as q ** (-<lam, z0>) times the normalized orbit sum p_poly."""
     pre = phase_power(lam, n, parity).inverse()
     return SphericalValue(n, parity, lam, pre, p_poly(n, parity, lam), FactoredRational(1))
+
+
+def ref_psi(n, parity, lam):
+    """The plain normalized kernel: q**<lam, z0> * orbit_sum / whole-group
+    series, with no boundary factor."""
+    lam = check_partition(lam, n)
+    w0 = QFraction(whole_group_value(n, parity))
+    pre = PhasedScalar(0, 0, w0.inverse()) * phase_power(lam, n, parity)
+    return SphericalValue(n, parity, lam, pre, q_poly(n, parity, lam), FactoredRational(1))
 
 
 @lru_cache(maxsize=None)
@@ -96,7 +124,7 @@ def ref_pairings(n, parity, weight):
     lams = partitions(n, weight)
     sums = [p_poly(n, parity, lam) for lam in lams]
     vals = [ref_transform(lam, n, parity) for lam in lams]
-    kernels = [psi(n, parity, lam) for lam in lams]
+    kernels = [ref_psi(n, parity, lam) for lam in lams]
     return (
         pairing_matrix(sums, sums, parity),
         pairing_matrix(vals, vals, parity),
@@ -361,31 +389,35 @@ def test_pairing_misses_reads_both_diagonal_and_off_diagonal():
     assert [(i, j) for i, j, _, _ in pairing_misses(g, [Fraction(8, 9)] * 2)] == [(0, 1), (1, 0)]
 
 
-def test_pairing_refuses_a_boundary_factor():
-    with pytest.raises(ValueError, match="trivial boundary factor"):
-        pairing_at([omega_explicit(1, "odd", (1,))], [psi(1, "odd", (1,))], "odd", Fraction(3))
-
-
-def test_pairing_refuses_a_numerator_other_than_the_orbit_sum():
-    lam = (1,)
-    normalized = SphericalValue(
-        1, "odd", lam, PhasedScalar.one(), p_poly(1, "odd", lam), FactoredRational(1)
-    )
-    with pytest.raises(ValueError, match="q_poly"):
-        pairing_at([normalized], [psi(1, "odd", lam)], "odd", Fraction(3))
-
-
 def test_pairing_refuses_a_nonzero_odd_half_power_only():
     # sqrt(q) * q_poly(()) pairs to a nonzero multiple of sqrt(q0) with the
     # constant kernel, which is not in Q(i), and to 0 with the kernel of (1,)
+    q0 = Fraction(3)
     root = SphericalValue(
         1, "odd", (0,), PhasedScalar(0, 1, 1), q_poly(1, "odd", ()), FactoredRational(1)
     )
+    left = [pair_at_q0(root, q0)]
     with pytest.raises(ValueError, match="odd half-power"):
-        pairing_at([root], [psi(1, "odd", ())], "odd", Fraction(3))
+        _pairings(left, [pair_at_q0(ref_psi(1, "odd", ()), q0)], "odd", q0, conjugate=True)
     with pytest.raises(ValueError, match="odd half-power"):
-        at_q0(pairing_matrix([root], [psi(1, "odd", ())], "odd"), Fraction(3))
-    assert pairing_at([root], [psi(1, "odd", (1,))], "odd", Fraction(3)) == [[0]]
+        at_q0(pairing_matrix([root], [ref_psi(1, "odd", ())], "odd"), q0)
+    right = [pair_at_q0(ref_psi(1, "odd", (1,)), q0)]
+    assert _pairings(left, right, "odd", q0, conjugate=True) == [[0]]
+
+
+def test_pairing_checks_build_no_symbolic_orbit_sum():
+    # the pairings take each orbit sum at q0 from its coefficients; from
+    # cleared caches, none of them builds q_poly in q
+    for n in (1, 2, 3):
+        lams = partitions(n, 2)
+        for parity in ("odd", "even"):
+            hl._q_poly_cached.cache_clear()
+            _q_poly_at.cache_clear()
+            _delta_plus_at.cache_clear()
+            gram_matrix(lams, n, parity, Fraction(3))
+            check_plancherel(lams, n, parity, Fraction(3))
+            check_inversion(lams, n, parity, Fraction(3))
+            assert hl._q_poly_cached.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -396,7 +428,7 @@ def test_delta_plus_equals_full_product_cut(n):
         for height in range(13):
             want = ref_delta_plus(n, parity, height)
             for q0 in (Fraction(3), Fraction(7, 2)):
-                got, at = _delta_plus_at(n, parity, height, q0), TorusPolyAt(want, q0)
+                got, at = _delta_plus_at(n, parity, height, q0), ref_at_q0(want, q0)
                 assert (got._c, got._d) == (at._c, at._d)
 
 
@@ -407,7 +439,7 @@ def test_orbit_sums_at_q0_equal_the_symbolic_ones_taken_at_q0(n):
     for parity in ("odd", "even"):
         for lam in partitions(n, 6):
             for q0 in (Fraction(3), Fraction(7, 2)):
-                got, at = _q_poly_at(n, parity, lam, q0), TorusPolyAt(q_poly(n, parity, lam), q0)
+                got, at = _q_poly_at(n, parity, lam, q0), ref_at_q0(q_poly(n, parity, lam), q0)
                 assert (got._c, got._d) == (at._c, at._d)
     if n == 3:
         # among them a sum with a coefficient C_mu that vanishes at q0 = 3
@@ -434,12 +466,14 @@ def test_volume_positive_and_increasing_in_weight():
 
 def test_transform_structure():
     # q ** (-<lam, z0>) p_poly(lam), with 1/W_lam carried in the prefactor
-    t = transform_ch((1,), 1, "odd")
+    # and the orbit sum q_poly(lam) taken at q0
+    q0 = Fraction(3)
+    [(pre, f)] = _transforms([(1,)], 1, "odd", q0)
     w = QFraction(1, w_lambda_value((1,), 1, "odd"))
-    assert t.prefactor == phase_power((1,), 1, "odd").inverse() * w
-    assert t.numerator is q_poly(1, "odd", (1,))
-    assert t.numerator * w == p_poly(1, "odd", (1,))
-    assert t.boundary.num == () and t.boundary.den == ()
+    assert pre == phase_power((1,), 1, "odd").inverse() * w
+    at = ref_at_q0(q_poly(1, "odd", (1,)), q0)
+    assert (f._c, f._d) == (at._c, at._d)
+    assert q_poly(1, "odd", (1,)) * w == p_poly(1, "odd", (1,))
 
 
 def test_plancherel_pairing_rank1():
@@ -472,10 +506,11 @@ def test_inversion_rank2():
 # negative control: using the non-inverted base-point power in the transform
 # rescales the inversion diagonal by the squared power, here (i/q)^2 = -1/9
 def test_inversion_phase_orientation_matters():
-    lam = (1,)
+    lam, q0 = (1,), Fraction(3)
     pre = phase_power(lam, 1, "odd") * QFraction(1, w_lambda_value(lam, 1, "odd"))
     wrong = SphericalValue(1, "odd", lam, pre, q_poly(1, "odd", lam), FactoredRational(1))
-    got = pairing_at([wrong], [psi(1, "odd", lam)], "odd", Fraction(3), conjugate=False)[0][0]
+    kernel = pair_at_q0(ref_psi(1, "odd", lam), q0)
+    got = _pairings([pair_at_q0(wrong, q0)], [kernel], "odd", q0, conjugate=False)[0][0]
     assert got == Fraction(-1, 9)
 
 

@@ -285,7 +285,7 @@ def test_ring_ops_match_reference():
         k = rng.randint(0, 3)
         _same(f**k, rf**k)
         s = rng.randint(-3, 3)
-        _same(f.shift(s), rf.shift(s))
+        _same(f * QLaurent.term(1, s), rf.shift(s))
         t = rng.randint(1, 3)
         _same(f.stretch(t), rf.stretch(t))
         c = _random_coeff(rng, True)

